@@ -11,13 +11,14 @@ from .reports import TrialRecord, VerificationReport, strip_wall_time
 from .subspaces import (SubspaceBasis, image_basis, kernel_basis,
                         principal_angles, verify_kernel_image_identity,
                         verify_zero_intersection)
-from .torsion import (CanonicalInvariant, ComponentDescriptor,
+from .torsion import (MAX_CLASSES, CanonicalInvariant, ComponentDescriptor,
                       TorusTorsionPoint, canonical_align, canonicalize,
-                      catalog_components, cluster_census, count_components,
-                      enumerate_torsion, gcd_intersection_check,
-                      matrix_invariant, nearest_torsion_approximant,
-                      orientation_sign, sl2_component_census, torus_matrix,
-                      write_catalog_csv)
+                      catalog_components, class_count_bound, class_table,
+                      cluster_census, count_components, enumerate_torsion,
+                      gcd_intersection_check, matrix_invariant,
+                      nearest_torsion_approximant, orbit_dimension,
+                      orientation_sign, sl2_component_census, torsion_point,
+                      torsion_point_count, torus_matrix, write_catalog_csv)
 from .curves import (CurveSample, DifferentComponentsError,
                      conjugation_curve, connect_within_component,
                      curve_kernel_check, export_path_csv,
@@ -37,11 +38,14 @@ __all__ = [
     "TrialRecord", "VerificationReport", "strip_wall_time",
     "SubspaceBasis", "image_basis", "kernel_basis", "principal_angles",
     "verify_kernel_image_identity", "verify_zero_intersection",
-    "CanonicalInvariant", "ComponentDescriptor", "TorusTorsionPoint",
-    "canonical_align", "canonicalize", "catalog_components", "cluster_census",
-    "count_components", "enumerate_torsion", "gcd_intersection_check",
-    "matrix_invariant", "nearest_torsion_approximant", "orientation_sign",
-    "sl2_component_census", "torus_matrix", "write_catalog_csv",
+    "MAX_CLASSES", "CanonicalInvariant", "ComponentDescriptor",
+    "TorusTorsionPoint", "canonical_align", "canonicalize",
+    "catalog_components", "class_count_bound", "class_table",
+    "cluster_census", "count_components", "enumerate_torsion",
+    "gcd_intersection_check", "matrix_invariant",
+    "nearest_torsion_approximant", "orbit_dimension", "orientation_sign",
+    "sl2_component_census", "torsion_point", "torsion_point_count",
+    "torus_matrix", "write_catalog_csv",
     "CurveSample", "DifferentComponentsError", "conjugation_curve",
     "connect_within_component", "curve_kernel_check", "export_path_csv",
     "path_order_residuals", "product_identity_check", "tangent_space_check",

@@ -17,7 +17,7 @@ from .reports import TrialRecord, VerificationReport
 from .subspaces import verify_kernel_image_identity, verify_zero_intersection
 from .curves import (DEFAULT_STEPS, curve_kernel_check, product_identity_check,
                      tangent_space_check)
-from .torsion import _nearest_torsion, enumerate_torsion
+from .torsion import _nearest_torsion, random_torsion_point
 
 COMPACT_SWEEP_SPECS = tuple(
     [GroupSpec("U", m) for m in (1, 2, 3, 4)]
@@ -29,8 +29,7 @@ ALL_FAMILY_SPECS = COMPACT_SWEEP_SPECS + (GroupSpec("SL2R", 2),)
 
 def random_torsion_element(spec: GroupSpec, n: int, rng):
     """Random conjugate of a random torsion point: (matrix, point)."""
-    points = enumerate_torsion(spec, n)
-    point = points[int(rng.integers(len(points)))]
+    point = random_torsion_point(spec, n, rng)
     h = random_element(spec, rng)
     g = h @ point.matrix() @ group_inverse(spec, h)
     return g, point

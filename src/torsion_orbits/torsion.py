@@ -4,9 +4,12 @@ Every g with g^n = e in one of the supported groups is conjugate to a point
 of the standard maximal torus whose block phases are exact fractions k/n.
 Conjugation permutes and (family permitting) reflects those phases, so an
 orbit is labeled by a canonical invariant: the Weyl-reduced phase multiset.
-This module enumerates the torsion points exactly, canonicalizes them,
-realizes one representative per orbit, and measures each orbit's dimension
-from the adjoint action.
+This module enumerates those invariants directly, one per class with its
+orbit size, so a catalog costs time in the number of classes rather than in
+the n^rank torus points.  It realizes one representative per class, gives
+each class's dimension in closed form, and draws uniform torus points in
+O(rank) by decoding an index.  ``enumerate_torsion`` lists every torus point
+by brute force; it is the oracle the tests check the enumerator against.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import schur
@@ -29,6 +32,10 @@ from .subspaces import image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
 SNAP_TOL = 1e-6
+
+#: Catalogs, counts, invariant sets and censuses refuse a group and order
+#: whose class_count_bound exceeds this.
+MAX_CLASSES = 2_000_000
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -88,11 +95,14 @@ def torus_matrix(spec: GroupSpec, phases) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
 def enumerate_torsion(spec: GroupSpec, n: int) -> tuple:
     """All torus points killed by n: the complete, duplicate-free tuple of
     phase vectors with entries in {0, 1/n, ..., (n-1)/n} (SU: summing to an
-    integer)."""
+    integer), in lexicographic order.
+
+    This is the O(n^rank) brute-force oracle the tests check
+    ``class_table`` and ``torsion_point`` against; no catalog, census or
+    sweep calls it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     r = phase_slots(spec)
@@ -102,6 +112,41 @@ def enumerate_torsion(spec: GroupSpec, n: int) -> tuple:
             continue
         points.append(TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in ks)))
     return tuple(points)
+
+
+def torsion_point_count(spec: GroupSpec, n: int) -> int:
+    """Number of torus points killed by n: n^rank (for SU the sum
+    constraint fixes the last of the m phases)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n ** spec.rank
+
+
+def torsion_point(spec: GroupSpec, n: int, i: int) -> TorusTorsionPoint:
+    """The i-th torus point killed by n, equal to
+    ``enumerate_torsion(spec, n)[i]`` but decoded in O(rank): the free
+    phases are the base-n digits of i, most significant first, and the last
+    SU phase is minus their sum."""
+    if not 0 <= i < torsion_point_count(spec, n):
+        raise IndexError(f"torsion point index {i} out of range")
+    ks = []
+    for _ in range(spec.rank):
+        i, k = divmod(i, n)
+        ks.append(k)
+    ks.reverse()
+    if spec.family == "SU":
+        ks.append(-sum(ks) % n)
+    return TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in ks))
+
+
+def random_torsion_point(spec: GroupSpec, n: int, rng) -> TorusTorsionPoint:
+    """Uniform torus point killed by n, from one ``rng.integers`` draw over
+    the point count."""
+    count = torsion_point_count(spec, n)
+    if count > np.iinfo(np.int64).max:
+        raise ValueError(f"{spec.label()} n={n} has {count:.3e} torus points, "
+                         "too many to index with one 64-bit draw")
+    return torsion_point(spec, n, int(rng.integers(count)))
 
 
 @dataclass(frozen=True)
@@ -338,9 +383,32 @@ def matrix_invariant(spec: GroupSpec, g: np.ndarray, n: int,
 
 def component_dimension(spec: GroupSpec, g: np.ndarray,
                         tol_rank: float = 1e-9) -> int:
-    """Dimension of the conjugation orbit of g: rank of I - Ad(g)."""
+    """Dimension of the conjugation orbit of g: rank of I - Ad(g).  The
+    numeric counterpart of ``orbit_dimension``, kept as its oracle."""
     A = adjoint_matrix(spec, g)
     return image_basis(np.eye(spec.dim) - A, tol_rank).dim
+
+
+def orbit_dimension(spec: GroupSpec, canonical: CanonicalInvariant) -> int:
+    """Dimension of the class labeled by ``canonical``: dim G - dim Z(t),
+    with the centralizer dimension read off the phase multiplicities.
+
+    U/SU: a phase of multiplicity c contributes u(c), so the orbit has
+    dimension m^2 - sum c^2.  SO(N): the a-dimensional +1 and b-dimensional
+    -1 eigenspaces contribute so(a) and so(b), each other folded phase of
+    multiplicity c contributes u(c).  SL(2,R): +-I are central, every
+    elliptic class is a 2-dimensional orbit."""
+    phases = canonical.phases
+    if spec.family == "SL2R":
+        return 0 if phases[0] in (ZERO, HALF) else 2
+    if spec.family in ("U", "SU"):
+        return spec.size ** 2 - sum(c * c for c in Counter(phases).values())
+    folded = Counter(min(p, 1 - p) for p in phases)
+    a = 2 * folded.pop(ZERO, 0) + spec.size % 2
+    b = 2 * folded.pop(HALF, 0)
+    centralizer = (a * (a - 1) // 2 + b * (b - 1) // 2
+                   + sum(c * c for c in folded.values()))
+    return spec.dim - centralizer
 
 
 @dataclass
@@ -356,34 +424,88 @@ class ComponentDescriptor:
     orbit_size: int  # torus points mapping to this invariant
 
 
-def catalog_components(spec: GroupSpec, n: int,
-                       tol_rank: float = 1e-9) -> list[ComponentDescriptor]:
+def class_count_bound(spec: GroupSpec, n: int) -> int:
+    """Upper bound on the number of classes of {g : g^n = e}, which is also
+    the number of multisets ``class_table`` walks: C(n+m-1, m) for U(m) and
+    SU(m), 2 C(n//2 + r, r) for SO(m) of rank r, m >= 3, and n for SO(2) and
+    SL(2,R)."""
+    if spec.family in ("U", "SU"):
+        return math.comb(n + spec.size - 1, spec.size)
+    if spec.family == "SO" and spec.size > 2:
+        return 2 * math.comb(n // 2 + spec.rank, spec.rank)
+    return n
+
+
+def _arrangements(ks: tuple) -> int:
+    # Distinct orderings of a sorted tuple: the multinomial of its runs.
+    out = math.factorial(len(ks))
+    for _, run in itertools.groupby(ks):
+        out //= math.factorial(sum(1 for _ in run))
+    return out
+
+
+def class_table(spec: GroupSpec, n: int) -> dict:
+    """{canonical invariant: orbit size} over the classes of {g : g^n = e},
+    in sort order; the orbit size counts the torus points in the class.
+
+    Built from the invariants themselves, in time proportional to the
+    multisets walked: sorted phase multisets (SU: those summing to an
+    integer) for U/SU; for SO, multisets of folded phases f/n with
+    f <= n/2, each slot off {0, n/2} having two preimages, and for SO(2r),
+    r >= 2, a split into two parity classes when every slot is off
+    {0, n/2}; the n phases k/n for SO(2) and SL(2,R).  Raises ValueError
+    when ``class_count_bound`` exceeds MAX_CLASSES."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bound = class_count_bound(spec, n)
+    if bound > MAX_CLASSES:
+        raise ValueError(
+            f"{spec.label()} n={n} has up to {bound:,} classes, above the "
+            f"limit of {MAX_CLASSES:,}")
+    grid = [Fraction(k, n) for k in range(n)]
+    if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
+        return {CanonicalInvariant((p,)): 1 for p in grid}
+    table = {}
+    if spec.family in ("U", "SU"):
+        for ks in itertools.combinations_with_replacement(range(n), spec.size):
+            if spec.family == "SU" and sum(ks) % n:
+                continue
+            phases = tuple(grid[k] for k in ks)
+            table[CanonicalInvariant(phases)] = _arrangements(ks)
+        return table
+    r = spec.rank
+    for fs in itertools.combinations_with_replacement(range(n // 2 + 1), r):
+        phases = tuple(grid[f] for f in fs)
+        free = sum(1 for f in fs if f and 2 * f != n)
+        orbit = _arrangements(fs) << free
+        if spec.size % 2 == 0 and free == r:
+            table[CanonicalInvariant(phases, 0)] = orbit // 2
+            table[CanonicalInvariant(phases, 1)] = orbit // 2
+        else:
+            table[CanonicalInvariant(phases)] = orbit
+    return table
+
+
+def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     """Complete catalog of orbits of {g : g^n = e}, sorted by canonical
     invariant.  One entry per Weyl orbit of torsion points."""
-    counts: dict[CanonicalInvariant, int] = {}
-    for point in enumerate_torsion(spec, n):
-        inv = canonicalize(spec, point.phases)
-        counts[inv] = counts.get(inv, 0) + 1
     out = []
-    for inv in sorted(counts, key=CanonicalInvariant.sort_key):
+    for inv, orbit_size in class_table(spec, n).items():
         realized = canonical_realization(spec, inv)
-        rep = torus_matrix(spec, realized)
-        dim = component_dimension(spec, rep, tol_rank)
-        order = math.lcm(*(p.denominator for p in realized)) if realized else 1
-        out.append(ComponentDescriptor(spec, n, inv, rep, dim, order,
-                                       counts[inv]))
+        out.append(ComponentDescriptor(
+            spec, n, inv, torus_matrix(spec, realized),
+            orbit_dimension(spec, inv),
+            math.lcm(*(p.denominator for p in realized)), orbit_size))
     return out
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
     """Number of conjugation orbits of {g : g^n = e}."""
-    invs = {canonicalize(spec, p.phases) for p in enumerate_torsion(spec, n)}
-    return len(invs)
+    return len(class_table(spec, n))
 
 
 def invariant_set(spec: GroupSpec, n: int) -> frozenset:
-    return frozenset(canonicalize(spec, p.phases)
-                     for p in enumerate_torsion(spec, n))
+    return frozenset(class_table(spec, n))
 
 
 def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationReport:
@@ -549,13 +671,12 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     t0 = time.perf_counter()
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    points = enumerate_torsion(spec, n)
     expected = count_components(spec, n)
     trials, seen = [], set()
     worst = 0.0
     for i in range(samples):
         rng = np.random.default_rng(seed + i)
-        point = points[int(rng.integers(len(points)))]
+        point = random_torsion_point(spec, n, rng)
         h = random_element(spec, rng)
         g = h @ point.matrix() @ group_inverse(spec, h)
         inv = matrix_invariant(spec, g, n)

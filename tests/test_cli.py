@@ -1,14 +1,21 @@
 """End-to-end CLI runs: exit codes, output formats, determinism."""
 
 import csv
+import hashlib
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torsion_orbits import cli
 from torsion_orbits.reports import strip_wall_time
+
+#: sha256 of the stdout of catalog commands, recorded by the benchmark.
+REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
+                     / "reference_digests.json")
 
 
 def run(capsys, argv):
@@ -29,6 +36,30 @@ def test_catalog_counts(capsys):
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 1 + want
     assert rows[0][0] == "group"
+
+
+def test_catalog_bytes_match_reference_digests(capsys):
+    # catalogs are a byte contract: every recorded command still prints
+    # exactly the bytes it printed when the digests were recorded
+    digests = json.loads(REFERENCE_DIGESTS.read_text())
+    assert len(digests) == 10
+    for command, want in digests.items():
+        code, out, _ = run(capsys, command.split())
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == want, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--group", "U", "--size", "5", "--n", "400"],
+    ["census", "cluster", "--group", "U", "--size", "5", "--n", "400"],
+    ["verify", "gcd", "--group", "U", "--size", "5", "--n", "400",
+     "--m", "2"],
+])
+def test_runaway_class_counts_exit_2_with_estimate(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"up to {math.comb(404, 5):,} classes" in err
 
 
 def test_catalog_text_and_dims(capsys):

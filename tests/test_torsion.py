@@ -15,19 +15,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import torsion_orbits
+from torsion_orbits import cli, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, random_element)
-from torsion_orbits.torsion import (CanonicalInvariant, TorusTorsionPoint,
-                                    approximation_bound, canonical_align,
-                                    canonical_realization, canonicalize,
-                                    catalog_components, catalog_json_payload,
-                                    catalog_rows, cluster_census,
+from torsion_orbits.sweeps import random_torsion_element
+from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
+                                    TorusTorsionPoint, approximation_bound,
+                                    canonical_align, canonical_realization,
+                                    canonicalize, catalog_components,
+                                    catalog_json_payload, catalog_rows,
+                                    class_count_bound, class_table,
+                                    cluster_census, component_dimension,
                                     count_components, enumerate_torsion,
                                     gcd_intersection_check, invariant_set,
                                     matrix_invariant,
                                     nearest_torsion_approximant,
                                     orientation_sign, phase_slots,
-                                    sl2_component_census, torus_matrix,
+                                    random_torsion_point,
+                                    sl2_component_census, torsion_point,
+                                    torsion_point_count, torus_matrix,
                                     write_catalog_csv)
 
 
@@ -282,12 +289,97 @@ def test_catalog_exact_orders():
 def test_dimension_is_class_invariant():
     spec = GroupSpec("SU", 3)
     cat = catalog_components(spec, 3)
-    from torsion_orbits.torsion import component_dimension
     for c in cat:
         for seed in range(10):
             h = random_element(spec, seed)
             g = h @ c.representative @ h.conj().T
             assert component_dimension(spec, g) == c.dimension
+
+
+# ------------------------------------- invariant enumerator vs brute force
+
+ORACLE_SPECS = ([GroupSpec("U", m) for m in range(1, 6)]
+                + [GroupSpec("SU", m) for m in range(2, 6)]
+                + [GroupSpec("SO", m) for m in range(2, 6)]
+                + [GroupSpec("SL2R", 2)])
+
+
+def oracle_orders(spec):
+    """Orders small enough to enumerate every torus point."""
+    return range(1, 8 if spec.size >= 4 else 13)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_class_table_is_the_fold_of_the_enumeration(spec):
+    for n in oracle_orders(spec):
+        fold = {}
+        for point in enumerate_torsion(spec, n):
+            inv = canonicalize(spec, point.phases)
+            fold[inv] = fold.get(inv, 0) + 1
+        table = class_table(spec, n)
+        assert table == fold, (spec.label(), n)
+        assert list(table) == sorted(fold, key=CanonicalInvariant.sort_key)
+        assert len(table) <= class_count_bound(spec, n)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_torsion_point_decodes_the_enumeration(spec):
+    for n in oracle_orders(spec):
+        points = enumerate_torsion(spec, n)
+        assert torsion_point_count(spec, n) == len(points)
+        for i, point in enumerate(points):
+            assert torsion_point(spec, n, i) == point, (spec.label(), n, i)
+        with pytest.raises(IndexError):
+            torsion_point(spec, n, len(points))
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_closed_form_dimension_matches_adjoint_rank(spec):
+    for n in oracle_orders(spec):
+        for c in catalog_components(spec, n):
+            assert c.dimension == component_dimension(spec, c.representative), \
+                (spec.label(), n, c.canonical.label())
+
+
+def test_random_torsion_point_refuses_unindexable_counts():
+    spec = GroupSpec("U", 5)
+    rng = np.random.default_rng(0)
+    assert torsion_point_count(spec, 10_000) > np.iinfo(np.int64).max
+    with pytest.raises(ValueError, match="torus points"):
+        random_torsion_point(spec, 10_000, rng)
+    assert random_torsion_point(spec, 6_000, rng).spec == spec
+
+
+def test_class_budget_refuses_runaway_orders():
+    spec = GroupSpec("U", 5)
+    bound = class_count_bound(spec, 400)
+    assert bound == math.comb(404, 5) > MAX_CLASSES
+    for build in (class_table, catalog_components, count_components,
+                  invariant_set):
+        with pytest.raises(ValueError, match=f"{bound:,} classes"):
+            build(spec, 400)
+    with pytest.raises(ValueError, match="classes"):
+        cluster_census(spec, 400, 5, seed=0)
+    assert class_count_bound(GroupSpec("SO", 5), 40) == 2 * math.comb(22, 2)
+    assert class_count_bound(GroupSpec("SL2R", 2), 7) == 7
+
+
+def test_production_paths_never_enumerate(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_torsion is a test oracle only")
+
+    monkeypatch.setattr(torsion, "enumerate_torsion", refuse)
+    monkeypatch.setattr(torsion_orbits, "enumerate_torsion", refuse)
+    assert len(catalog_components(GroupSpec("U", 4), 8)) == math.comb(11, 4)
+    assert gcd_intersection_check(GroupSpec("U", 3), 6, 4).passed
+    census = cluster_census(GroupSpec("SO", 4), 4, 20, seed=3)
+    assert len(census.trials) == 20 and all(t.passed for t in census.trials)
+    spec = GroupSpec("U", 5)
+    g, point = random_torsion_element(spec, 20, np.random.default_rng(0))
+    assert matrix_invariant(spec, g, 20) == canonicalize(spec, point.phases)
+    assert cli.main(["verify", "lemma33", "--group", "U", "--size", "5",
+                     "--n", "20", "--trials", "3"]) == 0
+    capsys.readouterr()
 
 
 # ------------------------------------------------------- matrix invariants
