@@ -194,26 +194,24 @@ def cmd_verify(args) -> int:
     specs = [spec] if spec is not None else None
     n_max = args.n if args.n is not None else 6
     if args.check == "lemma31":
-        report = sweep_tangent(specs or ALL_FAMILY_SPECS, args.trials, seed,
-                               jobs=args.jobs)
+        report = sweep_tangent(specs or ALL_FAMILY_SPECS, args.trials, seed)
     elif args.check == "lemma32":
         report = sweep_curve_identities(specs or COMPACT_SWEEP_SPECS, n_max,
-                                        args.trials, seed, jobs=args.jobs,
+                                        args.trials, seed,
                                         tol=args.tol_membership)
     elif args.check == "lemma33":
         report = sweep_kernel_image(specs or COMPACT_SWEEP_SPECS, n_max,
-                                    args.trials, seed, jobs=args.jobs,
-                                    tol_rank=args.tol_rank,
+                                    args.trials, seed, tol_rank=args.tol_rank,
                                     tol_subspace=args.tol_subspace)
     elif args.check == "zero-intersection":
         report = sweep_zero_intersection(specs or COMPACT_SWEEP_SPECS, n_max,
-                                         args.trials, seed, jobs=args.jobs,
+                                         args.trials, seed,
                                          tol_rank=args.tol_rank,
                                          angle_tol=args.tol_subspace)
     elif args.check == "density":
         grid = args.n if args.n is not None else 100
         report = sweep_density(specs or COMPACT_SWEEP_SPECS, grid,
-                               args.trials, seed, jobs=args.jobs)
+                               args.trials, seed)
     else:
         raise ConfigError(f"unknown check {args.check!r}")
     return _emit_report(report, config, args.output)
@@ -339,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int,
                        help=f"base seed (default: ${ENV_SEED} or 0)")
     p_ver.add_argument("--jobs", type=int, default=1,
-                       help="worker threads; results are independent of this")
+                       help="accepted for compatibility; trials run in one "
+                            "thread (measured faster), results never depend "
+                            "on it")
     p_ver.add_argument("--tol-membership", type=float, default=1e-9)
     p_ver.add_argument("--tol-rank", type=float, default=1e-9)
     p_ver.add_argument("--tol-subspace", type=float, default=1e-7)

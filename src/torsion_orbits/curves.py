@@ -122,12 +122,10 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     beyond roundoff is a bug."""
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n}
-    g, ok = _finite_order_inputs(spec, g, n, tol_membership)
-    if not ok:
-        return single_trial_report(
-            "curve-kernel", inputs, {}, passed=False, status="rejected",
-            note=f"precondition g^{n} = e fails",
-            config={"tol": tol}, wall_time_s=time.perf_counter() - t0)
+    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
+                                       "curve-kernel", inputs, {"tol": tol}, t0)
+    if rejected is not None:
+        return rejected
     X = np.asarray(X, dtype=float)
     A = adjoint_matrix(spec, g)
     S = _adjoint_power_sum(A, n)
@@ -150,13 +148,11 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <= n * tol."""
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n, "t": float(t)}
-    g, ok = _finite_order_inputs(spec, g, n, tol_membership)
-    if not ok:
-        return single_trial_report(
-            "product-identity", inputs, {}, passed=False, status="rejected",
-            note=f"precondition g^{n} = e fails",
-            config={"tol_membership": tol_membership},
-            wall_time_s=time.perf_counter() - t0)
+    config = {"tol_membership": tol_membership}
+    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
+                                       "product-identity", inputs, config, t0)
+    if rejected is not None:
+        return rejected
     Xm = algebra_matrix(spec, X)
     gamma = expm(t * Xm) @ g @ expm(-t * Xm)
     ginv = group_inverse(spec, g)
@@ -171,8 +167,7 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     residual = float(np.linalg.norm(prod - np.eye(spec.size)))
     return single_trial_report(
         "product-identity", inputs, {"product_residual": residual},
-        passed=residual <= n * tol_membership,
-        config={"tol_membership": tol_membership},
+        passed=residual <= n * tol_membership, config=config,
         wall_time_s=time.perf_counter() - t0, worst_residual=residual)
 
 

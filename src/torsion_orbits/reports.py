@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field, asdict
+
+import numpy as np
 
 # Field stripped when comparing reports for reproducibility.
 WALL_TIME_FIELD = "wall_time_s"
@@ -106,6 +109,30 @@ def single_trial_report(check, inputs, residuals, passed, config=None,
     return VerificationReport.from_trials(
         check, [trial], config=config, details=details,
         wall_time_s=wall_time_s, worst_residual=worst_residual)
+
+
+def run_trials(check, count, seed, trial, config, worst_residual=None):
+    """Run ``count`` seeded trials and assemble their report.
+
+    Trial i calls ``trial(rng)`` with a numpy Generator seeded by seed + i;
+    the callback returns the TrialRecord fields other than ``index`` and
+    ``seed``.  A run is thus reproducible for a fixed seed, and trial i
+    replays alone as trial 0 of a one-trial run at seed + i.
+    ``worst_residual`` names the residual whose maximum is the report's
+    worst residual (default: every residual).
+    """
+    if count < 1:
+        raise ValueError(f"trial count must be >= 1, got {count}")
+    t0 = time.perf_counter()
+    records = [TrialRecord(index=i, seed=seed + i,
+                           **trial(np.random.default_rng(seed + i)))
+               for i in range(count)]
+    worst = None
+    if worst_residual is not None:
+        worst = max(t.residuals[worst_residual] for t in records)
+    return VerificationReport.from_trials(
+        check, records, config=config, wall_time_s=time.perf_counter() - t0,
+        worst_residual=worst)
 
 
 def strip_wall_time(payload):

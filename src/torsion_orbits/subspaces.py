@@ -111,20 +111,30 @@ def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
-def _finite_order_inputs(spec: GroupSpec, g, n, tol_membership):
+def _finite_order_inputs(spec: GroupSpec, g, n, tol_membership, check,
+                         inputs, config, t0, note_suffix=""):
+    """(g, None) when g is a member with g^n = e up to n * tol_membership;
+    (g, rejected single-trial report of ``check``) when g^n = e fails."""
     g = require_member(spec, g, tol_membership)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     power = np.linalg.matrix_power(g, n)
-    ok = np.linalg.norm(power - spec.identity()) <= n * tol_membership
-    return g, ok
+    if np.linalg.norm(power - spec.identity()) <= n * tol_membership:
+        return g, None
+    return g, single_trial_report(
+        check, inputs, {}, passed=False, status="rejected",
+        note=f"precondition g^{n} = e fails{note_suffix}", config=config,
+        wall_time_s=time.perf_counter() - t0)
+
+
+#: Note suffix of a rejected subspace check.
+_NOT_A_VERDICT = "; not a verdict on the identity"
 
 
 def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
                                  tol_rank: float = TOL_RANK,
                                  tol_subspace: float = TOL_SUBSPACE,
-                                 tol_membership: float = 1e-9,
-                                 _extra_inputs: dict | None = None):
+                                 tol_membership: float = 1e-9):
     """Check ker(I + Ad(g) + ... + Ad(g)^(n-1)) = Im(I - Ad(g)) for g^n = e.
 
     Returns a VerificationReport carrying the subspace dimensions, the
@@ -134,15 +144,13 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
     """
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n}
-    inputs.update(_extra_inputs or {})
     config = {"check": "kernel-image", "tol_rank": tol_rank,
               "tol_subspace": tol_subspace, "tol_membership": tol_membership}
-    g, ok = _finite_order_inputs(spec, g, n, tol_membership)
-    if not ok:
-        return single_trial_report(
-            "kernel-image", inputs, {}, passed=False, status="rejected",
-            note=f"precondition g^{n} = e fails; not a verdict on the identity",
-            config=config, wall_time_s=time.perf_counter() - t0)
+    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
+                                       "kernel-image", inputs, config, t0,
+                                       _NOT_A_VERDICT)
+    if rejected is not None:
+        return rejected
     A = adjoint_matrix(spec, g)
     S = _adjoint_power_sum(A, n)
     im = image_basis(np.eye(spec.dim) - A, tol_rank)
@@ -162,8 +170,7 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
 def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
                              tol_rank: float = TOL_RANK,
                              angle_tol: float = TOL_SUBSPACE,
-                             tol_membership: float = 1e-9,
-                             _extra_inputs: dict | None = None):
+                             tol_membership: float = 1e-9):
     """Check ker(I - Ad(g)) cap ker(Sum_i Ad(g)^i) = {0} for g^n = e.
 
     The fixed space of Ad(g) is mapped to n times itself by the power sum, so
@@ -172,15 +179,13 @@ def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
     """
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n}
-    inputs.update(_extra_inputs or {})
     config = {"check": "zero-intersection", "tol_rank": tol_rank,
               "angle_tol": angle_tol, "tol_membership": tol_membership}
-    g, ok = _finite_order_inputs(spec, g, n, tol_membership)
-    if not ok:
-        return single_trial_report(
-            "zero-intersection", inputs, {}, passed=False, status="rejected",
-            note=f"precondition g^{n} = e fails; not a verdict on the identity",
-            config=config, wall_time_s=time.perf_counter() - t0)
+    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
+                                       "zero-intersection", inputs, config, t0,
+                                       _NOT_A_VERDICT)
+    if rejected is not None:
+        return rejected
     A = adjoint_matrix(spec, g)
     S = _adjoint_power_sum(A, n)
     fixed = kernel_basis(np.eye(spec.dim) - A, tol_rank)

@@ -27,7 +27,7 @@ from scipy.linalg import schur
 from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
                      algebra_basis, group_inverse, membership_residual,
                      random_element, require_member)
-from .reports import TrialRecord, VerificationReport, single_trial_report
+from .reports import VerificationReport, run_trials, single_trial_report
 from .subspaces import image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
@@ -624,41 +624,34 @@ def sl2_component_census(n: int, samples: int, seed: int,
     sampled orbit: the k-th and (n-k)-th rotations share a trace but stay in
     different components.
     """
-    t0 = time.perf_counter()
     if n < 1:
         raise ValueError("n must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     spec = GroupSpec("SL2R", 2)
-    trials, classes = [], set()
-    flip_count = 0
-    worst = 0.0
-    for i in range(samples):
-        rng = np.random.default_rng(seed + i)
+    classes = set()
+
+    def trial(rng):
         k = int(rng.integers(n))
         h = random_element(spec, rng)
         rot = torus_matrix(spec, [Fraction(k, n)])
         g = h @ rot @ group_inverse(spec, h)
         sigma = orientation_sign(g)
-        key = (round(float(np.trace(g)), trace_digits), sigma)
-        classes.add(key)
+        classes.add((round(float(np.trace(g)), trace_digits), sigma))
         flipped = sigma != _expected_sigma(k, n)
-        flip_count += flipped
-        residual = membership_residual(spec, g)
-        worst = max(worst, residual)
-        trials.append(TrialRecord(
-            index=i, seed=seed + i, inputs={"k": k, "n": n},
-            residuals={"membership": residual, "sigma_flip": float(flipped)},
-            passed=not flipped))
-    passed = (len(classes) == n) and flip_count == 0
-    details = {"class_count": len(classes), "expected_classes": n,
-               "sigma_flips": flip_count,
-               "classes": sorted(map(list, classes))}
-    return VerificationReport(
-        check="sl2-census", passed=passed, worst_residual=worst,
-        trials=trials, config={"n": n, "samples": samples, "seed": seed,
-                               "trace_digits": trace_digits},
-        details=details, wall_time_s=time.perf_counter() - t0)
+        return {"inputs": {"k": k, "n": n},
+                "residuals": {"membership": membership_residual(spec, g),
+                              "sigma_flip": float(flipped)},
+                "passed": not flipped}
+
+    report = run_trials("sl2-census", samples, seed, trial,
+                        {"n": n, "samples": samples, "seed": seed,
+                         "trace_digits": trace_digits},
+                        worst_residual="membership")
+    flip_count = sum(not t.passed for t in report.trials)
+    report.passed = report.passed and len(classes) == n
+    report.details = {"class_count": len(classes), "expected_classes": n,
+                      "sigma_flips": flip_count,
+                      "classes": sorted(map(list, classes))}
+    return report
 
 
 def cluster_census(spec: GroupSpec, n: int, samples: int,
@@ -669,35 +662,30 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     count_components(spec, n) and every recovered invariant agrees with the
     invariant of the torus point that produced the sample."""
     t0 = time.perf_counter()
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     expected = count_components(spec, n)
-    trials, seen = [], set()
-    worst = 0.0
-    for i in range(samples):
-        rng = np.random.default_rng(seed + i)
+    seen = set()
+
+    def trial(rng):
         point = random_torsion_point(spec, n, rng)
         h = random_element(spec, rng)
         g = h @ point.matrix() @ group_inverse(spec, h)
         inv = matrix_invariant(spec, g, n)
         seen.add(inv)
         consistent = inv == canonicalize(spec, point.phases)
-        residual = membership_residual(spec, g)
-        worst = max(worst, residual)
-        trials.append(TrialRecord(
-            index=i, seed=seed + i,
-            inputs={"point": [str(p) for p in point.phases], "n": n},
-            residuals={"membership": residual,
-                       "invariant_mismatch": 0.0 if consistent else 1.0},
-            passed=consistent))
-    passed = all(t.passed for t in trials) and len(seen) == expected
-    details = {"cluster_count": len(seen), "expected_clusters": expected,
-               "clusters": sorted(inv.label() for inv in seen)}
-    return VerificationReport(
-        check="cluster-census", passed=passed, worst_residual=worst,
-        trials=trials,
-        config={"group": spec.label(), "n": n, "samples": samples, "seed": seed},
-        details=details, wall_time_s=time.perf_counter() - t0)
+        return {"inputs": {"point": [str(p) for p in point.phases], "n": n},
+                "residuals": {"membership": membership_residual(spec, g),
+                              "invariant_mismatch": 0.0 if consistent else 1.0},
+                "passed": consistent}
+
+    report = run_trials("cluster-census", samples, seed, trial,
+                        {"group": spec.label(), "n": n, "samples": samples,
+                         "seed": seed},
+                        worst_residual="membership")
+    report.passed = report.passed and len(seen) == expected
+    report.details = {"cluster_count": len(seen), "expected_clusters": expected,
+                      "clusters": sorted(inv.label() for inv in seen)}
+    report.wall_time_s = time.perf_counter() - t0  # with the class count
+    return report
 
 
 # ---------------------------------------------------------------------------

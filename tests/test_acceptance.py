@@ -88,7 +88,7 @@ def test_criterion_01_catalog_counts():
 
 
 def test_criterion_02_kernel_image_sweep():
-    rep = sweep_kernel_image(COMPACT_SWEEP_SPECS, 6, 300, SEED, jobs=4)
+    rep = sweep_kernel_image(COMPACT_SWEEP_SPECS, 6, 300, SEED)
     angle = max(t.residuals["principal_angle"] for t in rep.trials)
     contain = max(t.residuals["containment"] for t in rep.trials)
     ok = (rep.passed and angle <= 1e-7 and contain <= 1e-8
@@ -99,7 +99,7 @@ def test_criterion_02_kernel_image_sweep():
 
 
 def test_criterion_03_zero_intersection_sweep():
-    rep = sweep_zero_intersection(COMPACT_SWEEP_SPECS, 6, 300, SEED, jobs=4)
+    rep = sweep_zero_intersection(COMPACT_SWEEP_SPECS, 6, 300, SEED)
     dims = {t.residuals["intersection_dim"] for t in rep.trials}
     ok = rep.passed and dims == {0.0}
     verdict(3, "zero-intersection-sweep", ok, f"dims {sorted(dims)}")
@@ -115,7 +115,7 @@ def test_criterion_04_tangent_ratio_per_family():
     }
     failed = []
     for family, specs in plans.items():
-        rep = sweep_tangent(specs, 50, SEED, jobs=4)
+        rep = sweep_tangent(specs, 50, SEED)
         if not rep.passed:
             failed.append(family)
     verdict(4, "tangent-ratio", not failed, "; ".join(failed))
@@ -124,7 +124,7 @@ def test_criterion_04_tangent_ratio_per_family():
 
 def test_criterion_05_curve_identities():
     specs = [GroupSpec("U", 2), GroupSpec("SU", 3), GroupSpec("SO", 3)]
-    rep = sweep_curve_identities(specs, 6, 100, SEED, jobs=4)
+    rep = sweep_curve_identities(specs, 6, 100, SEED)
     worst_k = max(t.residuals["kernel_residual"] for t in rep.trials)
     ok = rep.passed and worst_k <= 1e-9 and all(
         t.residuals["product_residual"] <= t.inputs["n"] * 1e-9

@@ -97,6 +97,7 @@ def test_verify_failure_exits_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "lemma33", "--trials", "0"],
+    ["verify", "lemma33", "--jobs", "0"],
     ["verify", "lemma33", "--group", "U", "--size", "2", "--format", "csv"],
     ["verify", "gcd", "--group", "SU", "--size", "2", "--n", "4"],
     ["verify", "lemma31", "--size", "2"],
@@ -162,6 +163,48 @@ def test_jobs_do_not_change_trials(capsys, tmp_path):
     pa, pb = read_json(a), read_json(b)
     assert strip_wall_time(pa["trials"]) == strip_wall_time(pb["trials"])
     assert pa["passed"] == pb["passed"]
+
+
+#: Exit code and sha256 of the sorted, wall-time-stripped JSON payload of
+#: small seeded verify/census runs, recorded before the sweeps and censuses
+#: shared one trial driver.  A reordered draw, a changed residual or a
+#: dropped config key changes a digest.
+SAME_SEED_DIGESTS = {
+    "verify lemma31 --trials 8 --seed 3": (
+        0, "aebe8014340e90472aa3a28b735234942ce5b7c1f046b1b448e2782f5b08d0cc"),
+    "verify lemma32 --trials 8 --seed 3": (
+        0, "bc9b7d40bb7b9f55f6ee2eba3a1b6feb2dab8e410c7e30cdc56a0e2738cf9240"),
+    "verify lemma33 --trials 8 --seed 3 --jobs 2": (
+        0, "3184b6d4fe11c461946f31c624d67ca902fe588a645050baa778f67316e4fa42"),
+    "verify lemma33 --group U --size 4 --n 12 --trials 3 --seed 3": (
+        0, "c127679e0d96e28322765970a4134b61348e2cd3a032b844ab71dede45d7d5db"),
+    "verify lemma33 --group U --size 2 --n 2 --trials 3 --seed 20 "
+    "--tol-subspace 1e-300": (
+        1, "4054ffeba29300a50c06b464e6c6363b403e5319ec0065815527c4618f447913"),
+    "verify zero-intersection --trials 8 --seed 3": (
+        0, "51caf2620eef63ed848ce82ce0d6cae7e4a7ae142cf848289df62ea61a77bf88"),
+    "verify density --trials 8 --seed 3": (
+        0, "820f70a001f08a926b3f4eab2db6e42aabc6a6ebce10180245c04aa9d6af9018"),
+    "census cluster --group SU --size 4 --n 6 --samples 200 --seed 3": (
+        0, "15080c3d50cc39a64218b11acbd8947b4facb941d0a0987141454e5081edf49f"),
+    "census cluster --group SO --size 5 --n 8 --samples 100 --seed 3": (
+        0, "0b18d57257b1a61a7cdfbeddd14d4022723781634c6320f5564df9c7d7e0fc15"),
+    "census cluster --group U --size 3 --n 12 --samples 40 --seed 3": (
+        1, "02a09bc5111e1ce5a22e9857b7cb047e29ec8e85b0d8712f09b3e72a88ba3691"),
+    "census sl2 --n 24 --samples 200 --seed 3": (
+        0, "8bc5abe09432be074885da8debc0b4d6ae9f3c28e2d35fca566c779af74cb4ce"),
+    "census sl2 --n 5 --samples 1 --seed 3": (
+        1, "5cf924ee0f7a293e79c9d2ef9a1b01aaecdd6763fee54dc9c477f1354438369b"),
+}
+
+
+def test_same_seed_json_matches_recorded_digests(capsys):
+    # same-seed reports are a byte contract apart from wall time
+    for command, (want_code, want) in SAME_SEED_DIGESTS.items():
+        code, out, _ = run(capsys, command.split() + ["--format", "json"])
+        assert code == want_code, command
+        blob = json.dumps(strip_wall_time(json.loads(out)), sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, command
 
 
 def test_env_seed_fallback(capsys, tmp_path, monkeypatch):

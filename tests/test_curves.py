@@ -123,6 +123,10 @@ def test_curve_kernel_check_rejects_non_torsion():
     rep = curve_kernel_check(spec, g, 4, random_algebra(spec, 3))
     assert not rep.passed
     assert rep.trials[0].status == "rejected"
+    assert rep.trials[0].note == "precondition g^4 = e fails"
+    rep = product_identity_check(spec, g, 4, random_algebra(spec, 3), 0.5)
+    assert rep.trials[0].status == "rejected"
+    assert rep.trials[0].note == "precondition g^4 = e fails"
 
 
 def test_product_identity_su2():

@@ -158,6 +158,8 @@ def test_kernel_image_identity_rejects_non_torsion():
     rep = verify_kernel_image_identity(spec, g, 4)
     assert not rep.passed
     assert rep.trials[0].status == "rejected"
+    assert rep.trials[0].note == (
+        "precondition g^4 = e fails; not a verdict on the identity")
 
 
 @pytest.mark.parametrize("family,size", [("U", 2), ("U", 3), ("SU", 2),
@@ -194,6 +196,8 @@ def test_zero_intersection_basic_and_rejected():
     bad = verify_zero_intersection(spec, np.diag([1j, 1j]), 3)
     assert not bad.passed
     assert bad.trials[0].status == "rejected"
+    assert bad.trials[0].note == (
+        "precondition g^3 = e fails; not a verdict on the identity")
 
 
 @pytest.mark.parametrize("family,size", [("U", 2), ("SU", 3), ("SO", 4)])
