@@ -298,3 +298,33 @@ def test_demo_surface_json_payload(capsys):
     assert payload["passed"] is True
     assert [c["check"] for c in payload["checks"]] == [
         "tangent-cone-bound", "singular-locus"]
+
+
+#: Exit code and sha256 of demo-surface stdout, recorded before the CSV
+#: export wrote in blocks.  JSON is hashed sorted and wall-time-stripped,
+#: like SAME_SEED_DIGESTS; CSV and text are hashed as printed.  The 10,000
+#: point cloud spans more than two export blocks.
+DEMO_SURFACE_DIGESTS = {
+    "demo-surface --samples 1 --seed 3 --format csv": (
+        0, "85d5ac489607ae400b9d68646f6e6cdc0d44d871145d21f87340ba53fb441686"),
+    "demo-surface --samples 1000 --seed 3 --format csv": (
+        0, "222f3860c39f08ebe3b9d198d18e8631c6876f82723cf2529fc9bd5d36667aaa"),
+    "demo-surface --samples 10000 --seed 3 --format csv": (
+        0, "e6ce63cf040af4d83015574bcead5b30cc0bd8890a9d55113b84245eb59d5d94"),
+    "demo-surface --a 1.0 --phi 3.141592653589793 --format csv": (
+        0, "019f5b7ada1441bacca902e7fae5b014cf476613243858e1e516acc159ec6f11"),
+    "demo-surface --samples 1000 --seed 3 --format json": (
+        0, "a79bf372f85d55d0a11360d331ed35cc5e61949499eb97bedd4d552c3958d381"),
+    "demo-surface --samples 1000 --seed 3 --format text": (
+        0, "c3ae71a8fcd57f2d5de7f8246fe7f313203284ca9fdae738b04382b8979513e1"),
+}
+
+
+def test_demo_surface_matches_recorded_digests(capsys):
+    # the point cloud and both reports are a byte contract for a fixed seed
+    for command, (want_code, want) in DEMO_SURFACE_DIGESTS.items():
+        code, out, _ = run(capsys, command.split())
+        assert code == want_code, command
+        if "--format json" in command:
+            out = json.dumps(strip_wall_time(json.loads(out)), sort_keys=True)
+        assert hashlib.sha256(out.encode()).hexdigest() == want, command

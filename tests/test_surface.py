@@ -6,7 +6,8 @@ import io
 import numpy as np
 import pytest
 
-from torsion_orbits.surface import (SurfacePoint, circle_point,
+from torsion_orbits import surface
+from torsion_orbits.surface import (_EXPORT_BLOCK, SurfacePoint, circle_point,
                                     export_points_csv, sample_surface,
                                     singular_locus_scan, surface_gradient,
                                     surface_value, tangent_cone_bound_check)
@@ -134,3 +135,50 @@ def test_export_points_csv_round_trip():
         assert float(row[3]) == p.residual
         assert float(row[4]) == np.linalg.norm(
             surface_gradient(p.x, p.y, p.z))
+
+
+def _oracle_csv(points):
+    # one csv.writer row and one per-point norm for each point, the
+    # export's unblocked definition
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "z", "residual", "grad_norm"])
+    for p in points:
+        gn = float(np.linalg.norm(surface_gradient(p.x, p.y, p.z)))
+        writer.writerow([repr(p.x), repr(p.y), repr(p.z),
+                         repr(p.residual), repr(gn)])
+    return buf.getvalue()
+
+
+def _exported_rows(points):
+    # the export's data rows, checked against the per-point oracle: the
+    # same text, and every grad_norm equal to the per-point norm's bits
+    buf = io.StringIO()
+    export_points_csv(points, buf)
+    assert buf.getvalue() == _oracle_csv(points)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+    for row, p in zip(rows, points, strict=True):
+        assert float(row[4]) == float(np.linalg.norm(
+            surface_gradient(p.x, p.y, p.z)))
+    return rows
+
+
+@pytest.mark.parametrize("count", [0, 1, _EXPORT_BLOCK - 1, _EXPORT_BLOCK,
+                                   _EXPORT_BLOCK + 1])
+def test_export_blocks_match_per_point_norms(count, monkeypatch):
+    pts = sample_surface((0.1, 2.0), count, seed=8) if count else []
+    calls = []
+    monkeypatch.setattr(surface, "surface_gradient",
+                        lambda *xyz: calls.append(1) or surface_gradient(*xyz))
+    assert len(_exported_rows(pts)) == count
+    assert len(calls) == -(-count // _EXPORT_BLOCK)  # one call per block
+
+
+def test_export_zero_gradients_and_the_axis():
+    # a range starting at 0 reaches the origin, where the gradient is 0;
+    # the forced tangency point has z = 0 and a gradient of ~1e-47
+    pts = (sample_surface((0.0, 0.0), 3, seed=9)
+           + sample_surface((0.0, 0.5), 200, seed=9)
+           + [circle_point(1.0, np.pi, 1), circle_point(1.3, 0.0, -1)])
+    rows = _exported_rows(pts)
+    assert [float(r[4]) for r in rows[:3]] == [0.0, 0.0, 0.0]

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsion_orbits
 from torsion_orbits import cli, torsion
@@ -448,6 +450,75 @@ def test_gcd_counts_example():
     # gcd 2: invariant sets of orders dividing 2 in SU(2) are {e} and {-e}
     assert rep.details["count_gcd"] == 2
     assert rep.details["count_intersection"] == 2
+
+
+# ------------------------------------------------ properties (Hypothesis)
+
+#: Seeded example search, small enough to keep the suite's time flat.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def torus_phases(draw, spec):
+    """Phases k/n of a torus point killed by a small n (SU: the last phase
+    makes the sum an integer)."""
+    n = draw(st.integers(1, 12))
+    slots = phase_slots(spec)
+    ks = draw(st.lists(st.integers(0, n - 1), min_size=slots, max_size=slots))
+    if spec.family == "SU":
+        ks[-1] = -sum(ks[:-1]) % n
+    return [Fraction(k, n) for k in ks]
+
+
+def flipped(phases, flips):
+    # the sign change p -> -p of one rotation block, phases taken mod 1
+    return [(-p) % 1 if f else p for p, f in zip(phases, flips)]
+
+
+@PROPERTY
+@given(st.sampled_from([GroupSpec("U", m) for m in range(1, 6)]
+                       + [GroupSpec("SU", m) for m in range(2, 6)]),
+       st.data())
+def test_canonicalize_is_invariant_under_permutations(spec, data):
+    phases = data.draw(torus_phases(spec))
+    moved = data.draw(st.permutations(phases))
+    assert canonicalize(spec, moved) == canonicalize(spec, phases)
+
+
+@PROPERTY
+@given(st.sampled_from([GroupSpec("SO", 3), GroupSpec("SO", 5)]), st.data())
+def test_canonicalize_is_invariant_under_signed_permutations(spec, data):
+    phases = data.draw(torus_phases(spec))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(phases),
+                               max_size=len(phases)))
+    moved = flipped(data.draw(st.permutations(phases)), flips)
+    assert canonicalize(spec, moved) == canonicalize(spec, phases)
+
+
+@PROPERTY
+@given(st.sampled_from([GroupSpec("SO", 2), GroupSpec("SO", 4)]), st.data())
+def test_canonicalize_is_invariant_under_even_sign_changes(spec, data):
+    phases = data.draw(torus_phases(spec))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(phases),
+                               max_size=len(phases)))
+    flips[0] ^= sum(flips) % 2  # an even number of sign changes
+    perm = data.draw(st.permutations(range(len(phases))))
+    moved = flipped([phases[i] for i in perm], [flips[i] for i in perm])
+    assert canonicalize(spec, moved) == canonicalize(spec, phases)
+    # an odd number is a Weyl move only through a self-paired phase
+    flips[0] = not flips[0]
+    odd = flipped(phases, flips)
+    assert ((canonicalize(spec, odd) == canonicalize(spec, phases))
+            == any(p in (0, Fraction(1, 2)) for p in phases))
+
+
+@settings(PROPERTY, max_examples=25)
+@given(st.sampled_from([s for s in ORACLE_SPECS if s.size <= 4]),
+       st.integers(1, 12), st.integers(1, 12))
+def test_gcd_law_on_random_orders(spec, n, m):
+    rep = gcd_intersection_check(spec, n, m)
+    assert rep.passed, rep.to_json()
+    assert rep.details["count_intersection"] == rep.details["count_gcd"]
 
 
 # ------------------------------------------------------------- approximants
