@@ -65,8 +65,9 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for name in ("tol_membership", "tol_rank", "tol_subspace"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"--{name.replace('_', '-')} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(
+                    f"--{name.replace('_', '-')} must be finite and positive")
         if self.seed < 0:
             raise ConfigError("--seed must be >= 0")
         if self.jobs < 1:
@@ -263,8 +264,8 @@ def cmd_demo_surface(args) -> int:
     if (args.a is None) != (args.phi is None):
         raise ConfigError("--a and --phi must be given together")
     if args.a is not None:
-        if args.a <= 0:
-            raise ConfigError("--a must be positive")
+        if not (0 < args.a < np.inf and np.isfinite(args.phi)):
+            raise ConfigError("--a must be finite and positive, --phi finite")
         points = [circle_point(args.a, args.phi, 1)]
     else:
         points = sample_surface((args.a_min, args.a_max), args.samples, seed)

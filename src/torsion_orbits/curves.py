@@ -23,7 +23,8 @@ from .groups import (GroupSpec, adjoint_matrix, algebra_matrix,
                      cartan_decompose, group_inverse, require_member)
 from .reports import VerificationReport, single_trial_report
 from .subspaces import _adjoint_power_sum, _finite_order_inputs
-from .torsion import canonical_align, matrix_invariant, torus_matrix
+from .torsion import (_so_torus_align, _unitary_eigenstructure, canonical_align,
+                      matrix_invariant, torus_matrix)
 
 #: Errors below this floor count as exact; the O(h) ratio test is vacuous
 #: when the difference quotient already matches the derivative to roundoff.
@@ -180,7 +181,6 @@ def _conjugator_path(spec: GroupSpec, h: np.ndarray):
     h = k exp(p) and move both factors linearly.
     """
     if spec.family in ("U", "SU"):
-        from .torsion import _unitary_eigenstructure
         Z, phases = _unitary_eigenstructure(h)
         theta = 2 * np.pi * phases
         theta = np.where(theta > np.pi, theta - 2 * np.pi, theta)
@@ -195,7 +195,6 @@ def _conjugator_path(spec: GroupSpec, h: np.ndarray):
         L = (Z * (1j * theta)) @ Z.conj().T
         return lambda s: expm(s * L)
     if spec.family == "SO":
-        from .torsion import _so_torus_align
         Q, phases = _so_torus_align(h)
         J = np.zeros((spec.size, spec.size))
         for b, p in enumerate(phases):

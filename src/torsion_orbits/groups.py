@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm, polar
+from scipy.linalg import expm
 
 FAMILIES = ("U", "SU", "SO", "SL2R")
 
@@ -267,12 +267,13 @@ def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
 def cartan_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split g in SL(2,R) as k * exp(p), k in SO(2), p symmetric traceless.
 
-    Returns ``(k, p)``.  The rotation factor comes from the SVD-based polar
-    decomposition; p is the log of the positive factor.
+    Returns ``(k, p)``.  The polar factors k = u vh and vh^T s vh come from
+    the SVD g = u s vh; p is the log of the positive factor.
     """
     spec = GroupSpec("SL2R", 2)
     g = require_member(spec, np.asarray(g, dtype=float))
-    k, pos = polar(g)
+    u, s, vh = np.linalg.svd(g)
+    k, pos = u @ vh, (vh.T * s) @ vh
     w, V = np.linalg.eigh(pos)
     if w.min() <= 0:
         raise ValueError("numerically singular input")

@@ -10,6 +10,9 @@ the n^rank torus points.  It realizes one representative per class, gives
 each class's dimension in closed form, and draws uniform torus points in
 O(rank) by decoding an index.  ``enumerate_torsion`` lists every torus point
 by brute force; it is the oracle the tests check the enumerator against.
+``matrix_invariant`` canonicalizes a matrix's snapped eigenphases, and
+``canonical_align`` conjugates it onto their
+``canonical_realization(canonicalize(...))``: one normal form both ways.
 """
 
 from __future__ import annotations
@@ -179,8 +182,6 @@ def canonicalize(spec: GroupSpec, phases) -> CanonicalInvariant:
     fold, plus the flip parity when no phase is self-paired.  SO(2) and
     SL(2,R): the phase itself (trivial Weyl group).
     """
-    if isinstance(phases, TorusTorsionPoint):
-        phases = phases.phases
     phases = tuple(Fraction(p) % 1 for p in phases)
     if spec.family in ("U", "SU"):
         return CanonicalInvariant(tuple(sorted(phases)))
@@ -204,11 +205,11 @@ def canonical_realization(spec: GroupSpec, canonical: CanonicalInvariant) -> tup
     return tuple(phases)
 
 
-def _snap_phase(phi: float, n: int, snap_tol: float) -> Fraction:
+def _snap_phase(phi: float, n: int) -> Fraction:
     k = int(np.rint(phi * n))
-    if abs(phi - k / n) > snap_tol:
+    if abs(phi - k / n) > SNAP_TOL:
         raise ValueError(
-            f"phase {phi!r} is not within {snap_tol:g} of a multiple of 1/{n}; "
+            f"phase {phi!r} is not within {SNAP_TOL:g} of a multiple of 1/{n}; "
             "the element does not have order dividing n")
     return Fraction(k % n, n)
 
@@ -321,64 +322,60 @@ def _sl2_align(g: np.ndarray):
     return h, phase
 
 
-def canonical_align(spec: GroupSpec, g: np.ndarray, n: int,
-                    snap_tol: float = SNAP_TOL):
+def _snapped_alignment(spec: GroupSpec, g: np.ndarray, n: int):
+    """(Q, phases) with Q in the group and g = Q t Q^-1 for t the torus
+    point whose phases are g's eigenphases snapped to exact multiples of
+    1/n, in the order the eigensolver returns them."""
+    g = require_member(spec, g)
+    if spec.family in ("U", "SU"):
+        Q, raw = _unitary_eigenstructure(g)
+    elif spec.family == "SL2R":
+        Q, phase = _sl2_align(g)
+        raw = [phase]
+    else:
+        Q, raw = _so_torus_align(g)
+    return Q, [_snap_phase(p, n) for p in raw]
+
+
+def canonical_align(spec: GroupSpec, g: np.ndarray, n: int):
     """Conjugator onto the catalog representative.
 
     Returns (Q, realized) with Q in the group, realized the exact phase
     tuple of the representative, and g = Q t Q^-1 for t =
-    torus_matrix(spec, realized).  Raises ValueError when g does not have
-    order dividing n within the snap tolerance.
+    torus_matrix(spec, realized).  The target is
+    canonical_realization(canonicalize(...)) of g's snapped phases, reached
+    by reordering Q's columns (SO: and swapping plane bases).  Raises
+    ValueError when g does not have order dividing n within SNAP_TOL.
     """
-    g = require_member(spec, g)
+    Q, phases = _snapped_alignment(spec, g, n)
+    realized = canonical_realization(spec, canonicalize(spec, phases))
     if spec.family in ("U", "SU"):
-        Z, raw = _unitary_eigenstructure(g)
-        fracs = [_snap_phase(p, n, snap_tol) for p in raw]
-        order = sorted(range(len(fracs)), key=lambda j: fracs[j])
-        Z = Z[:, order]
-        fracs = [fracs[j] for j in order]
+        Q = Q[:, sorted(range(len(phases)), key=phases.__getitem__)]
         if spec.family == "SU":
-            Z = Z * np.exp(-1j * np.angle(np.linalg.det(Z)) / spec.size)
-        return Z, tuple(fracs)
-    if spec.family == "SL2R":
-        h, phase = _sl2_align(g)
-        return h, (_snap_phase(phase, n, snap_tol),)
-    Q, raw = _so_torus_align(g)
-    fracs = [_snap_phase(p, n, snap_tol) for p in raw]
-    r = len(fracs)
-
-    def swap_pair(b):
-        Q[:, [2 * b, 2 * b + 1]] = Q[:, [2 * b + 1, 2 * b]]
-        fracs[b] = (1 - fracs[b]) % 1
-
-    unfolded = [b for b in range(r) if fracs[b] > HALF]
-    if unfolded:
-        absorb = [b for b in range(r) if fracs[b] in (ZERO, HALF)]
-        if absorb:  # absorb the reflection in a self-paired block
-            swap_pair(unfolded[0])
-            swap_pair(absorb[0])
-            unfolded = []
-    order = sorted(range(r), key=lambda b: min(fracs[b], 1 - fracs[b]))
-    cols = []
-    for b in order:
-        cols.extend([2 * b, 2 * b + 1])
-    if spec.size % 2 == 1:
-        cols.append(spec.size - 1)
-    Q = Q[:, cols]
-    fracs = [fracs[b] for b in order]
-    unfolded = [b for b in range(r) if fracs[b] > HALF]
-    if unfolded and unfolded[0] != r - 1:
-        # move the reflection onto the last block (two swaps keep det = 1)
-        swap_pair(unfolded[0])
-        swap_pair(r - 1)
-    return Q, tuple(fracs)
+            Q = Q * np.exp(-1j * np.angle(np.linalg.det(Q)) / spec.size)
+    elif spec.family == "SO" and spec.size > 2:
+        order = sorted(range(len(phases)),
+                       key=lambda b: min(phases[b], 1 - phases[b]))
+        # moving whole planes keeps det Q = 1; an odd axis stays last
+        Q = Q[:, [c for b in order for c in (2 * b, 2 * b + 1)]
+              + list(range(2 * len(order), spec.size))]
+        # swapping a plane's basis reflects its phase p -> 1 - p
+        swaps = [b for b, o in enumerate(order) if phases[o] != realized[b]]
+        if len(swaps) % 2:
+            # restore det Q = 1 on a self-paired plane (phase 0 or 1/2),
+            # where a swap moves no phase.  With none, the count is even:
+            # odd sizes arrive folded, and SO(2r) keeps its parity bit.
+            swaps.append(next(b for b, p in enumerate(realized)
+                              if p in (ZERO, HALF)))
+        for b in swaps:
+            Q[:, [2 * b, 2 * b + 1]] = Q[:, [2 * b + 1, 2 * b]]
+    return Q, realized
 
 
-def matrix_invariant(spec: GroupSpec, g: np.ndarray, n: int,
-                     snap_tol: float = SNAP_TOL) -> CanonicalInvariant:
+def matrix_invariant(spec: GroupSpec, g: np.ndarray,
+                     n: int) -> CanonicalInvariant:
     """Canonical invariant computed from a matrix of order dividing n."""
-    _, realized = canonical_align(spec, g, n, snap_tol)
-    return canonicalize(spec, realized)
+    return canonicalize(spec, _snapped_alignment(spec, g, n)[1])
 
 
 def component_dimension(spec: GroupSpec, g: np.ndarray,

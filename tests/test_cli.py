@@ -107,6 +107,16 @@ def test_verify_failure_exits_1(capsys):
     ["demo-surface", "--a-max", "0"],
     ["demo-surface", "--a", "1.0"],
     ["demo-surface", "--a-min", "1.5", "--a-max", "0.5"],
+    ["verify", "lemma33", "--tol-rank", "inf"],
+    ["verify", "zero-intersection", "--tol-subspace", "inf"],
+    ["verify", "lemma33", "--tol-subspace", "inf"],
+    ["verify", "lemma32", "--tol-membership", "inf"],
+    ["verify", "lemma33", "--tol-rank", "nan"],
+    ["demo-surface", "--a", "nan", "--phi", "1"],
+    ["demo-surface", "--a", "inf", "--phi", "1"],
+    ["demo-surface", "--a", "1", "--phi", "inf"],
+    ["demo-surface", "--a", "1", "--phi", "nan", "--format", "csv"],
+    ["demo-surface", "--a-max", "inf"],
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)

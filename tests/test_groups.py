@@ -3,11 +3,12 @@
 Derived values are checked against oracles that do not share code with the
 implementation: a scaling-and-squaring power series for the exponential,
 characteristic-polynomial invariants for adjoint spectra, and closed forms
-for the 2x2 decompositions.
+and scipy's polar decomposition for the 2x2 Cartan split.
 """
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, polar
 
 from torsion_orbits.groups import (FAMILIES, GroupSpec, UnsupportedGroupError,
                                    adjoint_matrix, algebra_basis,
@@ -231,6 +232,18 @@ def test_cartan_reconstructs_and_factors_are_structural():
         assert np.linalg.norm(k.T @ k - np.eye(2)) < 1e-10
         assert abs(np.linalg.det(k) - 1.0) < 1e-10
         assert np.linalg.norm(k @ series_exp(p) - g) < 1e-8
+
+
+def test_cartan_matches_scipy_polar():
+    # oracle: scipy's polar decomposition g = u pos, which cartan_decompose
+    # replaces by numpy's SVD
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        g = random_element(GroupSpec("SL2R", 2), rng)
+        u, pos = polar(g)
+        k, p = cartan_decompose(g)
+        assert np.linalg.norm(k - u) < 1e-14
+        assert np.linalg.norm(expm(p) - pos) < 1e-9 * np.linalg.norm(pos)
 
 
 # ---------------------------------------------------------------- order

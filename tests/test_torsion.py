@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 import torsion_orbits
 from torsion_orbits import cli, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
-                                   element_order, random_element)
+                                   element_order, group_inverse,
+                                   membership_residual, random_element)
 from torsion_orbits.sweeps import random_torsion_element
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     TorusTorsionPoint, approximation_bound,
@@ -426,6 +427,19 @@ def test_canonical_align_rejects_non_torsion():
         canonical_align(spec, g, 4)
 
 
+def test_canonical_align_restores_det_on_a_self_paired_plane(monkeypatch):
+    # an alignment whose reflection sits off the self-paired plane needs one
+    # plane swap; a second one, on the phase-0 plane, keeps det Q = 1
+    spec = GroupSpec("SO", 4)
+    Q0 = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])  # Q0 t(4/5, 0) Q0^T
+    monkeypatch.setattr(torsion, "_so_torus_align", lambda g: (Q0, [0.8, 0.0]))
+    g = torus_matrix(spec, [Fraction(1, 5), 0])
+    Q, realized = canonical_align(spec, g, 5)
+    assert realized == (0, Fraction(1, 5))
+    assert membership_residual(spec, Q) < 1e-12
+    assert np.linalg.norm(Q @ torus_matrix(spec, realized) @ Q.T - g) < 1e-12
+
+
 def test_matrix_invariant_su_det_branch():
     # an SU(3) element whose eigenphases are written with a shifted branch
     # still canonicalizes onto the integer-sum representative
@@ -510,6 +524,27 @@ def test_canonicalize_is_invariant_under_even_sign_changes(spec, data):
     odd = flipped(phases, flips)
     assert ((canonicalize(spec, odd) == canonicalize(spec, phases))
             == any(p in (0, Fraction(1, 2)) for p in phases))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.sampled_from(ORACLE_SPECS), st.integers(1, 12), st.data())
+def test_canonical_align_round_trips_conjugates(spec, n, data):
+    # at most three distinct free phases, so repeated eigenvalues and
+    # several self-paired planes come up often
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    ks = data.draw(st.lists(st.sampled_from(pool), min_size=spec.rank,
+                            max_size=spec.rank))
+    point = torsion_point(spec, n, sum(k * n ** e for e, k in
+                                       enumerate(reversed(ks))))
+    h = random_element(spec, data.draw(st.integers(0, 2 ** 32 - 1)))
+    g = h @ point.matrix() @ group_inverse(spec, h)
+    Q, realized = canonical_align(spec, g, n)
+    want = canonicalize(spec, point.phases)
+    assert membership_residual(spec, Q) < 1e-9
+    t = torus_matrix(spec, realized)
+    assert np.linalg.norm(Q @ t @ group_inverse(spec, Q) - g) < 1e-8
+    assert realized == canonical_realization(spec, want)
+    assert matrix_invariant(spec, g, n) == want
 
 
 @settings(PROPERTY, max_examples=25)
