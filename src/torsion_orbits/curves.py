@@ -24,7 +24,7 @@ from .groups import (GroupSpec, adjoint_matrix, algebra_matrix,
 from .reports import VerificationReport, single_trial_report
 from .subspaces import _adjoint_power_sum, _finite_order_inputs
 from .torsion import (_so_torus_align, _unitary_eigenstructure, canonical_align,
-                      matrix_invariant, torus_matrix)
+                      canonicalize, torus_matrix)
 
 #: Errors below this floor count as exact; the O(h) ratio test is vacuous
 #: when the difference quotient already matches the derivative to roundoff.
@@ -226,14 +226,13 @@ def connect_within_component(spec: GroupSpec, g1: np.ndarray,
         raise ValueError("need at least two waypoints")
     g1 = require_member(spec, g1, tol_membership)
     g2 = require_member(spec, g2, tol_membership)
-    inv1 = matrix_invariant(spec, g1, n)
-    inv2 = matrix_invariant(spec, g2, n)
-    if inv1 != inv2:
+    Q1, realized1 = canonical_align(spec, g1, n)
+    Q2, realized2 = canonical_align(spec, g2, n)
+    if realized1 != realized2:  # one representative per invariant
         raise DifferentComponentsError(
             f"elements lie in different components: canonical invariants "
-            f"{inv1.label()} vs {inv2.label()}")
-    Q1, _ = canonical_align(spec, g1, n)
-    Q2, _ = canonical_align(spec, g2, n)
+            f"{canonicalize(spec, realized1).label()} vs "
+            f"{canonicalize(spec, realized2).label()}")
     h = Q2 @ group_inverse(spec, Q1)
     path = _conjugator_path(spec, h)
     svals = np.linspace(0.0, 1.0, waypoints)[1:][::-1]  # 1 down to 1/(w-1)

@@ -13,6 +13,9 @@ by brute force; it is the oracle the tests check the enumerator against.
 ``matrix_invariant`` canonicalizes a matrix's snapped eigenphases, and
 ``canonical_align`` conjugates it onto their
 ``canonical_realization(canonicalize(...))``: one normal form both ways.
+Each element is decomposed once: a complex Schur form for U/SU, one real
+Schur scan for SO, and ``_sl2_align`` for SL(2,R), off which
+``orientation_sign`` also reads the SL(2,R) orientation.
 """
 
 from __future__ import annotations
@@ -224,54 +227,33 @@ def _unitary_eigenstructure(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Z, phases
 
 
-def _so_block_structure(g: np.ndarray):
-    """Column indices of Z grouped into rotation planes for an SO matrix.
+def _so_torus_align(g: np.ndarray):
+    """(Q, phases) with Q in SO(m) and g = Q t Q^T, t the standard block
+    torus with the returned phases (cycles).
 
-    Returns (Z, pairs, angles, axis) with g = Z T Z^T block diagonal; pairs
-    is a list of column index pairs, angles the matching rotation angles in
-    [0, 2pi), axis the leftover fixed column for odd sizes (else None).
-    """
+    One scan of the real Schur form g = Z T Z^T: the rotation planes in
+    Schur order (a plane's basis swapped to fold its angle into [0, pi]),
+    then the -1 pairs (phase 1/2), the +1 pairs (phase 0) and, for odd m,
+    the leftover +1 as the fixed axis.  All phases land in [0, 1/2] except
+    possibly the last, which absorbs the determinant constraint."""
     m = g.shape[0]
     T, Z = schur(np.asarray(g, dtype=float), output="real")
-    pairs, angles, plus, minus = [], [], [], []
+    cols, phases, plus, minus = [], [], [], []
     i = 0
     while i < m:
         if i + 1 < m and abs(T[i + 1, i]) > 1e-10:
             theta = float(np.arctan2(T[i + 1, i], T[i, i])) % (2 * np.pi)
-            pairs.append([i, i + 1])
-            angles.append(theta)
+            fold = theta > np.pi
+            cols += [i + 1, i] if fold else [i, i + 1]
+            phases.append((2 * np.pi - theta if fold else theta) / (2 * np.pi))
             i += 2
         else:
             (plus if T[i, i] > 0 else minus).append(i)
             i += 1
     if len(minus) % 2:
         raise ValueError("odd count of -1 eigenvalues; matrix is not in SO")
-    while minus:
-        pairs.append([minus.pop(0), minus.pop(0)])
-        angles.append(np.pi)
-    keep = len(plus) % 2  # odd size keeps one fixed axis
-    while len(plus) > keep:
-        pairs.append([plus.pop(0), plus.pop(0)])
-        angles.append(0.0)
-    axis = plus[0] if plus else None
-    return Z, pairs, angles, axis
-
-
-def _so_torus_align(g: np.ndarray):
-    """(Q, phases) with Q in SO(m) and g = Q t Q^T, t the standard block
-    torus with the returned phases (cycles).  All phases land in [0, 1/2]
-    except possibly the last, which absorbs the determinant constraint."""
-    Z, pairs, angles, axis = _so_block_structure(g)
-    cols, phases = [], []
-    for (i, j), theta in zip(pairs, angles):
-        if theta > np.pi:  # fold into [0, pi] by swapping the plane basis
-            i, j = j, i
-            theta = 2 * np.pi - theta
-        cols.extend([i, j])
-        phases.append(theta / (2 * np.pi))
-    if axis is not None:
-        cols.append(axis)
-    Q = Z[:, cols].copy()
+    phases += [0.5] * (len(minus) // 2) + [0.0] * (len(plus) // 2)
+    Q = Z[:, cols + minus + plus]
     if np.linalg.det(Q) < 0:
         fixed = False
         for b, p in enumerate(phases):
@@ -279,7 +261,7 @@ def _so_torus_align(g: np.ndarray):
                 Q[:, [2 * b, 2 * b + 1]] = Q[:, [2 * b + 1, 2 * b]]
                 fixed = True  # block is I or -I; swap only flips det
                 break
-        if not fixed and axis is not None:
+        if not fixed and m % 2:
             Q[:, -1] = -Q[:, -1]
             fixed = True
         if not fixed:
@@ -293,8 +275,8 @@ def _sl2_align(g: np.ndarray):
     """(h, phase) with h in SL(2,R) and g = h R(2 pi phase) h^-1.
 
     Defined for elements of finite order: +-I and the elliptic ones
-    (|trace| < 2).  The phase sits in (0, 1/2) exactly when the orientation
-    sign is -1."""
+    (|trace| < 2).  ``orientation_sign`` is read off the phase: -1 in
+    (0, 1/2), +1 in (1/2, 1)."""
     g = np.asarray(g, dtype=float)
     eye = np.eye(2)
     if np.linalg.norm(g - eye) <= 1e-8:
@@ -562,10 +544,7 @@ def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
                 ks[j] += step
                 s += step
                 corrections += 1
-            ks = ks % N
-            t = np.diag(np.exp(2j * np.pi * ks / N))
-        else:
-            t = np.diag(np.exp(2j * np.pi * (ks % N) / N))
+        t = np.diag(np.exp(2j * np.pi * (ks % N) / N))
         approx = Z @ t @ Z.conj().T
     else:
         Q, phases = _so_torus_align(g)
@@ -588,21 +567,20 @@ def nearest_torsion_approximant(spec: GroupSpec, g: np.ndarray, N: int):
 def orientation_sign(g: np.ndarray) -> int:
     """Conjugation-invariant orientation of an elliptic SL(2,R) element.
 
-    Sign of det [Re v, Im v] with v an eigenvector for the eigenvalue with
-    positive imaginary part; 0 for elements with a real spectrum (+-I in the
-    finite-order case).  Invariant because det h = 1 for conjugators and
-    unchanged under complex rescaling of v.
+    Read off ``_sl2_align``: -1 when g is conjugate to a rotation by a phase
+    in (0, 1/2), +1 for a phase in (1/2, 1), and 0 for +-I and for any input
+    ``_sl2_align`` refuses (|trace| >= 2, a degenerate eigenvector).  It
+    equals the sign of det [Re v, Im v] with v an eigenvector for the
+    eigenvalue with positive imaginary part, which conjugation by det h = 1
+    and complex rescaling of v leave unchanged.
     """
-    g = np.asarray(g, dtype=float)
-    w, V = np.linalg.eig(g.astype(complex))
-    i = int(np.argmax(w.imag))
-    if w[i].imag <= 1e-8:
+    try:
+        _, phase = _sl2_align(g)
+    except ValueError:
         return 0
-    v = V[:, i]
-    d = v.real[0] * v.imag[1] - v.real[1] * v.imag[0]
-    if abs(d) <= 1e-12:
+    if phase in (0.0, 0.5):
         return 0
-    return 1 if d > 0 else -1
+    return -1 if phase < 0.5 else 1
 
 
 def _expected_sigma(k: int, n: int) -> int:

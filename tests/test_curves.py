@@ -15,7 +15,10 @@ from torsion_orbits.curves import (CurveSample, DifferentComponentsError,
                                    curve_kernel_check, export_path_csv,
                                    path_order_residuals,
                                    product_identity_check, tangent_space_check)
-from torsion_orbits.torsion import matrix_invariant, torus_matrix
+from torsion_orbits import torsion
+from torsion_orbits.torsion import (canonical_realization, canonicalize,
+                                    class_table, matrix_invariant,
+                                    torus_matrix)
 
 
 def conj(spec, h, g):
@@ -231,6 +234,38 @@ def test_connect_validates_waypoints():
     eye = np.eye(1, dtype=complex)
     with pytest.raises(ValueError):
         connect_within_component(spec, eye, eye, 1, waypoints=1)
+
+
+def test_connect_aligns_each_endpoint_once(monkeypatch):
+    calls = []
+    align = torsion._snapped_alignment
+
+    def counted(spec, g, n):
+        calls.append(n)
+        return align(spec, g, n)
+
+    monkeypatch.setattr(torsion, "_snapped_alignment", counted)
+    spec = GroupSpec("SO", 4)
+    g0 = torus_matrix(spec, [Fraction(1, 4), Fraction(3, 4)])
+    connect_within_component(spec, g0, conj(spec, random_element(spec, 5), g0), 4)
+    assert calls == [4, 4]
+    calls.clear()
+    g1 = torus_matrix(spec, [Fraction(1, 4), Fraction(1, 4)])
+    with pytest.raises(DifferentComponentsError, match="1/4,1/4,p1 vs 1/4,1/4,p0"):
+        connect_within_component(spec, g0, g1, 4)
+    assert calls == [4, 4]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("U", m) for m in (1, 2, 3)]
+                         + [GroupSpec("SU", m) for m in (2, 3)]
+                         + [GroupSpec("SO", m) for m in (2, 3, 4, 5)]
+                         + [GroupSpec("SL2R", 2)], ids=GroupSpec.label)
+def test_realization_round_trips_to_its_class(spec):
+    # connect compares realized tuples and labels them by canonicalize, so
+    # each class must come back from its representative's phases
+    for n in range(1, 9):
+        for c in class_table(spec, n):
+            assert canonicalize(spec, canonical_realization(spec, c)) == c
 
 
 # ------------------------------------------------------------------- export

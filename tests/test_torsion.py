@@ -440,6 +440,29 @@ def test_canonical_align_restores_det_on_a_self_paired_plane(monkeypatch):
     assert np.linalg.norm(Q @ torus_matrix(spec, realized) @ Q.T - g) < 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_so_torus_align_det_repairs(m):
+    # conjugates of torus points with phases at 0 and 1/2 reach the
+    # self-paired swap; Haar draws reach the axis negation (odd m) and the
+    # last-plane reflection (even m)
+    spec = GroupSpec("SO", m)
+    rng = np.random.default_rng(40 + m)
+    grid = [0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(3, 4)]
+    inputs = []
+    for _ in range(100):
+        ks = rng.integers(len(grid), size=spec.rank)
+        h = random_element(spec, rng)
+        inputs.append(h @ torus_matrix(spec, [grid[k] for k in ks]) @ h.T)
+        inputs.append(random_element(spec, rng))
+    for g in inputs:
+        Q, phases = torsion._so_torus_align(g)
+        assert abs(np.linalg.det(Q) - 1) < 1e-12
+        assert np.linalg.norm(Q.T @ Q - np.eye(m)) < 1e-12
+        assert np.linalg.norm(Q @ torus_matrix(spec, phases) @ Q.T - g) <= 1e-12
+        assert all(0 <= p <= 0.5 for p in phases[:-1])
+        assert 0 <= phases[-1] < 1
+
+
 def test_matrix_invariant_su_det_branch():
     # an SU(3) element whose eigenphases are written with a shifted branch
     # still canonicalizes onto the integer-sum representative
@@ -628,6 +651,45 @@ def test_orientation_sign_is_conjugation_invariant():
     for _ in range(50):
         h = random_element(spec, rng)
         assert orientation_sign(h @ rot @ np.linalg.inv(h)) == sigma
+
+
+def eig_orientation_oracle(g):
+    """Sign of det [Re v, Im v] for v an eigenvector of the eigenvalue with
+    positive imaginary part, from ``np.linalg.eig``; 0 for a real spectrum."""
+    w, V = np.linalg.eig(np.asarray(g, dtype=float).astype(complex))
+    i = int(np.argmax(w.imag))
+    if w[i].imag <= 1e-8:
+        return 0
+    v = V[:, i]
+    d = v.real[0] * v.imag[1] - v.real[1] * v.imag[0]
+    if abs(d) <= 1e-12:
+        return 0
+    return 1 if d > 0 else -1
+
+
+def test_orientation_sign_matches_eig_oracle():
+    spec = GroupSpec("SL2R", 2)
+    rng = np.random.default_rng(2024)
+    signs = []
+    for _ in range(2000):
+        n = int(rng.integers(1, 31))
+        k = int(rng.integers(n))
+        h = random_element(spec, rng)
+        g = h @ torus_matrix(spec, [Fraction(k, n)]) @ group_inverse(spec, h)
+        signs.append(orientation_sign(g))
+        assert signs[-1] == eig_orientation_oracle(g), (n, k)
+    assert {-1, 0, 1} <= set(signs)
+    parabolic = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for g in (np.eye(2), -np.eye(2), parabolic, -parabolic, np.diag([2.0, 0.5])):
+        assert orientation_sign(g) == 0 == eig_orientation_oracle(g)
+
+
+def test_orientation_sign_is_zero_without_a_rotation_to_align_to():
+    # 2 R(0.4) is off SL(2,R) with |trace| >= 2: _sl2_align refuses it,
+    # although its eigenvectors alone would give -1
+    g = 2 * torus_matrix(GroupSpec("SL2R", 2), [0.4 / (2 * np.pi)])
+    assert orientation_sign(g) == 0
+    assert eig_orientation_oracle(g) == -1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
