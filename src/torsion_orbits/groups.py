@@ -207,14 +207,17 @@ def exp_element(spec: GroupSpec, coords) -> np.ndarray:
 
 
 def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
+    """Inverse of g, or of each matrix in a stack g of shape (..., m, m)."""
     g = np.asarray(g)
     if spec.family in ("U", "SU"):
-        return g.conj().T
+        return g.conj().swapaxes(-1, -2)
     if spec.family == "SO":
-        return g.T
+        return g.swapaxes(-1, -2)
     # det = 1: adjugate formula, exact up to the det residual
-    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    return np.array([[d, -b], [-c, a]])
+    inv = np.empty_like(g)
+    inv[..., 0, 0], inv[..., 1, 1] = g[..., 1, 1], g[..., 0, 0]
+    inv[..., 0, 1], inv[..., 1, 0] = -g[..., 0, 1], -g[..., 1, 0]
+    return inv
 
 
 def membership_residual(spec: GroupSpec, g: np.ndarray) -> float:
@@ -240,11 +243,18 @@ def membership_residual(spec: GroupSpec, g: np.ndarray) -> float:
 def require_member(spec: GroupSpec, g: np.ndarray, tol: float = TOL_MEMBERSHIP,
                    what: str = "g") -> np.ndarray:
     g = np.asarray(g)
-    r = membership_residual(spec, g)
+    require_residual(spec, membership_residual(spec, g), tol, what)
+    return g
+
+
+def require_residual(spec: GroupSpec, r: float, tol: float = TOL_MEMBERSHIP,
+                     what: str = "g") -> float:
+    """``require_member`` for an element whose membership residual r is
+    already known: returns r, or raises when r exceeds tol."""
     if not r <= tol:
         raise ValueError(f"{what} is not in {spec.label()} within {tol:g} "
                          f"(residual {r:.3e})")
-    return g
+    return r
 
 
 def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
@@ -298,15 +308,68 @@ def element_order(spec: GroupSpec, g: np.ndarray, n_max: int,
     return None
 
 
-def _haar_unitary(m: int, rng) -> np.ndarray:
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.where(np.abs(np.diag(r)) < 1e-300, 1.0, np.diag(r))
-    return q * (d / np.abs(d))
+def element_draws(spec: GroupSpec, rng) -> np.ndarray:
+    """The normal draws behind one ``random_element``, in its draw order:
+    a real and then an imaginary (m, m) block, drawn as one (2, m, m)
+    block, for U/SU; one (m, m) block for SO; for SL(2,R) the first (2, 2)
+    draw with |det| >= 1e-6 (100 consecutive rejections raise)."""
+    m = spec.size
+    if spec.is_complex:
+        return rng.standard_normal((2, m, m))
+    if spec.family == "SO":
+        return rng.standard_normal((m, m))
+    for _ in range(100):
+        z = rng.standard_normal((2, 2))
+        if abs(np.linalg.det(z)) >= 1e-6:
+            return z
+    raise RuntimeError("rejected 100 consecutive near-singular SL(2,R) draws")
+
+
+def elements_from_draws(spec: GroupSpec, draws: np.ndarray) -> np.ndarray:
+    """Stack of group elements, one per stacked ``element_draws`` result.
+
+    Compact families: QR of the Gaussian matrices with the phase (U/SU) or
+    sign (SO) correction of Mezzadri (arXiv:math-ph/0609050), which makes
+    U and SO Haar; SU rescales by a det phase, and SO swaps the first two
+    columns where det = -1.  SL(2,R): columns swapped where det < 0, then
+    rescaled to det 1.  Slice i equals ``random_element`` from the rng that
+    drew ``draws[i]``, bit for bit.
+    """
+    draws = np.asarray(draws)
+    m = spec.size
+    if spec.is_complex:
+        z = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        d = np.where(np.abs(d) < 1e-300, 1.0, d)
+        q = q * (d / np.abs(d))[:, None, :]
+        if spec.family == "SU":
+            # (angle / m), not (-1j * angle) / m: numpy divides a complex
+            # array by an int through a rounded reciprocal, which is off in
+            # the last bit for m = 3 and 5.
+            angle = np.angle(np.linalg.det(q))
+            q = q * np.exp(-1j * (angle / m))[:, None, None]
+        return q
+    if spec.family == "SO":
+        q, r = np.linalg.qr(draws)
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        q = q * signs[:, None, :]
+        flip = np.linalg.det(q) < 0
+        if flip.any():
+            q[flip, :, :2] = q[flip, :, 1::-1]
+        return q
+    det = np.linalg.det(draws)
+    flip = det < 0
+    if flip.any():
+        draws = draws.copy()
+        draws[flip] = draws[flip, :, ::-1]
+    return draws / np.sqrt(np.abs(det))[:, None, None]
 
 
 def random_element(spec: GroupSpec, seed) -> np.ndarray:
-    """Seeded random group element.
+    """Seeded random group element: ``elements_from_draws`` of one
+    ``element_draws``.
 
     Compact families: orthogonalized Gaussian matrix with the usual phase
     correction (Haar for U/SO), determinant corrected per family.  SL(2,R):
@@ -314,30 +377,7 @@ def random_element(spec: GroupSpec, seed) -> np.ndarray:
     scaling are rejected, and 100 consecutive rejections raise.
     """
     rng = np.random.default_rng(seed)
-    m = spec.size
-    if spec.family == "U":
-        return _haar_unitary(m, rng)
-    if spec.family == "SU":
-        g = _haar_unitary(m, rng)
-        return g * np.exp(-1j * np.angle(np.linalg.det(g)) / m)
-    if spec.family == "SO":
-        z = rng.standard_normal((m, m))
-        q, r = np.linalg.qr(z)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs
-        if np.linalg.det(q) < 0:
-            q[:, [0, 1]] = q[:, [1, 0]]
-        return q
-    for _ in range(100):
-        z = rng.standard_normal((2, 2))
-        det = np.linalg.det(z)
-        if abs(det) >= 1e-6:
-            if det < 0:
-                z = z[:, [1, 0]]
-                det = -det
-            return z / np.sqrt(det)
-    raise RuntimeError("rejected 100 consecutive near-singular SL(2,R) draws")
+    return elements_from_draws(spec, element_draws(spec, rng)[None])[0]
 
 
 def random_algebra(spec: GroupSpec, seed, scale: float = 1.0) -> np.ndarray:

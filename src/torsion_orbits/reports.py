@@ -121,12 +121,25 @@ def run_trials(check, count, seed, trial, config, worst_residual=None):
     ``worst_residual`` names the residual whose maximum is the report's
     worst residual (default: every residual).
     """
+    return run_stacked_trials(check, count, seed, trial, list, config,
+                              worst_residual)
+
+
+def run_stacked_trials(check, count, seed, draw, evaluate, config,
+                       worst_residual=None):
+    """``run_trials`` with each trial split in two, so that a check can
+    evaluate its trials as stacks: ``draw(rng)`` takes trial i's inputs
+    from the Generator seeded by seed + i, and ``evaluate`` maps the list
+    of every draw, in trial order, to the list of their TrialRecord fields.
+    The draws stay per trial, so trial i still replays alone at seed + i.
+    ``run_trials`` is the case where the draw is the whole trial and
+    ``evaluate`` is ``list``."""
     if count < 1:
         raise ValueError(f"trial count must be >= 1, got {count}")
     t0 = time.perf_counter()
-    records = [TrialRecord(index=i, seed=seed + i,
-                           **trial(np.random.default_rng(seed + i)))
-               for i in range(count)]
+    draws = [draw(np.random.default_rng(seed + i)) for i in range(count)]
+    records = [TrialRecord(index=i, seed=seed + i, **fields)
+               for i, fields in enumerate(evaluate(draws))]
     worst = None
     if worst_residual is not None:
         worst = max(t.residuals[worst_residual] for t in records)

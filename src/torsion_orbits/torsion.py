@@ -16,6 +16,11 @@ by brute force; it is the oracle the tests check the enumerator against.
 Each element is decomposed once: a complex Schur form for U/SU, one real
 Schur scan for SO, and ``_sl2_align`` for SL(2,R), off which
 ``orientation_sign`` also reads the SL(2,R) orientation.
+``cluster_census`` draws each sample from its own seeded Generator, so a
+sample replays alone, but evaluates the samples as stacks: one Haar QR,
+torus build and conjugation per block, then snapping and canonicalization
+on integer phase numerators k (phase k/n), with ``canonicalize`` and
+``matrix_invariant`` as the per-sample oracles in the tests.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ import numpy as np
 from scipy.linalg import schur
 
 from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
-                     algebra_basis, group_inverse, membership_residual,
-                     random_element, require_member)
-from .reports import VerificationReport, run_trials, single_trial_report
+                     element_draws, elements_from_draws, group_inverse,
+                     membership_residual, random_element, require_member,
+                     require_residual)
+from .reports import (VerificationReport, inputs_digest, run_stacked_trials,
+                      run_trials, single_trial_report)
 from .subspaces import image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
@@ -45,11 +52,6 @@ MAX_CLASSES = 2_000_000
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
-
-
-def _rot2(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def phase_slots(spec: GroupSpec) -> int:
@@ -85,19 +87,29 @@ def torus_matrix(spec: GroupSpec, phases) -> np.ndarray:
     """Standard torus element with the given block phases (cycles, not
     radians): diagonal for U/SU, rotation blocks for SO (odd sizes keep a
     trailing fixed axis), a rotation for SL(2,R)."""
-    vals = [float(p) for p in phases]
-    m = spec.size
+    return torus_stack(spec, [[float(p) for p in phases]])[0]
+
+
+def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
+    """Stack of standard torus elements, one per row of the (count, slots)
+    float array ``phases``; row i gives ``torus_matrix`` of that row."""
+    phases = np.asarray(phases, dtype=float)
+    m, slots = spec.size, phase_slots(spec)
+    if phases.ndim != 2 or phases.shape[1] != slots:
+        raise ValueError(f"expected {slots} phases")
     if spec.family in ("U", "SU"):
-        if len(vals) != m:
-            raise ValueError(f"expected {m} phases")
-        return np.diag(np.exp(2j * np.pi * np.array(vals)))
-    if len(vals) != spec.rank:
-        raise ValueError(f"expected {spec.rank} phases")
-    out = np.zeros((m, m))
-    for j, p in enumerate(vals):
-        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = _rot2(2 * np.pi * p)
+        out = np.zeros((len(phases), m, m), dtype=complex)
+        out.reshape(-1, m * m)[:, ::m + 1] = np.exp(2j * np.pi * phases)
+        return out
+    theta = 2 * np.pi * phases
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.zeros((len(phases), m, m))
+    for b in range(slots):
+        i, j = 2 * b, 2 * b + 1
+        out[:, i, i] = out[:, j, j] = c[:, b]
+        out[:, i, j], out[:, j, i] = -s[:, b], s[:, b]
     if spec.family == "SO" and m % 2 == 1:
-        out[m - 1, m - 1] = 1.0
+        out[:, m - 1, m - 1] = 1.0
     return out
 
 
@@ -145,14 +157,31 @@ def torsion_point(spec: GroupSpec, n: int, i: int) -> TorusTorsionPoint:
     return TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in ks))
 
 
-def random_torsion_point(spec: GroupSpec, n: int, rng) -> TorusTorsionPoint:
-    """Uniform torus point killed by n, from one ``rng.integers`` draw over
-    the point count."""
+def _indexable_count(spec: GroupSpec, n: int) -> int:
+    # the point count, when one 64-bit rng.integers draw can index it
     count = torsion_point_count(spec, n)
     if count > np.iinfo(np.int64).max:
         raise ValueError(f"{spec.label()} n={n} has {count:.3e} torus points, "
                          "too many to index with one 64-bit draw")
-    return torsion_point(spec, n, int(rng.integers(count)))
+    return count
+
+
+def random_torsion_point(spec: GroupSpec, n: int, rng) -> TorusTorsionPoint:
+    """Uniform torus point killed by n, from one ``rng.integers`` draw over
+    the point count."""
+    return torsion_point(spec, n, int(rng.integers(_indexable_count(spec, n))))
+
+
+def _torsion_rows(spec: GroupSpec, n: int, indices: np.ndarray) -> np.ndarray:
+    """Phase numerators k (phases k/n) of ``torsion_point(spec, n, i)`` for
+    each i in ``indices``, one int row per index."""
+    indices = np.array(indices, dtype=np.int64)
+    rows = np.empty((len(indices), phase_slots(spec)), dtype=np.int64)
+    for j in reversed(range(spec.rank)):
+        indices, rows[:, j] = np.divmod(indices, n)
+    if spec.family == "SU":
+        rows[:, -1] = -rows[:, :-1].sum(axis=1) % n
+    return rows
 
 
 @dataclass(frozen=True)
@@ -212,9 +241,44 @@ def _snap_phase(phi: float, n: int) -> Fraction:
     k = int(np.rint(phi * n))
     if abs(phi - k / n) > SNAP_TOL:
         raise ValueError(
-            f"phase {phi!r} is not within {SNAP_TOL:g} of a multiple of 1/{n}; "
-            "the element does not have order dividing n")
+            f"phase {float(phi)!r} is not within {SNAP_TOL:g} of a multiple "
+            f"of 1/{n}; the element does not have order dividing n")
     return Fraction(k % n, n)
+
+
+def _snap_rows(raw: np.ndarray, n: int) -> np.ndarray:
+    """``_snap_phase`` of every phase in the (count, slots) array ``raw``,
+    as ints k (phases k/n) in [0, n).  The first row holding an off-grid
+    phase raises ``_snap_phase``'s error."""
+    k = np.rint(raw * n)
+    off = ~(np.abs(raw - k / n) <= SNAP_TOL)
+    if off.any():
+        for phi in raw[off.any(axis=1).argmax()]:
+            _snap_phase(phi, n)
+    return k.astype(np.int64) % n
+
+
+def _canonical_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
+    """``canonicalize`` of each row of ints k in [0, n) (phases k/n), as an
+    int row: the canonical numerators, then the parity bit or -1."""
+    parity = np.full((len(ks), 1), -1)
+    if spec.family in ("U", "SU"):
+        return np.hstack([np.sort(ks, axis=1), parity])
+    if spec.family == "SL2R" or spec.size == 2:
+        return np.hstack([ks, parity])
+    folded = np.minimum(ks, n - ks)
+    if spec.size % 2 == 0:
+        free = ((folded != 0) & (2 * folded != n)).all(axis=1)
+        flips = (2 * ks > n).sum(axis=1) % 2
+        parity[free, 0] = flips[free]
+    return np.hstack([np.sort(folded, axis=1), parity])
+
+
+def _row_invariant(n: int, row) -> CanonicalInvariant:
+    # the CanonicalInvariant of one ``_canonical_rows`` row
+    *ks, parity = row
+    return CanonicalInvariant(tuple(Fraction(k, n) for k in ks),
+                              None if parity < 0 else parity)
 
 
 def _unitary_eigenstructure(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -629,38 +693,97 @@ def sl2_component_census(n: int, samples: int, seed: int,
     return report
 
 
+#: Census samples evaluated as one stack.
+_CENSUS_BLOCK = 4096
+
+
 def cluster_census(spec: GroupSpec, n: int, samples: int,
                    seed: int) -> VerificationReport:
     """Monte-Carlo census for any supported group: random conjugates of
     random torsion points, clustered by the canonical invariant recovered
     from the matrix alone.  Passes when the cluster count matches
     count_components(spec, n) and every recovered invariant agrees with the
-    invariant of the torus point that produced the sample."""
+    invariant of the torus point that produced the sample.
+
+    Sample i draws from its own Generator, as ``random_torsion_point`` and
+    then ``random_element`` would, so it replays alone at seed + i.  The
+    draws are evaluated ``_CENSUS_BLOCK`` at a time as stacks: one QR, one
+    torus build and one conjugation per block, then per sample one
+    membership residual and one alignment, and snapping and
+    canonicalization on integer phase numerators.  A sample off the group
+    or off the 1/n grid raises the error ``matrix_invariant`` would, for
+    the first such sample."""
     t0 = time.perf_counter()
     expected = count_components(spec, n)
-    seen = set()
+    count = _indexable_count(spec, n)
+    seen, points = set(), {}
 
-    def trial(rng):
-        point = random_torsion_point(spec, n, rng)
-        h = random_element(spec, rng)
-        g = h @ point.matrix() @ group_inverse(spec, h)
-        inv = matrix_invariant(spec, g, n)
-        seen.add(inv)
-        consistent = inv == canonicalize(spec, point.phases)
-        return {"inputs": {"point": [str(p) for p in point.phases], "n": n},
-                "residuals": {"membership": membership_residual(spec, g),
-                              "invariant_mismatch": 0.0 if consistent else 1.0},
-                "passed": consistent}
+    def draw(rng):
+        return int(rng.integers(count)), element_draws(spec, rng)
 
-    report = run_trials("cluster-census", samples, seed, trial,
-                        {"group": spec.label(), "n": n, "samples": samples,
-                         "seed": seed},
-                        worst_residual="membership")
+    def evaluate(draws):
+        fields = []
+        for start in range(0, len(draws), _CENSUS_BLOCK):
+            block = draws[start:start + _CENSUS_BLOCK]
+            indices = [i for i, _ in block]
+            drawn = _torsion_rows(spec, n, indices)
+            h = elements_from_draws(spec, np.stack([z for _, z in block]))
+            g = h @ torus_stack(spec, drawn / n) @ group_inverse(spec, h)
+            residuals, ks = _census_phases(spec, n, g)
+            found = _canonical_rows(spec, n, ks)
+            consistent = (found == _canonical_rows(spec, n, drawn)).all(axis=1)
+            seen.update(map(tuple, np.unique(found, axis=0).tolist()))
+            for i, row, r, ok in zip(indices, drawn.tolist(), residuals,
+                                     consistent.tolist()):
+                if i not in points:
+                    inputs = {"point": [str(Fraction(k, n)) for k in row],
+                              "n": n}
+                    points[i] = inputs, inputs_digest(inputs)
+                inputs, digest = points[i]
+                fields.append({"inputs": inputs, "digest": digest,
+                               "residuals": {"membership": r,
+                                             "invariant_mismatch":
+                                                 0.0 if ok else 1.0},
+                               "passed": ok})
+        return fields
+
+    report = run_stacked_trials("cluster-census", samples, seed, draw,
+                                evaluate,
+                                {"group": spec.label(), "n": n,
+                                 "samples": samples, "seed": seed},
+                                worst_residual="membership")
+    labels = sorted(_row_invariant(n, row).label() for row in seen)
     report.passed = report.passed and len(seen) == expected
     report.details = {"cluster_count": len(seen), "expected_clusters": expected,
-                      "clusters": sorted(inv.label() for inv in seen)}
+                      "clusters": labels}
     report.wall_time_s = time.perf_counter() - t0  # with the class count
     return report
+
+
+def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
+    """(membership residuals, snapped phase numerators) of a stack of
+    census samples: the checks of ``_snapped_alignment``, one residual and
+    one alignment per sample, raising for the first failing sample."""
+    residuals, raw = [], []
+
+    def snapped():
+        rows = np.array(raw, dtype=float).reshape(len(raw), phase_slots(spec))
+        return _snap_rows(rows, n)
+
+    for gi in g:
+        try:
+            residuals.append(require_residual(spec,
+                                              membership_residual(spec, gi)))
+            if spec.family in ("U", "SU"):
+                raw.append(_unitary_eigenstructure(gi)[1])
+            elif spec.family == "SL2R":
+                raw.append([_sl2_align(gi)[1]])
+            else:
+                raw.append(_so_torus_align(gi)[1])
+        except ValueError:  # numpy's LinAlgError included
+            snapped()  # an off-grid phase in an earlier sample fails first
+            raise
+    return residuals, snapped()
 
 
 # ---------------------------------------------------------------------------

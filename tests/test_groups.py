@@ -14,9 +14,11 @@ from torsion_orbits.groups import (FAMILIES, GroupSpec, UnsupportedGroupError,
                                    adjoint_matrix, algebra_basis,
                                    algebra_coords, algebra_matrix,
                                    cartan_decompose, constraint_residual,
-                                   element_order, exp_element, group_inverse,
-                                   membership_residual, random_algebra,
-                                   random_element, require_member)
+                                   element_draws, element_order,
+                                   elements_from_draws, exp_element,
+                                   group_inverse, membership_residual,
+                                   random_algebra, random_element,
+                                   require_member, require_residual)
 
 ALL_SPECS = [GroupSpec("U", 1), GroupSpec("U", 2), GroupSpec("U", 3),
              GroupSpec("SU", 2), GroupSpec("SU", 3), GroupSpec("SU", 4),
@@ -289,6 +291,68 @@ def test_random_element_accepts_generator():
     assert np.linalg.norm(g1 - g2) > 1e-3
 
 
+#: Every supported spec, the odd SU sizes included.
+EVERY_SPEC = ([GroupSpec("U", m) for m in range(1, 6)]
+              + [GroupSpec("SU", m) for m in range(2, 6)]
+              + [GroupSpec("SO", m) for m in range(2, 6)]
+              + [GroupSpec("SL2R", 2)])
+
+
+def per_matrix_element(spec, rng):
+    """Oracle: one element drawn and corrected matrix by matrix, with the
+    SU det phase divided as a complex scalar."""
+    m = spec.size
+    if spec.is_complex:
+        z = (rng.standard_normal((m, m))
+             + 1j * rng.standard_normal((m, m))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        d = np.where(np.abs(np.diag(r)) < 1e-300, 1.0, np.diag(r))
+        q = q * (d / np.abs(d))
+        if spec.family == "SU":
+            q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / m)
+        return q
+    if spec.family == "SO":
+        q, r = np.linalg.qr(rng.standard_normal((m, m)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        q = q * signs
+        if np.linalg.det(q) < 0:
+            q[:, [0, 1]] = q[:, [1, 0]]
+        return q
+    while True:
+        z = rng.standard_normal((2, 2))
+        det = np.linalg.det(z)
+        if abs(det) >= 1e-6:
+            if det < 0:
+                z, det = z[:, [1, 0]], -det
+            return z / np.sqrt(det)
+
+
+@pytest.mark.parametrize("spec", EVERY_SPEC, ids=lambda s: s.label())
+def test_stacked_draws_match_random_element_bit_for_bit(spec):
+    seed, count = 11, 64
+    draws = [element_draws(spec, np.random.default_rng(seed + i))
+             for i in range(count)]
+    stack = elements_from_draws(spec, np.stack(draws))
+    assert stack.shape == (count, spec.size, spec.size)
+    for i in range(count):
+        one = random_element(spec, np.random.default_rng(seed + i))
+        assert one.dtype == stack.dtype
+        assert np.array_equal(stack[i], one), i
+        oracle = per_matrix_element(spec, np.random.default_rng(seed + i))
+        assert np.array_equal(one, oracle), i
+
+
+def test_group_inverse_of_a_stack_is_the_inverse_of_each_slice():
+    for spec in EVERY_SPEC:
+        rng = np.random.default_rng(4)
+        stack = np.stack([random_element(spec, rng) for _ in range(5)])
+        inverse = group_inverse(spec, stack)
+        for g, gi in zip(stack, inverse):
+            assert np.array_equal(gi, group_inverse(spec, g))
+            assert np.linalg.norm(g @ gi - spec.identity()) < 1e-9
+
+
 def test_random_algebra_shape_and_determinism():
     spec = GroupSpec("SU", 3)
     c = random_algebra(spec, 4)
@@ -306,4 +370,8 @@ def test_membership_and_inverse():
         assert np.linalg.norm(g @ gi - spec.identity()) < 1e-9
     with pytest.raises(ValueError):
         require_member(GroupSpec("SO", 3), np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match=r"not in SO\(3\) within 1e-09 "
+                       r"\(residual 2\.000e\+00\)"):
+        require_residual(GroupSpec("SO", 3), 2.0)
+    assert require_residual(GroupSpec("SO", 3), 1e-12) == 1e-12
     assert membership_residual(GroupSpec("U", 2), np.eye(3)) == np.inf

@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from torsion_orbits import cli, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, group_inverse,
                                    membership_residual, random_element)
+from torsion_orbits.reports import TrialRecord
 from torsion_orbits.sweeps import random_torsion_element
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     TorusTorsionPoint, approximation_bound,
@@ -38,7 +40,7 @@ from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     random_torsion_point,
                                     sl2_component_census, torsion_point,
                                     torsion_point_count, torus_matrix,
-                                    write_catalog_csv)
+                                    torus_stack, write_catalog_csv)
 
 
 # ------------------------------------------------------------------ oracles
@@ -712,6 +714,210 @@ def test_cluster_census_u3():
     rep = cluster_census(GroupSpec("U", 3), 3, 120, seed=1)
     assert rep.passed
     assert rep.details["cluster_count"] == count_components(GroupSpec("U", 3), 3)
+
+
+# ------------------------------------------------- stacked cluster census
+
+def census_oracle(spec, n, samples, seed):
+    """The cluster census sample by sample, from the public one-element
+    functions only: a (TrialRecord, recovered invariant) pair per sample."""
+    out = []
+    for i in range(samples):
+        rng = np.random.default_rng(seed + i)
+        point = random_torsion_point(spec, n, rng)
+        h = random_element(spec, rng)
+        g = h @ point.matrix() @ group_inverse(spec, h)
+        inv = matrix_invariant(spec, g, n)
+        ok = inv == canonicalize(spec, point.phases)
+        out.append((TrialRecord(
+            index=i, seed=seed + i,
+            inputs={"point": [str(p) for p in point.phases], "n": n},
+            residuals={"membership": membership_residual(spec, g),
+                       "invariant_mismatch": 0.0 if ok else 1.0},
+            passed=ok), inv))
+    return out
+
+
+def assert_census_matches_oracle(spec, n, seed, oracle):
+    """cluster_census over len(oracle) samples against the oracle's
+    records, details, worst residual and verdict."""
+    report = cluster_census(spec, n, len(oracle), seed)
+    case = (spec.label(), n, len(oracle), seed)
+    assert len(report.trials) == len(oracle), case
+    for got, (want, _) in zip(report.trials, oracle):
+        assert got == want, case  # inputs, digest, residuals: all ==
+    seen = {inv for _, inv in oracle}
+    expected = count_components(spec, n)
+    assert report.details == {
+        "cluster_count": len(seen), "expected_clusters": expected,
+        "clusters": sorted(inv.label() for inv in seen)}, case
+    assert report.worst_residual == max(
+        r.residuals["membership"] for r, _ in oracle), case
+    assert report.passed == (all(r.passed for r, _ in oracle)
+                             and len(seen) == expected), case
+
+
+CENSUS_ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_cluster_census_matches_per_trial_oracle(spec):
+    if spec.family == "SL2R":
+        runs = [(n, 300, seed) for n in CENSUS_ORDERS + (24,)
+                for seed in (0, 5, 11)]
+    else:
+        runs = [(n, 60, seed) for n in CENSUS_ORDERS for seed in (0, 7)]
+    for n, samples, seed in runs:
+        assert_census_matches_oracle(spec, n, seed,
+                                     census_oracle(spec, n, samples, seed))
+
+
+def test_cluster_census_matches_oracle_across_a_block_edge():
+    spec, block = GroupSpec("SU", 2), torsion._CENSUS_BLOCK
+    oracle = census_oracle(spec, 4, block + 1, 9)
+    for samples in (block - 1, block, block + 1):
+        assert_census_matches_oracle(spec, 4, 9, oracle[:samples])
+
+
+def test_cluster_census_trial_replays_alone():
+    spec = GroupSpec("SO", 4)
+    full = cluster_census(spec, 6, 40, seed=20)
+    for i in (0, 17, 39):
+        alone = cluster_census(spec, 6, 1, seed=20 + i).trials[0]
+        want = full.trials[i]
+        assert (alone.seed, alone.inputs, alone.digest, alone.residuals,
+                alone.passed) == (want.seed, want.inputs, want.digest,
+                                  want.residuals, want.passed)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_torus_matrix_is_its_stacked_row(spec):
+    for n in range(1, 13):
+        count = torsion_point_count(spec, n)
+        indices = sorted({(i * 7919) % count for i in range(min(count, 150))})
+        rows = torsion._torsion_rows(spec, n, indices)
+        stack = torus_stack(spec, rows / n)
+        for i, t in zip(indices, stack):
+            one = torus_matrix(spec, torsion_point(spec, n, i).phases)
+            assert one.dtype == t.dtype
+            assert np.array_equal(one, t), (spec.label(), n, i)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_integer_labels_match_canonicalize(spec):
+    rng = np.random.default_rng(1)
+    for n in range(1, 9):
+        points = enumerate_torsion(spec, n)
+        rows = torsion._torsion_rows(spec, n, range(len(points)))
+        assert rows.tolist() == [[p.numerator * (n // p.denominator)
+                                  for p in point.phases] for point in points]
+        # alignment phases: on the grid up to noise, some just below 1
+        raw = rows / n + rng.uniform(-1e-8, 1e-8, rows.shape)
+        assert np.array_equal(torsion._snap_rows(raw, n), rows)
+        canonical = torsion._canonical_rows(spec, n, rows)
+        labels = {}
+        for point, row in zip(points, map(tuple, canonical.tolist())):
+            if row not in labels:
+                inv = torsion._row_invariant(n, row)
+                labels[row] = inv, inv.label(), inv.parity
+            want = canonicalize(spec, point.phases)
+            got, label, parity = labels[row]
+            assert got == want, (spec.label(), n, point.phases)
+            assert (label, parity) == (want.label(), want.parity)
+
+
+CENSUS_ALIGNMENTS = [(GroupSpec("U", 3), 6, "_unitary_eigenstructure"),
+                     (GroupSpec("SU", 3), 4, "_unitary_eigenstructure"),
+                     (GroupSpec("SO", 5), 8, "_so_torus_align"),
+                     (GroupSpec("SL2R", 2), 6, "_sl2_align")]
+
+
+def break_alignment(monkeypatch, name, off_grid=(), failing=()):
+    """Make the census's alignment return an off-grid first phase at the
+    calls in ``off_grid`` (phase 0.3 + call/1e4, distinct per call) and
+    raise at the calls in ``failing``."""
+    original = getattr(torsion, name)
+    calls = itertools.count()
+
+    def aligned(g):
+        call = next(calls)
+        if call in failing:
+            raise ValueError(f"alignment failed at call {call}")
+        Q, phases = original(g)
+        if call in off_grid:
+            phases = list(np.atleast_1d(phases))
+            phases[0] = 0.3 + call / 1e4 + 1e-3
+            phases = phases if name == "_so_torus_align" else (
+                phases[0] if name == "_sl2_align" else np.array(phases))
+        return Q, phases
+
+    monkeypatch.setattr(torsion, name, aligned)
+
+
+def snap_message(k):
+    return re.escape(f"phase {0.3 + k / 1e4 + 1e-3!r} is not within 1e-06")
+
+
+@pytest.mark.parametrize("spec,n,name", CENSUS_ALIGNMENTS,
+                         ids=lambda v: getattr(v, "label", lambda: v)())
+@pytest.mark.parametrize("k", [0, 5, 19])
+def test_census_raises_the_snap_error_of_the_first_off_grid_sample(
+        monkeypatch, spec, n, name, k):
+    break_alignment(monkeypatch, name, off_grid={k, k + 1}, failing={k + 2})
+    with pytest.raises(ValueError, match=snap_message(k)):
+        cluster_census(spec, n, 25, seed=2)
+
+
+def test_census_raises_for_the_first_failing_sample(monkeypatch):
+    spec = GroupSpec("U", 3)
+    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={9},
+                    failing={4})
+    with pytest.raises(ValueError, match="alignment failed at call 4"):
+        cluster_census(spec, 6, 25, seed=2)
+    monkeypatch.undo()
+
+    def residual_off_at(sample):
+        calls = itertools.count()
+        monkeypatch.setattr(torsion, "membership_residual",
+                            lambda s, g: 0.25 if next(calls) == sample else 0.0)
+
+    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6})
+    residual_off_at(8)
+    with pytest.raises(ValueError, match=snap_message(6)):
+        cluster_census(spec, 6, 25, seed=2)
+    monkeypatch.undo()
+    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6})
+    residual_off_at(3)
+    with pytest.raises(ValueError, match=r"g is not in U\(3\) within 1e-09 "
+                       r"\(residual 2\.500e-01\)"):
+        cluster_census(spec, 6, 25, seed=2)
+
+
+def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(torsion, "_CENSUS_BLOCK", 8)
+    break_alignment(monkeypatch, "_so_torus_align", off_grid={13})
+    with pytest.raises(ValueError, match=snap_message(13)):
+        cluster_census(GroupSpec("SO", 4), 4, 20, seed=1)
+
+
+def test_cluster_census_small_blocks_change_nothing(monkeypatch):
+    spec = GroupSpec("SO", 4)
+    whole = cluster_census(spec, 4, 30, seed=6)
+    monkeypatch.setattr(torsion, "_CENSUS_BLOCK", 7)
+    blocked = cluster_census(spec, 4, 30, seed=6)
+    assert blocked.trials == whole.trials
+    assert blocked.details == whole.details
+
+
+@pytest.mark.parametrize("spec,phases", [
+    (GroupSpec("U", 2), [0.1, 0.0]), (GroupSpec("SU", 2), [0.1, 0.9]),
+    (GroupSpec("SO", 3), [0.1]), (GroupSpec("SL2R", 2), [0.1])])
+def test_snap_error_prints_a_plain_float(spec, phases):
+    g = torus_matrix(spec, phases)
+    with pytest.raises(ValueError, match=r"^phase 0\.(1|0999)\d* is not "
+                       r"within 1e-06 of a multiple of 1/4;") as info:
+        matrix_invariant(spec, g, 4)
+    assert "np.float64" not in str(info.value)
 
 
 # ------------------------------------------------------------ serialization
