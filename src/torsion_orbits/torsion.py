@@ -87,7 +87,8 @@ def torus_matrix(spec: GroupSpec, phases) -> np.ndarray:
     """Standard torus element with the given block phases (cycles, not
     radians): diagonal for U/SU, rotation blocks for SO (odd sizes keep a
     trailing fixed axis), a rotation for SL(2,R)."""
-    return torus_stack(spec, [[float(p) for p in phases]])[0]
+    # a copy, not a view of the one-row stack: catalogs keep one per class
+    return torus_stack(spec, [[float(p) for p in phases]])[0].copy()
 
 
 def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
