@@ -845,10 +845,10 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
             raise ValueError(f"alignment failed at call {call}")
         Q, phases = original(g)
         if call in off_grid:
-            phases = list(np.atleast_1d(phases))
+            phases = np.array(phases, dtype=float, ndmin=1)
             phases[0] = 0.3 + call / 1e4 + 1e-3
-            phases = phases if name == "_so_torus_align" else (
-                phases[0] if name == "_sl2_align" else np.array(phases))
+            if name == "_sl2_align":  # one phase, not a vector
+                phases = phases[0]
         return Q, phases
 
     monkeypatch.setattr(torsion, name, aligned)
@@ -868,29 +868,23 @@ def test_census_raises_the_snap_error_of_the_first_off_grid_sample(
         cluster_census(spec, n, 25, seed=2)
 
 
-def test_census_raises_for_the_first_failing_sample(monkeypatch):
-    spec = GroupSpec("U", 3)
-    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={9},
-                    failing={4})
-    with pytest.raises(ValueError, match="alignment failed at call 4"):
-        cluster_census(spec, 6, 25, seed=2)
-    monkeypatch.undo()
-
-    def residual_off_at(sample):
+@pytest.mark.parametrize("failing,off_member,message", [
+    ({4}, None, "alignment failed at call 4"),
+    ((), 8, snap_message(6)),
+    ((), 3, r"g is not in U\(3\) within 1e-09 \(residual 2\.500e-01\)")])
+def test_census_raises_for_the_first_failing_sample(monkeypatch, failing,
+                                                    off_member, message):
+    # sample 6 is off the grid; an alignment or membership failure before
+    # it wins, one after it does not
+    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6},
+                    failing=failing)
+    if off_member is not None:
         calls = itertools.count()
-        monkeypatch.setattr(torsion, "membership_residual",
-                            lambda s, g: 0.25 if next(calls) == sample else 0.0)
-
-    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6})
-    residual_off_at(8)
-    with pytest.raises(ValueError, match=snap_message(6)):
-        cluster_census(spec, 6, 25, seed=2)
-    monkeypatch.undo()
-    break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6})
-    residual_off_at(3)
-    with pytest.raises(ValueError, match=r"g is not in U\(3\) within 1e-09 "
-                       r"\(residual 2\.500e-01\)"):
-        cluster_census(spec, 6, 25, seed=2)
+        monkeypatch.setattr(
+            torsion, "membership_residual",
+            lambda spec, g: 0.25 if next(calls) == off_member else 0.0)
+    with pytest.raises(ValueError, match=message):
+        cluster_census(GroupSpec("U", 3), 6, 25, seed=2)
 
 
 def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
