@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (GroupSpec, adjoint_matrix, algebra_matrix,
+from .groups import (GroupSpec, adjoint_stack, algebra_matrix,
                      cartan_decompose, group_inverse, require_member)
-from .reports import VerificationReport, single_trial_report
-from .subspaces import _adjoint_power_sum, _finite_order_inputs
+from .reports import VerificationReport
+from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
+                        _outcome_report, _torsion_outcomes)
 from .torsion import (_so_torus_align, _unitary_eigenstructure, canonical_align,
                       canonicalize, torus_matrix)
 
@@ -35,6 +36,16 @@ DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
 
 class DifferentComponentsError(ValueError):
     """The two elements lie in different conjugation orbits."""
+
+
+def _sample_times(times) -> tuple:
+    """``times`` as floats, checked to be positive and strictly decreasing."""
+    times = tuple(float(t) for t in times)
+    if any(t <= 0 for t in times):
+        raise ValueError("sample times must be positive")
+    if any(a <= b for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must decrease strictly toward 0")
+    return times
 
 
 @dataclass
@@ -51,14 +62,21 @@ class CurveSample:
     points: tuple
 
     def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
+        self.times = _sample_times(self.times)
         self.points = tuple(self.points)
-        if any(t <= 0 for t in self.times):
-            raise ValueError("sample times must be positive")
-        if any(a <= b for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("sample times must decrease strictly toward 0")
         if len(self.times) != len(self.points):
             raise ValueError("times and points disagree in length")
+
+
+def _conjugation_stack(g: np.ndarray, Xm: np.ndarray, times) -> np.ndarray:
+    """exp(t X_i) g_i exp(-t X_i) for each slice i of the stacks g and Xm
+    and each t in row i of the (count, k) array ``times``: shape
+    (count, k, m, m), from one expm over every +-t X_i."""
+    times = np.asarray(times, dtype=float)[..., None, None]
+    k = times.shape[1]
+    E = expm(np.concatenate([times * Xm[:, None], -times * Xm[:, None]],
+                            axis=1))
+    return E[:, :k] @ g[:, None] @ E[:, k:]
 
 
 def conjugation_curve(spec: GroupSpec, g: np.ndarray, X,
@@ -66,8 +84,44 @@ def conjugation_curve(spec: GroupSpec, g: np.ndarray, X,
     """Sample c(t) = exp(tX) g exp(-tX) at the given decreasing steps."""
     g = require_member(spec, g)
     Xm = algebra_matrix(spec, X)
-    pts = [expm(t * Xm) @ g @ expm(-t * Xm) for t in steps]
-    return CurveSample(spec, g, tuple(steps), pts)
+    pts = _conjugation_stack(g[None], Xm[None], [steps])[0]
+    return CurveSample(spec, g, tuple(steps), tuple(pts))
+
+
+def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
+                     steps=DEFAULT_STEPS, ratio_slack: float = 3.0,
+                     floor: float = RATIO_FLOOR):
+    """Outcome of ``tangent_space_check`` for each slice of the stack g of
+    group members and the stack Xm of algebra matrices."""
+    if len(steps) < 2:
+        raise ValueError("need at least two steps for the ratio test")
+    times = _sample_times(steps)
+    points = _conjugation_stack(g, Xm, np.broadcast_to(times, (len(g),
+                                                               len(times))))
+    D = Xm @ g - g @ Xm  # (X - Ad(g)X) g
+    out = []
+    for base, Di, curve in zip(g, D, points):
+        errors = [float(np.linalg.norm((c - base) / h - Di))
+                  for h, c in zip(times, curve)]
+        passed = True
+        ratios = []
+        for (h1, e1), (h2, e2) in zip(zip(times, errors),
+                                      zip(times[1:], errors[1:])):
+            if e1 <= floor and e2 <= floor:
+                ratios.append(None)
+                continue
+            step_ratio = h1 / h2
+            err_ratio = e1 / max(e2, 1e-300)
+            ratios.append(err_ratio)
+            if not (step_ratio / ratio_slack <= err_ratio
+                    <= step_ratio * ratio_slack):
+                passed = False
+        out.append(_outcome(
+            {f"error_h{i}": e for i, e in enumerate(errors)}, passed,
+            {"steps": list(times),
+             "error_ratios": [r if r is None else float(r) for r in ratios],
+             "derivative_norm": float(np.linalg.norm(Di))}))
+    return out
 
 
 def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
@@ -79,38 +133,34 @@ def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
     derivative D for each step.  The defect is O(h), so consecutive error
     ratios must track the step ratios within ``ratio_slack``; errors under
     ``floor`` count as exact (that happens exactly when Ad(g)X = X, where
-    the curve is constant).
+    the curve is constant).  This is the one-element case of
+    ``tangent_outcomes``.
     """
     t0 = time.perf_counter()
-    if len(steps) < 2:
-        raise ValueError("need at least two steps for the ratio test")
-    sample = conjugation_curve(spec, g, X, steps)
+    g = require_member(spec, g)
     Xm = algebra_matrix(spec, X)
-    D = Xm @ sample.base - sample.base @ Xm  # (X - Ad(g)X) g
-    errors = [float(np.linalg.norm((c - sample.base) / h - D))
-              for h, c in zip(sample.times, sample.points)]
-    passed = True
-    ratios = []
-    for (h1, e1), (h2, e2) in zip(zip(sample.times, errors),
-                                  zip(sample.times[1:], errors[1:])):
-        if e1 <= floor and e2 <= floor:
-            ratios.append(None)
-            continue
-        step_ratio = h1 / h2
-        err_ratio = e1 / max(e2, 1e-300)
-        ratios.append(err_ratio)
-        if not (step_ratio / ratio_slack <= err_ratio <= step_ratio * ratio_slack):
-            passed = False
-    residuals = {f"error_h{i}": e for i, e in enumerate(errors)}
-    details = {"steps": list(sample.times),
-               "error_ratios": [r if r is None else float(r) for r in ratios],
-               "derivative_norm": float(np.linalg.norm(D))}
-    return single_trial_report(
-        "tangent-space", {"group": spec.label()}, residuals, passed,
-        config={"steps": list(steps), "ratio_slack": ratio_slack,
-                "floor": floor},
-        details=details, wall_time_s=time.perf_counter() - t0,
-        worst_residual=max(errors))
+    outcome, = tangent_outcomes(spec, g[None], Xm[None], steps, ratio_slack,
+                                floor)
+    return _outcome_report(
+        "tangent-space", {"group": spec.label()}, outcome,
+        {"steps": list(steps), "ratio_slack": ratio_slack, "floor": floor},
+        t0)
+
+
+def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
+                          X: np.ndarray, tol: float = 1e-9):
+    """Outcome of ``curve_kernel_check`` for each slice of the stack g of
+    elements of order dividing n, with membership residuals ``residuals``
+    and algebra coordinates X (one row per slice)."""
+    A = adjoint_stack(spec, g, residuals)
+    alpha0 = (np.eye(spec.dim) - A) @ X[..., None]
+    killed = _adjoint_power_sum(A, n) @ alpha0
+    out = []
+    for a, k in zip(alpha0[..., 0], killed[..., 0]):
+        residual = float(np.linalg.norm(k))
+        out.append(_outcome({"kernel_residual": residual}, residual <= tol,
+                            {"alpha0_norm": float(np.linalg.norm(a))}))
+    return out
 
 
 def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
@@ -120,23 +170,36 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     for alpha'(0) = (I - Ad(g))X, whenever g^n = e.
 
     The sum times (I - Ad(g)) telescopes to I - Ad(g)^n = 0, so any residual
-    beyond roundoff is a bug."""
+    beyond roundoff is a bug.  This is the one-element case of
+    ``curve_kernel_outcomes``."""
     t0 = time.perf_counter()
-    inputs = {"group": spec.label(), "n": n}
-    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
-                                       "curve-kernel", inputs, {"tol": tol}, t0)
-    if rejected is not None:
-        return rejected
-    X = np.asarray(X, dtype=float)
-    A = adjoint_matrix(spec, g)
-    S = _adjoint_power_sum(A, n)
-    alpha0 = (np.eye(spec.dim) - A) @ X
-    residual = float(np.linalg.norm(S @ alpha0))
-    return single_trial_report(
-        "curve-kernel", inputs, {"kernel_residual": residual},
-        passed=residual <= tol, config={"tol": tol},
-        details={"alpha0_norm": float(np.linalg.norm(alpha0))},
-        wall_time_s=time.perf_counter() - t0, worst_residual=residual)
+    stack, residuals = _one_member(spec, g, n, tol_membership)
+    outcome, = _torsion_outcomes(
+        spec, stack, n, tol_membership,
+        lambda keep: curve_kernel_outcomes(
+            spec, stack, n, residuals, np.asarray(X, dtype=float)[None], tol))
+    return _outcome_report("curve-kernel", {"group": spec.label(), "n": n},
+                           outcome, {"tol": tol}, t0, "kernel_residual")
+
+
+def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
+                              Xm: np.ndarray, t: np.ndarray,
+                              tol_membership: float = 1e-9):
+    """Outcome of ``product_identity_check`` for each slice of the stack g
+    of elements of order dividing n, with algebra matrices Xm and
+    parameters t (one per slice)."""
+    gamma = _conjugation_stack(g, Xm, np.asarray(t, dtype=float)[:, None])
+    ginv = group_inverse(spec, g)
+    alpha = gamma[:, 0] @ ginv
+    prod = left = right = np.eye(spec.size, dtype=alpha.dtype)
+    for _ in range(n):
+        prod = prod @ (left @ alpha @ right)
+        left = left @ g
+        right = ginv @ right
+    eye = np.eye(spec.size)
+    residuals = [float(np.linalg.norm(p - eye)) for p in prod]
+    return [_outcome({"product_residual": r}, r <= n * tol_membership, {})
+            for r in residuals]
 
 
 def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
@@ -146,30 +209,19 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
 
     With gamma(t) = exp(tX) g exp(-tX) and alpha(t) = gamma(t) g^-1, the
     product alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1))
-    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <= n * tol."""
+    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <= n * tol.
+    This is the one-element case of ``product_identity_outcomes``."""
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n, "t": float(t)}
-    config = {"tol_membership": tol_membership}
-    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
-                                       "product-identity", inputs, config, t0)
-    if rejected is not None:
-        return rejected
-    Xm = algebra_matrix(spec, X)
-    gamma = expm(t * Xm) @ g @ expm(-t * Xm)
-    ginv = group_inverse(spec, g)
-    alpha = gamma @ ginv
-    prod = np.eye(spec.size, dtype=alpha.dtype)
-    left = np.eye(spec.size, dtype=alpha.dtype)
-    right = np.eye(spec.size, dtype=alpha.dtype)
-    for _ in range(n):
-        prod = prod @ (left @ alpha @ right)
-        left = left @ g
-        right = ginv @ right
-    residual = float(np.linalg.norm(prod - np.eye(spec.size)))
-    return single_trial_report(
-        "product-identity", inputs, {"product_residual": residual},
-        passed=residual <= n * tol_membership, config=config,
-        wall_time_s=time.perf_counter() - t0, worst_residual=residual)
+    stack, _ = _one_member(spec, g, n, tol_membership)
+    outcome, = _torsion_outcomes(
+        spec, stack, n, tol_membership,
+        lambda keep: product_identity_outcomes(
+            spec, stack, n, algebra_matrix(spec, X)[None], [t],
+            tol_membership))
+    return _outcome_report("product-identity", inputs, outcome,
+                           {"tol_membership": tol_membership}, t0,
+                           "product_residual")
 
 
 def _conjugator_path(spec: GroupSpec, h: np.ndarray):

@@ -257,21 +257,36 @@ def require_residual(spec: GroupSpec, r: float, tol: float = TOL_MEMBERSHIP,
     return r
 
 
+def adjoint_stack(spec: GroupSpec, g: np.ndarray,
+                  residuals=None) -> np.ndarray:
+    """Matrices of Ad(g_i): X -> g_i X g_i^-1, one per matrix of the stack g
+    of shape (count, m, m); ``adjoint_matrix`` is the one-element case.
+
+    ``residuals`` are the slices' membership residuals when the caller has
+    them already (else they are computed here).  Raises for the first slice
+    that is numerically non-invertible or off the group.
+    """
+    g = np.asarray(g)
+    if residuals is None:
+        residuals = [membership_residual(spec, gi) for gi in g]
+    for det, r in zip(np.abs(np.linalg.det(g)), residuals):
+        if det < 0.5:
+            raise ValueError("g is numerically non-invertible")
+        require_residual(spec, r)
+    basis = algebra_basis(spec)
+    conj = np.einsum("sij,ajk,skl->sail", g, basis.matrices,
+                     group_inverse(spec, g))
+    # A[a, b] = <B_a, g B_b g^-1>; orthonormal basis, so no gram solve needed.
+    return np.real(np.einsum("aij,sbij->sab", basis.matrices.conj(), conj))
+
+
 def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Matrix of Ad(g): X -> g X g^-1 in the fixed algebra basis.
 
     Returns a real (d, d) array.  For the compact families this matrix is
     orthogonal with respect to the basis gram matrix.
     """
-    g = np.asarray(g)
-    if abs(np.linalg.det(g)) < 0.5:
-        raise ValueError("g is numerically non-invertible")
-    require_member(spec, g)
-    basis = algebra_basis(spec)
-    ginv = group_inverse(spec, g)
-    conj = np.einsum("ij,ajk,kl->ail", g, basis.matrices, ginv)
-    # A[a, b] = <B_a, g B_b g^-1>; orthonormal basis, so no gram solve needed.
-    return np.real(np.einsum("aij,bij->ab", basis.matrices.conj(), conj))
+    return adjoint_stack(spec, np.asarray(g)[None])[0]
 
 
 def cartan_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,11 @@ wall-time field.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class TrialRecord:
         if not self.digest:
             self.digest = inputs_digest(self.inputs)
 
+    def to_dict(self) -> dict:
+        return {"index": self.index, "seed": self.seed,
+                "inputs": dict(self.inputs), "residuals": dict(self.residuals),
+                "passed": self.passed, "status": self.status,
+                "note": self.note, "digest": self.digest}
+
 
 @dataclass
 class VerificationReport:
@@ -78,7 +85,14 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Plain-data copy: config and details copied deeply, and each
+        trial with fresh ``inputs`` and ``residuals`` dicts."""
+        return {"check": self.check, "passed": self.passed,
+                "worst_residual": self.worst_residual,
+                "trials": [t.to_dict() for t in self.trials],
+                "config": copy.deepcopy(self.config),
+                "details": copy.deepcopy(self.details),
+                "wall_time_s": self.wall_time_s}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
@@ -111,29 +125,33 @@ def single_trial_report(check, inputs, residuals, passed, config=None,
         wall_time_s=wall_time_s, worst_residual=worst_residual)
 
 
-def run_trials(check, count, seed, trial, config, worst_residual=None):
-    """Run ``count`` seeded trials and assemble their report.
+def inputs_memo():
+    """``memo(key, build) -> (inputs, digest)``: builds and digests the
+    inputs of each distinct key once per run, so trials that share their
+    inputs share one dict and one digest."""
+    memo = {}
 
-    Trial i calls ``trial(rng)`` with a numpy Generator seeded by seed + i;
-    the callback returns the TrialRecord fields other than ``index`` and
-    ``seed``.  A run is thus reproducible for a fixed seed, and trial i
-    replays alone as trial 0 of a one-trial run at seed + i.
-    ``worst_residual`` names the residual whose maximum is the report's
-    worst residual (default: every residual).
-    """
-    return run_stacked_trials(check, count, seed, trial, list, config,
-                              worst_residual)
+    def get(key, build):
+        if key not in memo:
+            inputs = build()
+            memo[key] = inputs, inputs_digest(inputs)
+        return memo[key]
+
+    return get
 
 
 def run_stacked_trials(check, count, seed, draw, evaluate, config,
                        worst_residual=None):
-    """``run_trials`` with each trial split in two, so that a check can
-    evaluate its trials as stacks: ``draw(rng)`` takes trial i's inputs
-    from the Generator seeded by seed + i, and ``evaluate`` maps the list
-    of every draw, in trial order, to the list of their TrialRecord fields.
-    The draws stay per trial, so trial i still replays alone at seed + i.
-    ``run_trials`` is the case where the draw is the whole trial and
-    ``evaluate`` is ``list``."""
+    """Run ``count`` seeded trials, each split in two so that a check can
+    evaluate its trials as stacks, and assemble their report.
+
+    ``draw(rng)`` takes trial i's inputs from a numpy Generator seeded by
+    seed + i, and ``evaluate`` maps the list of every draw, in trial order,
+    to the list of their TrialRecord fields other than ``index`` and
+    ``seed``.  A run is thus reproducible for a fixed seed, and trial i
+    replays alone as trial 0 of a one-trial run at seed + i.
+    ``worst_residual`` names the residual whose maximum is the report's
+    worst residual (default: every residual)."""
     if count < 1:
         raise ValueError(f"trial count must be >= 1, got {count}")
     t0 = time.perf_counter()

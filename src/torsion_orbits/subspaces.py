@@ -13,7 +13,8 @@ import time
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .groups import GroupSpec, adjoint_matrix, require_member
+from .groups import (GroupSpec, adjoint_stack, membership_residual,
+                     require_residual)
 from .reports import single_trial_report
 
 #: Relative singular-value threshold for rank decisions.
@@ -44,6 +45,18 @@ def _rank_cut(s: np.ndarray, tol: float) -> float:
     return tol * max(1.0, top)
 
 
+def _image_from_svd(U: np.ndarray, s: np.ndarray,
+                    tol: float) -> SubspaceBasis:
+    k = int(np.sum(s > _rank_cut(s, tol)))
+    return SubspaceBasis(U.shape[0], U[:, :k].copy(), tol)
+
+
+def _kernel_from_svd(s: np.ndarray, Vt: np.ndarray,
+                     tol: float) -> SubspaceBasis:
+    rank = int(np.sum(s > _rank_cut(s, tol)))
+    return SubspaceBasis(Vt.shape[1], Vt[rank:].T.copy(), tol)
+
+
 def image_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
     """Orthonormal basis of the column span of A.
 
@@ -51,23 +64,15 @@ def image_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
     tol * max(1, sigma_max).  A numerically zero matrix yields the empty
     basis.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    d = A.shape[0]
-    U, s, _ = np.linalg.svd(A)
-    cut = _rank_cut(s, tol)
-    k = int(np.sum(s > cut))
-    return SubspaceBasis(d, U[:, :k].copy(), tol)
+    U, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
+    return _image_from_svd(U, s, tol)
 
 
 def kernel_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
     """Orthonormal basis of the null space of A (right singular vectors with
     singular value <= tol * max(1, sigma_max))."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    d = A.shape[1]
-    _, s, Vt = np.linalg.svd(A)
-    cut = _rank_cut(s, tol)
-    rank = int(np.sum(s > cut))
-    return SubspaceBasis(d, Vt[rank:].T.copy(), tol)
+    _, s, Vt = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
+    return _kernel_from_svd(s, Vt, tol)
 
 
 def principal_angles(P: SubspaceBasis, Q: SubspaceBasis) -> np.ndarray:
@@ -103,32 +108,113 @@ def intersection_dimension(P: SubspaceBasis, Q: SubspaceBasis,
 
 
 def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
-    S = np.eye(A.shape[0])
-    P = np.eye(A.shape[0])
+    """I + A + ... + A^(n-1), for one matrix or each of a stack."""
+    S = P = np.eye(A.shape[-1])
     for _ in range(n - 1):
         P = P @ A
         S = S + P
-    return S
+    return np.broadcast_to(S, A.shape)
 
 
-def _finite_order_inputs(spec: GroupSpec, g, n, tol_membership, check,
-                         inputs, config, t0, note_suffix=""):
-    """(g, None) when g is a member with g^n = e up to n * tol_membership;
-    (g, rejected single-trial report of ``check``) when g^n = e fails."""
-    g = require_member(spec, g, tol_membership)
+def _one_member(spec: GroupSpec, g, n, tol_membership):
+    """(g as a one-element stack, [its membership residual]) for the
+    single-shot checkers, which raise for a non-member or a bad n."""
+    g = np.asarray(g)
+    r = require_residual(spec, membership_residual(spec, g), tol_membership)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    power = np.linalg.matrix_power(g, n)
-    if np.linalg.norm(power - spec.identity()) <= n * tol_membership:
-        return g, None
-    return g, single_trial_report(
-        check, inputs, {}, passed=False, status="rejected",
-        note=f"precondition g^{n} = e fails{note_suffix}", config=config,
-        wall_time_s=time.perf_counter() - t0)
+    return g[None], [r]
+
+
+def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
+                      tol_membership: float, evaluate, note_suffix=""):
+    """One outcome per slice of the stack g of group members: rejected where
+    g^n = e fails beyond n * tol_membership, else the outcome that
+    ``evaluate(keep)`` gives for that slice, ``keep`` being the indices of
+    the slices that pass.  An outcome holds the TrialRecord fields
+    ``residuals``, ``passed``, ``status`` and ``note``, and a check's
+    ``details`` when it ran."""
+    eye = spec.identity()
+    ok = [np.linalg.norm(p - eye) <= n * tol_membership
+          for p in np.linalg.matrix_power(g, n)]
+    keep = [i for i, o in enumerate(ok) if o]
+    done = iter(evaluate(keep) if keep else ())
+    return [next(done) if o else
+            {"residuals": {}, "passed": False, "status": "rejected",
+             "note": f"precondition g^{n} = e fails{note_suffix}"}
+            for o in ok]
+
+
+def _outcome(residuals, passed, details):
+    return {"residuals": residuals, "passed": bool(passed), "status": "ok",
+            "note": "", "details": details}
+
+
+def _outcome_report(check, inputs, outcome, config, t0, worst=None):
+    """Single-trial report of one outcome; ``worst`` names the residual
+    that is the report's worst residual (default: every residual)."""
+    return single_trial_report(
+        check, inputs, config=config, wall_time_s=time.perf_counter() - t0,
+        worst_residual=outcome["residuals"].get(worst), **outcome)
 
 
 #: Note suffix of a rejected subspace check.
 _NOT_A_VERDICT = "; not a verdict on the identity"
+
+
+def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
+                       tol_membership: float, check_slice):
+    """``_torsion_outcomes`` of a subspace check: for the slices with
+    g^n = e, one stacked adjoint, power sum S = I + Ad(g) + ... +
+    Ad(g)^(n-1) and SVD each of I - Ad(g) and S, then
+    ``check_slice(S, U, s, Vt, s_S, Vt_S)`` per slice."""
+    def evaluate(keep):
+        A = adjoint_stack(spec, g[keep], [residuals[i] for i in keep])
+        S = _adjoint_power_sum(A, n)
+        U, s, Vt = np.linalg.svd(np.eye(spec.dim) - A)
+        _, s_S, Vt_S = np.linalg.svd(S)
+        return list(map(check_slice, S, U, s, Vt, s_S, Vt_S))
+
+    return _torsion_outcomes(spec, g, n, tol_membership, evaluate,
+                             _NOT_A_VERDICT)
+
+
+def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
+                          tol_rank: float = TOL_RANK,
+                          tol_subspace: float = TOL_SUBSPACE,
+                          tol_membership: float = 1e-9):
+    """Outcome of ``verify_kernel_image_identity`` for each slice of the
+    stack g of group members with membership residuals ``residuals``."""
+    def check_slice(S, U, s, Vt, s_S, Vt_S):
+        im = _image_from_svd(U, s, tol_rank)
+        ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
+        equal, angle = subspace_equal(im, ker, tol_subspace)
+        containment = 0.0
+        if im.dim:
+            containment = float(np.max(np.linalg.norm(S @ im.vectors, axis=0)))
+        return _outcome({"principal_angle": angle, "containment": containment},
+                        equal, {"image_dim": im.dim, "kernel_dim": ker.dim})
+
+    return _subspace_outcomes(spec, g, n, residuals, tol_membership,
+                              check_slice)
+
+
+def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
+                               residuals, tol_rank: float = TOL_RANK,
+                               angle_tol: float = TOL_SUBSPACE,
+                               tol_membership: float = 1e-9):
+    """Outcome of ``verify_zero_intersection`` for each slice of the stack g
+    of group members with membership residuals ``residuals``."""
+    def check_slice(S, U, s, Vt, s_S, Vt_S):
+        fixed = _kernel_from_svd(s, Vt, tol_rank)
+        ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
+        est, min_angle = intersection_dimension(fixed, ker, angle_tol)
+        return _outcome({"intersection_dim": float(est)}, est == 0,
+                        {"fixed_dim": fixed.dim, "kernel_dim": ker.dim,
+                         "min_principal_angle": min_angle})
+
+    return _subspace_outcomes(spec, g, n, residuals, tol_membership,
+                              check_slice)
 
 
 def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
@@ -141,30 +227,16 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
     largest principal angle between the two subspaces, and the containment
     residual max_v ||Sum_i Ad(g)^i v|| over image basis vectors v.
     A precondition violation (g^n far from e) yields a rejected report.
+    This is the one-element case of ``kernel_image_outcomes``.
     """
     t0 = time.perf_counter()
-    inputs = {"group": spec.label(), "n": n}
     config = {"check": "kernel-image", "tol_rank": tol_rank,
               "tol_subspace": tol_subspace, "tol_membership": tol_membership}
-    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
-                                       "kernel-image", inputs, config, t0,
-                                       _NOT_A_VERDICT)
-    if rejected is not None:
-        return rejected
-    A = adjoint_matrix(spec, g)
-    S = _adjoint_power_sum(A, n)
-    im = image_basis(np.eye(spec.dim) - A, tol_rank)
-    ker = kernel_basis(S, tol_rank)
-    equal, angle = subspace_equal(im, ker, tol_subspace)
-    containment = 0.0
-    if im.dim:
-        containment = float(np.max(np.linalg.norm(S @ im.vectors, axis=0)))
-    residuals = {"principal_angle": angle, "containment": containment}
-    details = {"image_dim": im.dim, "kernel_dim": ker.dim}
-    return single_trial_report(
-        "kernel-image", inputs, residuals, passed=bool(equal), config=config,
-        details=details, wall_time_s=time.perf_counter() - t0,
-        worst_residual=angle)
+    stack, residuals = _one_member(spec, g, n, tol_membership)
+    outcome, = kernel_image_outcomes(spec, stack, n, residuals, tol_rank,
+                                     tol_subspace, tol_membership)
+    return _outcome_report("kernel-image", {"group": spec.label(), "n": n},
+                           outcome, config, t0, "principal_angle")
 
 
 def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
@@ -176,25 +248,14 @@ def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
     The fixed space of Ad(g) is mapped to n times itself by the power sum, so
     the two kernels can only share the zero vector; the report records the
     estimated intersection dimension and the smallest principal angle.
+    This is the one-element case of ``zero_intersection_outcomes``.
     """
     t0 = time.perf_counter()
-    inputs = {"group": spec.label(), "n": n}
     config = {"check": "zero-intersection", "tol_rank": tol_rank,
               "angle_tol": angle_tol, "tol_membership": tol_membership}
-    g, rejected = _finite_order_inputs(spec, g, n, tol_membership,
-                                       "zero-intersection", inputs, config, t0,
-                                       _NOT_A_VERDICT)
-    if rejected is not None:
-        return rejected
-    A = adjoint_matrix(spec, g)
-    S = _adjoint_power_sum(A, n)
-    fixed = kernel_basis(np.eye(spec.dim) - A, tol_rank)
-    ker = kernel_basis(S, tol_rank)
-    est, min_angle = intersection_dimension(fixed, ker, angle_tol)
-    residuals = {"intersection_dim": float(est)}
-    details = {"fixed_dim": fixed.dim, "kernel_dim": ker.dim,
-               "min_principal_angle": min_angle}
-    return single_trial_report(
-        "zero-intersection", inputs, residuals, passed=(est == 0),
-        config=config, details=details,
-        wall_time_s=time.perf_counter() - t0, worst_residual=float(est))
+    stack, residuals = _one_member(spec, g, n, tol_membership)
+    outcome, = zero_intersection_outcomes(spec, stack, n, residuals, tol_rank,
+                                          angle_tol, tol_membership)
+    return _outcome_report("zero-intersection",
+                           {"group": spec.label(), "n": n}, outcome, config,
+                           t0, "intersection_dim")

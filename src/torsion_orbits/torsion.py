@@ -16,11 +16,12 @@ by brute force; it is the oracle the tests check the enumerator against.
 Each element is decomposed once: a complex Schur form for U/SU, one real
 Schur scan for SO, and ``_sl2_align`` for SL(2,R), off which
 ``orientation_sign`` also reads the SL(2,R) orientation.
-``cluster_census`` draws each sample from its own seeded Generator, so a
-sample replays alone, but evaluates the samples as stacks: one Haar QR,
-torus build and conjugation per block, then snapping and canonicalization
-on integer phase numerators k (phase k/n), with ``canonicalize`` and
-``matrix_invariant`` as the per-sample oracles in the tests.
+``cluster_census`` and ``sl2_component_census`` draw each sample from its
+own seeded Generator, so a sample replays alone, but evaluate the samples
+as stacks: one Haar QR, torus build and conjugation per block.  The
+cluster census then snaps and canonicalizes integer phase numerators k
+(phase k/n), with ``canonicalize`` and ``matrix_invariant`` as the
+per-sample oracles in the tests.
 """
 
 from __future__ import annotations
@@ -37,10 +38,9 @@ from scipy.linalg import schur
 
 from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
                      element_draws, elements_from_draws, group_inverse,
-                     membership_residual, random_element, require_member,
-                     require_residual)
-from .reports import (VerificationReport, inputs_digest, run_stacked_trials,
-                      run_trials, single_trial_report)
+                     membership_residual, require_member, require_residual)
+from .reports import (VerificationReport, inputs_memo, run_stacked_trials,
+                      single_trial_report)
 from .subspaces import image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
@@ -586,13 +586,17 @@ def approximation_bound(spec: GroupSpec, N: int, corrections: int = 0) -> float:
     return (2 * np.pi / N) * float(np.sqrt((p - c) * 0.25 + c * 2.25))
 
 
-def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
+def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int, residual=None):
+    """(approx, distance, bound); ``residual`` is g's membership residual
+    when the caller has it already."""
     if spec.family == "SL2R":
         raise UnsupportedGroupError(
             "nearest torsion approximation is defined for the compact families")
     if N < 1:
         raise ValueError("N must be >= 1")
-    g = require_member(spec, g)
+    g = np.asarray(g)
+    require_residual(spec, membership_residual(spec, g) if residual is None
+                     else residual)
     corrections = 0
     if spec.family in ("U", "SU"):
         Z, phases = _unitary_eigenstructure(g)
@@ -654,6 +658,28 @@ def _expected_sigma(k: int, n: int) -> int:
     return -1 if 2 * k < n else 1
 
 
+#: Trials evaluated as one stack, at most: the one cap of every stacked
+#: census and sweep.
+_CENSUS_BLOCK = 4096
+
+
+def _blocks(items: list) -> list:
+    """``items`` cut, in order, into runs of at most ``_CENSUS_BLOCK``."""
+    return [items[start:start + _CENSUS_BLOCK]
+            for start in range(0, len(items), _CENSUS_BLOCK)]
+
+
+def _conjugate_stack(spec: GroupSpec, n: int, rows: np.ndarray, draws):
+    """Stack of torus points with phase numerators ``rows`` (phases k/n),
+    each conjugated by the element ``elements_from_draws`` makes of the
+    matching ``element_draws`` result: one QR, torus build and conjugation
+    for the whole stack.  For the rows of torus point indices, slice j
+    equals ``random_torsion_element`` from the Generator that drew the
+    j-th index and then ``draws[j]``."""
+    h = elements_from_draws(spec, np.stack(draws))
+    return h @ torus_stack(spec, rows / n) @ group_inverse(spec, h)
+
+
 def sl2_component_census(n: int, samples: int, seed: int,
                          trace_digits: int = 6) -> VerificationReport:
     """Monte-Carlo census of {g : g^n = e} in SL(2,R).
@@ -663,39 +689,49 @@ def sl2_component_census(n: int, samples: int, seed: int,
     exactly n classes appear and the orientation sign never flips within a
     sampled orbit: the k-th and (n-k)-th rotations share a trace but stay in
     different components.
+
+    Sample i draws k and then its conjugator from its own Generator, so it
+    replays alone at seed + i; the samples are conjugated as stacks of at
+    most ``_CENSUS_BLOCK``, and each one's orientation, trace and
+    membership residual are read per sample.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     spec = GroupSpec("SL2R", 2)
     classes = set()
+    memo = inputs_memo()
 
-    def trial(rng):
-        k = int(rng.integers(n))
-        h = random_element(spec, rng)
-        rot = torus_matrix(spec, [Fraction(k, n)])
-        g = h @ rot @ group_inverse(spec, h)
-        sigma = orientation_sign(g)
-        classes.add((round(float(np.trace(g)), trace_digits), sigma))
-        flipped = sigma != _expected_sigma(k, n)
-        return {"inputs": {"k": k, "n": n},
-                "residuals": {"membership": membership_residual(spec, g),
-                              "sigma_flip": float(flipped)},
-                "passed": not flipped}
+    def draw(rng):
+        return int(rng.integers(n)), element_draws(spec, rng)
 
-    report = run_trials("sl2-census", samples, seed, trial,
-                        {"n": n, "samples": samples, "seed": seed,
-                         "trace_digits": trace_digits},
-                        worst_residual="membership")
+    def evaluate(draws):
+        fields = []
+        for block in _blocks(draws):
+            ks = [k for k, _ in block]
+            g = _conjugate_stack(spec, n, np.array(ks)[:, None],
+                                 [z for _, z in block])
+            for k, gk in zip(ks, g):
+                sigma = orientation_sign(gk)
+                classes.add((round(float(np.trace(gk)), trace_digits), sigma))
+                flipped = sigma != _expected_sigma(k, n)
+                inputs, digest = memo(k, lambda: {"k": k, "n": n})
+                fields.append({"inputs": inputs, "digest": digest,
+                               "residuals": {
+                                   "membership": membership_residual(spec, gk),
+                                   "sigma_flip": float(flipped)},
+                               "passed": not flipped})
+        return fields
+
+    report = run_stacked_trials("sl2-census", samples, seed, draw, evaluate,
+                                {"n": n, "samples": samples, "seed": seed,
+                                 "trace_digits": trace_digits},
+                                worst_residual="membership")
     flip_count = sum(not t.passed for t in report.trials)
     report.passed = report.passed and len(classes) == n
     report.details = {"class_count": len(classes), "expected_classes": n,
                       "sigma_flips": flip_count,
                       "classes": sorted(map(list, classes))}
     return report
-
-
-#: Census samples evaluated as one stack.
-_CENSUS_BLOCK = 4096
 
 
 def cluster_census(spec: GroupSpec, n: int, samples: int,
@@ -717,30 +753,26 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     t0 = time.perf_counter()
     expected = count_components(spec, n)
     count = _indexable_count(spec, n)
-    seen, points = set(), {}
+    seen = set()
+    memo = inputs_memo()
 
     def draw(rng):
         return int(rng.integers(count)), element_draws(spec, rng)
 
     def evaluate(draws):
         fields = []
-        for start in range(0, len(draws), _CENSUS_BLOCK):
-            block = draws[start:start + _CENSUS_BLOCK]
+        for block in _blocks(draws):
             indices = [i for i, _ in block]
             drawn = _torsion_rows(spec, n, indices)
-            h = elements_from_draws(spec, np.stack([z for _, z in block]))
-            g = h @ torus_stack(spec, drawn / n) @ group_inverse(spec, h)
+            g = _conjugate_stack(spec, n, drawn, [z for _, z in block])
             residuals, ks = _census_phases(spec, n, g)
             found = _canonical_rows(spec, n, ks)
             consistent = (found == _canonical_rows(spec, n, drawn)).all(axis=1)
             seen.update(map(tuple, np.unique(found, axis=0).tolist()))
             for i, row, r, ok in zip(indices, drawn.tolist(), residuals,
                                      consistent.tolist()):
-                if i not in points:
-                    inputs = {"point": [str(Fraction(k, n)) for k in row],
-                              "n": n}
-                    points[i] = inputs, inputs_digest(inputs)
-                inputs, digest = points[i]
+                inputs, digest = memo(i, lambda: {
+                    "point": [str(Fraction(k, n)) for k in row], "n": n})
                 fields.append({"inputs": inputs, "digest": digest,
                                "residuals": {"membership": r,
                                              "invariant_mismatch":

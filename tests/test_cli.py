@@ -205,6 +205,20 @@ SAME_SEED_DIGESTS = {
         0, "8bc5abe09432be074885da8debc0b4d6ae9f3c28e2d35fca566c779af74cb4ce"),
     "census sl2 --n 5 --samples 1 --seed 3": (
         1, "5cf924ee0f7a293e79c9d2ef9a1b01aaecdd6763fee54dc9c477f1354438369b"),
+    # 300 trials reach most (group, n) stacks of the default spec mix;
+    # recorded before the sweeps were stacked
+    "verify lemma31 --trials 300 --seed 5": (
+        0, "9b698983c2b684b7d9649f49d0dc2a32749d071f3a50c117f824d34260d29b68"),
+    "verify lemma32 --trials 300 --seed 5": (
+        0, "83a8880195f22b78b583977d0e020e22060cc9204289cc8fa6a27dad561009c5"),
+    "verify lemma33 --trials 300 --seed 5": (
+        0, "5b17888a16201267645c785d4937cfb51cfd73a9e5c3b302cc0f63c7ebc27003"),
+    "verify zero-intersection --trials 300 --seed 5": (
+        0, "3287cd943904d76654470697a7bffb72a6596385ee8a4a22a1b1d30e637d8a26"),
+    "verify density --trials 300 --seed 5": (
+        0, "d61faabf505b9b65f19d19d7b37661bc247f8af918c433763f937cd5b7775d7b"),
+    "census sl2 --n 24 --samples 1000 --seed 5": (
+        0, "d4ae20f0159c51cf7f5e66f1e3c29932128f2ade51cbe0c3109b22fdef209ec6"),
 }
 
 
