@@ -18,7 +18,8 @@ from .torsion import (MAX_CLASSES, CanonicalInvariant, ComponentDescriptor,
                       gcd_intersection_check, matrix_invariant,
                       nearest_torsion_approximant, orbit_dimension,
                       orientation_sign, sl2_component_census, torsion_point,
-                      torsion_point_count, torus_matrix, write_catalog_csv)
+                      torsion_point_count, torus_matrix, write_catalog_csv,
+                      write_catalog_json)
 from .curves import (CurveSample, DifferentComponentsError,
                      conjugation_curve, connect_within_component,
                      curve_kernel_check, export_path_csv,
@@ -45,7 +46,7 @@ __all__ = [
     "gcd_intersection_check", "matrix_invariant",
     "nearest_torsion_approximant", "orbit_dimension", "orientation_sign",
     "sl2_component_census", "torsion_point", "torsion_point_count",
-    "torus_matrix", "write_catalog_csv",
+    "torus_matrix", "write_catalog_csv", "write_catalog_json",
     "CurveSample", "DifferentComponentsError", "conjugation_curve",
     "connect_within_component", "curve_kernel_check", "export_path_csv",
     "path_order_residuals", "product_identity_check", "tangent_space_check",

@@ -25,9 +25,9 @@ from .surface import (circle_point, export_points_csv, sample_surface,
 from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS,
                      sweep_curve_identities, sweep_density, sweep_kernel_image,
                      sweep_tangent, sweep_zero_intersection)
-from .torsion import (catalog_components, catalog_json_payload, cluster_census,
+from .torsion import (catalog_components, cluster_census,
                       gcd_intersection_check, sl2_component_census,
-                      write_catalog_csv)
+                      write_catalog_csv, write_catalog_json)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -152,14 +152,13 @@ def cmd_catalog(args) -> int:
     config = RunConfig(command="catalog", family=spec.family, size=spec.size,
                        n=args.n, fmt=args.format).validate()
     catalog = catalog_components(spec, args.n)
-    if args.format == "csv":
+    if args.format in ("csv", "json"):
         buf = io.StringIO()
-        write_catalog_csv(catalog, buf)
+        if args.format == "csv":
+            write_catalog_csv(catalog, buf)
+        else:
+            write_catalog_json(catalog, config.as_dict(), buf)
         text = buf.getvalue()
-    elif args.format == "json":
-        payload = {"config": config.as_dict(),
-                   "components": catalog_json_payload(catalog)}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = [f"{spec.label()} n={args.n}: {len(catalog)} components"]
         for idx, comp in enumerate(catalog):

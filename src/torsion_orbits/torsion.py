@@ -4,11 +4,15 @@ Every g with g^n = e in one of the supported groups is conjugate to a point
 of the standard maximal torus whose block phases are exact fractions k/n.
 Conjugation permutes and (family permitting) reflects those phases, so an
 orbit is labeled by a canonical invariant: the Weyl-reduced phase multiset.
-This module enumerates those invariants directly, one per class with its
-orbit size, so a catalog costs time in the number of classes rather than in
-the n^rank torus points.  It realizes one representative per class, gives
-each class's dimension in closed form, and draws uniform torus points in
-O(rank) by decoding an index.  ``enumerate_torsion`` lists every torus point
+This module walks those invariants directly, as integer phase numerators
+k (phase k/n), one per class with its orbit size, so a catalog costs time in
+the number of classes rather than in the n^rank torus points.  Catalogs,
+counts and the gcd law run on that walk; ``Fraction``s and labels are built
+once per class, for the output only.  A catalog realizes its
+representatives as one torus stack, gives each class's dimension in closed
+form, and prints its JSON through a fixed per-class template
+(``write_catalog_json``).  Uniform torus points are drawn in O(rank) by
+decoding an index.  ``enumerate_torsion`` lists every torus point
 by brute force; it is the oracle the tests check the enumerator against.
 ``matrix_invariant`` canonicalizes a matrix's snapped eigenphases, and
 ``canonical_align`` conjugates it onto their
@@ -27,6 +31,7 @@ per-sample oracles in the tests.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 from collections import Counter
@@ -87,8 +92,7 @@ def torus_matrix(spec: GroupSpec, phases) -> np.ndarray:
     """Standard torus element with the given block phases (cycles, not
     radians): diagonal for U/SU, rotation blocks for SO (odd sizes keep a
     trailing fixed axis), a rotation for SL(2,R)."""
-    # a copy, not a view of the one-row stack: catalogs keep one per class
-    return torus_stack(spec, [[float(p) for p in phases]])[0].copy()
+    return torus_stack(spec, [[float(p) for p in phases]])[0]
 
 
 def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
@@ -442,14 +446,20 @@ def orbit_dimension(spec: GroupSpec, canonical: CanonicalInvariant) -> int:
     -1 eigenspaces contribute so(a) and so(b), each other folded phase of
     multiplicity c contributes u(c).  SL(2,R): +-I are central, every
     elliptic class is a 2-dimensional orbit."""
-    phases = canonical.phases
+    n = math.lcm(*(p.denominator for p in canonical.phases))
+    return _class_dimension(spec, n, [p.numerator * (n // p.denominator)
+                                      for p in canonical.phases])
+
+
+def _class_dimension(spec: GroupSpec, n: int, ks) -> int:
+    # ``orbit_dimension`` of the phases k/n, k in [0, n), from integers
     if spec.family == "SL2R":
-        return 0 if phases[0] in (ZERO, HALF) else 2
+        return 0 if 2 * ks[0] % n == 0 else 2
     if spec.family in ("U", "SU"):
-        return spec.size ** 2 - sum(c * c for c in Counter(phases).values())
-    folded = Counter(min(p, 1 - p) for p in phases)
-    a = 2 * folded.pop(ZERO, 0) + spec.size % 2
-    b = 2 * folded.pop(HALF, 0)
+        return spec.size ** 2 - sum(c * c for c in Counter(ks).values())
+    folded = Counter(min(k, n - k) for k in ks)
+    a = 2 * folded.pop(0, 0) + spec.size % 2
+    b = 0 if n % 2 else 2 * folded.pop(n // 2, 0)
     centralizer = (a * (a - 1) // 2 + b * (b - 1) // 2
                    + sum(c * c for c in folded.values()))
     return spec.dim - centralizer
@@ -488,12 +498,13 @@ def _arrangements(ks: tuple) -> int:
     return out
 
 
-def class_table(spec: GroupSpec, n: int) -> dict:
-    """{canonical invariant: orbit size} over the classes of {g : g^n = e},
-    in sort order; the orbit size counts the torus points in the class.
+def _class_walk(spec: GroupSpec, n: int):
+    """Yield (ks, parity, orbit size) for each class of {g : g^n = e}, in
+    sort order: ks are the canonical phase numerators (phases k/n), parity
+    the SO(2r) bit or None.
 
-    Built from the invariants themselves, in time proportional to the
-    multisets walked: sorted phase multisets (SU: those summing to an
+    The walk runs over the invariants themselves, in time proportional to
+    the multisets walked: sorted phase multisets (SU: those summing to an
     integer) for U/SU; for SO, multisets of folded phases f/n with
     f <= n/2, each slot off {0, n/2} having two preimages, and for SO(2r),
     r >= 2, a split into two parity classes when every slot is off
@@ -506,46 +517,59 @@ def class_table(spec: GroupSpec, n: int) -> dict:
         raise ValueError(
             f"{spec.label()} n={n} has up to {bound:,} classes, above the "
             f"limit of {MAX_CLASSES:,}")
-    grid = [Fraction(k, n) for k in range(n)]
     if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
-        return {CanonicalInvariant((p,)): 1 for p in grid}
-    table = {}
+        for k in range(n):
+            yield (k,), None, 1
+        return
     if spec.family in ("U", "SU"):
         for ks in itertools.combinations_with_replacement(range(n), spec.size):
             if spec.family == "SU" and sum(ks) % n:
                 continue
-            phases = tuple(grid[k] for k in ks)
-            table[CanonicalInvariant(phases)] = _arrangements(ks)
-        return table
+            yield ks, None, _arrangements(ks)
+        return
     r = spec.rank
     for fs in itertools.combinations_with_replacement(range(n // 2 + 1), r):
-        phases = tuple(grid[f] for f in fs)
         free = sum(1 for f in fs if f and 2 * f != n)
         orbit = _arrangements(fs) << free
         if spec.size % 2 == 0 and free == r:
-            table[CanonicalInvariant(phases, 0)] = orbit // 2
-            table[CanonicalInvariant(phases, 1)] = orbit // 2
+            yield fs, 0, orbit // 2
+            yield fs, 1, orbit // 2
         else:
-            table[CanonicalInvariant(phases)] = orbit
-    return table
+            yield fs, None, orbit
+
+
+def class_table(spec: GroupSpec, n: int) -> dict:
+    """{canonical invariant: orbit size} over the classes of {g : g^n = e},
+    in sort order; the orbit size counts the torus points in the class.
+    Built from the invariants themselves (see ``_class_walk``), in time
+    proportional to the class count.  Raises ValueError when
+    ``class_count_bound`` exceeds MAX_CLASSES."""
+    grid = [Fraction(k, n) for k in range(n)]
+    return {CanonicalInvariant(tuple(grid[k] for k in ks), parity): orbit
+            for ks, parity, orbit in _class_walk(spec, n)}
 
 
 def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     """Complete catalog of orbits of {g : g^n = e}, sorted by canonical
-    invariant.  One entry per Weyl orbit of torsion points."""
-    out = []
-    for inv, orbit_size in class_table(spec, n).items():
-        realized = canonical_realization(spec, inv)
-        out.append(ComponentDescriptor(
-            spec, n, inv, torus_matrix(spec, realized),
-            orbit_dimension(spec, inv),
-            math.lcm(*(p.denominator for p in realized)), orbit_size))
-    return out
+    invariant.  One entry per Weyl orbit of torsion points; the
+    representatives are the rows of one torus stack."""
+    walk = list(_class_walk(spec, n))
+    realized = np.array([ks for ks, _, _ in walk], dtype=np.int64)
+    # canonical_realization: a set parity bit reflects the last block
+    flip = np.array([parity == 1 for _, parity, _ in walk], dtype=bool)
+    realized[flip, -1] = (n - realized[flip, -1]) % n
+    reps = torus_stack(spec, realized / n)
+    grid = [Fraction(k, n) for k in range(n)]
+    return [ComponentDescriptor(
+                spec, n, CanonicalInvariant(tuple(grid[k] for k in ks), parity),
+                rep, _class_dimension(spec, n, ks), n // math.gcd(n, *ks),
+                orbit)
+            for (ks, parity, orbit), rep in zip(walk, reps)]
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
     """Number of conjugation orbits of {g : g^n = e}."""
-    return len(class_table(spec, n))
+    return sum(1 for _ in _class_walk(spec, n))
 
 
 def invariant_set(spec: GroupSpec, n: int) -> frozenset:
@@ -555,17 +579,26 @@ def invariant_set(spec: GroupSpec, n: int) -> frozenset:
 def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationReport:
     """Check that the invariant sets satisfy set(n) & set(m) == set(gcd(n,m)).
 
-    Canonical invariants use reduced fractions, so the same orbit gets the
-    same label no matter which n produced it; the check is exact.
+    Each class is keyed by its canonical phases scaled to the common
+    denominator lcm(n, m), plus its parity, so the same orbit gets the same
+    key no matter which n produced it; the check is exact.
     """
     t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    g = math.gcd(n, m)
-    s_n, s_m, s_g = invariant_set(spec, n), invariant_set(spec, m), invariant_set(spec, g)
+    g, common = math.gcd(n, m), math.lcm(n, m)
+
+    def keys(order):
+        scale = common // order
+        return {(tuple(k * scale for k in ks), parity)
+                for ks, parity, _ in _class_walk(spec, order)}
+
+    s_n, s_m, s_g = keys(n), keys(m), keys(g)
     inter = s_n & s_m
     mismatch = inter ^ s_g
-    labels = sorted(inv.label() for inv in mismatch)[:10]
+    labels = sorted(CanonicalInvariant(tuple(Fraction(k, common) for k in ks),
+                                       parity).label()
+                    for ks, parity in mismatch)[:10]
     inputs = {"group": spec.label(), "n": n, "m": m, "gcd": g}
     details = {"count_n": len(s_n), "count_m": len(s_m),
                "count_gcd": len(s_g), "count_intersection": len(inter),
@@ -846,25 +879,70 @@ def write_catalog_csv(catalog: list[ComponentDescriptor], fileobj) -> None:
         writer.writerow(row)
 
 
-def catalog_json_payload(catalog: list[ComponentDescriptor]) -> list[dict]:
-    """JSON form of a catalog; representatives are stored row-major with
-    full double precision, split into real and imaginary parts."""
-    payload = []
+#: One catalog entry of ``write_catalog_json``, at its depth in the
+#: document and with its keys in sorted order.
+_JSON_ENTRY = """\
+    {{
+      "canonical": {canonical},
+      "component_index": {index},
+      "dimension": {dimension},
+      "exact_order": {exact_order},
+      "group": {group},
+      "n": {n},
+      "orbit_size": {orbit_size},
+      "parity": {parity},
+      "phases": [
+{phases}
+      ],
+      "representative": {{
+{imag}        "real": {real},
+        "shape": [
+          {shape}
+        ]
+      }},
+      "size": {size}
+    }}"""
+
+
+def _json_floats(values: np.ndarray) -> str:
+    # a representative's part as json.dumps(indent=2) prints it at depth 4
+    text = repr(values.ravel().tolist())
+    if "n" in text:  # repr spells inf and nan so; a finite float has no n
+        raise ValueError("a catalog representative is not finite; JSON "
+                         "cannot hold it")
+    return ("[\n          " + text[1:-1].replace(", ", ",\n          ")
+            + "\n        ]")
+
+
+def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
+                       fileobj) -> None:
+    """Write ``{"config": config, "components": [...]}`` exactly as
+    ``json.dumps(..., sort_keys=True, indent=2)`` prints it, plus a newline.
+    A component lists its label, phases as [numerator, denominator] pairs,
+    parity, dimension, exact order, orbit size and its representative,
+    row-major with full double precision, split into real and imaginary
+    parts.  Raises ValueError for a non-finite representative: repr spells
+    it nan or inf, where json.dumps prints NaN or Infinity, which is not
+    JSON either."""
+    entries = []
     for idx, comp in enumerate(catalog):
         rep = np.asarray(comp.representative)
-        entry = {
-            "group": comp.spec.family, "size": comp.spec.size, "n": comp.n,
-            "component_index": idx, "canonical": comp.canonical.label(),
-            "phases": [[p.numerator, p.denominator] for p in comp.canonical.phases],
-            "parity": comp.canonical.parity,
-            "dimension": comp.dimension, "exact_order": comp.exact_order,
-            "orbit_size": comp.orbit_size,
-            "representative": {
-                "shape": list(rep.shape),
-                "real": [float(x) for x in rep.real.ravel()],
-            },
-        }
-        if np.iscomplexobj(rep):
-            entry["representative"]["imag"] = [float(x) for x in rep.imag.ravel()]
-        payload.append(entry)
-    return payload
+        parity = comp.canonical.parity
+        entries.append(_JSON_ENTRY.format(
+            canonical=json.dumps(comp.canonical.label()), index=idx,
+            dimension=comp.dimension, exact_order=comp.exact_order,
+            group=json.dumps(comp.spec.family), n=comp.n,
+            orbit_size=comp.orbit_size,
+            parity="null" if parity is None else parity,
+            phases=",\n".join(f"        [\n          {p.numerator},\n"
+                               f"          {p.denominator}\n        ]"
+                               for p in comp.canonical.phases),
+            imag=(f'        "imag": {_json_floats(rep.imag)},\n'
+                  if np.iscomplexobj(rep) else ""),
+            real=_json_floats(rep.real),
+            shape=",\n          ".join(map(str, rep.shape)),
+            size=comp.spec.size))
+    components = ("[\n" + ",\n".join(entries) + "\n  ]") if entries else "[]"
+    config_text = json.dumps(config, sort_keys=True, indent=2)
+    fileobj.write('{\n  "components": ' + components + ',\n  "config": '
+                  + config_text.replace("\n", "\n  ") + "\n}\n")

@@ -219,6 +219,15 @@ SAME_SEED_DIGESTS = {
         0, "d61faabf505b9b65f19d19d7b37661bc247f8af918c433763f937cd5b7775d7b"),
     "census sl2 --n 24 --samples 1000 --seed 5": (
         0, "d4ae20f0159c51cf7f5e66f1e3c29932128f2ade51cbe0c3109b22fdef209ec6"),
+    # recorded before the gcd check intersected integer phase keys
+    "verify gcd --group U --size 3 --n 24 --m 36": (
+        0, "2d518d9b1e6418ae0677f11baa9ea4a511aed53097179e2da97a790f603da494"),
+    "verify gcd --group SO --size 4 --n 12 --m 18": (
+        0, "9265602ed4c3198d8b7fb768164816aed14f1bd7d4c8ddb735974b82b2df791e"),
+    "verify gcd --group SU --size 3 --n 6 --m 9": (
+        0, "64f7144a2a14a85fb9791b9b506fa837a52520cee41ca5038cacfb8e59624519"),
+    "verify gcd --group SL2R --n 4 --m 6": (
+        0, "2d00b4cdd4410a887c9538cc97ef3871f94bfc26e491ed116f6a42091c5d60ad"),
 }
 
 
@@ -227,7 +236,11 @@ def test_same_seed_json_matches_recorded_digests(capsys):
     for command, (want_code, want) in SAME_SEED_DIGESTS.items():
         code, out, _ = run(capsys, command.split() + ["--format", "json"])
         assert code == want_code, command
-        blob = json.dumps(strip_wall_time(json.loads(out)), sort_keys=True)
+        payload = json.loads(out)
+        # the digest re-serializes; this pins the printed layout
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n", \
+            command
+        blob = json.dumps(strip_wall_time(payload), sort_keys=True)
         assert hashlib.sha256(blob.encode()).hexdigest() == want, command
 
 

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,18 +30,20 @@ from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     TorusTorsionPoint, approximation_bound,
                                     canonical_align, canonical_realization,
                                     canonicalize, catalog_components,
-                                    catalog_json_payload, catalog_rows,
+                                    catalog_rows,
                                     class_count_bound, class_table,
                                     cluster_census, component_dimension,
                                     count_components, enumerate_torsion,
                                     gcd_intersection_check, invariant_set,
                                     matrix_invariant,
                                     nearest_torsion_approximant,
-                                    orientation_sign, phase_slots,
+                                    orbit_dimension, orientation_sign,
+                                    phase_slots,
                                     random_torsion_point,
                                     sl2_component_census, torsion_point,
                                     torsion_point_count, torus_matrix,
-                                    torus_stack, write_catalog_csv)
+                                    torus_stack, write_catalog_csv,
+                                    write_catalog_json)
 
 
 # ------------------------------------------------------------------ oracles
@@ -109,6 +112,50 @@ def class_dim_oracle(spec, rep):
     M = np.array(cols).T
     M = np.vstack([M.real, M.imag])
     return int(np.linalg.matrix_rank(M, tol=1e-9))
+
+
+def fraction_orbit_dimension(spec, canonical):
+    """``orbit_dimension`` on the ``Fraction`` phases themselves: dim G
+    minus the centralizer dimension read off the phase multiplicities."""
+    zero, half = Fraction(0), Fraction(1, 2)
+    phases = canonical.phases
+    if spec.family == "SL2R":
+        return 0 if phases[0] in (zero, half) else 2
+    if spec.family in ("U", "SU"):
+        return spec.size ** 2 - sum(c * c for c in Counter(phases).values())
+    folded = Counter(min(p, 1 - p) for p in phases)
+    a = 2 * folded.pop(zero, 0) + spec.size % 2
+    b = 2 * folded.pop(half, 0)
+    centralizer = (a * (a - 1) // 2 + b * (b - 1) // 2
+                   + sum(c * c for c in folded.values()))
+    return spec.dim - centralizer
+
+
+def catalog_json_payload(catalog):
+    """JSON form of a catalog, built as a dict for ``json.dumps``:
+    representatives row-major with full double precision, split into real
+    and imaginary parts.  The oracle of ``write_catalog_json``."""
+    payload = []
+    for idx, comp in enumerate(catalog):
+        rep = np.asarray(comp.representative)
+        entry = {
+            "group": comp.spec.family, "size": comp.spec.size, "n": comp.n,
+            "component_index": idx, "canonical": comp.canonical.label(),
+            "phases": [[p.numerator, p.denominator]
+                       for p in comp.canonical.phases],
+            "parity": comp.canonical.parity,
+            "dimension": comp.dimension, "exact_order": comp.exact_order,
+            "orbit_size": comp.orbit_size,
+            "representative": {
+                "shape": list(rep.shape),
+                "real": [float(x) for x in rep.real.ravel()],
+            },
+        }
+        if np.iscomplexobj(rep):
+            entry["representative"]["imag"] = [float(x)
+                                               for x in rep.imag.ravel()]
+        payload.append(entry)
+    return payload
 
 
 # ------------------------------------------------------------- enumeration
@@ -323,6 +370,7 @@ def test_class_table_is_the_fold_of_the_enumeration(spec):
             fold[inv] = fold.get(inv, 0) + 1
         table = class_table(spec, n)
         assert table == fold, (spec.label(), n)
+        assert list(table.items()) == walked_table(spec, n)
         assert list(table) == sorted(fold, key=CanonicalInvariant.sort_key)
         assert len(table) <= class_count_bound(spec, n)
 
@@ -344,6 +392,46 @@ def test_closed_form_dimension_matches_adjoint_rank(spec):
         for c in catalog_components(spec, n):
             assert c.dimension == component_dimension(spec, c.representative), \
                 (spec.label(), n, c.canonical.label())
+
+
+def walked_table(spec, n):
+    """``torsion._class_walk`` as (canonical invariant, orbit size) pairs."""
+    return [(CanonicalInvariant(tuple(Fraction(k, n) for k in ks), parity),
+             orbit) for ks, parity, orbit in torsion._class_walk(spec, n)]
+
+
+def integer_path_orders(spec):
+    """Orders the integer-phase catalog path is held to its oracles at."""
+    return [*range(1, 13), *([16] if spec == GroupSpec("U", 4) else [])]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_integer_walk_counts_and_dimensions(spec):
+    for n in integer_path_orders(spec):
+        table = class_table(spec, n)
+        assert list(table.items()) == walked_table(spec, n), (spec.label(), n)
+        assert count_components(spec, n) == len(table)
+        for inv in table:
+            assert orbit_dimension(spec, inv) == \
+                fraction_orbit_dimension(spec, inv), (spec.label(), inv)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_catalog_entries_match_their_per_class_oracles(spec):
+    # each class's row of the one representative stack is, bit for bit,
+    # the one-element torus_matrix of its realization
+    for n in integer_path_orders(spec):
+        cat = catalog_components(spec, n)
+        assert [(c.canonical, c.orbit_size) for c in cat] == \
+            list(class_table(spec, n).items())
+        for c in cat:
+            realized = canonical_realization(spec, c.canonical)
+            want = torus_matrix(spec, realized)
+            assert c.representative.dtype == want.dtype
+            assert c.representative.tobytes() == want.tobytes()
+            assert c.dimension == fraction_orbit_dimension(spec, c.canonical)
+            assert c.exact_order == math.lcm(*(p.denominator
+                                               for p in realized))
 
 
 def test_random_torsion_point_refuses_unindexable_counts():
@@ -579,6 +667,32 @@ def test_gcd_law_on_random_orders(spec, n, m):
     rep = gcd_intersection_check(spec, n, m)
     assert rep.passed, rep.to_json()
     assert rep.details["count_intersection"] == rep.details["count_gcd"]
+    # the integer keys count what the Fraction invariants count
+    s_n, s_m = invariant_set(spec, n), invariant_set(spec, m)
+    assert rep.details["count_n"] == len(s_n)
+    assert rep.details["count_m"] == len(s_m)
+    assert rep.details["count_intersection"] == len(s_n & s_m)
+    assert rep.details["count_gcd"] == len(invariant_set(spec,
+                                                         math.gcd(n, m)))
+
+
+def test_gcd_check_labels_a_mismatch_in_reduced_fractions(monkeypatch):
+    # the law always holds, so drop the last class of the gcd's walk: the
+    # check fails and names that class by its reduced-fraction label
+    spec = GroupSpec("SO", 4)
+    dropped = list(class_table(spec, 3))[-1]
+    assert dropped.label() == "1/3,1/3,p1"
+    walk = torsion._class_walk
+
+    def dropping(spec, n):
+        rows = list(walk(spec, n))
+        return rows[:-1] if n == 3 else rows
+
+    monkeypatch.setattr(torsion, "_class_walk", dropping)
+    rep = gcd_intersection_check(spec, 6, 9)
+    assert not rep.passed
+    assert rep.details["mismatched_invariants"] == [dropped.label()]
+    assert rep.worst_residual == 1.0
 
 
 # ------------------------------------------------------------- approximants
@@ -931,6 +1045,45 @@ def test_catalog_rows_and_indices():
     rows = catalog_rows(cat)
     assert [r["component_index"] for r in rows] == [0, 1, 2]
     assert rows[0]["group"] == "U" and rows[0]["size"] == 2
+
+
+def catalog_config(spec, n):
+    return cli.RunConfig(command="catalog", family=spec.family,
+                         size=spec.size, n=n, fmt="json").as_dict()
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_catalog_json_writer_prints_the_json_dumps_bytes(spec):
+    for n in integer_path_orders(spec):
+        cat, config = catalog_components(spec, n), catalog_config(spec, n)
+        buf = io.StringIO()
+        write_catalog_json(cat, config, buf)
+        want = json.dumps({"config": config,
+                           "components": catalog_json_payload(cat)},
+                          sort_keys=True, indent=2) + "\n"
+        assert buf.getvalue() == want, (spec.label(), n)
+
+
+def test_catalog_json_writer_prints_an_empty_catalog():
+    config = catalog_config(GroupSpec("U", 1), 1)
+    buf = io.StringIO()
+    write_catalog_json([], config, buf)
+    assert buf.getvalue() == json.dumps({"config": config, "components": []},
+                                        sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spec,part", [
+    (GroupSpec("U", 2), "real"), (GroupSpec("U", 2), "imag"),
+    (GroupSpec("SO", 3), "real")])
+def test_catalog_json_writer_refuses_non_finite_representatives(spec, part,
+                                                                bad):
+    cat = catalog_components(spec, 3)
+    rep = cat[1].representative.copy()
+    getattr(rep, part)[0, 1] = bad
+    cat[1].representative = rep
+    with pytest.raises(ValueError, match="not finite"):
+        write_catalog_json(cat, catalog_config(spec, 3), io.StringIO())
 
 
 def test_catalog_json_payload_round_trips_representative():
