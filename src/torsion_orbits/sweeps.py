@@ -26,8 +26,8 @@ from .subspaces import (_torsion_outcomes, kernel_image_outcomes,
 from .curves import (DEFAULT_STEPS, curve_kernel_outcomes,
                      product_identity_outcomes, tangent_outcomes)
 from .torsion import (_blocks, _conjugate_stack, _indexable_count,
-                      _nearest_torsion, _torsion_rows, random_torsion_point,
-                      torsion_point)
+                      _nearest_torsion, _point_label, _torsion_rows,
+                      random_torsion_point)
 
 COMPACT_SWEEP_SPECS = tuple(
     [GroupSpec("U", m) for m in (1, 2, 3, 4)]
@@ -97,11 +97,13 @@ def _elements(key, stack):
     return elements_from_draws(key[0], np.stack([d[1] for d in stack]))
 
 
-def _point_inputs(memo, spec, n, index):
-    """(inputs, digest) of a torsion sweep's trial, made once per point."""
-    return memo((spec, n, index), lambda: {
-        "group": spec.label(), "n": n,
-        "point": [str(p) for p in torsion_point(spec, n, index).phases]})
+def _point_inputs(memo, spec, n, stack):
+    """(inputs, digest) of each trial of a (spec, n) stack, built once per
+    point."""
+    rows = _torsion_rows(spec, n, [d[1] for d in stack]).tolist()
+    return [memo((spec, n, d[1]), lambda: {
+                "group": spec.label(), "n": n, "point": _point_label(n, row)})
+            for d, row in zip(stack, rows)]
 
 
 def _record(inputs_and_digest, outcome):
@@ -118,9 +120,9 @@ def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
     memo = inputs_memo()
 
     def records(key, stack, g, residuals):
-        return [_record(_point_inputs(memo, *key, d[1]), outcome)
-                for d, outcome in zip(stack, outcomes(key[0], g, key[1],
-                                                      residuals))]
+        return [_record(inputs, outcome) for inputs, outcome in
+                zip(_point_inputs(memo, *key, stack),
+                    outcomes(key[0], g, key[1], residuals))]
 
     return run_stacked_trials(
         check, trials, seed, _conjugate_draw(specs, n_max),
@@ -205,11 +207,11 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
 
         # a rejected trial fails with no residuals but keeps status "ok"
         outcomes = _torsion_outcomes(spec, g, n, TOL_MEMBERSHIP, both)
-        return [{"inputs": {**_point_inputs(memo, spec, n, d[1])[0],
-                            "t": d[4]},
+        return [{"inputs": {**inputs, "t": d[4]},
                  "residuals": outcome["residuals"],
                  "passed": outcome["passed"]}
-                for d, outcome in zip(stack, outcomes)]
+                for d, (inputs, _), outcome in
+                zip(stack, _point_inputs(memo, spec, n, stack), outcomes)]
 
     return run_stacked_trials(
         "curve-identities", trials, seed, draw,

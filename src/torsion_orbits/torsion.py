@@ -4,28 +4,22 @@ Every g with g^n = e in one of the supported groups is conjugate to a point
 of the standard maximal torus whose block phases are exact fractions k/n.
 Conjugation permutes and (family permitting) reflects those phases, so an
 orbit is labeled by a canonical invariant: the Weyl-reduced phase multiset.
-This module walks those invariants directly, as integer phase numerators
-k (phase k/n), one per class with its orbit size, so a catalog costs time in
-the number of classes rather than in the n^rank torus points.  Catalogs,
-counts and the gcd law run on that walk; ``Fraction``s and labels are built
-once per class, for the output only.  A catalog realizes its
-representatives as one torus stack, gives each class's dimension in closed
-form, and prints its JSON through a fixed per-class template
-(``write_catalog_json``).  Uniform torus points are drawn in O(rank) by
-decoding an index.  ``enumerate_torsion`` lists every torus point
-by brute force; it is the oracle the tests check the enumerator against.
-``matrix_invariant`` canonicalizes a matrix's snapped eigenphases, and
-``canonical_align`` conjugates it onto their
-``canonical_realization(canonicalize(...))``: one normal form both ways.
-Each element is decomposed once: a complex Schur form for U/SU, one real
-Schur scan for SO, and ``_sl2_align`` for SL(2,R), off which
-``orientation_sign`` also reads the SL(2,R) orientation.
-``cluster_census`` and ``sl2_component_census`` draw each sample from its
-own seeded Generator, so a sample replays alone, but evaluate the samples
-as stacks: one Haar QR, torus build and conjugation per block.  The
-cluster census then snaps and canonicalizes integer phase numerators k
-(phase k/n), with ``canonicalize`` and ``matrix_invariant`` as the
-per-sample oracles in the tests.
+The phase rules have one implementation, on integer numerators k (phase
+k/n): ``_class_walk`` walks the invariants, one per class with its orbit
+size, so a catalog costs time in the classes rather than in the n^rank
+torus points; ``_torsion_rows`` decodes point indices, ``_snap_rows`` snaps
+eigenphases, ``_canonical_rows`` canonicalizes and ``_realized_rows`` picks
+each class's representative.  The ``Fraction`` API (``canonicalize``,
+``canonical_realization``, ``torsion_point``, ``matrix_invariant``,
+``canonical_align``) is a view over them that builds ``Fraction``s only
+for what it returns.  A catalog builds its representatives as one torus
+stack and prints its JSON from a fixed template.  ``enumerate_torsion``
+lists every torus point by brute force, as the tests' oracle.  Each element
+is decomposed once: a complex Schur form for U/SU, one real Schur scan for
+SO, and ``_sl2_align`` for SL(2,R), off which ``orientation_sign`` also
+reads the SL(2,R) orientation.  The censuses draw each sample from its own
+seeded Generator, so a sample replays alone, but evaluate the samples as
+stacks: one Haar QR, torus build and conjugation per block.
 """
 
 from __future__ import annotations
@@ -54,10 +48,6 @@ SNAP_TOL = 1e-6
 #: Catalogs, counts, invariant sets and censuses refuse a group and order
 #: whose class_count_bound exceeds this.
 MAX_CLASSES = 2_000_000
-
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-
 
 def phase_slots(spec: GroupSpec) -> int:
     """Length of a torus phase vector: one phase per eigenvalue for U/SU
@@ -147,19 +137,12 @@ def torsion_point_count(spec: GroupSpec, n: int) -> int:
 
 def torsion_point(spec: GroupSpec, n: int, i: int) -> TorusTorsionPoint:
     """The i-th torus point killed by n, equal to
-    ``enumerate_torsion(spec, n)[i]`` but decoded in O(rank): the free
-    phases are the base-n digits of i, most significant first, and the last
-    SU phase is minus their sum."""
+    ``enumerate_torsion(spec, n)[i]`` but decoded in O(rank) by
+    ``_torsion_rows``."""
     if not 0 <= i < torsion_point_count(spec, n):
         raise IndexError(f"torsion point index {i} out of range")
-    ks = []
-    for _ in range(spec.rank):
-        i, k = divmod(i, n)
-        ks.append(k)
-    ks.reverse()
-    if spec.family == "SU":
-        ks.append(-sum(ks) % n)
-    return TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in ks))
+    row = _torsion_rows(spec, n, [i])[0].tolist()
+    return TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in row))
 
 
 def _indexable_count(spec: GroupSpec, n: int) -> int:
@@ -177,16 +160,25 @@ def random_torsion_point(spec: GroupSpec, n: int, rng) -> TorusTorsionPoint:
     return torsion_point(spec, n, int(rng.integers(_indexable_count(spec, n))))
 
 
-def _torsion_rows(spec: GroupSpec, n: int, indices: np.ndarray) -> np.ndarray:
-    """Phase numerators k (phases k/n) of ``torsion_point(spec, n, i)`` for
-    each i in ``indices``, one int row per index."""
-    indices = np.array(indices, dtype=np.int64)
-    rows = np.empty((len(indices), phase_slots(spec)), dtype=np.int64)
+def _torsion_rows(spec: GroupSpec, n: int, indices) -> np.ndarray:
+    """Phase numerators k (phases k/n) of the torus points killed by n with
+    the given indices, one row per index: the free phases are the base-n
+    digits of the index, most significant first, and the last SU phase is
+    minus their sum.  The rows are int64, or Python ints when the point
+    count does not fit in int64."""
+    wide = torsion_point_count(spec, n) > np.iinfo(np.int64).max
+    indices = np.array(indices, dtype=object if wide else np.int64)
+    rows = np.empty((len(indices), phase_slots(spec)), dtype=indices.dtype)
     for j in reversed(range(spec.rank)):
-        indices, rows[:, j] = np.divmod(indices, n)
+        indices, rows[:, j] = indices // n, indices % n
     if spec.family == "SU":
         rows[:, -1] = -rows[:, :-1].sum(axis=1) % n
     return rows
+
+
+def _point_label(n: int, row) -> list:
+    # a torus point's phases k/n, k in the int row, as trial inputs print them
+    return [str(Fraction(k, n)) for k in row]
 
 
 @dataclass(frozen=True)
@@ -217,55 +209,49 @@ def canonicalize(spec: GroupSpec, phases) -> CanonicalInvariant:
     U/SU: sorted phase multiset (coordinate permutations).  SO(2r+1): sorted
     multiset of min(p, 1-p) (signed permutations).  SO(2r), r >= 2: the same
     fold, plus the flip parity when no phase is self-paired.  SO(2) and
-    SL(2,R): the phase itself (trivial Weyl group).
+    SL(2,R): the phase itself (trivial Weyl group).  Computed by
+    ``_canonical_rows`` on the phases scaled exactly (floats too) to ints.
     """
-    phases = tuple(Fraction(p) % 1 for p in phases)
-    if spec.family in ("U", "SU"):
-        return CanonicalInvariant(tuple(sorted(phases)))
-    if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
-        return CanonicalInvariant(phases)
-    folded = sorted(min(p, 1 - p) for p in phases)
-    if spec.family == "SO" and spec.size % 2 == 0:
-        if not any(p in (ZERO, HALF) for p in folded):
-            flips = sum(1 for p in phases if p > HALF)
-            return CanonicalInvariant(tuple(folded), flips % 2)
-    return CanonicalInvariant(tuple(folded))
+    n, ks = _scaled(phases)
+    row = _canonical_rows(spec, n, np.array([ks], dtype=object))[0]
+    return _row_invariant(n, row.tolist())
 
 
 def canonical_realization(spec: GroupSpec, canonical: CanonicalInvariant) -> tuple:
     """Phase tuple of the catalog representative realizing ``canonical``:
     the canonical phases, with the last block reflected when the SO(2r)
     parity bit is set."""
-    phases = list(canonical.phases)
-    if canonical.parity == 1:
-        phases[-1] = (1 - phases[-1]) % 1
-    return tuple(phases)
+    n, ks = _scaled(canonical.phases)
+    realized = _realized_rows(n, np.array([ks], dtype=object),
+                              np.array([canonical.parity == 1]))
+    return tuple(Fraction(k, n) for k in realized[0].tolist())
 
 
-def _snap_phase(phi: float, n: int) -> Fraction:
-    k = int(np.rint(phi * n))
-    if abs(phi - k / n) > SNAP_TOL:
-        raise ValueError(
-            f"phase {float(phi)!r} is not within {SNAP_TOL:g} of a multiple "
-            f"of 1/{n}; the element does not have order dividing n")
-    return Fraction(k % n, n)
+def _scaled(phases) -> tuple:
+    """(n, ks), Python ints with ``phases[i] % 1 == ks[i] / n`` exactly
+    (floats too): n is the lcm of the phases' denominators."""
+    phases = [Fraction(p) % 1 for p in phases]
+    n = math.lcm(*(p.denominator for p in phases))
+    return n, [p.numerator * (n // p.denominator) for p in phases]
 
 
 def _snap_rows(raw: np.ndarray, n: int) -> np.ndarray:
-    """``_snap_phase`` of every phase in the (count, slots) array ``raw``,
-    as ints k (phases k/n) in [0, n).  The first row holding an off-grid
-    phase raises ``_snap_phase``'s error."""
+    """Every phase of the (count, slots) array ``raw`` snapped to the 1/n
+    grid, as int64s k (phases k/n) in [0, n).  Raises ValueError for the
+    first phase, in row order, farther than SNAP_TOL from every k/n."""
     k = np.rint(raw * n)
     off = ~(np.abs(raw - k / n) <= SNAP_TOL)
     if off.any():
-        for phi in raw[off.any(axis=1).argmax()]:
-            _snap_phase(phi, n)
+        raise ValueError(
+            f"phase {float(raw[off][0])!r} is not within {SNAP_TOL:g} of a "
+            f"multiple of 1/{n}; the element does not have order dividing n")
     return k.astype(np.int64) % n
 
 
 def _canonical_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
-    """``canonicalize`` of each row of ints k in [0, n) (phases k/n), as an
-    int row: the canonical numerators, then the parity bit or -1."""
+    """``canonicalize`` of each row of ints k in [0, n) (phases k/n; int64
+    or Python ints), as an int row: the canonical numerators, then the
+    parity bit or -1."""
     parity = np.full((len(ks), 1), -1)
     if spec.family in ("U", "SU"):
         return np.hstack([np.sort(ks, axis=1), parity])
@@ -279,8 +265,17 @@ def _canonical_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
     return np.hstack([np.sort(folded, axis=1), parity])
 
 
+def _realized_rows(n: int, ks: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """``canonical_realization`` on integers: the rows of canonical
+    numerators ``ks`` (phases k/n), with the last block reflected,
+    k -> (n - k) % n, in the rows where ``flip`` (parity bit 1) is set."""
+    ks = np.array(ks)
+    ks[flip, -1] = (n - ks[flip, -1]) % n
+    return ks
+
+
 def _row_invariant(n: int, row) -> CanonicalInvariant:
-    # the CanonicalInvariant of one ``_canonical_rows`` row
+    # the CanonicalInvariant of one ``_canonical_rows`` row of Python ints
     *ks, parity = row
     return CanonicalInvariant(tuple(Fraction(k, n) for k in ks),
                               None if parity < 0 else parity)
@@ -373,19 +368,24 @@ def _sl2_align(g: np.ndarray):
     return h, phase
 
 
-def _snapped_alignment(spec: GroupSpec, g: np.ndarray, n: int):
-    """(Q, phases) with Q in the group and g = Q t Q^-1 for t the torus
-    point whose phases are g's eigenphases snapped to exact multiples of
-    1/n, in the order the eigensolver returns them."""
-    g = require_member(spec, g)
+def _alignment(spec: GroupSpec, g: np.ndarray):
+    """(Q, raw phases) of a group member g, with g = Q t Q^-1 for t the
+    torus point with those phases (cycles): a complex Schur form for U/SU,
+    ``_so_torus_align`` for SO and ``_sl2_align`` for SL(2,R)."""
     if spec.family in ("U", "SU"):
-        Q, raw = _unitary_eigenstructure(g)
-    elif spec.family == "SL2R":
+        return _unitary_eigenstructure(g)
+    if spec.family == "SL2R":
         Q, phase = _sl2_align(g)
-        raw = [phase]
-    else:
-        Q, raw = _so_torus_align(g)
-    return Q, [_snap_phase(p, n) for p in raw]
+        return Q, [phase]
+    return _so_torus_align(g)
+
+
+def _snapped_alignment(spec: GroupSpec, g: np.ndarray, n: int):
+    """(Q, ks) with Q in the group and g = Q t Q^-1 for t the torus point
+    with phases k/n: g's eigenphases snapped to the 1/n grid, as an int64
+    row in the order the eigensolver returns them."""
+    Q, raw = _alignment(spec, require_member(spec, g))
+    return Q, _snap_rows(np.array(raw, dtype=float, ndmin=2), n)[0]
 
 
 def canonical_align(spec: GroupSpec, g: np.ndarray, n: int):
@@ -398,35 +398,38 @@ def canonical_align(spec: GroupSpec, g: np.ndarray, n: int):
     by reordering Q's columns (SO: and swapping plane bases).  Raises
     ValueError when g does not have order dividing n within SNAP_TOL.
     """
-    Q, phases = _snapped_alignment(spec, g, n)
-    realized = canonical_realization(spec, canonicalize(spec, phases))
+    Q, ks = _snapped_alignment(spec, g, n)
+    canonical = _canonical_rows(spec, n, ks[None])
+    realized = _realized_rows(n, canonical[:, :-1],
+                              canonical[:, -1] == 1)[0].tolist()
+    ks = ks.tolist()
     if spec.family in ("U", "SU"):
-        Q = Q[:, sorted(range(len(phases)), key=phases.__getitem__)]
+        Q = Q[:, sorted(range(len(ks)), key=ks.__getitem__)]
         if spec.family == "SU":
             Q = Q * np.exp(-1j * np.angle(np.linalg.det(Q)) / spec.size)
     elif spec.family == "SO" and spec.size > 2:
-        order = sorted(range(len(phases)),
-                       key=lambda b: min(phases[b], 1 - phases[b]))
+        order = sorted(range(len(ks)), key=lambda b: min(ks[b], n - ks[b]))
         # moving whole planes keeps det Q = 1; an odd axis stays last
         Q = Q[:, [c for b in order for c in (2 * b, 2 * b + 1)]
               + list(range(2 * len(order), spec.size))]
         # swapping a plane's basis reflects its phase p -> 1 - p
-        swaps = [b for b, o in enumerate(order) if phases[o] != realized[b]]
+        swaps = [b for b, o in enumerate(order) if ks[o] != realized[b]]
         if len(swaps) % 2:
             # restore det Q = 1 on a self-paired plane (phase 0 or 1/2),
             # where a swap moves no phase.  With none, the count is even:
             # odd sizes arrive folded, and SO(2r) keeps its parity bit.
-            swaps.append(next(b for b, p in enumerate(realized)
-                              if p in (ZERO, HALF)))
+            swaps.append(next(b for b, k in enumerate(realized)
+                              if 2 * k % n == 0))
         for b in swaps:
             Q[:, [2 * b, 2 * b + 1]] = Q[:, [2 * b + 1, 2 * b]]
-    return Q, realized
+    return Q, tuple(Fraction(k, n) for k in realized)
 
 
 def matrix_invariant(spec: GroupSpec, g: np.ndarray,
                      n: int) -> CanonicalInvariant:
     """Canonical invariant computed from a matrix of order dividing n."""
-    return canonicalize(spec, _snapped_alignment(spec, g, n)[1])
+    ks = _snapped_alignment(spec, g, n)[1]
+    return _row_invariant(n, _canonical_rows(spec, n, ks[None])[0].tolist())
 
 
 def component_dimension(spec: GroupSpec, g: np.ndarray,
@@ -446,9 +449,7 @@ def orbit_dimension(spec: GroupSpec, canonical: CanonicalInvariant) -> int:
     -1 eigenspaces contribute so(a) and so(b), each other folded phase of
     multiplicity c contributes u(c).  SL(2,R): +-I are central, every
     elliptic class is a 2-dimensional orbit."""
-    n = math.lcm(*(p.denominator for p in canonical.phases))
-    return _class_dimension(spec, n, [p.numerator * (n // p.denominator)
-                                      for p in canonical.phases])
+    return _class_dimension(spec, *_scaled(canonical.phases))
 
 
 def _class_dimension(spec: GroupSpec, n: int, ks) -> int:
@@ -554,10 +555,9 @@ def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     invariant.  One entry per Weyl orbit of torsion points; the
     representatives are the rows of one torus stack."""
     walk = list(_class_walk(spec, n))
-    realized = np.array([ks for ks, _, _ in walk], dtype=np.int64)
-    # canonical_realization: a set parity bit reflects the last block
-    flip = np.array([parity == 1 for _, parity, _ in walk], dtype=bool)
-    realized[flip, -1] = (n - realized[flip, -1]) % n
+    realized = _realized_rows(
+        n, np.array([ks for ks, _, _ in walk], dtype=np.int64),
+        np.array([parity == 1 for _, parity, _ in walk], dtype=bool))
     reps = torus_stack(spec, realized / n)
     grid = [Fraction(k, n) for k in range(n)]
     return [ComponentDescriptor(
@@ -651,7 +651,7 @@ def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int, residual=None):
     else:
         Q, phases = _so_torus_align(g)
         ks = [int(np.rint(p * N)) % N for p in phases]
-        approx = Q @ torus_matrix(spec, [Fraction(k, N) for k in ks]) @ Q.T
+        approx = Q @ torus_matrix(spec, np.array(ks) / N) @ Q.T
     distance = float(np.linalg.norm(g - approx))
     return approx, distance, approximation_bound(spec, N, corrections)
 
@@ -805,7 +805,7 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
             for i, row, r, ok in zip(indices, drawn.tolist(), residuals,
                                      consistent.tolist()):
                 inputs, digest = memo(i, lambda: {
-                    "point": [str(Fraction(k, n)) for k in row], "n": n})
+                    "point": _point_label(n, row), "n": n})
                 fields.append({"inputs": inputs, "digest": digest,
                                "residuals": {"membership": r,
                                              "invariant_mismatch":
@@ -833,19 +833,13 @@ def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
     residuals, raw = [], []
 
     def snapped():
-        rows = np.array(raw, dtype=float).reshape(len(raw), phase_slots(spec))
-        return _snap_rows(rows, n)
+        return _snap_rows(np.array(raw, dtype=float), n)
 
     for gi in g:
         try:
             residuals.append(require_residual(spec,
                                               membership_residual(spec, gi)))
-            if spec.family in ("U", "SU"):
-                raw.append(_unitary_eigenstructure(gi)[1])
-            elif spec.family == "SL2R":
-                raw.append([_sl2_align(gi)[1]])
-            else:
-                raw.append(_so_torus_align(gi)[1])
+            raw.append(_alignment(spec, gi)[1])
         except ValueError:  # numpy's LinAlgError included
             snapped()  # an off-grid phase in an earlier sample fails first
             raise

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsion_orbits
+from phase_oracles import (canonicalize_oracle, snap_phase_oracle,
+                           torsion_point_oracle)
 from torsion_orbits import cli, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, group_inverse,
@@ -245,6 +247,26 @@ def test_canonicalize_so2_and_sl2_keep_orientation():
         canonicalize(GroupSpec("SL2R", 2), (Fraction(3, 4),))
 
 
+def test_canonicalize_scales_floats_and_mixed_denominators_exactly():
+    # Fraction(0.1) has denominator 2^55, and 1e-300 scales [1e-300, 1/2]
+    # to integers over a denominator of some 1,000 bits: no int64 holds them
+    so4 = GroupSpec("SO", 4)
+    inv = canonicalize(so4, [0.1, Fraction(1, 3)])
+    assert type(inv.parity) is int and inv.parity == 0
+    assert [p.denominator for p in inv.phases] == [2 ** 55, 3]
+    for spec, phases in [(so4, [0.1, Fraction(1, 3)]),
+                         (so4, [0.9, Fraction(2, 3)]),
+                         (GroupSpec("U", 2), [1e-300, 0.5]),
+                         (GroupSpec("SO", 5), [1e-300, Fraction(5, 7)]),
+                         (GroupSpec("SL2R", 2), [0.75])]:
+        want = canonicalize_oracle(spec, phases)
+        got = canonicalize(spec, phases)
+        assert got == want, (spec.label(), phases)
+        assert orbit_dimension(spec, got) == \
+            fraction_orbit_dimension(spec, want)
+        assert canonicalize(spec, canonical_realization(spec, got)) == want
+
+
 def test_canonical_realization_round_trips():
     for spec in (GroupSpec("U", 3), GroupSpec("SU", 3), GroupSpec("SO", 4),
                  GroupSpec("SO", 5), GroupSpec("SL2R", 2)):
@@ -366,13 +388,26 @@ def test_class_table_is_the_fold_of_the_enumeration(spec):
     for n in oracle_orders(spec):
         fold = {}
         for point in enumerate_torsion(spec, n):
-            inv = canonicalize(spec, point.phases)
+            inv = canonicalize_oracle(spec, point.phases)
             fold[inv] = fold.get(inv, 0) + 1
         table = class_table(spec, n)
         assert table == fold, (spec.label(), n)
         assert list(table.items()) == walked_table(spec, n)
         assert list(table) == sorted(fold, key=CanonicalInvariant.sort_key)
         assert len(table) <= class_count_bound(spec, n)
+
+
+@pytest.mark.parametrize("spec,n", [(GroupSpec("U", 5), 10_000),
+                                    (GroupSpec("SU", 5), 100_000)],
+                         ids=["U5", "SU5"])
+def test_torsion_point_decodes_indices_beyond_int64(spec, n):
+    count = torsion_point_count(spec, n)
+    assert count - 1 > np.iinfo(np.int64).max
+    for i in (count - 1, 2 ** 63, 2 ** 63 - 1, count // 3, 12345):
+        assert torsion_point(spec, n, i) == torsion_point_oracle(spec, n, i)
+    if spec.family == "U":
+        last = torsion_point(spec, n, count - 1).phases
+        assert last == (Fraction(n - 1, n),) * spec.size
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
@@ -469,7 +504,8 @@ def test_production_paths_never_enumerate(monkeypatch, capsys):
     assert len(census.trials) == 20 and all(t.passed for t in census.trials)
     spec = GroupSpec("U", 5)
     g, point = random_torsion_element(spec, 20, np.random.default_rng(0))
-    assert matrix_invariant(spec, g, 20) == canonicalize(spec, point.phases)
+    assert matrix_invariant(spec, g, 20) == \
+        canonicalize_oracle(spec, point.phases)
     assert cli.main(["verify", "lemma33", "--group", "U", "--size", "5",
                      "--n", "20", "--trials", "3"]) == 0
     capsys.readouterr()
@@ -495,7 +531,8 @@ def test_matrix_invariant_recovers_torus_label():
                 g = h @ point.matrix() @ h.T
             else:
                 g = h @ point.matrix() @ np.linalg.inv(h)
-            assert matrix_invariant(spec, g, n) == canonicalize(spec, point.phases), \
+            assert matrix_invariant(spec, g, n) == \
+                canonicalize_oracle(spec, point.phases), \
                 (spec.label(), point.phases)
 
 
@@ -842,7 +879,7 @@ def census_oracle(spec, n, samples, seed):
         h = random_element(spec, rng)
         g = h @ point.matrix() @ group_inverse(spec, h)
         inv = matrix_invariant(spec, g, n)
-        ok = inv == canonicalize(spec, point.phases)
+        ok = inv == canonicalize_oracle(spec, point.phases)
         out.append((TrialRecord(
             index=i, seed=seed + i,
             inputs={"point": [str(p) for p in point.phases], "n": n},
@@ -912,7 +949,7 @@ def test_torus_matrix_is_its_stacked_row(spec):
         rows = torsion._torsion_rows(spec, n, indices)
         stack = torus_stack(spec, rows / n)
         for i, t in zip(indices, stack):
-            one = torus_matrix(spec, torsion_point(spec, n, i).phases)
+            one = torus_matrix(spec, torsion_point_oracle(spec, n, i).phases)
             assert one.dtype == t.dtype
             assert np.array_equal(one, t), (spec.label(), n, i)
 
@@ -928,13 +965,15 @@ def test_integer_labels_match_canonicalize(spec):
         # alignment phases: on the grid up to noise, some just below 1
         raw = rows / n + rng.uniform(-1e-8, 1e-8, rows.shape)
         assert np.array_equal(torsion._snap_rows(raw, n), rows)
+        assert [[Fraction(k, n) for k in row] for row in rows[:200]] == \
+            [[snap_phase_oracle(phi, n) for phi in row] for row in raw[:200]]
         canonical = torsion._canonical_rows(spec, n, rows)
         labels = {}
         for point, row in zip(points, map(tuple, canonical.tolist())):
             if row not in labels:
                 inv = torsion._row_invariant(n, row)
                 labels[row] = inv, inv.label(), inv.parity
-            want = canonicalize(spec, point.phases)
+            want = canonicalize_oracle(spec, point.phases)
             got, label, parity = labels[row]
             assert got == want, (spec.label(), n, point.phases)
             assert (label, parity) == (want.label(), want.parity)
