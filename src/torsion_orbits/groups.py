@@ -5,6 +5,13 @@ accompanied by a :class:`GroupSpec`.  Lie algebra elements are coordinate
 vectors with respect to a fixed orthonormal basis of the algebra; the inner
 product throughout is <X, Y> = Re tr(X* Y), which is Ad-invariant on the
 compact families.
+
+Membership residuals, adjoints and random elements are computed for a
+stack of matrices at a time (``membership_residuals``, ``adjoint_stack``,
+``elements_from_draws``); ``membership_residual``, ``adjoint_matrix`` and
+``random_element`` are their one-element cases, bit for bit.  The
+per-matrix membership body lives on in ``tests/stack_oracles.py`` as the
+oracle the stack is checked against.
 """
 
 from __future__ import annotations
@@ -221,23 +228,63 @@ def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
 
 
 def membership_residual(spec: GroupSpec, g: np.ndarray) -> float:
-    """Frobenius-scale distance from the defining group constraints."""
+    """Frobenius-scale distance from the defining group constraints; the
+    one-element case of ``membership_residuals`` (inf for a wrong shape)."""
+    g = np.asarray(g)
+    if g.shape != (spec.size, spec.size):
+        return float("inf")
+    return float(membership_residuals(spec, g[None])[0])
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    # Frobenius norm of each (m, m) slice, bit for bit np.linalg.norm's:
+    # the sum of squares of a contiguous row (a strided one, such as the
+    # imaginary part of a complex stack, sums in another order)
+    flat = np.ascontiguousarray(a).reshape(len(a), a.shape[1] * a.shape[2])
+    if np.iscomplexobj(flat):
+        sq = (np.vecdot(flat.real, flat.real)
+              + np.vecdot(flat.imag, flat.imag))
+    else:
+        sq = np.vecdot(flat, flat)
+    return np.sqrt(sq)
+
+
+def _det_offset(a: np.ndarray) -> np.ndarray:
+    # |det - 1| of each slice; hypot is what the scalar abs of a complex
+    # computes, where np.abs on a complex array can differ in the last bit
+    d = np.linalg.det(a) - 1.0
+    return np.hypot(d.real, d.imag) if np.iscomplexobj(d) else np.abs(d)
+
+
+def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # elementwise max(a, b) as Python's max takes it: b only where b > a,
+    # so a NaN in a is kept and a NaN in b is passed over
+    return np.where(b > a, b, a)
+
+
+def membership_residuals(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
+    """``membership_residual`` of each matrix of the stack g of shape
+    (count, m, m), as a float array: ||g^H g - I|| (U, SU; SO with g real),
+    then the max with |det g - 1| (SU, SO, SL(2,R)) and with the norm of
+    any imaginary part (SO, SL(2,R)), in that order."""
     g = np.asarray(g)
     m = spec.size
-    if g.shape != (m, m):
-        return float("inf")
+    if g.ndim != 3 or g.shape[1:] != (m, m):
+        raise ValueError(f"expected a stack of {m}x{m} matrices, "
+                         f"got shape {g.shape}")
     eye = np.eye(m)
     if spec.family in ("U", "SU"):
-        r = np.linalg.norm(g.conj().T @ g - eye)
+        r = _frobenius(g.conj().swapaxes(-1, -2) @ g - eye)
         if spec.family == "SU":
-            r = max(r, abs(np.linalg.det(g) - 1.0))
-        return float(r)
-    real_part = np.linalg.norm(np.imag(g)) if np.iscomplexobj(g) else 0.0
+            r = _python_max(r, _det_offset(g))
+        return r
+    imag = (_frobenius(np.imag(g)) if np.iscomplexobj(g)
+            else np.zeros(len(g)))
     gr = np.real(g)
+    r = _det_offset(gr)
     if spec.family == "SO":
-        return float(max(np.linalg.norm(gr.T @ gr - eye),
-                         abs(np.linalg.det(gr) - 1.0), real_part))
-    return float(max(abs(np.linalg.det(gr) - 1.0), real_part))
+        r = _python_max(_frobenius(gr.swapaxes(-1, -2) @ gr - eye), r)
+    return _python_max(r, imag)
 
 
 def require_member(spec: GroupSpec, g: np.ndarray, tol: float = TOL_MEMBERSHIP,
@@ -268,7 +315,7 @@ def adjoint_stack(spec: GroupSpec, g: np.ndarray,
     """
     g = np.asarray(g)
     if residuals is None:
-        residuals = [membership_residual(spec, gi) for gi in g]
+        residuals = membership_residuals(spec, g).tolist()
     for det, r in zip(np.abs(np.linalg.det(g)), residuals):
         if det < 0.5:
             raise ValueError("g is numerically non-invertible")

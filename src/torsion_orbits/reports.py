@@ -4,7 +4,11 @@ Every checker in this package returns a :class:`VerificationReport`: a pass
 flag, the worst residual seen, one record per trial, and an echo of the
 configuration that produced it.  Reports serialize to JSON losslessly, and two
 runs with the same configuration produce byte-identical JSON apart from the
-wall-time field.
+wall-time field.  ``to_json`` prints a report from a fixed skeleton and one
+per-trial template with sorted keys, byte for byte what
+``json.dumps(..., sort_keys=True, indent=2)`` prints, which the tests keep
+as its oracle; ``json.dumps`` itself encodes only the config, the details
+and each distinct trial ``inputs`` dict.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -101,7 +106,34 @@ class VerificationReport:
         return cls(**data)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte
+        for byte, printed from ``_REPORT_JSON`` and ``_TRIAL_JSON``.  The
+        config and details are encoded by ``json.dumps`` and re-indented;
+        a trial's ``inputs`` and ``residuals`` dicts are printed key by key
+        (see ``_json_trial_dict``), each distinct ``inputs`` dict once."""
+        inputs, layouts, cache = {}, {}, {}
+        trials = []
+        for t in self.trials:
+            if id(t.inputs) not in inputs:
+                inputs[id(t.inputs)] = _json_trial_dict(t.inputs, layouts,
+                                                        cache)
+            trials.append(_TRIAL_JSON.format(
+                digest=_json_value(t.digest, _FIELD_PAD, cache),
+                index=_json_scalar(t.index),
+                inputs=inputs[id(t.inputs)],
+                note=_json_value(t.note, _FIELD_PAD, cache),
+                passed=_json_scalar(t.passed),
+                residuals=_json_trial_dict(t.residuals, layouts, cache),
+                seed=_json_scalar(t.seed),
+                status=_json_value(t.status, _FIELD_PAD, cache)))
+        return _REPORT_JSON.format(
+            check=json.dumps(self.check),
+            config=_json_nested(self.config, "  "),
+            details=_json_nested(self.details, "  "),
+            passed=_json_scalar(self.passed),
+            trials=("[\n" + ",\n".join(trials) + "\n  ]") if trials else "[]",
+            wall_time_s=_json_scalar(self.wall_time_s),
+            worst_residual=_json_scalar(self.worst_residual))
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -111,6 +143,100 @@ class VerificationReport:
         verdict = "PASS" if self.passed else "FAIL"
         return (f"{self.check}: {verdict} "
                 f"(trials={len(self.trials)}, worst_residual={self.worst_residual:.3e})")
+
+
+#: A report and one of its trials as ``json.dumps(..., sort_keys=True,
+#: indent=2)`` prints them, keys sorted, each trial at its depth.
+_REPORT_JSON = """\
+{{
+  "check": {check},
+  "config": {config},
+  "details": {details},
+  "passed": {passed},
+  "trials": {trials},
+  "wall_time_s": {wall_time_s},
+  "worst_residual": {worst_residual}
+}}"""
+_TRIAL_JSON = """\
+    {{
+      "digest": {digest},
+      "index": {index},
+      "inputs": {inputs},
+      "note": {note},
+      "passed": {passed},
+      "residuals": {residuals},
+      "seed": {seed},
+      "status": {status}
+    }}"""
+
+
+def _json_scalar(value) -> str:
+    """A number, bool, None or string as ``json.dumps`` prints it: floats
+    (numpy's float64 included) through ``float.__repr__``, non-finite
+    ones as NaN, Infinity and -Infinity."""
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if value is None or type(value) is bool:
+        return _JSON_CONSTANTS[value]
+    return json.dumps(value)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_nested(value, pad: str) -> str:
+    # any value as json.dumps(indent=2) prints it with its first line at
+    # indent ``pad``; JSON strings hold no raw newline, so each break is
+    # a line of the layout
+    text = json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + pad)
+
+
+#: Indents of a trial's fields and of the values of its dicts.
+_FIELD_PAD, _VALUE_PAD = " " * 6, " " * 8
+
+
+def _json_value(value, pad: str, cache: dict) -> str:
+    """Any value as ``_json_nested(value, pad)`` prints it.  Strings, lists
+    and dicts recur across trials (statuses, notes, digests, the shared
+    ``point`` lists), so ``cache`` keeps their text: strings by value,
+    containers by id and pad, with the container itself so that its id
+    stays its own."""
+    if type(value) is str:
+        if value not in cache:
+            cache[value] = json.dumps(value)
+        return cache[value]
+    if isinstance(value, (dict, list, tuple)):
+        key = id(value), pad
+        if key not in cache:
+            cache[key] = value, _json_nested(value, pad)
+        return cache[key][1]
+    return _json_scalar(value)
+
+
+def _json_trial_dict(fields: dict, layouts: dict, cache: dict) -> str:
+    """A trial's ``inputs`` or ``residuals`` dict as ``_TRIAL_JSON`` nests
+    it: key by key in sorted order, each value through ``_json_value``.
+    ``layouts`` keeps, per key order, the sorted keys with their printed
+    prefixes, or None for an empty dict or one with a non-string key,
+    which ``_json_nested`` prints whole."""
+    order = tuple(fields)
+    if order not in layouts:
+        keyed = order and all(type(k) is str for k in order)
+        layouts[order] = ([(k, f"{_VALUE_PAD}{json.dumps(k)}: ")
+                           for k in sorted(order)] if keyed else None)
+    layout = layouts[order]
+    if layout is None:
+        return _json_nested(fields, _FIELD_PAD)
+    items = [prefix + _json_value(fields[k], _VALUE_PAD, cache)
+             for k, prefix in layout]
+    return "{\n" + ",\n".join(items) + "\n" + _FIELD_PAD + "}"
 
 
 def single_trial_report(check, inputs, residuals, passed, config=None,

@@ -6,10 +6,10 @@ one-element helpers would, so a sweep is reproducible for a fixed seed and
 any failing trial can be replayed alone from the seed recorded in its
 trial record.  The draws are then evaluated as stacks of at most
 ``torsion._CENSUS_BLOCK`` trials, one stack per (group, n), or per group
-for the tangent and density sweeps: one Haar QR, torus build and
-conjugation per stack, each trial's membership residual taken once, and
-the stacked evaluator of which each single-shot checker is the
-one-element case.  Records come out in trial order.
+for the tangent and density sweeps: one Haar QR, torus build,
+conjugation and membership residual per stack, and the stacked
+evaluator of which each single-shot checker is the one-element case.
+Records come out in trial order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
                      element_draws, elements_from_draws, group_inverse,
-                     membership_residual, random_algebra, random_element,
+                     membership_residuals, random_algebra, random_element,
                      require_residual)
 from .reports import VerificationReport, inputs_memo, run_stacked_trials
 from .subspaces import (_torsion_outcomes, kernel_image_outcomes,
@@ -50,8 +50,8 @@ def _stacked(draws, build, records):
 
     The trials that share a key ``draws[i][0]`` (a tuple that starts with
     the spec) form stacks, in trial order and cut at the stack cap;
-    ``build(key, stack draws)`` makes a stack's elements.  Each trial's
-    membership residual is then taken once, and the first non-member in
+    ``build(key, stack draws)`` makes a stack's elements.  Their membership
+    residuals are then taken once per stack, and the first non-member in
     trial order raises the single-shot checkers' error.  Last,
     ``records(key, stack draws, elements, residuals)`` gives a stack's
     record fields."""
@@ -62,8 +62,7 @@ def _stacked(draws, build, records):
               for key, idx in groups.items() for block in _blocks(idx)]
     residuals = {}
     for (spec, *_), block, g in stacks:
-        residuals.update((i, membership_residual(spec, gi))
-                         for i, gi in zip(block, g))
+        residuals.update(zip(block, membership_residuals(spec, g).tolist()))
     for i, d in enumerate(draws):
         require_residual(d[0][0], residuals[i])
     fields = [None] * len(draws)

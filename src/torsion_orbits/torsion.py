@@ -16,10 +16,13 @@ for what it returns.  A catalog builds its representatives as one torus
 stack and prints its JSON from a fixed template.  ``enumerate_torsion``
 lists every torus point by brute force, as the tests' oracle.  Each element
 is decomposed once: a complex Schur form for U/SU, one real Schur scan for
-SO, and ``_sl2_align`` for SL(2,R), off which ``orientation_sign`` also
-reads the SL(2,R) orientation.  The censuses draw each sample from its own
-seeded Generator, so a sample replays alone, but evaluate the samples as
-stacks: one Haar QR, torus build and conjugation per block.
+SO, and ``_sl2_align_stack`` for a stack of SL(2,R) elements (one trace,
+arctan2 and SVD per stack), off which the SL(2,R) orientations are also
+read; ``_sl2_align`` and ``orientation_sign`` are its one-element cases.
+Snapping refuses an n whose 1/n grid is finer than 2 SNAP_TOL, where every
+phase would snap.  The censuses draw each sample from its own seeded
+Generator, so a sample replays alone, but evaluate the samples as stacks:
+one Haar QR, torus build, conjugation and membership residual per block.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import schur
 
-from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
-                     element_draws, elements_from_draws, group_inverse,
-                     membership_residual, require_member, require_residual)
+from .groups import (TOL_MEMBERSHIP, GroupSpec, UnsupportedGroupError,
+                     _frobenius, adjoint_matrix, element_draws,
+                     elements_from_draws, group_inverse, membership_residual,
+                     membership_residuals, require_member, require_residual)
 from .reports import (VerificationReport, inputs_memo, run_stacked_trials,
                       single_trial_report)
 from .subspaces import image_basis
@@ -235,10 +239,23 @@ def _scaled(phases) -> tuple:
     return n, [p.numerator * (n // p.denominator) for p in phases]
 
 
+def _check_snap_grid(n: int) -> None:
+    """Refuse an n whose 1/n grid is too fine to snap to: once
+    2 n SNAP_TOL >= 1, every phase lies within SNAP_TOL of some k/n, and a
+    snap would accept any element as having order dividing n."""
+    if 2 * n * SNAP_TOL >= 1:
+        raise ValueError(
+            f"n={n} is too large to recover phases on the 1/n grid: every "
+            f"phase is within SNAP_TOL={SNAP_TOL:g} of a multiple of 1/n "
+            f"once n >= 1/(2 SNAP_TOL) = {round(1 / (2 * SNAP_TOL)):,}")
+
+
 def _snap_rows(raw: np.ndarray, n: int) -> np.ndarray:
     """Every phase of the (count, slots) array ``raw`` snapped to the 1/n
-    grid, as int64s k (phases k/n) in [0, n).  Raises ValueError for the
-    first phase, in row order, farther than SNAP_TOL from every k/n."""
+    grid, as int64s k (phases k/n) in [0, n).  Raises ValueError for an n
+    ``_check_snap_grid`` refuses, and for the first phase, in row order,
+    farther than SNAP_TOL from every k/n."""
+    _check_snap_grid(n)
     k = np.rint(raw * n)
     off = ~(np.abs(raw - k / n) <= SNAP_TOL)
     if off.any():
@@ -335,37 +352,92 @@ def _so_torus_align(g: np.ndarray):
     return Q, phases
 
 
-def _sl2_align(g: np.ndarray):
-    """(h, phase) with h in SL(2,R) and g = h R(2 pi phase) h^-1.
+#: Why ``_sl2_align_stack`` refused a slice, by its refusal code (0: it
+#: did not); ``_sl2_align`` raises the message.
+_SL2_REFUSALS = (None,
+                 "element is not elliptic or central; it has no finite "
+                 "order in SL(2,R)",
+                 "degenerate eigenvector; cannot align",
+                 "SVD did not converge")
 
-    Defined for elements of finite order: +-I and the elliptic ones
-    (|trace| < 2).  ``orientation_sign`` is read off the phase: -1 in
-    (0, 1/2), +1 in (1/2, 1)."""
+
+def _sl2_align_stack(g: np.ndarray):
+    """(h, phases, refused) for the stack g of shape (count, 2, 2): where
+    ``refused`` is 0, g_i = h_i R(2 pi phase_i) h_i^-1 with h_i in SL(2,R).
+
+    Defined for elements of finite order: +-I (phases 0 and 1/2) and the
+    elliptic ones, from one trace, one arctan2 and one SVD of g_i - mu_i I
+    per stack, mu_i the eigenvalue with positive imaginary part.  The
+    refusal code indexes ``_SL2_REFUSALS``: 1 for |trace| >= 2, 2 for a
+    degenerate eigenvector, 3 where the SVD does not converge (as for some
+    non-finite inputs); a refused slice has phase 0 and h = I.
+    Orientations are read off the phases: -1 in (0, 1/2), +1 in
+    (1/2, 1)."""
     g = np.asarray(g, dtype=float)
     eye = np.eye(2)
-    if np.linalg.norm(g - eye) <= 1e-8:
-        return eye.copy(), 0.0
-    if np.linalg.norm(g + eye) <= 1e-8:
-        return eye.copy(), 0.5
-    tr = float(np.trace(g))
-    if abs(tr) >= 2:
-        raise ValueError("element is not elliptic or central; it has no "
-                         "finite order in SL(2,R)")
-    theta = float(np.arctan2(np.sqrt(max(0.0, 1 - tr * tr / 4)), tr / 2))
+    count = len(g)
+    h = np.tile(eye, (count, 1, 1))
+    phases = np.zeros(count)
+    refused = np.zeros(count, dtype=np.int8)
+    plus = _frobenius(g - eye) <= 1e-8
+    minus = ~plus & (_frobenius(g + eye) <= 1e-8)
+    phases[minus] = 0.5
+    tr = np.trace(g, axis1=1, axis2=2)
+    rest = ~(plus | minus)
+    refused[rest & (np.abs(tr) >= 2)] = 1
+    rest &= refused == 0
+    tr = tr[rest]
+    half = 1 - tr * tr / 4
+    theta = np.arctan2(np.sqrt(np.where(half > 0.0, half, 0.0)), tr / 2)
     mu = tr / 2 + 1j * np.sin(theta)
-    _, _, Vt = np.linalg.svd(g.astype(complex) - mu * np.eye(2))
-    v = Vt[-1].conj()
+    vt, failed = _svd_vt(g[rest].astype(complex) - mu[:, None, None] * eye)
+    v = vt[:, -1].conj()
     x, y = v.real, v.imag
-    delta = x[0] * y[1] - x[1] * y[0]
-    if abs(delta) < 1e-12:
-        raise ValueError("degenerate eigenvector; cannot align")
-    if delta < 0:
-        h = np.column_stack([y, x]) / np.sqrt(-delta)
-        phase = theta / (2 * np.pi)
-    else:
-        h = np.column_stack([x, y]) / np.sqrt(delta)
-        phase = 1.0 - theta / (2 * np.pi)
-    return h, phase
+    delta = x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
+    code = np.where(failed, 3, np.where(np.abs(delta) < 1e-12, 2, 0))
+    ok = code == 0
+    flip = delta < 0
+    scale = np.sqrt(np.where(flip, -delta, delta))
+    cols = np.where(flip[:, None, None], np.stack([y, x], axis=2),
+                    np.stack([x, y], axis=2))
+    cycles = theta / (2 * np.pi)
+    where = np.flatnonzero(rest)
+    refused[where] = code
+    h[where[ok]] = cols[ok] / scale[ok, None, None]
+    phases[where[ok]] = np.where(flip, cycles, 1.0 - cycles)[ok]
+    return h, phases, refused
+
+
+def _svd_vt(a: np.ndarray):
+    """(Vt, failed) of the SVD of each matrix of the stack a: one stacked
+    SVD, or, when it raises, one per slice, so that the slices on which
+    numpy's SVD does not converge are told apart (their Vt is zero)."""
+    try:
+        return np.linalg.svd(a)[2], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        vt, failed = np.zeros_like(a), np.zeros(len(a), dtype=bool)
+        for j, slice_ in enumerate(a):
+            try:
+                vt[j] = np.linalg.svd(slice_)[2]
+            except np.linalg.LinAlgError:
+                failed[j] = True
+        return vt, failed
+
+
+def _sl2_align(g: np.ndarray):
+    """(h, phase) with h in SL(2,R) and g = h R(2 pi phase) h^-1: the
+    one-element case of ``_sl2_align_stack``, raising ValueError (numpy's
+    LinAlgError where the SVD does not converge) where it refuses."""
+    h, phases, refused = _sl2_align_stack(np.asarray(g, dtype=float)[None])
+    if refused[0]:
+        raise _sl2_refusal(refused[0])
+    return h[0], float(phases[0])
+
+
+def _sl2_refusal(code: int) -> ValueError:
+    # the error of an _sl2_align_stack refusal code
+    error = np.linalg.LinAlgError if code == 3 else ValueError
+    return error(_SL2_REFUSALS[code])
 
 
 def _alignment(spec: GroupSpec, g: np.ndarray):
@@ -669,20 +741,26 @@ def nearest_torsion_approximant(spec: GroupSpec, g: np.ndarray, N: int):
 def orientation_sign(g: np.ndarray) -> int:
     """Conjugation-invariant orientation of an elliptic SL(2,R) element.
 
-    Read off ``_sl2_align``: -1 when g is conjugate to a rotation by a phase
-    in (0, 1/2), +1 for a phase in (1/2, 1), and 0 for +-I and for any input
-    ``_sl2_align`` refuses (|trace| >= 2, a degenerate eigenvector).  It
-    equals the sign of det [Re v, Im v] with v an eigenvector for the
-    eigenvalue with positive imaginary part, which conjugation by det h = 1
-    and complex rescaling of v leave unchanged.
+    The one-element case of ``_orientations``: -1 when g is conjugate to a
+    rotation by a phase in (0, 1/2), +1 for a phase in (1/2, 1), and 0 for
+    +-I, for any input ``_sl2_align_stack`` refuses (|trace| >= 2, a
+    degenerate eigenvector, an SVD that does not converge) and for a
+    non-2x2 input.  It equals the sign of det [Re v, Im v] with v an
+    eigenvector for the eigenvalue with positive imaginary part, which
+    conjugation by det h = 1 and complex rescaling of v leave unchanged.
     """
     try:
-        _, phase = _sl2_align(g)
-    except ValueError:
+        _, phases, refused = _sl2_align_stack(np.asarray(g, dtype=float)[None])
+    except ValueError:  # not a 2x2 matrix
         return 0
-    if phase in (0.0, 0.5):
-        return 0
-    return -1 if phase < 0.5 else 1
+    return int(_orientations(phases, refused)[0])
+
+
+def _orientations(phases: np.ndarray, refused: np.ndarray) -> np.ndarray:
+    # orientation_sign of each slice of an _sl2_align_stack result
+    sigma = np.where(phases < 0.5, -1, 1)
+    sigma[(refused != 0) | (phases == 0.0) | (phases == 0.5)] = 0
+    return sigma
 
 
 def _expected_sigma(k: int, n: int) -> int:
@@ -724,9 +802,9 @@ def sl2_component_census(n: int, samples: int, seed: int,
     different components.
 
     Sample i draws k and then its conjugator from its own Generator, so it
-    replays alone at seed + i; the samples are conjugated as stacks of at
-    most ``_CENSUS_BLOCK``, and each one's orientation, trace and
-    membership residual are read per sample.
+    replays alone at seed + i; the samples are conjugated, and their
+    orientations, traces and membership residuals read, as stacks of at
+    most ``_CENSUS_BLOCK``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -743,15 +821,17 @@ def sl2_component_census(n: int, samples: int, seed: int,
             ks = [k for k, _ in block]
             g = _conjugate_stack(spec, n, np.array(ks)[:, None],
                                  [z for _, z in block])
-            for k, gk in zip(ks, g):
-                sigma = orientation_sign(gk)
-                classes.add((round(float(np.trace(gk)), trace_digits), sigma))
+            _, phases, refused = _sl2_align_stack(g)
+            sigmas = _orientations(phases, refused).tolist()
+            traces = np.trace(g, axis1=1, axis2=2).tolist()
+            residuals = membership_residuals(spec, g).tolist()
+            for k, sigma, tr, r in zip(ks, sigmas, traces, residuals):
+                classes.add((round(tr, trace_digits), sigma))
                 flipped = sigma != _expected_sigma(k, n)
                 inputs, digest = memo(k, lambda: {"k": k, "n": n})
                 fields.append({"inputs": inputs, "digest": digest,
-                               "residuals": {
-                                   "membership": membership_residual(spec, gk),
-                                   "sigma_flip": float(flipped)},
+                               "residuals": {"membership": r,
+                                             "sigma_flip": float(flipped)},
                                "passed": not flipped})
         return fields
 
@@ -778,12 +858,14 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     Sample i draws from its own Generator, as ``random_torsion_point`` and
     then ``random_element`` would, so it replays alone at seed + i.  The
     draws are evaluated ``_CENSUS_BLOCK`` at a time as stacks: one QR, one
-    torus build and one conjugation per block, then per sample one
-    membership residual and one alignment, and snapping and
-    canonicalization on integer phase numerators.  A sample off the group
-    or off the 1/n grid raises the error ``matrix_invariant`` would, for
-    the first such sample."""
+    torus build, one conjugation and one membership residual per block,
+    then one alignment per sample (one per block for SL(2,R)), and snapping
+    and canonicalization on integer phase numerators.  A sample off the
+    group or off the 1/n grid raises the error ``matrix_invariant`` would,
+    for the first such sample; an n too fine to snap at is refused before
+    any sample is drawn."""
     t0 = time.perf_counter()
+    _check_snap_grid(n)
     expected = count_components(spec, n)
     count = _indexable_count(spec, n)
     seen = set()
@@ -828,22 +910,32 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
 
 def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
     """(membership residuals, snapped phase numerators) of a stack of
-    census samples: the checks of ``_snapped_alignment``, one residual and
-    one alignment per sample, raising for the first failing sample."""
-    residuals, raw = [], []
-
-    def snapped():
-        return _snap_rows(np.array(raw, dtype=float), n)
-
-    for gi in g:
-        try:
-            residuals.append(require_residual(spec,
-                                              membership_residual(spec, gi)))
-            raw.append(_alignment(spec, gi)[1])
-        except ValueError:  # numpy's LinAlgError included
-            snapped()  # an off-grid phase in an earlier sample fails first
-            raise
-    return residuals, snapped()
+    census samples: the checks of ``_snapped_alignment``, one stacked
+    residual and one alignment per sample (one stacked alignment for
+    SL(2,R)), raising for the first failing sample.  An off-grid phase of
+    an earlier sample fails before a later non-member or refused
+    alignment."""
+    residuals = membership_residuals(spec, g).tolist()
+    first = next((i for i, r in enumerate(residuals)
+                  if not r <= TOL_MEMBERSHIP), len(residuals))
+    if spec.family == "SL2R":
+        _, phases, refused = _sl2_align_stack(g)
+        failed = np.flatnonzero(refused[:first])
+        first = int(failed[0]) if len(failed) else first
+        raw = phases[:first, None]
+    else:
+        raw = []
+        for gi in g[:first]:
+            try:
+                raw.append(_alignment(spec, gi)[1])
+            except ValueError:  # numpy's LinAlgError included
+                _snap_rows(np.array(raw, dtype=float), n)
+                raise
+    ks = _snap_rows(np.array(raw, dtype=float), n)
+    if first < len(residuals):
+        require_residual(spec, residuals[first])
+        raise _sl2_refusal(refused[first])  # a refused SL(2,R) member
+    return residuals, ks
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,12 @@ SAME_SEED_DIGESTS = {
         0, "64f7144a2a14a85fb9791b9b506fa837a52520cee41ca5038cacfb8e59624519"),
     "verify gcd --group SL2R --n 4 --m 6": (
         0, "2d00b4cdd4410a887c9538cc97ef3871f94bfc26e491ed116f6a42091c5d60ad"),
+    # the two largest census sizes the benchmark runs; recorded before the
+    # census samples were read as stacks and reports printed from templates
+    "census sl2 --n 24 --samples 4000 --seed 5": (
+        0, "e656d214340fcb2f254269fbfaeaca9a930c04e37cbda8027d11dea9e057a141"),
+    "census cluster --group SU --size 4 --n 6 --samples 2000 --seed 5": (
+        0, "18a915e0802d0954901584b14cb6c6dd99da7c1cf12b7ae7f5647753e7228dd9"),
 }
 
 
@@ -284,6 +290,14 @@ def test_census_sl2_json(capsys):
     payload = json.loads(out)
     assert payload["details"]["class_count"] == 4
     assert payload["details"]["expected_classes"] == 4
+
+
+def test_census_cluster_refuses_an_n_too_fine_to_snap(capsys):
+    code, out, err = run(capsys, ["census", "cluster", "--group", "SO",
+                                  "--size", "2", "--n", "500000",
+                                  "--samples", "1"])
+    assert code == 2 and out == ""
+    assert "n=500000 is too large" in err and "500,000" in err
 
 
 def test_census_cluster_json(capsys):

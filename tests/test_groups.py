@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, polar
 
+from stack_oracles import membership_residual_oracle
+
 from torsion_orbits.groups import (FAMILIES, GroupSpec, UnsupportedGroupError,
                                    adjoint_matrix, algebra_basis,
                                    algebra_coords, algebra_matrix,
                                    cartan_decompose, constraint_residual,
                                    element_draws, element_order,
                                    elements_from_draws, exp_element,
-                                   group_inverse, membership_residual,
+                                   adjoint_stack, group_inverse,
+                                   membership_residual, membership_residuals,
                                    random_algebra, random_element,
                                    require_member, require_residual)
 
@@ -375,3 +378,92 @@ def test_membership_and_inverse():
         require_residual(GroupSpec("SO", 3), 2.0)
     assert require_residual(GroupSpec("SO", 3), 1e-12) == 1e-12
     assert membership_residual(GroupSpec("U", 2), np.eye(3)) == np.inf
+
+
+EVERY_SPEC = ([GroupSpec("U", m) for m in range(1, 6)]
+              + [GroupSpec("SU", m) for m in range(2, 6)]
+              + [GroupSpec("SO", m) for m in range(2, 6)]
+              + [GroupSpec("SL2R", 2)])
+
+
+def membership_stacks(spec, count=300, seed=5):
+    """Stacks to take membership residuals of: members, members pushed off
+    the group by 1e-12 to 1, a complex copy of those (SO and SL(2,R) then
+    measure an imaginary part), and slices with NaN or +-inf entries."""
+    rng = np.random.default_rng(seed)
+    g = elements_from_draws(
+        spec, np.stack([element_draws(spec, rng) for _ in range(count)]))
+    scale = 10.0 ** rng.uniform(-12, 0, size=(count, 1, 1))
+    pushed = g + scale * rng.standard_normal(g.shape) * (rng.random(
+        (count, 1, 1)) < 0.5)
+    odd = np.array(g[:8])
+    odd[0, 0, 0] = np.nan
+    odd[1] = np.nan
+    odd[2, -1, 0] = np.inf
+    odd[3, 0, -1] = -np.inf
+    odd[4] = np.inf
+    odd[5] = 0.0
+    odd[6] *= 2.0
+    stacks = [g, pushed, odd]
+    if not spec.is_complex:
+        shifted = pushed + 1j * scale * rng.standard_normal(g.shape)
+        # NaN in the imaginary part alone: Python's max keeps the finite
+        # terms before it, so the residual stays finite
+        shifted[0, 0, 0] = complex(g[0, 0, 0], np.nan)
+        stacks.append(shifted)
+    return stacks
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("spec", EVERY_SPEC, ids=GroupSpec.label)
+def test_stacked_membership_is_the_one_element_body_bit_for_bit(spec):
+    for g in membership_stacks(spec):
+        want = np.array([membership_residual_oracle(spec, gi) for gi in g])
+        got = membership_residuals(spec, g)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), spec.label()
+        one = np.array([membership_residual(spec, gi) for gi in g])
+        assert one.tobytes() == want.tobytes(), spec.label()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("spec", EVERY_SPEC, ids=GroupSpec.label)
+def test_non_finite_slices_are_refused_as_members(spec):
+    g = membership_stacks(spec)[2]
+    residuals = membership_residuals(spec, g)
+    for gi, r in zip(g, residuals.tolist()):
+        if not np.isfinite(gi).all():
+            assert not r <= 1e-9
+            with pytest.raises(ValueError, match="is not in"):
+                require_residual(spec, r)
+            with pytest.raises(ValueError):
+                require_member(spec, gi)
+    with pytest.raises(ValueError):
+        adjoint_stack(spec, g)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_membership_nan_order_is_pythons_max():
+    # SO(3): the orthogonality term comes first, the imaginary part last;
+    # a NaN among the later terms is passed over, a NaN first is kept
+    spec = GroupSpec("SO", 3)
+    late = np.eye(3) + 0j
+    late[0, 0] = complex(1.0, np.nan)
+    first = np.eye(3) + 0j
+    first[0, 0] = np.nan
+    got = membership_residuals(spec, np.stack([late, first]))
+    assert got[0] == 0.0 == membership_residual_oracle(spec, late)
+    assert np.isnan(got[1]) and np.isnan(membership_residual_oracle(spec,
+                                                                    first))
+    with pytest.raises(ValueError, match=r"\(residual nan\)"):
+        require_residual(spec, float(got[1]))
+
+
+def test_membership_stack_shape_is_checked():
+    spec = GroupSpec("U", 2)
+    with pytest.raises(ValueError, match="stack of 2x2"):
+        membership_residuals(spec, np.eye(2))
+    with pytest.raises(ValueError, match="stack of 2x2"):
+        membership_residuals(spec, np.eye(3)[None])
+    assert membership_residuals(spec, np.zeros((0, 2, 2))).shape == (0,)
+    assert membership_residual(spec, np.eye(2)[None]) == np.inf

@@ -6,12 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from stack_oracles import membership_residual_oracle, orientation_sign_oracle
 from torsion_orbits import cli, sweeps, torsion
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
-from torsion_orbits.groups import (GroupSpec, membership_residual,
-                                   random_algebra, random_element,
-                                   require_member)
+from torsion_orbits.groups import (GroupSpec, random_algebra,
+                                   random_element, require_member)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
                                     inputs_digest)
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
@@ -23,7 +23,7 @@ from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, ALL_FAMILY_SPECS,
                                    sweep_zero_intersection)
 from torsion_orbits.torsion import (_nearest_torsion, cluster_census,
                                     nearest_torsion_approximant,
-                                    orientation_sign, sl2_component_census)
+                                    sl2_component_census)
 
 #: run(count, seed) -> report, one per seeded multi-trial driver.
 RUNS = {
@@ -139,11 +139,11 @@ def sl2_trial(rng, classes):
     spec = GroupSpec("SL2R", 2)
     g, point = random_torsion_element(spec, SL2_N, rng)
     k = int(point.phases[0] * SL2_N)
-    sigma = orientation_sign(g)
+    sigma = orientation_sign_oracle(g)
     classes.add((round(float(np.trace(g)), 6), sigma))
     want = 0 if k == 0 or 2 * k == SL2_N else (-1 if 2 * k < SL2_N else 1)
     return {"inputs": {"k": k, "n": SL2_N},
-            "residuals": {"membership": membership_residual(spec, g),
+            "residuals": {"membership": membership_residual_oracle(spec, g),
                           "sigma_flip": float(sigma != want)},
             "passed": sigma == want}
 
@@ -273,3 +273,37 @@ def test_first_non_member_in_trial_order_raises(monkeypatch):
     with pytest.raises(ValueError) as first:
         require_member(spec, 2.0 * g)
     assert str(info.value) == str(first.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
+    # trial j shares trial 0's stack and turns NaN; trial 1, in a later
+    # stack, leaves the group.  Trial 1 is first in trial order, so its
+    # error is raised; without it, the NaN slice is refused
+    count, seed = 40, 3
+    keys = [_torsion_trial(np.random.default_rng(seed + i))[:2]
+            for i in range(count)]
+    j = keys.index(keys[0], 2)
+    assert keys[1] != keys[0]
+    build = sweeps._conjugate_stack
+
+    def poisoned(scale_trial_1):
+        def stack(spec, n, rows, draws):
+            g = build(spec, n, rows, draws)
+            if (spec, n) == keys[0]:
+                g[keys[:j].count(keys[0])] = np.nan
+            elif (spec, n) == keys[1] and scale_trial_1:
+                g[0] *= 2.0
+            return g
+        return stack
+
+    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(True))
+    with pytest.raises(ValueError, match="is not in") as info:
+        sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
+    spec, _, g, _ = _torsion_trial(np.random.default_rng(seed + 1))
+    with pytest.raises(ValueError) as first:
+        require_member(spec, 2.0 * g)
+    assert str(info.value) == str(first.value)
+    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(False))
+    with pytest.raises(ValueError, match=r"\(residual nan\)"):
+        sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)

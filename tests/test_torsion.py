@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import torsion_orbits
 from phase_oracles import (canonicalize_oracle, snap_phase_oracle,
                            torsion_point_oracle)
+from stack_oracles import orientation_sign_oracle, sl2_align_oracle
 from torsion_orbits import cli, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, group_inverse,
@@ -845,6 +846,85 @@ def test_orientation_sign_is_zero_without_a_rotation_to_align_to():
     assert eig_orientation_oracle(g) == -1
 
 
+def sl2_align_inputs():
+    """2x2 inputs for the stacked SL(2,R) alignment: conjugates of the
+    rotations by 2 pi k/n whose conjugators reach ||h||_F ~ 1e2 (so
+    ||g||_F ~ 1e4) and ~1e7 (near-degenerate eigenvectors), +-I and points
+    within 1e-8 of them, |trace| >= 2 (hyperbolic, parabolic, off the
+    group), near-degenerate rotations, Gaussian matrices and non-finite
+    entries."""
+    spec = GroupSpec("SL2R", 2)
+    rng = np.random.default_rng(77)
+    out = []
+    for n in (1, 2, 3, 4, 6, 12, 24):
+        for k in range(n):
+            for _ in range(12):
+                s = 10.0 ** rng.uniform(0, 2)
+                h = np.diag([s, 1 / s]) @ random_element(spec, rng)
+                out.append(h @ torus_matrix(spec, [Fraction(k, n)])
+                           @ group_inverse(spec, h))
+    # conjugators so skewed that det [Re v, Im v] nears the 1e-12 cut
+    for k in (1, 3, 5):
+        for _ in range(60):
+            s = 10.0 ** rng.uniform(5, 7.5)
+            h = np.diag([s, 1 / s]) @ random_element(spec, rng)
+            out.append(h @ torus_matrix(spec, [Fraction(k, 12)])
+                       @ group_inverse(spec, h))
+    eye = np.eye(2)
+    out += [eye, -eye, eye + 3e-9, -eye - 3e-9, eye + 2e-8, -eye + 2e-8,
+            eye * (1 + 1e-8), np.diag([2.0, 0.5]), np.diag([-3.0, -1 / 3]),
+            np.array([[1.0, 1.0], [0.0, 1.0]]),
+            np.array([[-1.0, 1.0], [0.0, -1.0]]),
+            np.array([[1.0, 1e-13], [-1e-13, 1.0]]),
+            np.array([[1.0 - 1e-12, 1e-7], [-1e-7, 1.0]]),
+            np.array([[0.0, 1e4], [-1e-4, 0.0]]),
+            2 * torus_matrix(spec, [0.4 / (2 * np.pi)])]
+    for theta in (1e-9, 1e-7, 1e-5, np.pi - 1e-7):
+        out.append(torus_matrix(spec, [theta / (2 * np.pi)]))
+    for _ in range(500):
+        out.append(rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-3, 4))
+    for bad in ([[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 0.0]],
+                [[np.inf, 0.0], [0.0, -np.inf]], [[0.0, np.inf], [1.0, 0.0]]):
+        out.append(np.array(bad))
+    return np.array(out)
+
+
+def _aligned_or_error(align, g):
+    try:
+        h, phase = align(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return h.tobytes(), np.float64(phase).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_sl2_alignment_is_the_one_element_body():
+    g = sl2_align_inputs()
+    h, phases, refused = torsion._sl2_align_stack(g)
+    sigmas = torsion._orientations(phases, refused)
+    traces = np.trace(g, axis1=1, axis2=2)
+    seen = set()
+    for i, gi in enumerate(g):
+        want = _aligned_or_error(sl2_align_oracle, gi)
+        assert _aligned_or_error(torsion._sl2_align, gi) == want, i
+        if refused[i]:
+            seen.add(int(refused[i]))
+            assert want[0] in (ValueError, np.linalg.LinAlgError), i
+            assert phases[i] == 0.0 and (h[i] == np.eye(2)).all()
+        else:
+            assert want == (h[i].tobytes(), phases[i].tobytes()), i
+        assert sigmas[i] == orientation_sign_oracle(gi) \
+            == orientation_sign(gi), i
+        assert traces[i].tobytes() == np.trace(gi).tobytes()
+    assert seen == {1, 2, 3}
+    assert {-1, 0, 1} <= set(sigmas.tolist())
+
+
+def test_orientation_sign_of_a_non_2x2_input_is_zero():
+    assert orientation_sign(np.eye(3)) == 0 == orientation_sign_oracle(
+        np.eye(3))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sl2_census_small(n):
     rep = sl2_component_census(n, 200, seed=17)
@@ -988,9 +1068,26 @@ CENSUS_ALIGNMENTS = [(GroupSpec("U", 3), 6, "_unitary_eigenstructure"),
 def break_alignment(monkeypatch, name, off_grid=(), failing=()):
     """Make the census's alignment return an off-grid first phase at the
     calls in ``off_grid`` (phase 0.3 + call/1e4, distinct per call) and
-    raise at the calls in ``failing``."""
-    original = getattr(torsion, name)
+    raise at the calls in ``failing``.  SL(2,R) samples are aligned as one
+    stack, so there a call is a slice of ``_sl2_align_stack`` and a
+    failing one is refused."""
     calls = itertools.count()
+    if name == "_sl2_align":
+        stacked = torsion._sl2_align_stack
+
+        def aligned_stack(g):
+            h, phases, refused = stacked(g)
+            for j in range(len(g)):
+                call = next(calls)
+                if call in off_grid:
+                    phases[j] = 0.3 + call / 1e4 + 1e-3
+                if call in failing:
+                    refused[j] = 1
+            return h, phases, refused
+
+        monkeypatch.setattr(torsion, "_sl2_align_stack", aligned_stack)
+        return
+    original = getattr(torsion, name)
 
     def aligned(g):
         call = next(calls)
@@ -1000,8 +1097,6 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
         if call in off_grid:
             phases = np.array(phases, dtype=float, ndmin=1)
             phases[0] = 0.3 + call / 1e4 + 1e-3
-            if name == "_sl2_align":  # one phase, not a vector
-                phases = phases[0]
         return Q, phases
 
     monkeypatch.setattr(torsion, name, aligned)
@@ -1031,13 +1126,58 @@ def test_census_raises_for_the_first_failing_sample(monkeypatch, failing,
     # it wins, one after it does not
     break_alignment(monkeypatch, "_unitary_eigenstructure", off_grid={6},
                     failing=failing)
-    if off_member is not None:
-        calls = itertools.count()
+    if off_member is not None:  # one stack: slice j is sample j
         monkeypatch.setattr(
-            torsion, "membership_residual",
-            lambda spec, g: 0.25 if next(calls) == off_member else 0.0)
+            torsion, "membership_residuals",
+            lambda spec, g: np.where(np.arange(len(g)) == off_member,
+                                     0.25, 0.0))
     with pytest.raises(ValueError, match=message):
         cluster_census(GroupSpec("U", 3), 6, 25, seed=2)
+
+
+@pytest.mark.parametrize("off_member,failing,message", [
+    (4, (), snap_message(2)),
+    (1, (), r"g is not in SL\(2,R\) within 1e-09 \(residual 2\.500e-01\)"),
+    (None, {3}, snap_message(2)),
+    (None, {1}, "element is not elliptic or central")])
+def test_sl2_cluster_census_raises_for_the_first_failing_sample(
+        monkeypatch, off_member, failing, message):
+    # sample 2 is off the grid; a non-member or a refused alignment before
+    # it wins, one after it does not
+    break_alignment(monkeypatch, "_sl2_align", off_grid={2}, failing=failing)
+    if off_member is not None:  # one stack: slice j is sample j
+        monkeypatch.setattr(
+            torsion, "membership_residuals",
+            lambda spec, g: np.where(np.arange(len(g)) == off_member,
+                                     0.25, 0.0))
+    with pytest.raises(ValueError, match=message):
+        cluster_census(GroupSpec("SL2R", 2), 6, 25, seed=2)
+
+
+def test_snap_refuses_an_n_at_which_every_phase_snaps():
+    # at 2 n SNAP_TOL >= 1 every phase is within SNAP_TOL of the grid, so
+    # a random element would get an invariant; below it, it still fails
+    spec = GroupSpec("U", 2)
+    g = random_element(spec, 1)
+    with pytest.raises(ValueError, match=r"n=500000 is too large .* "
+                       r"n >= 1/\(2 SNAP_TOL\) = 500,000"):
+        matrix_invariant(spec, g, 500_000)
+    with pytest.raises(ValueError, match="n=500000 is too large"):
+        canonical_align(spec, g, 500_000)
+    with pytest.raises(ValueError, match=r"not within 1e-06 of a multiple "
+                       r"of 1/100000; the element does not have order"):
+        matrix_invariant(spec, g, 100_000)
+    assert matrix_invariant(spec, np.eye(2), 499_999).phases == (0, 0)
+
+
+def test_cluster_census_refuses_a_fine_grid_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(torsion, "element_draws", no_draws)
+    for spec in (GroupSpec("SO", 2), GroupSpec("SL2R", 2)):
+        with pytest.raises(ValueError, match="n=500000 is too large"):
+            cluster_census(spec, 500_000, 3, seed=0)
 
 
 def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
