@@ -7,8 +7,9 @@ runs with the same configuration produce byte-identical JSON apart from the
 wall-time field.  ``to_json`` prints a report from a fixed skeleton and one
 per-trial template with sorted keys, byte for byte what
 ``json.dumps(..., sort_keys=True, indent=2)`` prints, which the tests keep
-as its oracle; ``json.dumps`` itself encodes only the config, the details
-and each distinct trial ``inputs`` dict.
+as its oracle; ``json.dumps`` itself encodes only the config, the details,
+strings, and the lists and dicts nested in a trial's ``inputs`` or
+``residuals``.
 """
 
 from __future__ import annotations
@@ -203,20 +204,15 @@ _FIELD_PAD, _VALUE_PAD = " " * 6, " " * 8
 
 
 def _json_value(value, pad: str, cache: dict) -> str:
-    """Any value as ``_json_nested(value, pad)`` prints it.  Strings, lists
-    and dicts recur across trials (statuses, notes, digests, the shared
-    ``point`` lists), so ``cache`` keeps their text: strings by value,
-    containers by id and pad, with the container itself so that its id
-    stays its own."""
+    """Any value as ``_json_nested(value, pad)`` prints it.  Statuses,
+    notes and digests recur across trials, so ``cache`` keeps the text of
+    each string."""
     if type(value) is str:
         if value not in cache:
             cache[value] = json.dumps(value)
         return cache[value]
     if isinstance(value, (dict, list, tuple)):
-        key = id(value), pad
-        if key not in cache:
-            cache[key] = value, _json_nested(value, pad)
-        return cache[key][1]
+        return _json_nested(value, pad)
     return _json_scalar(value)
 
 

@@ -39,9 +39,9 @@ import numpy as np
 from scipy.linalg import schur
 
 from .groups import (TOL_MEMBERSHIP, GroupSpec, UnsupportedGroupError,
-                     _frobenius, adjoint_matrix, element_draws,
-                     elements_from_draws, group_inverse, membership_residual,
-                     membership_residuals, require_member, require_residual)
+                     adjoint_matrix, element_draws, elements_from_draws,
+                     group_inverse, membership_residual, membership_residuals,
+                     require_member, require_residual)
 from .reports import (VerificationReport, inputs_memo, run_stacked_trials,
                       single_trial_report)
 from .subspaces import image_basis
@@ -379,8 +379,8 @@ def _sl2_align_stack(g: np.ndarray):
     h = np.tile(eye, (count, 1, 1))
     phases = np.zeros(count)
     refused = np.zeros(count, dtype=np.int8)
-    plus = _frobenius(g - eye) <= 1e-8
-    minus = ~plus & (_frobenius(g + eye) <= 1e-8)
+    plus = _distance(g, eye) <= 1e-8
+    minus = ~plus & (_distance(g, -eye) <= 1e-8)
     phases[minus] = 0.5
     tr = np.trace(g, axis1=1, axis2=2)
     rest = ~(plus | minus)
@@ -406,6 +406,13 @@ def _sl2_align_stack(g: np.ndarray):
     h[where[ok]] = cols[ok] / scale[ok, None, None]
     phases[where[ok]] = np.where(flip, cycles, 1.0 - cycles)[ok]
     return h, phases, refused
+
+
+def _distance(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # Frobenius distance of each 2x2 slice of the real stack g from a,
+    # bit for bit np.linalg.norm's: the dot of the flattened difference
+    d = (g - a).reshape(len(g), 4)
+    return np.sqrt(np.vecdot(d, d))
 
 
 def _svd_vt(a: np.ndarray):
@@ -918,10 +925,13 @@ def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
     residuals = membership_residuals(spec, g).tolist()
     first = next((i for i, r in enumerate(residuals)
                   if not r <= TOL_MEMBERSHIP), len(residuals))
+    refusal = None  # the error of a refused SL(2,R) member
     if spec.family == "SL2R":
         _, phases, refused = _sl2_align_stack(g)
         failed = np.flatnonzero(refused[:first])
-        first = int(failed[0]) if len(failed) else first
+        if len(failed):
+            first = int(failed[0])
+            refusal = _sl2_refusal(refused[first])
         raw = phases[:first, None]
     else:
         raw = []
@@ -932,9 +942,10 @@ def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
                 _snap_rows(np.array(raw, dtype=float), n)
                 raise
     ks = _snap_rows(np.array(raw, dtype=float), n)
+    if refusal is not None:
+        raise refusal
     if first < len(residuals):
-        require_residual(spec, residuals[first])
-        raise _sl2_refusal(refused[first])  # a refused SL(2,R) member
+        require_residual(spec, residuals[first])  # raises: a non-member
     return residuals, ks
 
 
