@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (GroupSpec, adjoint_stack, algebra_matrix,
-                     cartan_decompose, group_inverse, require_member)
+from .groups import (TOL_MEMBERSHIP, GroupSpec, adjoint_stack,
+                     algebra_matrix, cartan_decompose, group_inverse,
+                     require_member)
 from .reports import VerificationReport
 from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
                         _outcome_report, _torsion_outcomes)
@@ -164,8 +165,7 @@ def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
 
 
 def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
-                       tol: float = 1e-9,
-                       tol_membership: float = 1e-9) -> VerificationReport:
+                       tol: float = 1e-9) -> VerificationReport:
     """Exact-identity check: (I + Ad(g) + ... + Ad(g)^(n-1)) alpha'(0) = 0
     for alpha'(0) = (I - Ad(g))X, whenever g^n = e.
 
@@ -173,9 +173,9 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     beyond roundoff is a bug.  This is the one-element case of
     ``curve_kernel_outcomes``."""
     t0 = time.perf_counter()
-    stack, residuals = _one_member(spec, g, n, tol_membership)
+    stack, residuals = _one_member(spec, g, n)
     outcome, = _torsion_outcomes(
-        spec, stack, n, tol_membership,
+        spec, stack, n,
         lambda keep: curve_kernel_outcomes(
             spec, stack, n, residuals, np.asarray(X, dtype=float)[None], tol))
     return _outcome_report("curve-kernel", {"group": spec.label(), "n": n},
@@ -183,8 +183,7 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
 
 
 def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
-                              Xm: np.ndarray, t: np.ndarray,
-                              tol_membership: float = 1e-9):
+                              Xm: np.ndarray, t: np.ndarray):
     """Outcome of ``product_identity_check`` for each slice of the stack g
     of elements of order dividing n, with algebra matrices Xm and
     parameters t (one per slice)."""
@@ -198,29 +197,28 @@ def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
         right = ginv @ right
     eye = np.eye(spec.size)
     residuals = [float(np.linalg.norm(p - eye)) for p in prod]
-    return [_outcome({"product_residual": r}, r <= n * tol_membership, {})
+    return [_outcome({"product_residual": r}, r <= n * TOL_MEMBERSHIP, {})
             for r in residuals]
 
 
 def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
-                           t: float,
-                           tol_membership: float = 1e-9) -> VerificationReport:
+                           t: float) -> VerificationReport:
     """Telescoping product check at a finite parameter t.
 
     With gamma(t) = exp(tX) g exp(-tX) and alpha(t) = gamma(t) g^-1, the
     product alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1))
-    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <= n * tol.
+    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <=
+    n * TOL_MEMBERSHIP.
     This is the one-element case of ``product_identity_outcomes``."""
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n, "t": float(t)}
-    stack, _ = _one_member(spec, g, n, tol_membership)
+    stack, _ = _one_member(spec, g, n)
     outcome, = _torsion_outcomes(
-        spec, stack, n, tol_membership,
+        spec, stack, n,
         lambda keep: product_identity_outcomes(
-            spec, stack, n, algebra_matrix(spec, X)[None], [t],
-            tol_membership))
+            spec, stack, n, algebra_matrix(spec, X)[None], [t]))
     return _outcome_report("product-identity", inputs, outcome,
-                           {"tol_membership": tol_membership}, t0,
+                           {"tol_membership": TOL_MEMBERSHIP}, t0,
                            "product_residual")
 
 
@@ -264,8 +262,7 @@ def _conjugator_path(spec: GroupSpec, h: np.ndarray):
 
 def connect_within_component(spec: GroupSpec, g1: np.ndarray,
                              g2: np.ndarray, n: int,
-                             waypoints: int = 20,
-                             tol_membership: float = 1e-9) -> CurveSample:
+                             waypoints: int = 20) -> CurveSample:
     """Explicit path from g1 to g2 inside their common conjugation orbit.
 
     Both endpoints must have order dividing n and equal canonical
@@ -276,8 +273,8 @@ def connect_within_component(spec: GroupSpec, g1: np.ndarray,
     """
     if waypoints < 2:
         raise ValueError("need at least two waypoints")
-    g1 = require_member(spec, g1, tol_membership)
-    g2 = require_member(spec, g2, tol_membership)
+    g1 = require_member(spec, g1)
+    g2 = require_member(spec, g2)
     Q1, realized1 = canonical_align(spec, g1, n)
     Q2, realized2 = canonical_align(spec, g2, n)
     if realized1 != realized2:  # one representative per invariant

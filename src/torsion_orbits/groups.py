@@ -256,17 +256,11 @@ def _det_offset(a: np.ndarray) -> np.ndarray:
     return np.hypot(d.real, d.imag) if np.iscomplexobj(d) else np.abs(d)
 
 
-def _python_max(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # elementwise max(a, b) as Python's max takes it: b only where b > a,
-    # so a NaN in a is kept and a NaN in b is passed over
-    return np.where(b > a, b, a)
-
-
 def membership_residuals(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """``membership_residual`` of each matrix of the stack g of shape
-    (count, m, m), as a float array: ||g^H g - I|| (U, SU; SO with g real),
-    then the max with |det g - 1| (SU, SO, SL(2,R)) and with the norm of
-    any imaginary part (SO, SL(2,R)), in that order."""
+    (count, m, m), as a float array: the max of ||g^H g - I|| (U, SU; SO
+    with g real), |det g - 1| (SU, SO, SL(2,R)) and the norm of any
+    imaginary part (SO, SL(2,R)); NaN when any of them is NaN."""
     g = np.asarray(g)
     m = spec.size
     if g.ndim != 3 or g.shape[1:] != (m, m):
@@ -276,32 +270,35 @@ def membership_residuals(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     if spec.family in ("U", "SU"):
         r = _frobenius(g.conj().swapaxes(-1, -2) @ g - eye)
         if spec.family == "SU":
-            r = _python_max(r, _det_offset(g))
+            r = np.maximum(r, _det_offset(g))
         return r
     imag = (_frobenius(np.imag(g)) if np.iscomplexobj(g)
             else np.zeros(len(g)))
     gr = np.real(g)
     r = _det_offset(gr)
     if spec.family == "SO":
-        r = _python_max(_frobenius(gr.swapaxes(-1, -2) @ gr - eye), r)
-    return _python_max(r, imag)
+        r = np.maximum(_frobenius(gr.swapaxes(-1, -2) @ gr - eye), r)
+    return np.maximum(r, imag)
 
 
-def require_member(spec: GroupSpec, g: np.ndarray, tol: float = TOL_MEMBERSHIP,
-                   what: str = "g") -> np.ndarray:
+def require_member(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
-    require_residual(spec, membership_residual(spec, g), tol, what)
+    require_residual(spec, membership_residual(spec, g))
     return g
 
 
-def require_residual(spec: GroupSpec, r: float, tol: float = TOL_MEMBERSHIP,
-                     what: str = "g") -> float:
+def require_residual(spec: GroupSpec, r: float) -> float:
     """``require_member`` for an element whose membership residual r is
-    already known: returns r, or raises when r exceeds tol."""
-    if not r <= tol:
-        raise ValueError(f"{what} is not in {spec.label()} within {tol:g} "
-                         f"(residual {r:.3e})")
+    already known: returns r, or raises when r exceeds TOL_MEMBERSHIP."""
+    if not r <= TOL_MEMBERSHIP:
+        raise non_member(spec, r)
     return r
+
+
+def non_member(spec: GroupSpec, r: float) -> ValueError:
+    """The error ``require_residual`` raises for membership residual r."""
+    return ValueError(f"g is not in {spec.label()} within {TOL_MEMBERSHIP:g} "
+                      f"(residual {r:.3e})")
 
 
 def adjoint_stack(spec: GroupSpec, g: np.ndarray,

@@ -10,6 +10,12 @@ per-trial template with sorted keys, byte for byte what
 as its oracle; ``json.dumps`` itself encodes only the config, the details,
 strings, and the lists and dicts nested in a trial's ``inputs`` or
 ``residuals``.
+
+``run_stacked_trials`` is the one engine of every sweep and census: it
+draws trial i from seed + i, evaluates the trials in stacks of at most
+``STACK_CAP`` that share a key, takes each stack's membership residuals
+once, and raises the error of a run's earliest failing trial.
+``members_only`` adapts a check that is defined on group members alone.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .groups import TOL_MEMBERSHIP, membership_residuals, non_member
 
 # Field stripped when comparing reports for reproducibility.
 WALL_TIME_FIELD = "wall_time_s"
@@ -262,30 +270,77 @@ def inputs_memo():
     return get
 
 
-def run_stacked_trials(check, count, seed, draw, evaluate, config,
+#: Trials evaluated as one stack, at most: the one cap of every census and
+#: sweep.
+STACK_CAP = 4096
+
+
+def run_stacked_trials(check, count, seed, draw, build, records, config,
                        worst_residual=None):
-    """Run ``count`` seeded trials, each split in two so that a check can
-    evaluate its trials as stacks, and assemble their report.
+    """Run ``count`` seeded trials as stacks and assemble their report.
 
     ``draw(rng)`` takes trial i's inputs from a numpy Generator seeded by
-    seed + i, and ``evaluate`` maps the list of every draw, in trial order,
-    to the list of their TrialRecord fields other than ``index`` and
-    ``seed``.  A run is thus reproducible for a fixed seed, and trial i
-    replays alone as trial 0 of a one-trial run at seed + i.
-    ``worst_residual`` names the residual whose maximum is the report's
-    worst residual (default: every residual)."""
+    seed + i, as a tuple whose first item is the trial's stack key, a tuple
+    that starts with the GroupSpec.  The trials that share a key form
+    stacks, in trial order and cut at ``STACK_CAP``.  Per stack,
+    ``build(key, draws)`` makes the elements g, their membership residuals
+    are taken once, and ``records(key, draws, g, residuals)`` gives one
+    entry per trial: its TrialRecord fields other than ``index`` and
+    ``seed``, or the exception that fails it.  A run raises the exception
+    of its earliest failing trial.  So a run is reproducible for a fixed
+    seed, and trial i replays alone as trial 0 of a one-trial run at
+    seed + i.  ``worst_residual`` names the residual whose maximum is the
+    report's worst residual (default: every residual)."""
     if count < 1:
         raise ValueError(f"trial count must be >= 1, got {count}")
     t0 = time.perf_counter()
     draws = [draw(np.random.default_rng(seed + i)) for i in range(count)]
-    records = [TrialRecord(index=i, seed=seed + i, **fields)
-               for i, fields in enumerate(evaluate(draws))]
+    keyed = {}
+    for i, d in enumerate(draws):
+        keyed.setdefault(d[0], []).append(i)
+    fields = [None] * count
+    for key, trials in keyed.items():
+        for start in range(0, len(trials), STACK_CAP):
+            stack = trials[start:start + STACK_CAP]
+            stack_draws = [draws[i] for i in stack]
+            g = build(key, stack_draws)
+            residuals = membership_residuals(key[0], g).tolist()
+            for i, f in zip(stack, records(key, stack_draws, g, residuals)):
+                fields[i] = f
+    failure = next((f for f in fields if isinstance(f, Exception)), None)
+    if failure is not None:
+        raise failure
+    trials = [TrialRecord(index=i, seed=seed + i, **f)
+              for i, f in enumerate(fields)]
     worst = None
     if worst_residual is not None:
-        worst = max(t.residuals[worst_residual] for t in records)
+        worst = max(t.residuals[worst_residual] for t in trials)
     return VerificationReport.from_trials(
-        check, records, config=config, wall_time_s=time.perf_counter() - t0,
+        check, trials, config=config, wall_time_s=time.perf_counter() - t0,
         worst_residual=worst)
+
+
+def fill_kept(kept, evaluate, fill):
+    """One entry per flag of ``kept``: where it is set, the entries that
+    ``evaluate(keep)`` gives, in order, for the indices ``keep`` of the set
+    flags (called only when there are some); elsewhere ``fill(i)``."""
+    keep = [i for i, k in enumerate(kept) if k]
+    done = iter(evaluate(keep) if keep else ())
+    return [next(done) if k else fill(i) for i, k in enumerate(kept)]
+
+
+def members_only(records):
+    """``records`` of ``run_stacked_trials`` applied to a stack's group
+    members alone: a non-member gets the error ``require_residual``
+    raises."""
+    def members(key, draws, g, residuals):
+        return fill_kept(
+            [r <= TOL_MEMBERSHIP for r in residuals],
+            lambda keep: records(key, [draws[i] for i in keep], g[keep],
+                                 [residuals[i] for i in keep]),
+            lambda i: non_member(key[0], residuals[i]))
+
+    return members
 
 
 def strip_wall_time(payload):

@@ -13,9 +13,9 @@ import time
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .groups import (GroupSpec, adjoint_stack, membership_residual,
-                     require_residual)
-from .reports import single_trial_report
+from .groups import (TOL_MEMBERSHIP, GroupSpec, adjoint_stack,
+                     membership_residual, require_residual)
+from .reports import fill_kept, single_trial_report
 
 #: Relative singular-value threshold for rank decisions.
 TOL_RANK = 1e-9
@@ -116,33 +116,30 @@ def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
     return np.broadcast_to(S, A.shape)
 
 
-def _one_member(spec: GroupSpec, g, n, tol_membership):
+def _one_member(spec: GroupSpec, g, n):
     """(g as a one-element stack, [its membership residual]) for the
     single-shot checkers, which raise for a non-member or a bad n."""
     g = np.asarray(g)
-    r = require_residual(spec, membership_residual(spec, g), tol_membership)
+    r = require_residual(spec, membership_residual(spec, g))
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     return g[None], [r]
 
 
-def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
-                      tol_membership: float, evaluate, note_suffix=""):
+def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
+                      note_suffix=""):
     """One outcome per slice of the stack g of group members: rejected where
-    g^n = e fails beyond n * tol_membership, else the outcome that
+    g^n = e fails beyond n * TOL_MEMBERSHIP, else the outcome that
     ``evaluate(keep)`` gives for that slice, ``keep`` being the indices of
     the slices that pass.  An outcome holds the TrialRecord fields
     ``residuals``, ``passed``, ``status`` and ``note``, and a check's
     ``details`` when it ran."""
     eye = spec.identity()
-    ok = [np.linalg.norm(p - eye) <= n * tol_membership
-          for p in np.linalg.matrix_power(g, n)]
-    keep = [i for i, o in enumerate(ok) if o]
-    done = iter(evaluate(keep) if keep else ())
-    return [next(done) if o else
-            {"residuals": {}, "passed": False, "status": "rejected",
-             "note": f"precondition g^{n} = e fails{note_suffix}"}
-            for o in ok]
+    return fill_kept(
+        [np.linalg.norm(p - eye) <= n * TOL_MEMBERSHIP
+         for p in np.linalg.matrix_power(g, n)], evaluate,
+        lambda i: {"residuals": {}, "passed": False, "status": "rejected",
+                   "note": f"precondition g^{n} = e fails{note_suffix}"})
 
 
 def _outcome(residuals, passed, details):
@@ -163,7 +160,7 @@ _NOT_A_VERDICT = "; not a verdict on the identity"
 
 
 def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
-                       tol_membership: float, check_slice):
+                       check_slice):
     """``_torsion_outcomes`` of a subspace check: for the slices with
     g^n = e, one stacked adjoint, power sum S = I + Ad(g) + ... +
     Ad(g)^(n-1) and SVD each of I - Ad(g) and S, then
@@ -175,14 +172,12 @@ def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
         _, s_S, Vt_S = np.linalg.svd(S)
         return list(map(check_slice, S, U, s, Vt, s_S, Vt_S))
 
-    return _torsion_outcomes(spec, g, n, tol_membership, evaluate,
-                             _NOT_A_VERDICT)
+    return _torsion_outcomes(spec, g, n, evaluate, _NOT_A_VERDICT)
 
 
 def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
                           tol_rank: float = TOL_RANK,
-                          tol_subspace: float = TOL_SUBSPACE,
-                          tol_membership: float = 1e-9):
+                          tol_subspace: float = TOL_SUBSPACE):
     """Outcome of ``verify_kernel_image_identity`` for each slice of the
     stack g of group members with membership residuals ``residuals``."""
     def check_slice(S, U, s, Vt, s_S, Vt_S):
@@ -195,14 +190,12 @@ def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
         return _outcome({"principal_angle": angle, "containment": containment},
                         equal, {"image_dim": im.dim, "kernel_dim": ker.dim})
 
-    return _subspace_outcomes(spec, g, n, residuals, tol_membership,
-                              check_slice)
+    return _subspace_outcomes(spec, g, n, residuals, check_slice)
 
 
 def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                                residuals, tol_rank: float = TOL_RANK,
-                               angle_tol: float = TOL_SUBSPACE,
-                               tol_membership: float = 1e-9):
+                               angle_tol: float = TOL_SUBSPACE):
     """Outcome of ``verify_zero_intersection`` for each slice of the stack g
     of group members with membership residuals ``residuals``."""
     def check_slice(S, U, s, Vt, s_S, Vt_S):
@@ -213,14 +206,12 @@ def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                         {"fixed_dim": fixed.dim, "kernel_dim": ker.dim,
                          "min_principal_angle": min_angle})
 
-    return _subspace_outcomes(spec, g, n, residuals, tol_membership,
-                              check_slice)
+    return _subspace_outcomes(spec, g, n, residuals, check_slice)
 
 
 def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
                                  tol_rank: float = TOL_RANK,
-                                 tol_subspace: float = TOL_SUBSPACE,
-                                 tol_membership: float = 1e-9):
+                                 tol_subspace: float = TOL_SUBSPACE):
     """Check ker(I + Ad(g) + ... + Ad(g)^(n-1)) = Im(I - Ad(g)) for g^n = e.
 
     Returns a VerificationReport carrying the subspace dimensions, the
@@ -231,18 +222,17 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
     """
     t0 = time.perf_counter()
     config = {"check": "kernel-image", "tol_rank": tol_rank,
-              "tol_subspace": tol_subspace, "tol_membership": tol_membership}
-    stack, residuals = _one_member(spec, g, n, tol_membership)
+              "tol_subspace": tol_subspace, "tol_membership": TOL_MEMBERSHIP}
+    stack, residuals = _one_member(spec, g, n)
     outcome, = kernel_image_outcomes(spec, stack, n, residuals, tol_rank,
-                                     tol_subspace, tol_membership)
+                                     tol_subspace)
     return _outcome_report("kernel-image", {"group": spec.label(), "n": n},
                            outcome, config, t0, "principal_angle")
 
 
 def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
                              tol_rank: float = TOL_RANK,
-                             angle_tol: float = TOL_SUBSPACE,
-                             tol_membership: float = 1e-9):
+                             angle_tol: float = TOL_SUBSPACE):
     """Check ker(I - Ad(g)) cap ker(Sum_i Ad(g)^i) = {0} for g^n = e.
 
     The fixed space of Ad(g) is mapped to n times itself by the power sum, so
@@ -252,10 +242,10 @@ def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
     """
     t0 = time.perf_counter()
     config = {"check": "zero-intersection", "tol_rank": tol_rank,
-              "angle_tol": angle_tol, "tol_membership": tol_membership}
-    stack, residuals = _one_member(spec, g, n, tol_membership)
+              "angle_tol": angle_tol, "tol_membership": TOL_MEMBERSHIP}
+    stack, residuals = _one_member(spec, g, n)
     outcome, = zero_intersection_outcomes(spec, stack, n, residuals, tol_rank,
-                                          angle_tol, tol_membership)
+                                          angle_tol)
     return _outcome_report("zero-intersection",
                            {"group": spec.label(), "n": n}, outcome, config,
                            t0, "intersection_dim")

@@ -1,33 +1,33 @@
 """Randomized multi-trial sweeps over the single-shot checkers.
 
-Every sweep runs through :func:`reports.run_stacked_trials`: trial i draws
-its inputs from a generator seeded by seed + i, in the order the
-one-element helpers would, so a sweep is reproducible for a fixed seed and
-any failing trial can be replayed alone from the seed recorded in its
-trial record.  The draws are then evaluated as stacks of at most
-``torsion._CENSUS_BLOCK`` trials, one stack per (group, n), or per group
-for the tangent and density sweeps: one Haar QR, torus build,
-conjugation and membership residual per stack, and the stacked
-evaluator of which each single-shot checker is the one-element case.
-Records come out in trial order.
+Every sweep is a draw, build and records function for
+:func:`reports.run_stacked_trials`: trial i draws its inputs from a
+generator seeded by seed + i, in the order the one-element helpers would,
+so a sweep is reproducible for a fixed seed and any failing trial can be
+replayed alone from the seed recorded in its trial record.  The engine
+evaluates the draws as stacks of at most ``reports.STACK_CAP`` trials, one
+stack per (group, n), or per group for the tangent and density sweeps:
+one Haar QR, torus build, conjugation and membership residual per stack,
+and the stacked evaluator of which each single-shot checker is the
+one-element case, on the stack's group members (``members_only``; a
+non-member fails the run).  Records come out in trial order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
-                     element_draws, elements_from_draws, group_inverse,
-                     membership_residuals, random_algebra, random_element,
-                     require_residual)
-from .reports import VerificationReport, inputs_memo, run_stacked_trials
+from .groups import (GroupSpec, algebra_matrix, element_draws,
+                     elements_from_draws, group_inverse, random_algebra,
+                     random_element)
+from .reports import (VerificationReport, inputs_memo, members_only,
+                      run_stacked_trials)
 from .subspaces import (_torsion_outcomes, kernel_image_outcomes,
                         zero_intersection_outcomes)
 from .curves import (DEFAULT_STEPS, curve_kernel_outcomes,
                      product_identity_outcomes, tangent_outcomes)
-from .torsion import (_blocks, _conjugate_stack, _indexable_count,
-                      _nearest_torsion, _point_label, _torsion_rows,
-                      random_torsion_point)
+from .torsion import (_conjugates, _nearest_torsion, _point_label,
+                      _torsion_draw, _torsion_rows, random_torsion_point)
 
 COMPACT_SWEEP_SPECS = tuple(
     [GroupSpec("U", m) for m in (1, 2, 3, 4)]
@@ -45,51 +45,14 @@ def random_torsion_element(spec: GroupSpec, n: int, rng):
     return g, point
 
 
-def _stacked(draws, build, records):
-    """Record fields of a sweep's draws, in trial order.
-
-    The trials that share a key ``draws[i][0]`` (a tuple that starts with
-    the spec) form stacks, in trial order and cut at the stack cap;
-    ``build(key, stack draws)`` makes a stack's elements.  Their membership
-    residuals are then taken once per stack, and the first non-member in
-    trial order raises the single-shot checkers' error.  Last,
-    ``records(key, stack draws, elements, residuals)`` gives a stack's
-    record fields."""
-    groups = {}
-    for i, d in enumerate(draws):
-        groups.setdefault(d[0], []).append(i)
-    stacks = [(key, block, build(key, [draws[i] for i in block]))
-              for key, idx in groups.items() for block in _blocks(idx)]
-    residuals = {}
-    for (spec, *_), block, g in stacks:
-        residuals.update(zip(block, membership_residuals(spec, g).tolist()))
-    for i, d in enumerate(draws):
-        require_residual(d[0][0], residuals[i])
-    fields = [None] * len(draws)
-    for key, block, g in stacks:
-        for i, f in zip(block, records(key, [draws[i] for i in block], g,
-                                       [residuals[i] for i in block])):
-            fields[i] = f
-    return fields
-
-
 def _conjugate_draw(specs, n_max):
     """draw(rng) of a torsion sweep, in ``random_torsion_element``'s order:
-    ((spec, n), torus point index, the conjugator's normal draws), with n
-    in 1..n_max."""
+    a random spec and n in 1..n_max, then ``torsion._torsion_draw``."""
     def draw(rng):
         spec = specs[int(rng.integers(len(specs)))]
-        n = 1 + int(rng.integers(n_max))
-        index = int(rng.integers(_indexable_count(spec, n)))
-        return (spec, n), index, element_draws(spec, rng)
+        return _torsion_draw(spec, 1 + int(rng.integers(n_max)))(rng)
 
     return draw
-
-
-def _conjugates(key, stack):
-    spec, n = key
-    rows = _torsion_rows(spec, n, [d[1] for d in stack])
-    return _conjugate_stack(spec, n, rows, [d[2] for d in stack])
 
 
 def _elements(key, stack):
@@ -124,8 +87,8 @@ def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
                     outcomes(key[0], g, key[1], residuals))]
 
     return run_stacked_trials(
-        check, trials, seed, _conjugate_draw(specs, n_max),
-        lambda draws: _stacked(draws, _conjugates, records),
+        check, trials, seed, _conjugate_draw(specs, n_max), _conjugates,
+        members_only(records),
         {"trials": trials, "seed": seed, "n_max": n_max, **config,
          "groups": [s.label() for s in specs]})
 
@@ -170,8 +133,7 @@ def sweep_tangent(specs, trials, seed, steps=DEFAULT_STEPS, *,
                 tangent_outcomes(spec, g, Xm, steps, ratio_slack)]
 
     return run_stacked_trials(
-        "tangent-space", trials, seed, draw,
-        lambda draws: _stacked(draws, _elements, records),
+        "tangent-space", trials, seed, draw, _elements, members_only(records),
         {"trials": trials, "seed": seed, "steps": list(steps),
          "ratio_slack": ratio_slack, "groups": [s.label() for s in specs]})
 
@@ -205,7 +167,7 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
                     for k, p in zip(kernel, product)]
 
         # a rejected trial fails with no residuals but keeps status "ok"
-        outcomes = _torsion_outcomes(spec, g, n, TOL_MEMBERSHIP, both)
+        outcomes = _torsion_outcomes(spec, g, n, both)
         return [{"inputs": {**inputs, "t": d[4]},
                  "residuals": outcome["residuals"],
                  "passed": outcome["passed"]}
@@ -213,8 +175,8 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
                 zip(stack, _point_inputs(memo, spec, n, stack), outcomes)]
 
     return run_stacked_trials(
-        "curve-identities", trials, seed, draw,
-        lambda draws: _stacked(draws, _conjugates, records),
+        "curve-identities", trials, seed, draw, _conjugates,
+        members_only(records),
         {"trials": trials, "seed": seed, "n_max": n_max, "tol": tol,
          "groups": [s.label() for s in specs]})
 
@@ -243,8 +205,7 @@ def sweep_density(specs, N, trials, seed) -> VerificationReport:
 
     # the bound is part of each record; the residual of interest is distance
     return run_stacked_trials(
-        "density", trials, seed, draw,
-        lambda draws: _stacked(draws, _elements, records),
+        "density", trials, seed, draw, _elements, members_only(records),
         {"trials": trials, "seed": seed, "N": N,
          "groups": [s.label() for s in specs]},
         worst_residual="distance")

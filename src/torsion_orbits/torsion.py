@@ -21,8 +21,11 @@ arctan2 and SVD per stack), off which the SL(2,R) orientations are also
 read; ``_sl2_align`` and ``orientation_sign`` are its one-element cases.
 Snapping refuses an n whose 1/n grid is finer than 2 SNAP_TOL, where every
 phase would snap.  The censuses draw each sample from its own seeded
-Generator, so a sample replays alone, but evaluate the samples as stacks:
-one Haar QR, torus build, conjugation and membership residual per block.
+Generator, so a sample replays alone, and evaluate the samples as stacks
+through ``reports.run_stacked_trials``: one Haar QR, torus build,
+conjugation and membership residual per stack.  ``_torsion_draw`` and
+``_conjugates`` are the draw and build of both censuses and of the three
+torsion sweeps.
 """
 
 from __future__ import annotations
@@ -38,12 +41,11 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import schur
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, UnsupportedGroupError,
-                     adjoint_matrix, element_draws, elements_from_draws,
-                     group_inverse, membership_residual, membership_residuals,
-                     require_member, require_residual)
-from .reports import (VerificationReport, inputs_memo, run_stacked_trials,
-                      single_trial_report)
+from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
+                     element_draws, elements_from_draws, group_inverse,
+                     membership_residual, require_member, require_residual)
+from .reports import (VerificationReport, inputs_memo, members_only,
+                      run_stacked_trials, single_trial_report)
 from .subspaces import image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
@@ -250,19 +252,31 @@ def _check_snap_grid(n: int) -> None:
             f"once n >= 1/(2 SNAP_TOL) = {round(1 / (2 * SNAP_TOL)):,}")
 
 
-def _snap_rows(raw: np.ndarray, n: int) -> np.ndarray:
-    """Every phase of the (count, slots) array ``raw`` snapped to the 1/n
-    grid, as int64s k (phases k/n) in [0, n).  Raises ValueError for an n
-    ``_check_snap_grid`` refuses, and for the first phase, in row order,
-    farther than SNAP_TOL from every k/n."""
+def _snap(raw: np.ndarray, n: int):
+    """(ks, off): every phase of the (count, slots) array ``raw`` rounded
+    to the 1/n grid, as int64s k (phases k/n) in [0, n), 0 where ``off``
+    marks a phase farther than SNAP_TOL from every k/n.  Raises ValueError
+    for an n ``_check_snap_grid`` refuses."""
     _check_snap_grid(n)
     k = np.rint(raw * n)
     off = ~(np.abs(raw - k / n) <= SNAP_TOL)
+    return np.where(off, 0.0, k).astype(np.int64) % n, off
+
+
+def _off_grid(phase: float, n: int) -> ValueError:
+    # the error of a phase that does not snap to the 1/n grid
+    return ValueError(
+        f"phase {float(phase)!r} is not within {SNAP_TOL:g} of a "
+        f"multiple of 1/{n}; the element does not have order dividing n")
+
+
+def _snap_rows(raw: np.ndarray, n: int) -> np.ndarray:
+    """The ks of ``_snap``, raising ValueError for the first phase, in row
+    order, that does not snap."""
+    ks, off = _snap(raw, n)
     if off.any():
-        raise ValueError(
-            f"phase {float(raw[off][0])!r} is not within {SNAP_TOL:g} of a "
-            f"multiple of 1/{n}; the element does not have order dividing n")
-    return k.astype(np.int64) % n
+        raise _off_grid(raw[off][0], n)
+    return ks
 
 
 def _canonical_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
@@ -776,15 +790,24 @@ def _expected_sigma(k: int, n: int) -> int:
     return -1 if 2 * k < n else 1
 
 
-#: Trials evaluated as one stack, at most: the one cap of every stacked
-#: census and sweep.
-_CENSUS_BLOCK = 4096
+def _torsion_draw(spec: GroupSpec, n: int):
+    """draw(rng) of a run over conjugates of torsion points, in
+    ``random_torsion_point`` and then ``element_draws`` order: ((spec, n),
+    the torus point index, the conjugator's normal draws)."""
+    key, count = (spec, n), _indexable_count(spec, n)
+
+    def draw(rng):
+        return key, int(rng.integers(count)), element_draws(spec, rng)
+
+    return draw
 
 
-def _blocks(items: list) -> list:
-    """``items`` cut, in order, into runs of at most ``_CENSUS_BLOCK``."""
-    return [items[start:start + _CENSUS_BLOCK]
-            for start in range(0, len(items), _CENSUS_BLOCK)]
+def _conjugates(key, stack):
+    """build of a run over ``_torsion_draw`` draws: the stack of their
+    conjugated torus points."""
+    spec, n = key
+    rows = _torsion_rows(spec, n, [d[1] for d in stack])
+    return _conjugate_stack(spec, n, rows, [d[2] for d in stack])
 
 
 def _conjugate_stack(spec: GroupSpec, n: int, rows: np.ndarray, draws):
@@ -808,10 +831,11 @@ def sl2_component_census(n: int, samples: int, seed: int,
     sampled orbit: the k-th and (n-k)-th rotations share a trace but stay in
     different components.
 
-    Sample i draws k and then its conjugator from its own Generator, so it
+    Sample i draws k, the SL(2,R) torus point index, and then its
+    conjugator from its own Generator, as ``cluster_census`` does, so it
     replays alone at seed + i; the samples are conjugated, and their
-    orientations, traces and membership residuals read, as stacks of at
-    most ``_CENSUS_BLOCK``.
+    orientations and traces read, as stacks.  Membership is recorded as a
+    residual, not required.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -819,30 +843,23 @@ def sl2_component_census(n: int, samples: int, seed: int,
     classes = set()
     memo = inputs_memo()
 
-    def draw(rng):
-        return int(rng.integers(n)), element_draws(spec, rng)
-
-    def evaluate(draws):
+    def records(key, stack, g, residuals):
+        _, phases, refused = _sl2_align_stack(g)
+        sigmas = _orientations(phases, refused).tolist()
+        traces = np.trace(g, axis1=1, axis2=2).tolist()
         fields = []
-        for block in _blocks(draws):
-            ks = [k for k, _ in block]
-            g = _conjugate_stack(spec, n, np.array(ks)[:, None],
-                                 [z for _, z in block])
-            _, phases, refused = _sl2_align_stack(g)
-            sigmas = _orientations(phases, refused).tolist()
-            traces = np.trace(g, axis1=1, axis2=2).tolist()
-            residuals = membership_residuals(spec, g).tolist()
-            for k, sigma, tr, r in zip(ks, sigmas, traces, residuals):
-                classes.add((round(tr, trace_digits), sigma))
-                flipped = sigma != _expected_sigma(k, n)
-                inputs, digest = memo(k, lambda: {"k": k, "n": n})
-                fields.append({"inputs": inputs, "digest": digest,
-                               "residuals": {"membership": r,
-                                             "sigma_flip": float(flipped)},
-                               "passed": not flipped})
+        for (_, k, _), sigma, tr, r in zip(stack, sigmas, traces, residuals):
+            classes.add((round(tr, trace_digits), sigma))
+            flipped = sigma != _expected_sigma(k, n)
+            inputs, digest = memo(k, lambda: {"k": k, "n": n})
+            fields.append({"inputs": inputs, "digest": digest,
+                           "residuals": {"membership": r,
+                                         "sigma_flip": float(flipped)},
+                           "passed": not flipped})
         return fields
 
-    report = run_stacked_trials("sl2-census", samples, seed, draw, evaluate,
+    report = run_stacked_trials("sl2-census", samples, seed,
+                                _torsion_draw(spec, n), _conjugates, records,
                                 {"n": n, "samples": samples, "seed": seed,
                                  "trace_digits": trace_digits},
                                 worst_residual="membership")
@@ -864,46 +881,40 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
 
     Sample i draws from its own Generator, as ``random_torsion_point`` and
     then ``random_element`` would, so it replays alone at seed + i.  The
-    draws are evaluated ``_CENSUS_BLOCK`` at a time as stacks: one QR, one
-    torus build, one conjugation and one membership residual per block,
-    then one alignment per sample (one per block for SL(2,R)), and snapping
-    and canonicalization on integer phase numerators.  A sample off the
-    group or off the 1/n grid raises the error ``matrix_invariant`` would,
-    for the first such sample; an n too fine to snap at is refused before
-    any sample is drawn."""
+    draws are evaluated as stacks: one QR, one torus build, one conjugation
+    and one membership residual per stack, then one alignment per member
+    (one per stack for SL(2,R)), and snapping and canonicalization on
+    integer phase numerators.  A run with a sample off the group or off
+    the 1/n grid raises the error ``matrix_invariant`` would, for the
+    first such sample; an n too fine to snap at is refused before any
+    sample is drawn."""
     t0 = time.perf_counter()
     _check_snap_grid(n)
     expected = count_components(spec, n)
-    count = _indexable_count(spec, n)
     seen = set()
     memo = inputs_memo()
 
-    def draw(rng):
-        return int(rng.integers(count)), element_draws(spec, rng)
-
-    def evaluate(draws):
+    def records(key, stack, g, residuals):
+        drawn = _torsion_rows(spec, n, [d[1] for d in stack])
+        ks, errors = _census_phases(spec, n, g)
+        found = _canonical_rows(spec, n, ks)
+        consistent = (found == _canonical_rows(spec, n, drawn)).all(axis=1)
+        seen.update(map(tuple, np.unique(found, axis=0).tolist()))
         fields = []
-        for block in _blocks(draws):
-            indices = [i for i, _ in block]
-            drawn = _torsion_rows(spec, n, indices)
-            g = _conjugate_stack(spec, n, drawn, [z for _, z in block])
-            residuals, ks = _census_phases(spec, n, g)
-            found = _canonical_rows(spec, n, ks)
-            consistent = (found == _canonical_rows(spec, n, drawn)).all(axis=1)
-            seen.update(map(tuple, np.unique(found, axis=0).tolist()))
-            for i, row, r, ok in zip(indices, drawn.tolist(), residuals,
-                                     consistent.tolist()):
-                inputs, digest = memo(i, lambda: {
-                    "point": _point_label(n, row), "n": n})
-                fields.append({"inputs": inputs, "digest": digest,
-                               "residuals": {"membership": r,
-                                             "invariant_mismatch":
-                                                 0.0 if ok else 1.0},
-                               "passed": ok})
+        for d, row, r, ok, error in zip(stack, drawn.tolist(), residuals,
+                                        consistent.tolist(), errors):
+            inputs, digest = memo(d[1], lambda: {
+                "point": _point_label(n, row), "n": n})
+            fields.append(error or {
+                "inputs": inputs, "digest": digest,
+                "residuals": {"membership": r,
+                              "invariant_mismatch": 0.0 if ok else 1.0},
+                "passed": ok})
         return fields
 
-    report = run_stacked_trials("cluster-census", samples, seed, draw,
-                                evaluate,
+    report = run_stacked_trials("cluster-census", samples, seed,
+                                _torsion_draw(spec, n), _conjugates,
+                                members_only(records),
                                 {"group": spec.label(), "n": n,
                                  "samples": samples, "seed": seed},
                                 worst_residual="membership")
@@ -916,37 +927,28 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
 
 
 def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
-    """(membership residuals, snapped phase numerators) of a stack of
-    census samples: the checks of ``_snapped_alignment``, one stacked
-    residual and one alignment per sample (one stacked alignment for
-    SL(2,R)), raising for the first failing sample.  An off-grid phase of
-    an earlier sample fails before a later non-member or refused
-    alignment."""
-    residuals = membership_residuals(spec, g).tolist()
-    first = next((i for i, r in enumerate(residuals)
-                  if not r <= TOL_MEMBERSHIP), len(residuals))
-    refusal = None  # the error of a refused SL(2,R) member
+    """(snapped phase numerators, errors) of a stack of census samples in
+    the group: the checks of ``_snapped_alignment`` past membership, with
+    one alignment per sample (one stacked alignment for SL(2,R)).
+    ``errors[i]`` is the error of sample i's refused or failed alignment,
+    else of its first phase off the grid, else None."""
+    errors = [None] * len(g)
     if spec.family == "SL2R":
         _, phases, refused = _sl2_align_stack(g)
-        failed = np.flatnonzero(refused[:first])
-        if len(failed):
-            first = int(failed[0])
-            refusal = _sl2_refusal(refused[first])
-        raw = phases[:first, None]
+        for i in np.flatnonzero(refused):
+            errors[i] = _sl2_refusal(refused[i])
+        raw = phases[:, None]
     else:
-        raw = []
-        for gi in g[:first]:
+        raw = np.zeros((len(g), phase_slots(spec)))
+        for i, gi in enumerate(g):
             try:
-                raw.append(_alignment(spec, gi)[1])
-            except ValueError:  # numpy's LinAlgError included
-                _snap_rows(np.array(raw, dtype=float), n)
-                raise
-    ks = _snap_rows(np.array(raw, dtype=float), n)
-    if refusal is not None:
-        raise refusal
-    if first < len(residuals):
-        require_residual(spec, residuals[first])  # raises: a non-member
-    return residuals, ks
+                raw[i] = _alignment(spec, gi)[1]
+            except ValueError as error:  # numpy's LinAlgError included
+                errors[i] = error
+    ks, off = _snap(raw, n)
+    for i in np.flatnonzero(off.any(axis=1)):
+        errors[i] = errors[i] or _off_grid(raw[i][off[i]][0], n)
+    return ks, errors
 
 
 # ---------------------------------------------------------------------------

@@ -12,23 +12,24 @@ import numpy as np
 
 def membership_residual_oracle(spec, g):
     """Frobenius-scale distance from the defining group constraints, one
-    matrix at a time, with Python's max over the terms."""
+    matrix at a time: the max over the terms, or the first NaN term."""
     g = np.asarray(g)
     m = spec.size
     if g.shape != (m, m):
         return float("inf")
     eye = np.eye(m)
-    if spec.family in ("U", "SU"):
-        r = np.linalg.norm(g.conj().T @ g - eye)
-        if spec.family == "SU":
-            r = max(r, abs(np.linalg.det(g) - 1.0))
-        return float(r)
-    real_part = np.linalg.norm(np.imag(g)) if np.iscomplexobj(g) else 0.0
     gr = np.real(g)
-    if spec.family == "SO":
-        return float(max(np.linalg.norm(gr.T @ gr - eye),
-                         abs(np.linalg.det(gr) - 1.0), real_part))
-    return float(max(abs(np.linalg.det(gr) - 1.0), real_part))
+    if spec.family in ("U", "SU"):
+        terms = [np.linalg.norm(g.conj().T @ g - eye)]
+        if spec.family == "SU":
+            terms.append(abs(np.linalg.det(g) - 1.0))
+    else:
+        terms = [abs(np.linalg.det(gr) - 1.0),
+                 np.linalg.norm(np.imag(g)) if np.iscomplexobj(g) else 0.0]
+        if spec.family == "SO":
+            terms.insert(0, np.linalg.norm(gr.T @ gr - eye))
+    nans = [t for t in terms if t != t]
+    return float(nans[0] if nans else max(terms))
 
 
 def sl2_align_oracle(g):

@@ -407,8 +407,7 @@ def membership_stacks(spec, count=300, seed=5):
     stacks = [g, pushed, odd]
     if not spec.is_complex:
         shifted = pushed + 1j * scale * rng.standard_normal(g.shape)
-        # NaN in the imaginary part alone: Python's max keeps the finite
-        # terms before it, so the residual stays finite
+        # NaN in the imaginary part alone: the residual is NaN
         shifted[0, 0, 0] = complex(g[0, 0, 0], np.nan)
         stacks.append(shifted)
     return stacks
@@ -443,20 +442,21 @@ def test_non_finite_slices_are_refused_as_members(spec):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_membership_nan_order_is_pythons_max():
-    # SO(3): the orthogonality term comes first, the imaginary part last;
-    # a NaN among the later terms is passed over, a NaN first is kept
+def test_membership_nan_in_any_term_is_refused():
+    # SO(3): a NaN in the imaginary part alone (the last term) or in the
+    # real part (every term) makes the residual NaN, which is refused
     spec = GroupSpec("SO", 3)
-    late = np.eye(3) + 0j
-    late[0, 0] = complex(1.0, np.nan)
-    first = np.eye(3) + 0j
-    first[0, 0] = np.nan
-    got = membership_residuals(spec, np.stack([late, first]))
-    assert got[0] == 0.0 == membership_residual_oracle(spec, late)
-    assert np.isnan(got[1]) and np.isnan(membership_residual_oracle(spec,
-                                                                    first))
-    with pytest.raises(ValueError, match=r"\(residual nan\)"):
-        require_residual(spec, float(got[1]))
+    imag_nan = np.eye(3) + 0j
+    imag_nan[0, 0] = complex(1.0, np.nan)
+    real_nan = np.eye(3) + 0j
+    real_nan[0, 0] = np.nan
+    got = membership_residuals(spec, np.stack([imag_nan, real_nan]))
+    for g, r in zip((imag_nan, real_nan), got.tolist()):
+        assert np.isnan(r) and np.isnan(membership_residual_oracle(spec, g))
+        with pytest.raises(ValueError, match=r"\(residual nan\)"):
+            require_residual(spec, r)
+        with pytest.raises(ValueError, match=r"\(residual nan\)"):
+            require_member(spec, g)
 
 
 def test_membership_stack_shape_is_checked():

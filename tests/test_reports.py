@@ -3,16 +3,18 @@ template JSON writer, checked against ``json.dumps``."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from torsion_orbits import reports
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
 from torsion_orbits.groups import GroupSpec, random_algebra, random_element
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
-                                    inputs_digest, single_trial_report,
-                                    strip_wall_time)
+                                    inputs_digest, run_stacked_trials,
+                                    single_trial_report, strip_wall_time)
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
                                       verify_zero_intersection)
 from torsion_orbits.surface import (sample_surface, singular_locus_scan,
@@ -79,6 +81,77 @@ def test_summary_line_mentions_verdict():
     rep = single_trial_report("mycheck", {}, {"r": 0.5}, False)
     line = rep.summary_line()
     assert "mycheck" in line and "FAIL" in line
+
+
+#: Two stack keys that the engine's fake draws interleave in trial order.
+ENGINE_KEYS = ((GroupSpec("U", 1), 2), (GroupSpec("SO", 2), 3))
+
+
+def engine_draw(rng):
+    return ENGINE_KEYS[int(rng.integers(2))], float(rng.uniform())
+
+
+def run_engine(count, seed, failing=()):
+    """A fake run: each trial's element is its group's identity, and the
+    trials whose draw is in ``failing`` fail.  Returns the report and the
+    (key, draws) of each build and records call."""
+    builds, calls = [], []
+
+    def build(key, stack):
+        builds.append((key, stack))
+        return np.stack([key[0].identity() for _ in stack])
+
+    def records(key, stack, g, residuals):
+        calls.append((key, stack))
+        assert len(g) == len(stack) and residuals == [0.0] * len(stack)
+        return [ValueError(f"trial {d[1]!r} failed") if d in failing else
+                {"inputs": {"u": d[1]}, "residuals": {"r": d[1]},
+                 "passed": True} for d in stack]
+
+    report = run_stacked_trials("fake", count, seed, engine_draw, build,
+                                records, {})
+    return report, builds, calls
+
+
+def test_engine_stacks_by_key_in_trial_order(monkeypatch):
+    monkeypatch.setattr(reports, "STACK_CAP", 3)
+    count, seed = 11, 5
+    draws = [engine_draw(np.random.default_rng(seed + i))
+             for i in range(count)]
+    keys = [d[0] for d in draws]
+    assert set(keys) == set(ENGINE_KEYS)
+    assert keys[keys.index(keys[0], 1) - 1] != keys[0]  # interleaved
+    report, builds, calls = run_engine(count, seed)
+    # stacks of at most 3 trials of one key, in trial order, each built
+    # and recorded once
+    want = []
+    for key in dict.fromkeys(keys):
+        trials = [d for d in draws if d[0] == key]
+        want += [(key, trials[i:i + 3]) for i in range(0, len(trials), 3)]
+    assert builds == calls == want
+    assert max(len(stack) for _, stack in builds) == 3
+    assert [t.index for t in report.trials] == list(range(count))
+    assert [t.seed for t in report.trials] == [seed + i for i in range(count)]
+    assert [t.inputs["u"] for t in report.trials] == [d[1] for d in draws]
+    assert report.worst_residual == max(d[1] for d in draws)
+
+
+def test_engine_raises_the_earliest_failing_trial(monkeypatch):
+    monkeypatch.setattr(reports, "STACK_CAP", 3)
+    count, seed = 11, 5
+    draws = [engine_draw(np.random.default_rng(seed + i))
+             for i in range(count)]
+    # the earliest failure sits in the second key's stack, which is built
+    # after a later failure in the first key's last stack
+    first = next(d for d in draws if d[0] != draws[0][0])
+    later = [d for d in draws if d[0] == draws[0][0]][-1]
+    assert draws.index(first) < draws.index(later)
+    _, builds, _ = run_engine(count, seed)
+    built = [stack for _, stack in builds]
+    assert built.index(next(s for s in built if later in s)) < \
+        built.index(next(s for s in built if first in s))
+    with pytest.raises(ValueError, match=re.escape(f"trial {first[1]!r}")):
+        run_engine(count, seed, failing=(later, first))
 
 
 # ------------------------------------------------ the template JSON writer

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stack_oracles import membership_residual_oracle, orientation_sign_oracle
-from torsion_orbits import cli, sweeps, torsion
+from torsion_orbits import cli, reports, torsion
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
 from torsion_orbits.groups import (GroupSpec, random_algebra,
@@ -205,7 +205,7 @@ def test_stacked_runs_match_the_per_trial_oracle(check):
 
 @pytest.mark.parametrize("check", sorted(ORACLES))
 def test_stack_cap_of_seven_matches_the_per_trial_oracle(check, monkeypatch):
-    monkeypatch.setattr(torsion, "_CENSUS_BLOCK", 7)
+    monkeypatch.setattr(reports, "STACK_CAP", 7)
     assert_matches_oracle(check, 300, 23)
 
 
@@ -225,7 +225,7 @@ def test_non_torsion_slice_is_rejected_alone(command, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     g_bad = random_element(spec, 1234)
-    build = sweeps._conjugate_stack
+    build = torsion._conjugate_stack
 
     def with_bad_slice(*args):
         g = build(*args)
@@ -233,7 +233,7 @@ def test_non_torsion_slice_is_rejected_alone(command, monkeypatch, capsys):
         g[middle] = g_bad
         return g
 
-    monkeypatch.setattr(sweeps, "_conjugate_stack", with_bad_slice)
+    monkeypatch.setattr(torsion, "_conjugate_stack", with_bad_slice)
     code = cli.main(argv)
     trials = json.loads(capsys.readouterr().out)["trials"]
     # a rejected trial fails the report, as it does one trial at a time
@@ -259,14 +259,14 @@ def test_first_non_member_in_trial_order_raises(monkeypatch):
     keys = [_torsion_trial(np.random.default_rng(seed + i))[:2]
             for i in range(count)]
     assert keys[1] != keys[0] and keys[0] in keys[2:]
-    build = sweeps._conjugate_stack
+    build = torsion._conjugate_stack
 
     def off_group(spec, n, rows, draws):
         g = build(spec, n, rows, draws)
         g[1 if (spec, n) == keys[0] else 0:] *= 2.0
         return g
 
-    monkeypatch.setattr(sweeps, "_conjugate_stack", off_group)
+    monkeypatch.setattr(torsion, "_conjugate_stack", off_group)
     with pytest.raises(ValueError, match="is not in") as info:
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
     spec, _, g, _ = _torsion_trial(np.random.default_rng(seed + 1))
@@ -285,7 +285,7 @@ def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
             for i in range(count)]
     j = keys.index(keys[0], 2)
     assert keys[1] != keys[0]
-    build = sweeps._conjugate_stack
+    build = torsion._conjugate_stack
 
     def poisoned(scale_trial_1):
         def stack(spec, n, rows, draws):
@@ -297,13 +297,13 @@ def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
             return g
         return stack
 
-    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(True))
+    monkeypatch.setattr(torsion, "_conjugate_stack", poisoned(True))
     with pytest.raises(ValueError, match="is not in") as info:
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
     spec, _, g, _ = _torsion_trial(np.random.default_rng(seed + 1))
     with pytest.raises(ValueError) as first:
         require_member(spec, 2.0 * g)
     assert str(info.value) == str(first.value)
-    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(False))
+    monkeypatch.setattr(torsion, "_conjugate_stack", poisoned(False))
     with pytest.raises(ValueError, match=r"\(residual nan\)"):
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)

@@ -23,7 +23,7 @@ import torsion_orbits
 from phase_oracles import (canonicalize_oracle, snap_phase_oracle,
                            torsion_point_oracle)
 from stack_oracles import orientation_sign_oracle, sl2_align_oracle
-from torsion_orbits import cli, torsion
+from torsion_orbits import cli, reports, torsion
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, group_inverse,
                                    membership_residual, random_element)
@@ -1004,10 +1004,31 @@ def test_cluster_census_matches_per_trial_oracle(spec):
 
 
 def test_cluster_census_matches_oracle_across_a_block_edge():
-    spec, block = GroupSpec("SU", 2), torsion._CENSUS_BLOCK
+    spec, block = GroupSpec("SU", 2), reports.STACK_CAP
     oracle = census_oracle(spec, 4, block + 1, 9)
     for samples in (block - 1, block, block + 1):
         assert_census_matches_oracle(spec, 4, 9, oracle[:samples])
+
+
+@pytest.mark.parametrize("n,samples,seed", [(6, 300, 3), (24, 500, 11)])
+def test_sl2_censuses_draw_the_same_samples(n, samples, seed):
+    # census sl2 and census cluster --group SL2R are twins: a fix to how
+    # either judges an SL(2,R) sample must land in both
+    sl2 = sl2_component_census(n, samples, seed)
+    cluster = cluster_census(GroupSpec("SL2R", 2), n, samples, seed)
+    assert len(sl2.trials) == len(cluster.trials) == samples
+    for a, b in zip(sl2.trials, cluster.trials):
+        assert a.seed == b.seed
+        assert a.residuals["membership"].hex() == \
+            b.residuals["membership"].hex()
+        assert b.inputs["point"] == [str(Fraction(a.inputs["k"], n))]
+
+
+def test_sl2_census_records_membership_without_requiring_it():
+    # census sl2 reads membership as a residual: at this seed some of its
+    # conjugates lie farther than 1e-9 from SL(2,R), and the run passes
+    report = sl2_component_census(24, 4000, 5000)
+    assert report.passed and report.worst_residual > 1e-9
 
 
 def test_cluster_census_trial_replays_alone():
@@ -1128,7 +1149,7 @@ def test_census_raises_for_the_first_failing_sample(monkeypatch, failing,
                     failing=failing)
     if off_member is not None:  # one stack: slice j is sample j
         monkeypatch.setattr(
-            torsion, "membership_residuals",
+            reports, "membership_residuals",
             lambda spec, g: np.where(np.arange(len(g)) == off_member,
                                      0.25, 0.0))
     with pytest.raises(ValueError, match=message):
@@ -1147,7 +1168,7 @@ def test_sl2_cluster_census_raises_for_the_first_failing_sample(
     break_alignment(monkeypatch, "_sl2_align", off_grid={2}, failing=failing)
     if off_member is not None:  # one stack: slice j is sample j
         monkeypatch.setattr(
-            torsion, "membership_residuals",
+            reports, "membership_residuals",
             lambda spec, g: np.where(np.arange(len(g)) == off_member,
                                      0.25, 0.0))
     with pytest.raises(ValueError, match=message):
@@ -1181,7 +1202,7 @@ def test_cluster_census_refuses_a_fine_grid_before_drawing(monkeypatch):
 
 
 def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
-    monkeypatch.setattr(torsion, "_CENSUS_BLOCK", 8)
+    monkeypatch.setattr(reports, "STACK_CAP", 8)
     break_alignment(monkeypatch, "_so_torus_align", off_grid={13})
     with pytest.raises(ValueError, match=snap_message(13)):
         cluster_census(GroupSpec("SO", 4), 4, 20, seed=1)
@@ -1190,7 +1211,7 @@ def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
 def test_cluster_census_small_blocks_change_nothing(monkeypatch):
     spec = GroupSpec("SO", 4)
     whole = cluster_census(spec, 4, 30, seed=6)
-    monkeypatch.setattr(torsion, "_CENSUS_BLOCK", 7)
+    monkeypatch.setattr(reports, "STACK_CAP", 7)
     blocked = cluster_census(spec, 4, 30, seed=6)
     assert blocked.trials == whole.trials
     assert blocked.details == whole.details
