@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .groups import FAMILIES, GroupSpec, UnsupportedGroupError
+from .groups import (FAMILIES, TOL_MEMBERSHIP, GroupSpec,
+                     UnsupportedGroupError)
+from .subspaces import TOL_RANK, TOL_SUBSPACE
 from .surface import (circle_point, export_points_csv, sample_surface,
                       singular_locus_scan, tangent_cone_bound_check)
 from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS,
@@ -58,9 +60,9 @@ class RunConfig:
     samples: int | None = None
     seed: int = 0
     jobs: int = 1
-    tol_membership: float = 1e-9
-    tol_rank: float = 1e-9
-    tol_subspace: float = 1e-7
+    tol_membership: float = TOL_MEMBERSHIP
+    tol_rank: float = TOL_RANK
+    tol_subspace: float = TOL_SUBSPACE
     fmt: str = "text"
 
     def validate(self) -> "RunConfig":
@@ -80,6 +82,9 @@ class RunConfig:
             raise ConfigError("--n must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("--m must be >= 1")
+        if self.fmt == "csv" and self.command in ("verify", "census"):
+            raise ConfigError(
+                "csv output applies to catalogs and point clouds only")
         return self
 
     def as_dict(self) -> dict:
@@ -134,9 +139,6 @@ def _report_text(report) -> str:
 
 
 def _emit_report(report, config: RunConfig, output) -> int:
-    if config.fmt == "csv":
-        raise ConfigError(
-            "csv output applies to catalogs and point clouds only")
     report.config["cli"] = config.as_dict()
     if config.fmt == "json":
         _write_text(output, report.to_json() + "\n")
@@ -235,14 +237,18 @@ def cmd_census(args) -> int:
     return _emit_report(report, config, args.output)
 
 
-def _scan_inputs(seed: int, count: int = 100):
+#: Points of each kind in the gradient census's reference inputs.
+_SCAN_POINTS = 100
+
+
+def _scan_inputs(seed: int):
     """Reference inputs for the gradient census: an x-axis grid plus circle
     points kept away from the tangency band (phi near pi makes z, and with it
     the whole gradient, collapse)."""
     rng = np.random.default_rng(seed + 1)
-    axis_x = np.linspace(-2.0, 2.0, count)
+    axis_x = np.linspace(-2.0, 2.0, _SCAN_POINTS)
     points = []
-    while len(points) < count:
+    while len(points) < _SCAN_POINTS:
         a = float(rng.uniform(0.5, 1.5))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         if abs(phi - np.pi) < 0.25:
@@ -340,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; trials run in one "
                             "thread (measured faster), results never depend "
                             "on it")
-    p_ver.add_argument("--tol-membership", type=float, default=1e-9)
-    p_ver.add_argument("--tol-rank", type=float, default=1e-9)
-    p_ver.add_argument("--tol-subspace", type=float, default=1e-7)
+    p_ver.add_argument("--tol-membership", type=float,
+                       default=TOL_MEMBERSHIP)
+    p_ver.add_argument("--tol-rank", type=float, default=TOL_RANK)
+    p_ver.add_argument("--tol-subspace", type=float, default=TOL_SUBSPACE)
     add_output(p_ver)
 
     p_cen = sub.add_parser(

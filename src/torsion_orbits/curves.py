@@ -9,6 +9,13 @@ alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1)) collapses to the
 identity.  connect_within_component makes the "orbits are connected" fact
 constructive by producing an explicit path between two elements with the
 same canonical invariant.
+
+``tangent_outcomes``, ``curve_kernel_outcomes`` and
+``product_identity_outcomes`` evaluate stacks of group members and do not
+check membership again; the single-shot checkers are their one-element
+cases and refuse a non-member first.  The tangent test's slack and floor
+are the constants ``RATIO_SLACK`` and ``RATIO_FLOOR``, echoed in the
+report config.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .torsion import (_so_torus_align, _unitary_eigenstructure, canonical_align,
 #: Errors below this floor count as exact; the O(h) ratio test is vacuous
 #: when the difference quotient already matches the derivative to roundoff.
 RATIO_FLOOR = 1e-10
+
+#: Consecutive error ratios of the O(h) tangent test must track the step
+#: ratios within this factor.
+RATIO_SLACK = 3.0
 
 DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
 
@@ -90,8 +101,7 @@ def conjugation_curve(spec: GroupSpec, g: np.ndarray, X,
 
 
 def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
-                     steps=DEFAULT_STEPS, ratio_slack: float = 3.0,
-                     floor: float = RATIO_FLOOR):
+                     steps=DEFAULT_STEPS):
     """Outcome of ``tangent_space_check`` for each slice of the stack g of
     group members and the stack Xm of algebra matrices."""
     if len(steps) < 2:
@@ -108,14 +118,14 @@ def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
         ratios = []
         for (h1, e1), (h2, e2) in zip(zip(times, errors),
                                       zip(times[1:], errors[1:])):
-            if e1 <= floor and e2 <= floor:
+            if e1 <= RATIO_FLOOR and e2 <= RATIO_FLOOR:
                 ratios.append(None)
                 continue
             step_ratio = h1 / h2
             err_ratio = e1 / max(e2, 1e-300)
             ratios.append(err_ratio)
-            if not (step_ratio / ratio_slack <= err_ratio
-                    <= step_ratio * ratio_slack):
+            if not (step_ratio / RATIO_SLACK <= err_ratio
+                    <= step_ratio * RATIO_SLACK):
                 passed = False
         out.append(_outcome(
             {f"error_h{i}": e for i, e in enumerate(errors)}, passed,
@@ -126,34 +136,32 @@ def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
 
 
 def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
-                        steps=DEFAULT_STEPS, ratio_slack: float = 3.0,
-                        floor: float = RATIO_FLOOR) -> VerificationReport:
+                        steps=DEFAULT_STEPS) -> VerificationReport:
     """First-order check that c'(0) = (X - Ad(g)X) g.
 
     Compares the difference quotient (c(h) - g)/h against the predicted
     derivative D for each step.  The defect is O(h), so consecutive error
-    ratios must track the step ratios within ``ratio_slack``; errors under
-    ``floor`` count as exact (that happens exactly when Ad(g)X = X, where
-    the curve is constant).  This is the one-element case of
+    ratios must track the step ratios within ``RATIO_SLACK``; errors under
+    ``RATIO_FLOOR`` count as exact (that happens exactly when Ad(g)X = X,
+    where the curve is constant).  This is the one-element case of
     ``tangent_outcomes``.
     """
     t0 = time.perf_counter()
     g = require_member(spec, g)
     Xm = algebra_matrix(spec, X)
-    outcome, = tangent_outcomes(spec, g[None], Xm[None], steps, ratio_slack,
-                                floor)
+    outcome, = tangent_outcomes(spec, g[None], Xm[None], steps)
     return _outcome_report(
         "tangent-space", {"group": spec.label()}, outcome,
-        {"steps": list(steps), "ratio_slack": ratio_slack, "floor": floor},
-        t0)
+        {"steps": list(steps), "ratio_slack": RATIO_SLACK,
+         "floor": RATIO_FLOOR}, t0)
 
 
-def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
-                          X: np.ndarray, tol: float = 1e-9):
+def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
+                          X: np.ndarray, tol: float = TOL_MEMBERSHIP):
     """Outcome of ``curve_kernel_check`` for each slice of the stack g of
-    elements of order dividing n, with membership residuals ``residuals``
-    and algebra coordinates X (one row per slice)."""
-    A = adjoint_stack(spec, g, residuals)
+    group members of order dividing n, with algebra coordinates X (one row
+    per slice)."""
+    A = adjoint_stack(spec, g)
     alpha0 = (np.eye(spec.dim) - A) @ X[..., None]
     killed = _adjoint_power_sum(A, n) @ alpha0
     out = []
@@ -165,7 +173,7 @@ def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
 
 
 def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
-                       tol: float = 1e-9) -> VerificationReport:
+                       tol: float = TOL_MEMBERSHIP) -> VerificationReport:
     """Exact-identity check: (I + Ad(g) + ... + Ad(g)^(n-1)) alpha'(0) = 0
     for alpha'(0) = (I - Ad(g))X, whenever g^n = e.
 
@@ -173,11 +181,11 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     beyond roundoff is a bug.  This is the one-element case of
     ``curve_kernel_outcomes``."""
     t0 = time.perf_counter()
-    stack, residuals = _one_member(spec, g, n)
+    stack = _one_member(spec, g, n)
     outcome, = _torsion_outcomes(
         spec, stack, n,
         lambda keep: curve_kernel_outcomes(
-            spec, stack, n, residuals, np.asarray(X, dtype=float)[None], tol))
+            spec, stack, n, np.asarray(X, dtype=float)[None], tol))
     return _outcome_report("curve-kernel", {"group": spec.label(), "n": n},
                            outcome, {"tol": tol}, t0, "kernel_residual")
 
@@ -212,7 +220,7 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     This is the one-element case of ``product_identity_outcomes``."""
     t0 = time.perf_counter()
     inputs = {"group": spec.label(), "n": n, "t": float(t)}
-    stack, _ = _one_member(spec, g, n)
+    stack = _one_member(spec, g, n)
     outcome, = _torsion_outcomes(
         spec, stack, n,
         lambda keep: product_identity_outcomes(

@@ -12,6 +12,12 @@ stack of matrices at a time (``membership_residuals``, ``adjoint_stack``,
 ``random_element`` are their one-element cases, bit for bit.  The
 per-matrix membership body lives on in ``tests/stack_oracles.py`` as the
 oracle the stack is checked against.
+
+``membership_error`` is the one membership decision: the only code that
+compares a membership residual with ``TOL_MEMBERSHIP``.  ``require_member``,
+``require_residual`` and ``reports.members_only`` reach it; the stacked
+evaluators (``adjoint_stack`` and those built on it) take group members and
+do not check them again.
 """
 
 from __future__ import annotations
@@ -281,6 +287,16 @@ def membership_residuals(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     return np.maximum(r, imag)
 
 
+def membership_error(spec: GroupSpec, r: float) -> ValueError | None:
+    """The one membership decision: None when membership residual r is
+    within TOL_MEMBERSHIP, else the ValueError that refuses the element
+    (NaN is refused)."""
+    if r <= TOL_MEMBERSHIP:
+        return None
+    return ValueError(f"g is not in {spec.label()} within {TOL_MEMBERSHIP:g} "
+                      f"(residual {r:.3e})")
+
+
 def require_member(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
     require_residual(spec, membership_residual(spec, g))
@@ -289,34 +305,19 @@ def require_member(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
 
 def require_residual(spec: GroupSpec, r: float) -> float:
     """``require_member`` for an element whose membership residual r is
-    already known: returns r, or raises when r exceeds TOL_MEMBERSHIP."""
-    if not r <= TOL_MEMBERSHIP:
-        raise non_member(spec, r)
+    already known: returns r, or raises ``membership_error``."""
+    error = membership_error(spec, r)
+    if error is not None:
+        raise error
     return r
 
 
-def non_member(spec: GroupSpec, r: float) -> ValueError:
-    """The error ``require_residual`` raises for membership residual r."""
-    return ValueError(f"g is not in {spec.label()} within {TOL_MEMBERSHIP:g} "
-                      f"(residual {r:.3e})")
-
-
-def adjoint_stack(spec: GroupSpec, g: np.ndarray,
-                  residuals=None) -> np.ndarray:
+def adjoint_stack(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Matrices of Ad(g_i): X -> g_i X g_i^-1, one per matrix of the stack g
-    of shape (count, m, m); ``adjoint_matrix`` is the one-element case.
-
-    ``residuals`` are the slices' membership residuals when the caller has
-    them already (else they are computed here).  Raises for the first slice
-    that is numerically non-invertible or off the group.
-    """
+    of group members, of shape (count, m, m).  Membership is the caller's
+    decision and is not checked again here; ``adjoint_matrix`` is the
+    one-element case that checks it."""
     g = np.asarray(g)
-    if residuals is None:
-        residuals = membership_residuals(spec, g).tolist()
-    for det, r in zip(np.abs(np.linalg.det(g)), residuals):
-        if det < 0.5:
-            raise ValueError("g is numerically non-invertible")
-        require_residual(spec, r)
     basis = algebra_basis(spec)
     conj = np.einsum("sij,ajk,skl->sail", g, basis.matrices,
                      group_inverse(spec, g))
@@ -327,10 +328,11 @@ def adjoint_stack(spec: GroupSpec, g: np.ndarray,
 def adjoint_matrix(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Matrix of Ad(g): X -> g X g^-1 in the fixed algebra basis.
 
-    Returns a real (d, d) array.  For the compact families this matrix is
-    orthogonal with respect to the basis gram matrix.
+    Returns a real (d, d) array, and raises for a non-member.  For the
+    compact families this matrix is orthogonal with respect to the basis
+    gram matrix.
     """
-    return adjoint_stack(spec, np.asarray(g)[None])[0]
+    return adjoint_stack(spec, require_member(spec, g)[None])[0]
 
 
 def cartan_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +441,6 @@ def random_element(spec: GroupSpec, seed) -> np.ndarray:
     return elements_from_draws(spec, element_draws(spec, rng)[None])[0]
 
 
-def random_algebra(spec: GroupSpec, seed, scale: float = 1.0) -> np.ndarray:
+def random_algebra(spec: GroupSpec, seed) -> np.ndarray:
     """Seeded Gaussian coordinate vector in the algebra."""
-    rng = np.random.default_rng(seed)
-    return scale * rng.standard_normal(spec.dim)
+    return np.random.default_rng(seed).standard_normal(spec.dim)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import TOL_MEMBERSHIP, membership_residuals, non_member
+from .groups import membership_error, membership_residuals
 
 # Field stripped when comparing reports for reproducibility.
 WALL_TIME_FIELD = "wall_time_s"
@@ -331,14 +331,15 @@ def fill_kept(kept, evaluate, fill):
 
 def members_only(records):
     """``records`` of ``run_stacked_trials`` applied to a stack's group
-    members alone: a non-member gets the error ``require_residual``
-    raises."""
+    members alone: a non-member gets its ``membership_error``, the error
+    ``require_residual`` raises."""
     def members(key, draws, g, residuals):
+        errors = [membership_error(key[0], r) for r in residuals]
         return fill_kept(
-            [r <= TOL_MEMBERSHIP for r in residuals],
+            [e is None for e in errors],
             lambda keep: records(key, [draws[i] for i in keep], g[keep],
                                  [residuals[i] for i in keep]),
-            lambda i: non_member(key[0], residuals[i]))
+            lambda i: errors[i])
 
     return members
 

@@ -3,6 +3,11 @@
 Subspaces of R^d are stored as column-orthonormal matrices.  Rank decisions
 use a relative threshold tol * sigma_max, with the kernel and image of one
 matrix split by the same threshold so rank + nullity = d holds exactly.
+
+``kernel_image_outcomes`` and ``zero_intersection_outcomes`` evaluate a
+stack of group members, which they do not check for membership again;
+``verify_kernel_image_identity`` and ``verify_zero_intersection`` are their
+one-element cases, which refuse a non-member first.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ import time
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, adjoint_stack,
-                     membership_residual, require_residual)
+from .groups import TOL_MEMBERSHIP, GroupSpec, adjoint_stack, require_member
 from .reports import fill_kept, single_trial_report
 
 #: Relative singular-value threshold for rank decisions.
@@ -117,13 +121,12 @@ def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
 
 
 def _one_member(spec: GroupSpec, g, n):
-    """(g as a one-element stack, [its membership residual]) for the
-    single-shot checkers, which raise for a non-member or a bad n."""
-    g = np.asarray(g)
-    r = require_residual(spec, membership_residual(spec, g))
+    """g as a one-element stack for the single-shot checkers, which raise
+    for a non-member or a bad n."""
+    g = require_member(spec, g)
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    return g[None], [r]
+    return g[None]
 
 
 def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
@@ -159,14 +162,13 @@ def _outcome_report(check, inputs, outcome, config, t0, worst=None):
 _NOT_A_VERDICT = "; not a verdict on the identity"
 
 
-def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
-                       check_slice):
+def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, check_slice):
     """``_torsion_outcomes`` of a subspace check: for the slices with
     g^n = e, one stacked adjoint, power sum S = I + Ad(g) + ... +
     Ad(g)^(n-1) and SVD each of I - Ad(g) and S, then
     ``check_slice(S, U, s, Vt, s_S, Vt_S)`` per slice."""
     def evaluate(keep):
-        A = adjoint_stack(spec, g[keep], [residuals[i] for i in keep])
+        A = adjoint_stack(spec, g[keep])
         S = _adjoint_power_sum(A, n)
         U, s, Vt = np.linalg.svd(np.eye(spec.dim) - A)
         _, s_S, Vt_S = np.linalg.svd(S)
@@ -175,11 +177,11 @@ def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
     return _torsion_outcomes(spec, g, n, evaluate, _NOT_A_VERDICT)
 
 
-def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
+def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                           tol_rank: float = TOL_RANK,
                           tol_subspace: float = TOL_SUBSPACE):
     """Outcome of ``verify_kernel_image_identity`` for each slice of the
-    stack g of group members with membership residuals ``residuals``."""
+    stack g of group members."""
     def check_slice(S, U, s, Vt, s_S, Vt_S):
         im = _image_from_svd(U, s, tol_rank)
         ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
@@ -190,14 +192,14 @@ def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int, residuals,
         return _outcome({"principal_angle": angle, "containment": containment},
                         equal, {"image_dim": im.dim, "kernel_dim": ker.dim})
 
-    return _subspace_outcomes(spec, g, n, residuals, check_slice)
+    return _subspace_outcomes(spec, g, n, check_slice)
 
 
 def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
-                               residuals, tol_rank: float = TOL_RANK,
+                               tol_rank: float = TOL_RANK,
                                angle_tol: float = TOL_SUBSPACE):
     """Outcome of ``verify_zero_intersection`` for each slice of the stack g
-    of group members with membership residuals ``residuals``."""
+    of group members."""
     def check_slice(S, U, s, Vt, s_S, Vt_S):
         fixed = _kernel_from_svd(s, Vt, tol_rank)
         ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
@@ -206,7 +208,7 @@ def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                         {"fixed_dim": fixed.dim, "kernel_dim": ker.dim,
                          "min_principal_angle": min_angle})
 
-    return _subspace_outcomes(spec, g, n, residuals, check_slice)
+    return _subspace_outcomes(spec, g, n, check_slice)
 
 
 def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
@@ -223,9 +225,8 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
     t0 = time.perf_counter()
     config = {"check": "kernel-image", "tol_rank": tol_rank,
               "tol_subspace": tol_subspace, "tol_membership": TOL_MEMBERSHIP}
-    stack, residuals = _one_member(spec, g, n)
-    outcome, = kernel_image_outcomes(spec, stack, n, residuals, tol_rank,
-                                     tol_subspace)
+    outcome, = kernel_image_outcomes(spec, _one_member(spec, g, n), n,
+                                     tol_rank, tol_subspace)
     return _outcome_report("kernel-image", {"group": spec.label(), "n": n},
                            outcome, config, t0, "principal_angle")
 
@@ -243,9 +244,8 @@ def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
     t0 = time.perf_counter()
     config = {"check": "zero-intersection", "tol_rank": tol_rank,
               "angle_tol": angle_tol, "tol_membership": TOL_MEMBERSHIP}
-    stack, residuals = _one_member(spec, g, n)
-    outcome, = zero_intersection_outcomes(spec, stack, n, residuals, tol_rank,
-                                          angle_tol)
+    outcome, = zero_intersection_outcomes(spec, _one_member(spec, g, n), n,
+                                          tol_rank, angle_tol)
     return _outcome_report("zero-intersection",
                            {"group": spec.label(), "n": n}, outcome, config,
                            t0, "intersection_dim")

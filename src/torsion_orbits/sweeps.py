@@ -9,22 +9,25 @@ evaluates the draws as stacks of at most ``reports.STACK_CAP`` trials, one
 stack per (group, n), or per group for the tangent and density sweeps:
 one Haar QR, torus build, conjugation and membership residual per stack,
 and the stacked evaluator of which each single-shot checker is the
-one-element case, on the stack's group members (``members_only``; a
-non-member fails the run).  Records come out in trial order.
+one-element case, on the stack's group members.  Membership is decided
+once per trial, by ``members_only`` (a non-member fails the run); the
+evaluators take members and do not decide it again.  Records come out in
+trial order.  The tangent sweep runs at ``curves.DEFAULT_STEPS`` and
+``curves.RATIO_SLACK``, and its config echoes both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import (GroupSpec, algebra_matrix, element_draws,
-                     elements_from_draws, group_inverse, random_algebra,
-                     random_element)
+from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
+                     element_draws, elements_from_draws, group_inverse,
+                     random_algebra, random_element)
 from .reports import (VerificationReport, inputs_memo, members_only,
                       run_stacked_trials)
-from .subspaces import (_torsion_outcomes, kernel_image_outcomes,
-                        zero_intersection_outcomes)
-from .curves import (DEFAULT_STEPS, curve_kernel_outcomes,
+from .subspaces import (TOL_RANK, TOL_SUBSPACE, _torsion_outcomes,
+                        kernel_image_outcomes, zero_intersection_outcomes)
+from .curves import (DEFAULT_STEPS, RATIO_SLACK, curve_kernel_outcomes,
                      product_identity_outcomes, tangent_outcomes)
 from .torsion import (_conjugates, _nearest_torsion, _point_label,
                       _torsion_draw, _torsion_rows, random_torsion_point)
@@ -76,15 +79,15 @@ def _record(inputs_and_digest, outcome):
 
 
 def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
-    """Sweep of a subspace check, ``outcomes(spec, g, n, residuals)`` giving
-    a (spec, n) stack's outcomes."""
+    """Sweep of a subspace check, ``outcomes(spec, g, n, **config)`` giving
+    a (spec, n) stack's outcomes; ``config`` holds its tolerances."""
     specs = list(specs)
     memo = inputs_memo()
 
     def records(key, stack, g, residuals):
         return [_record(inputs, outcome) for inputs, outcome in
                 zip(_point_inputs(memo, *key, stack),
-                    outcomes(key[0], g, key[1], residuals))]
+                    outcomes(key[0], g, key[1], **config))]
 
     return run_stacked_trials(
         check, trials, seed, _conjugate_draw(specs, n_max), _conjugates,
@@ -93,30 +96,23 @@ def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
          "groups": [s.label() for s in specs]})
 
 
-def sweep_kernel_image(specs, n_max, trials, seed, *, tol_rank=1e-9,
-                       tol_subspace=1e-7) -> VerificationReport:
+def sweep_kernel_image(specs, n_max, trials, seed, *, tol_rank=TOL_RANK,
+                       tol_subspace=TOL_SUBSPACE) -> VerificationReport:
     """Kernel/image identity on random torsion elements of random groups."""
     return _subspace_sweep(
-        "kernel-image",
-        lambda spec, g, n, residuals: kernel_image_outcomes(
-            spec, g, n, residuals, tol_rank, tol_subspace),
-        specs, n_max, trials, seed,
+        "kernel-image", kernel_image_outcomes, specs, n_max, trials, seed,
         {"tol_rank": tol_rank, "tol_subspace": tol_subspace})
 
 
-def sweep_zero_intersection(specs, n_max, trials, seed, *, tol_rank=1e-9,
-                            angle_tol=1e-7) -> VerificationReport:
+def sweep_zero_intersection(specs, n_max, trials, seed, *, tol_rank=TOL_RANK,
+                            angle_tol=TOL_SUBSPACE) -> VerificationReport:
     """Fixed-space/kernel transversality on the same input distribution."""
     return _subspace_sweep(
-        "zero-intersection",
-        lambda spec, g, n, residuals: zero_intersection_outcomes(
-            spec, g, n, residuals, tol_rank, angle_tol),
-        specs, n_max, trials, seed,
-        {"tol_rank": tol_rank, "angle_tol": angle_tol})
+        "zero-intersection", zero_intersection_outcomes, specs, n_max,
+        trials, seed, {"tol_rank": tol_rank, "angle_tol": angle_tol})
 
 
-def sweep_tangent(specs, trials, seed, steps=DEFAULT_STEPS, *,
-                  ratio_slack=3.0) -> VerificationReport:
+def sweep_tangent(specs, trials, seed) -> VerificationReport:
     """First-order tangent check on random (g, X); g need not be torsion."""
     specs = list(specs)
     memo = inputs_memo()
@@ -130,16 +126,16 @@ def sweep_tangent(specs, trials, seed, steps=DEFAULT_STEPS, *,
         Xm = np.stack([algebra_matrix(spec, d[2]) for d in stack])
         inputs = memo(spec, lambda: {"group": spec.label()})
         return [_record(inputs, outcome) for outcome in
-                tangent_outcomes(spec, g, Xm, steps, ratio_slack)]
+                tangent_outcomes(spec, g, Xm)]
 
     return run_stacked_trials(
         "tangent-space", trials, seed, draw, _elements, members_only(records),
-        {"trials": trials, "seed": seed, "steps": list(steps),
-         "ratio_slack": ratio_slack, "groups": [s.label() for s in specs]})
+        {"trials": trials, "seed": seed, "steps": list(DEFAULT_STEPS),
+         "ratio_slack": RATIO_SLACK, "groups": [s.label() for s in specs]})
 
 
 def sweep_curve_identities(specs, n_max, trials, seed, *,
-                           tol=1e-9) -> VerificationReport:
+                           tol=TOL_MEMBERSHIP) -> VerificationReport:
     """Kernel identity of the initial velocity plus the telescoping product
     at a random parameter, on random torsion elements."""
     specs = list(specs)
@@ -158,8 +154,7 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
         t = np.array([d[4] for d in stack])
 
         def both(keep):
-            kernel = curve_kernel_outcomes(
-                spec, g[keep], n, [residuals[i] for i in keep], X[keep], tol)
+            kernel = curve_kernel_outcomes(spec, g[keep], n, X[keep], tol)
             product = product_identity_outcomes(spec, g[keep], n, Xm[keep],
                                                 t[keep])
             return [{"residuals": {**k["residuals"], **p["residuals"]},
@@ -195,8 +190,8 @@ def sweep_density(specs, N, trials, seed) -> VerificationReport:
         spec, = key
         inputs, digest = memo(spec, lambda: {"group": spec.label(), "N": N})
         fields = []
-        for gi, r in zip(g, residuals):
-            _, distance, bound = _nearest_torsion(spec, gi, N, r)
+        for gi in g:
+            _, distance, bound = _nearest_torsion(spec, gi, N)
             fields.append({"inputs": inputs, "digest": digest,
                            "residuals": {"distance": distance,
                                          "bound": bound},

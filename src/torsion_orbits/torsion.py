@@ -43,13 +43,16 @@ from scipy.linalg import schur
 
 from .groups import (GroupSpec, UnsupportedGroupError, adjoint_matrix,
                      element_draws, elements_from_draws, group_inverse,
-                     membership_residual, require_member, require_residual)
+                     require_member)
 from .reports import (VerificationReport, inputs_memo, members_only,
                       run_stacked_trials, single_trial_report)
-from .subspaces import image_basis
+from .subspaces import TOL_RANK, image_basis
 
 #: Phases farther than this from every k/n grid point fail to snap.
 SNAP_TOL = 1e-6
+
+#: Decimal digits of the trace that ``sl2_component_census`` clusters by.
+TRACE_DIGITS = 6
 
 #: Catalogs, counts, invariant sets and censuses refuse a group and order
 #: whose class_count_bound exceeds this.
@@ -526,7 +529,7 @@ def matrix_invariant(spec: GroupSpec, g: np.ndarray,
 
 
 def component_dimension(spec: GroupSpec, g: np.ndarray,
-                        tol_rank: float = 1e-9) -> int:
+                        tol_rank: float = TOL_RANK) -> int:
     """Dimension of the conjugation orbit of g: rank of I - Ad(g).  The
     numeric counterpart of ``orbit_dimension``, kept as its oracle."""
     A = adjoint_matrix(spec, g)
@@ -712,17 +715,19 @@ def approximation_bound(spec: GroupSpec, N: int, corrections: int = 0) -> float:
     return (2 * np.pi / N) * float(np.sqrt((p - c) * 0.25 + c * 2.25))
 
 
-def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int, residual=None):
-    """(approx, distance, bound); ``residual`` is g's membership residual
-    when the caller has it already."""
+def _refuse_nearest(spec: GroupSpec, N: int) -> None:
+    # the refusals of nearest torsion approximation that precede membership
     if spec.family == "SL2R":
         raise UnsupportedGroupError(
             "nearest torsion approximation is defined for the compact families")
     if N < 1:
         raise ValueError("N must be >= 1")
-    g = np.asarray(g)
-    require_residual(spec, membership_residual(spec, g) if residual is None
-                     else residual)
+
+
+def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
+    """(approx, distance, bound) for a group member g, which is not checked
+    again."""
+    _refuse_nearest(spec, N)
     corrections = 0
     if spec.family in ("U", "SU"):
         Z, phases = _unitary_eigenstructure(g)
@@ -754,8 +759,10 @@ def nearest_torsion_approximant(spec: GroupSpec, g: np.ndarray, N: int):
     the 1/N grid (SU determinants restored on-grid).
 
     Returns (approx, distance); the distance obeys approximation_bound.
+    Refuses SL(2,R), then N < 1, then a non-member.
     """
-    approx, distance, _ = _nearest_torsion(spec, g, N)
+    _refuse_nearest(spec, N)
+    approx, distance, _ = _nearest_torsion(spec, require_member(spec, g), N)
     return approx, distance
 
 
@@ -821,15 +828,15 @@ def _conjugate_stack(spec: GroupSpec, n: int, rows: np.ndarray, draws):
     return h @ torus_stack(spec, rows / n) @ group_inverse(spec, h)
 
 
-def sl2_component_census(n: int, samples: int, seed: int,
-                         trace_digits: int = 6) -> VerificationReport:
+def sl2_component_census(n: int, samples: int,
+                         seed: int) -> VerificationReport:
     """Monte-Carlo census of {g : g^n = e} in SL(2,R).
 
     Samples random conjugates of the n rotations R(2 pi k/n) and clusters
-    them by the invariant pair (trace, orientation sign).  Passes when
-    exactly n classes appear and the orientation sign never flips within a
-    sampled orbit: the k-th and (n-k)-th rotations share a trace but stay in
-    different components.
+    them by the invariant pair (trace rounded to TRACE_DIGITS decimals,
+    orientation sign).  Passes when exactly n classes appear and the
+    orientation sign never flips within a sampled orbit: the k-th and
+    (n-k)-th rotations share a trace but stay in different components.
 
     Sample i draws k, the SL(2,R) torus point index, and then its
     conjugator from its own Generator, as ``cluster_census`` does, so it
@@ -849,7 +856,7 @@ def sl2_component_census(n: int, samples: int, seed: int,
         traces = np.trace(g, axis1=1, axis2=2).tolist()
         fields = []
         for (_, k, _), sigma, tr, r in zip(stack, sigmas, traces, residuals):
-            classes.add((round(tr, trace_digits), sigma))
+            classes.add((round(tr, TRACE_DIGITS), sigma))
             flipped = sigma != _expected_sigma(k, n)
             inputs, digest = memo(k, lambda: {"k": k, "n": n})
             fields.append({"inputs": inputs, "digest": digest,
@@ -861,7 +868,7 @@ def sl2_component_census(n: int, samples: int, seed: int,
     report = run_stacked_trials("sl2-census", samples, seed,
                                 _torsion_draw(spec, n), _conjugates, records,
                                 {"n": n, "samples": samples, "seed": seed,
-                                 "trace_digits": trace_digits},
+                                 "trace_digits": TRACE_DIGITS},
                                 worst_residual="membership")
     flip_count = sum(not t.passed for t in report.trials)
     report.passed = report.passed and len(classes) == n

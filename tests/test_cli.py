@@ -124,6 +124,28 @@ def test_config_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+#: Every sweep and census the CLI runs, by its name in ``cli``.
+RUNS = ("sweep_tangent", "sweep_curve_identities", "sweep_kernel_image",
+        "sweep_zero_intersection", "sweep_density", "gcd_intersection_check",
+        "cluster_census", "sl2_component_census")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma31", "--trials", "20000"],
+    ["verify", "gcd", "--group", "U", "--size", "2", "--n", "4", "--m", "6"],
+    ["census", "cluster", "--group", "U", "--size", "2", "--n", "3"],
+])
+def test_csv_is_refused_before_any_trial_runs(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("a run started before csv was refused")
+
+    for name in RUNS:
+        monkeypatch.setattr(cli, name, never)
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == "error: csv output applies to catalogs and point clouds only\n"
+
+
 def test_argparse_errors_exit_2(capsys):
     assert cli.main(["verify", "no-such-check"]) == 2
     assert cli.main(["--bogus"]) == 2

@@ -437,8 +437,8 @@ def test_non_finite_slices_are_refused_as_members(spec):
                 require_residual(spec, r)
             with pytest.raises(ValueError):
                 require_member(spec, gi)
-    with pytest.raises(ValueError):
-        adjoint_stack(spec, g)
+            with pytest.raises(ValueError):
+                adjoint_matrix(spec, gi)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -467,3 +467,43 @@ def test_membership_stack_shape_is_checked():
         membership_residuals(spec, np.eye(3)[None])
     assert membership_residuals(spec, np.zeros((0, 2, 2))).shape == (0,)
     assert membership_residual(spec, np.eye(2)[None]) == np.inf
+
+
+def test_every_one_element_entry_refuses_a_non_member():
+    # the stacked evaluators take members and do not decide membership
+    # again; each public one-element entry decides it first, with the
+    # text of require_residual
+    from torsion_orbits.curves import (conjugation_curve,
+                                       connect_within_component,
+                                       curve_kernel_check,
+                                       product_identity_check,
+                                       tangent_space_check)
+    from torsion_orbits.subspaces import (verify_kernel_image_identity,
+                                          verify_zero_intersection)
+    from torsion_orbits.torsion import nearest_torsion_approximant
+
+    spec = GroupSpec("U", 2)
+    g = 2.0 * np.diag([1.0, -1.0]).astype(complex)
+    X = random_algebra(spec, 3)
+    with pytest.raises(ValueError) as info:
+        require_residual(spec, membership_residual(spec, g))
+    refusal = str(info.value)
+    assert adjoint_stack(spec, g[None]).shape == (1, spec.dim, spec.dim)
+    for call in (lambda: adjoint_matrix(spec, g),
+                 lambda: tangent_space_check(spec, g, X),
+                 lambda: conjugation_curve(spec, g, X),
+                 lambda: curve_kernel_check(spec, g, 2, X),
+                 lambda: product_identity_check(spec, g, 2, X, 0.5),
+                 lambda: verify_kernel_image_identity(spec, g, 2),
+                 lambda: verify_zero_intersection(spec, g, 2),
+                 lambda: connect_within_component(spec, g, g, 2),
+                 lambda: nearest_torsion_approximant(spec, g, 4)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == refusal
+    # nearest_torsion_approximant refuses the family, then N < 1, then
+    # the non-member
+    with pytest.raises(UnsupportedGroupError):
+        nearest_torsion_approximant(GroupSpec("SL2R", 2), 2.0 * np.eye(2), 0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        nearest_torsion_approximant(spec, g, 0)

@@ -11,10 +11,13 @@ import pytest
 from torsion_orbits import reports
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
-from torsion_orbits.groups import GroupSpec, random_algebra, random_element
+from torsion_orbits.groups import (TOL_MEMBERSHIP, GroupSpec,
+                                   membership_error, random_algebra,
+                                   random_element, require_residual)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
-                                    inputs_digest, run_stacked_trials,
-                                    single_trial_report, strip_wall_time)
+                                    inputs_digest, members_only,
+                                    run_stacked_trials, single_trial_report,
+                                    strip_wall_time)
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
                                       verify_zero_intersection)
 from torsion_orbits.surface import (sample_surface, singular_locus_scan,
@@ -152,6 +155,53 @@ def test_engine_raises_the_earliest_failing_trial(monkeypatch):
         built.index(next(s for s in built if first in s))
     with pytest.raises(ValueError, match=re.escape(f"trial {first[1]!r}")):
         run_engine(count, seed, failing=(later, first))
+
+
+#: Membership residuals at the decision's boundary: TOL_MEMBERSHIP itself
+#: is a member; the next float up, NaN and inf are not.
+BOUNDARY_RESIDUALS = [TOL_MEMBERSHIP,
+                      float(np.nextafter(TOL_MEMBERSHIP, np.inf)),
+                      math.nan, math.inf]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("U", 2), GroupSpec("SL2R", 2)],
+                         ids=GroupSpec.label)
+def test_one_membership_decision_at_its_boundary(spec):
+    # the text require_residual raises for each boundary residual, or None
+    # where it accepts the residual
+    errors = []
+    for r in BOUNDARY_RESIDUALS:
+        try:
+            assert require_residual(spec, r) == r
+            errors.append(None)
+        except ValueError as exc:
+            errors.append(str(exc))
+    assert errors[0] is None and all(e and "is not in" in e
+                                     for e in errors[1:])
+    for r, want in zip(BOUNDARY_RESIDUALS, errors):
+        error = membership_error(spec, r)
+        assert (None if error is None else str(error)) == want
+    # members_only on one stack that mixes the cases, each twice: records
+    # sees the members alone, in order; a non-member's entry is its error
+    residuals = BOUNDARY_RESIDUALS * 2
+    draws = [((spec,), i) for i in range(len(residuals))]
+    g = np.arange(len(residuals), dtype=float)
+    calls = []
+
+    def records(key, stack, members, kept):
+        calls.append((stack, members.tolist(), kept))
+        return [{"trial": d[1]} for d in stack]
+
+    entries = members_only(records)((spec,), draws, g, residuals)
+    keep = [0, len(BOUNDARY_RESIDUALS)]
+    assert calls == [([draws[i] for i in keep], [float(i) for i in keep],
+                      [TOL_MEMBERSHIP, TOL_MEMBERSHIP])]
+    for i, entry in enumerate(entries):
+        want = errors[i % len(BOUNDARY_RESIDUALS)]
+        if want is None:
+            assert entry == {"trial": i}
+        else:
+            assert isinstance(entry, ValueError) and str(entry) == want, i
 
 
 # ------------------------------------------------ the template JSON writer
