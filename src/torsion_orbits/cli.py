@@ -70,6 +70,13 @@ class RunConfig:
             if not 0 < getattr(self, name) < np.inf:
                 raise ConfigError(
                     f"--{name.replace('_', '-')} must be finite and positive")
+        # a relative rank cut of 1 or more gives every matrix rank 0, and
+        # every principal angle is at most pi/2: such a check decides on
+        # the tolerance, not on the identity
+        if self.tol_rank >= 1:
+            raise ConfigError("--tol-rank must be < 1")
+        if self.tol_subspace >= np.pi / 2:
+            raise ConfigError("--tol-subspace must be < pi/2")
         if self.seed < 0:
             raise ConfigError("--seed must be >= 0")
         if self.jobs < 1:

@@ -4,6 +4,11 @@ Subspaces of R^d are stored as column-orthonormal matrices.  Rank decisions
 use a relative threshold tol * sigma_max, with the kernel and image of one
 matrix split by the same threshold so rank + nullity = d holds exactly.
 
+Principal angles come from ``principal_angles_stack``, a numpy transcription
+of ``scipy.linalg.subspace_angles`` (Knyazev & Argentati, SIAM J. Sci.
+Comput. 23, 2002) over a whole stack of pairs, which reproduces scipy's
+angles bit for bit; ``principal_angles`` is its one-element case.
+
 ``kernel_image_outcomes`` and ``zero_intersection_outcomes`` evaluate a
 stack of group members, which they do not check for membership again;
 ``verify_kernel_image_identity`` and ``verify_zero_intersection`` are their
@@ -12,11 +17,10 @@ one-element cases, which refuse a non-member first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from .groups import TOL_MEMBERSHIP, GroupSpec, adjoint_stack, require_member
 from .reports import fill_kept, single_trial_report
@@ -41,24 +45,16 @@ class SubspaceBasis:
         return self.vectors.shape[1]
 
 
-def _rank_cut(s: np.ndarray, tol: float) -> float:
+def _rank_counts(s: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of each matrix of a stack from its descending singular values
+    (last axis): the count above tol * max(1, sigma_max)."""
     # Relative cut with an absolute floor: matrices here (adjoints and their
     # polynomials) live at norm O(1), so a sigma_max of 1e-16 means "zero up
-    # to rounding", not "rescale the threshold down to 1e-25".
-    top = float(s[0]) if s.size else 0.0
-    return tol * max(1.0, top)
-
-
-def _image_from_svd(U: np.ndarray, s: np.ndarray,
-                    tol: float) -> SubspaceBasis:
-    k = int(np.sum(s > _rank_cut(s, tol)))
-    return SubspaceBasis(U.shape[0], U[:, :k].copy(), tol)
-
-
-def _kernel_from_svd(s: np.ndarray, Vt: np.ndarray,
-                     tol: float) -> SubspaceBasis:
-    rank = int(np.sum(s > _rank_cut(s, tol)))
-    return SubspaceBasis(Vt.shape[1], Vt[rank:].T.copy(), tol)
+    # to rounding", not "rescale the threshold down to 1e-25".  The where
+    # keeps Python max's order: a NaN sigma_max gives the floor.
+    top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
+    cut = tol * np.where(top > 1.0, top, 1.0)
+    return np.sum(s > cut[..., None], axis=-1)
 
 
 def image_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
@@ -69,19 +65,90 @@ def image_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
     basis.
     """
     U, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
-    return _image_from_svd(U, s, tol)
+    k = _rank_counts(s, tol)
+    return SubspaceBasis(U.shape[0], U[:, :k].copy(), tol)
 
 
 def kernel_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
     """Orthonormal basis of the null space of A (right singular vectors with
     singular value <= tol * max(1, sigma_max))."""
     _, s, Vt = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
-    return _kernel_from_svd(s, Vt, tol)
+    rank = _rank_counts(s, tol)
+    return SubspaceBasis(Vt.shape[1], Vt[rank:].T.copy(), tol)
+
+
+def _dim_groups(a: np.ndarray, b: np.ndarray):
+    """((a_i, b_i), rows) for each distinct pair of the int stacks a, b, rows
+    being the indices where it occurs."""
+    for key in set(zip(a.tolist(), b.tolist())):
+        yield key, np.flatnonzero((a == key[0]) & (b == key[1]))
+
+
+def _orth_transposed(A: np.ndarray):
+    """(Q^T, rank) for each slice of the stack A: ``scipy.linalg.orth``'s
+    SVD and cut eps * max(M, N) * sigma_max, with Q^T C-contiguous, so that
+    each slice of its ``swapaxes`` view is Fortran-ordered like the U that
+    scipy's LAPACK returns."""
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    rcond = np.finfo(float).eps * max(A.shape[-2:])
+    rank = np.sum(s > (s.max(axis=-1, initial=0.0) * rcond)[:, None], axis=-1)
+    return np.ascontiguousarray(u.swapaxes(-1, -2)), rank
+
+
+def principal_angles_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Principal angles between the column spans of A[i] and B[i], for
+    stacks A of shape (G, M, N) and B of shape (G, M, K).
+
+    Row i holds ``np.sort(scipy.linalg.subspace_angles(A[i], B[i]))`` bit
+    for bit, padded at the end with NaN up to min(N, K) where the spans have
+    lower rank.  The last bits depend on the memory layout that BLAS
+    receives, so each orthonormal basis is multiplied as a Fortran-ordered
+    slice, the layout in which scipy's LAPACK returns it; C-ordered slices
+    miss scipy by an ulp near pi/2.  Non-finite input raises ValueError, as
+    scipy does.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    QAt, rank_a = _orth_transposed(A)
+    QBt, rank_b = _orth_transposed(B)
+    angles = np.full((A.shape[0], min(A.shape[-1], B.shape[-1])), np.nan)
+    for (a, b), rows in _dim_groups(rank_a, rank_b):
+        qat, qbt = QAt[rows, :a], QBt[rows, :b]
+        qa, qb = qat.swapaxes(1, 2), qbt.swapaxes(1, 2)
+        C = qat @ qb
+        sigma = np.linalg.svd(C, compute_uv=False)
+        # scipy's step 3: the residual of the wider basis's projection
+        R = qb - qa @ C if a >= b else qa - qb @ C.swapaxes(1, 2)
+        use_sin = sigma ** 2 >= 0.5
+        mu = np.zeros_like(sigma)
+        some = use_sin.any(axis=1)
+        if some.any():
+            mu[some] = np.arcsin(np.clip(
+                np.linalg.svd(R[some], compute_uv=False), -1., 1.))
+        theta = np.where(use_sin, mu,
+                         np.arccos(np.clip(sigma[:, ::-1], -1., 1.)))
+        angles[rows, :theta.shape[1]] = np.sort(theta, axis=1)
+    return angles
 
 
 def principal_angles(P: SubspaceBasis, Q: SubspaceBasis) -> np.ndarray:
-    """Principal angles between two nonempty subspaces, ascending."""
-    return np.sort(subspace_angles(P.vectors, Q.vectors))
+    """Principal angles between two nonempty subspaces, ascending; the
+    one-element case of ``principal_angles_stack``."""
+    angles = principal_angles_stack(P.vectors[None], Q.vectors[None])[0]
+    return angles[~np.isnan(angles)]
+
+
+def _equal_stack(P: np.ndarray, Q: np.ndarray, tol: float):
+    """(equal, residual) of ``subspace_equal`` for each pair of the stacks
+    P of shape (G, d, a) and Q of shape (G, d, b) of bases."""
+    if P.shape[-1] != Q.shape[-1]:
+        return np.zeros(len(P), bool), np.full(len(P), np.pi / 2)
+    if P.shape[-1] == 0:
+        return np.ones(len(P), bool), np.zeros(len(P))
+    residual = np.nanmax(principal_angles_stack(P, Q), axis=1)
+    return residual <= tol, residual
 
 
 def subspace_equal(P: SubspaceBasis, Q: SubspaceBasis,
@@ -90,12 +157,18 @@ def subspace_equal(P: SubspaceBasis, Q: SubspaceBasis,
     must stay below ``tol``.  Dimension mismatch reports residual pi/2."""
     if P.ambient_dim != Q.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    if P.dim != Q.dim:
-        return False, np.pi / 2
-    if P.dim == 0:
-        return True, 0.0
-    residual = float(principal_angles(P, Q)[-1])
-    return residual <= tol, residual
+    equal, residual = _equal_stack(P.vectors[None], Q.vectors[None], tol)
+    return bool(equal[0]), float(residual[0])
+
+
+def _intersection_stack(P: np.ndarray, Q: np.ndarray, angle_tol: float):
+    """(estimate, smallest angle) of ``intersection_dimension`` for each
+    pair of the stacks P of shape (G, d, a) and Q of shape (G, d, b) of
+    bases."""
+    if P.shape[-1] == 0 or Q.shape[-1] == 0:
+        return np.zeros(len(P), int), np.full(len(P), np.pi / 2)
+    angles = principal_angles_stack(P, Q)
+    return np.sum(angles < angle_tol, axis=1), angles[:, 0]
 
 
 def intersection_dimension(P: SubspaceBasis, Q: SubspaceBasis,
@@ -105,10 +178,9 @@ def intersection_dimension(P: SubspaceBasis, Q: SubspaceBasis,
     The estimate counts principal angles below ``angle_tol``; the sine-based
     angle computation resolves angles down to ~1e-12, well under the
     threshold."""
-    if P.dim == 0 or Q.dim == 0:
-        return 0, np.pi / 2
-    angles = principal_angles(P, Q)
-    return int(np.sum(angles < angle_tol)), float(angles[0])
+    est, angle = _intersection_stack(P.vectors[None], Q.vectors[None],
+                                     angle_tol)
+    return int(est[0]), float(angle[0])
 
 
 def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
@@ -162,53 +234,74 @@ def _outcome_report(check, inputs, outcome, config, t0, worst=None):
 _NOT_A_VERDICT = "; not a verdict on the identity"
 
 
-def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, check_slice):
+def _subspace_outcomes(spec: GroupSpec, g: np.ndarray, n: int, check):
     """``_torsion_outcomes`` of a subspace check: for the slices with
     g^n = e, one stacked adjoint, power sum S = I + Ad(g) + ... +
-    Ad(g)^(n-1) and SVD each of I - Ad(g) and S, then
-    ``check_slice(S, U, s, Vt, s_S, Vt_S)`` per slice."""
+    Ad(g)^(n-1) and SVD each of I - Ad(g) and S, then the list of outcomes
+    ``check(S, U, s, Vt, s_S, Vt_S)`` of the stack."""
     def evaluate(keep):
         A = adjoint_stack(spec, g[keep])
         S = _adjoint_power_sum(A, n)
         U, s, Vt = np.linalg.svd(np.eye(spec.dim) - A)
         _, s_S, Vt_S = np.linalg.svd(S)
-        return list(map(check_slice, S, U, s, Vt, s_S, Vt_S))
+        return check(S, U, s, Vt, s_S, Vt_S)
 
     return _torsion_outcomes(spec, g, n, evaluate, _NOT_A_VERDICT)
+
+
+def _kernels(Vt: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Stacked bases of the k-dimensional kernels of the matrices whose
+    right singular vectors are Vt[rows]: their last k rows, as columns."""
+    return Vt[rows, Vt.shape[-1] - k:].swapaxes(1, 2)
 
 
 def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                           tol_rank: float = TOL_RANK,
                           tol_subspace: float = TOL_SUBSPACE):
     """Outcome of ``verify_kernel_image_identity`` for each slice of the
-    stack g of group members."""
-    def check_slice(S, U, s, Vt, s_S, Vt_S):
-        im = _image_from_svd(U, s, tol_rank)
-        ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
-        equal, angle = subspace_equal(im, ker, tol_subspace)
-        containment = 0.0
-        if im.dim:
-            containment = float(np.max(np.linalg.norm(S @ im.vectors, axis=0)))
-        return _outcome({"principal_angle": angle, "containment": containment},
-                        equal, {"image_dim": im.dim, "kernel_dim": ker.dim})
+    stack g of group members, taken once per group of slices with the same
+    image and kernel dimensions."""
+    def check(S, U, s, Vt, s_S, Vt_S):
+        im_dim = _rank_counts(s, tol_rank)
+        ker_dim = spec.dim - _rank_counts(s_S, tol_rank)
+        equal = np.zeros(len(s), bool)
+        angle, containment = np.zeros(len(s)), np.zeros(len(s))
+        for (a, b), rows in _dim_groups(im_dim, ker_dim):
+            im = U[rows, :, :a]
+            equal[rows], angle[rows] = _equal_stack(
+                im, _kernels(Vt_S, rows, b), tol_subspace)
+            if a:
+                containment[rows] = np.linalg.norm(S[rows] @ im,
+                                                   axis=1).max(1)
+        return [_outcome({"principal_angle": p, "containment": c}, e,
+                         {"image_dim": i, "kernel_dim": k})
+                for p, c, e, i, k in zip(angle.tolist(), containment.tolist(),
+                                         equal.tolist(), im_dim.tolist(),
+                                         ker_dim.tolist())]
 
-    return _subspace_outcomes(spec, g, n, check_slice)
+    return _subspace_outcomes(spec, g, n, check)
 
 
 def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                                tol_rank: float = TOL_RANK,
                                angle_tol: float = TOL_SUBSPACE):
     """Outcome of ``verify_zero_intersection`` for each slice of the stack g
-    of group members."""
-    def check_slice(S, U, s, Vt, s_S, Vt_S):
-        fixed = _kernel_from_svd(s, Vt, tol_rank)
-        ker = _kernel_from_svd(s_S, Vt_S, tol_rank)
-        est, min_angle = intersection_dimension(fixed, ker, angle_tol)
-        return _outcome({"intersection_dim": float(est)}, est == 0,
-                        {"fixed_dim": fixed.dim, "kernel_dim": ker.dim,
-                         "min_principal_angle": min_angle})
+    of group members, taken once per group of slices with the same fixed
+    space and kernel dimensions."""
+    def check(S, U, s, Vt, s_S, Vt_S):
+        fixed_dim = spec.dim - _rank_counts(s, tol_rank)
+        ker_dim = spec.dim - _rank_counts(s_S, tol_rank)
+        est, min_angle = np.zeros(len(s), int), np.zeros(len(s))
+        for (a, b), rows in _dim_groups(fixed_dim, ker_dim):
+            est[rows], min_angle[rows] = _intersection_stack(
+                _kernels(Vt, rows, a), _kernels(Vt_S, rows, b), angle_tol)
+        return [_outcome({"intersection_dim": float(e)}, e == 0,
+                         {"fixed_dim": f, "kernel_dim": k,
+                          "min_principal_angle": m})
+                for e, f, k, m in zip(est.tolist(), fixed_dim.tolist(),
+                                      ker_dim.tolist(), min_angle.tolist())]
 
-    return _subspace_outcomes(spec, g, n, check_slice)
+    return _subspace_outcomes(spec, g, n, check)
 
 
 def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,

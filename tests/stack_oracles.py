@@ -1,13 +1,17 @@
 """One-element bodies of the stacked evaluators, kept as test oracles.
 
-``groups.membership_residuals`` and ``torsion._sl2_align_stack`` take a
-whole stack at a time, and ``membership_residual``, ``_sl2_align`` and
-``orientation_sign`` are their one-element cases.  These are the direct
-per-matrix statements they replaced.  They share no code with the package,
-so a test that compares the two does not compare the code with itself.
+``groups.membership_residuals``, ``torsion._sl2_align_stack`` and the
+stacked subspace checks take a whole stack at a time, and
+``membership_residual``, ``_sl2_align``, ``orientation_sign`` and the
+single-shot subspace verifiers are their one-element cases.  These are the
+direct per-matrix statements they replaced, with
+``scipy.linalg.subspace_angles`` for the principal angles.  They share no
+code with the package, so a test that compares the two does not compare
+the code with itself.
 """
 
 import numpy as np
+from scipy.linalg import subspace_angles
 
 
 def membership_residual_oracle(spec, g):
@@ -72,3 +76,51 @@ def orientation_sign_oracle(g):
     if phase in (0.0, 0.5):
         return 0
     return -1 if phase < 0.5 else 1
+
+
+def _subspace_svds(A, n):
+    """S = I + A + ... + A^(n-1), the SVD of I - A and the SVD of S."""
+    S = P = np.eye(len(A))
+    for _ in range(n - 1):
+        P = P @ A
+        S = S + P
+    return S, np.linalg.svd(np.eye(len(A)) - A), np.linalg.svd(S)
+
+
+def _rank(s, tol):
+    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+
+
+def kernel_image_oracle(A, n, tol_rank, tol_subspace):
+    """(residuals, passed, details) of the kernel-image check on one
+    adjoint matrix A, one subspace_angles call per matrix."""
+    S, (U, s, _), (_, s_S, Vt_S) = _subspace_svds(A, n)
+    im = U[:, :_rank(s, tol_rank)].copy()
+    ker = Vt_S[_rank(s_S, tol_rank):].T.copy()
+    if im.shape[1] != ker.shape[1]:
+        passed, angle = False, np.pi / 2
+    elif im.shape[1] == 0:
+        passed, angle = True, 0.0
+    else:
+        angle = float(np.sort(subspace_angles(im, ker))[-1])
+        passed = angle <= tol_subspace
+    containment = 0.0
+    if im.shape[1]:
+        containment = float(np.max(np.linalg.norm(S @ im, axis=0)))
+    return ({"principal_angle": angle, "containment": containment}, passed,
+            {"image_dim": im.shape[1], "kernel_dim": ker.shape[1]})
+
+
+def zero_intersection_oracle(A, n, tol_rank, angle_tol):
+    """(residuals, passed, details) of the zero-intersection check on one
+    adjoint matrix A, one subspace_angles call per matrix."""
+    _, (_, s, Vt), (_, s_S, Vt_S) = _subspace_svds(A, n)
+    fixed = Vt[_rank(s, tol_rank):].T.copy()
+    ker = Vt_S[_rank(s_S, tol_rank):].T.copy()
+    est, min_angle = 0, np.pi / 2
+    if fixed.shape[1] and ker.shape[1]:
+        angles = np.sort(subspace_angles(fixed, ker))
+        est, min_angle = int(np.sum(angles < angle_tol)), float(angles[0])
+    return ({"intersection_dim": float(est)}, est == 0,
+            {"fixed_dim": fixed.shape[1], "kernel_dim": ker.shape[1],
+             "min_principal_angle": min_angle})

@@ -117,6 +117,11 @@ def test_verify_failure_exits_1(capsys):
     ["demo-surface", "--a", "1", "--phi", "inf"],
     ["demo-surface", "--a", "1", "--phi", "nan", "--format", "csv"],
     ["demo-surface", "--a-max", "inf"],
+    ["verify", "lemma33", "--tol-subspace", "10"],
+    ["verify", "zero-intersection", "--tol-subspace", "1.6"],
+    ["verify", "lemma33", "--tol-subspace", repr(np.pi / 2)],
+    ["verify", "lemma33", "--tol-rank", "2"],
+    ["verify", "zero-intersection", "--tol-rank", "1"],
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -256,6 +261,13 @@ SAME_SEED_DIGESTS = {
         0, "e656d214340fcb2f254269fbfaeaca9a930c04e37cbda8027d11dea9e057a141"),
     "census cluster --group SU --size 4 --n 6 --samples 2000 --seed 5": (
         0, "18a915e0802d0954901584b14cb6c6dd99da7c1cf12b7ae7f5647753e7228dd9"),
+    # the two subspace sweeps at benchmark size (lemma33 prints 1,500
+    # principal-angle residuals); recorded before the principal angles
+    # moved from scipy.linalg.subspace_angles to a stacked numpy kernel
+    "verify lemma33 --jobs 2 --trials 1500 --seed 1822214455": (
+        0, "08a7b8baeb1fb7a5f9694dda7e1b756fcb24b45a66e75d31a721275f7ff3e3ae"),
+    "verify zero-intersection --trials 1500 --seed 113215257": (
+        0, "faa7b8c839fa0b53dcc493b3ed90c11fec420f48f5356fccf9f7c68d0ea9cf94"),
 }
 
 

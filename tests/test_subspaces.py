@@ -2,17 +2,29 @@
 
 Ranks of the structured matrices used here are integers with a wide spectral
 margin, so an independent Gaussian-elimination oracle pins them exactly.
+``scipy.linalg.subspace_angles`` is the oracle of the stacked principal-angle
+kernel, which must reproduce it bit for bit.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
-from torsion_orbits.groups import GroupSpec, adjoint_matrix, random_element
-from torsion_orbits.subspaces import (SubspaceBasis, image_basis,
-                                      intersection_dimension, kernel_basis,
-                                      principal_angles, subspace_equal,
+from stack_oracles import kernel_image_oracle, zero_intersection_oracle
+from torsion_orbits.groups import (GroupSpec, adjoint_matrix, adjoint_stack,
+                                   random_element)
+from torsion_orbits.subspaces import (SubspaceBasis, _adjoint_power_sum,
+                                      image_basis, intersection_dimension,
+                                      kernel_basis, kernel_image_outcomes,
+                                      principal_angles,
+                                      principal_angles_stack, subspace_equal,
                                       verify_kernel_image_identity,
-                                      verify_zero_intersection)
+                                      verify_zero_intersection,
+                                      zero_intersection_outcomes)
+from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS,
+                                   random_torsion_element)
 from torsion_orbits.torsion import enumerate_torsion
 
 
@@ -90,6 +102,134 @@ def test_principal_angles_resolve_1e9():
     Q = SubspaceBasis(2, v, 1e-9)
     ang = principal_angles(P, Q)
     assert abs(ang[0] - eps) < 1e-11
+
+
+def _angle_pair(rng, kind, M, N, K):
+    """(A, B) of shapes (M, N) and (M, K) of one of four kinds: generic;
+    rank-deficient (A of lower rank, B with a repeated column);
+    near-orthogonal (spans of orthogonal columns, cosines ~1e-16); or
+    near-equal (B's span a 1e-10 perturbation of part of A's, the arcsin
+    branch)."""
+    if kind == "generic":
+        return rng.standard_normal((M, N)), rng.standard_normal((M, K))
+    if kind == "deficient":
+        r = max(1, N - 1)
+        A = rng.standard_normal((M, r)) @ rng.standard_normal((r, N))
+        B = rng.standard_normal((M, K))
+        B[:, -1] = 3.0 * B[:, 0]
+        return A, B
+    Q = np.linalg.qr(rng.standard_normal((M, M)))[0]
+    if kind == "orthogonal":
+        return (Q[:, :N] @ rng.standard_normal((N, N)),
+                Q[:, N:N + K] @ rng.standard_normal((K, K)))
+    B = Q[:, :K] @ rng.standard_normal((K, K))
+    return Q[:, :N], B + 1e-10 * rng.standard_normal((M, K))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["generic", "deficient", "orthogonal", "equal"]),
+       st.integers(1, 25), st.integers(1, 25), st.integers(1, 25),
+       st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_principal_angles_stack_is_scipy_bit_for_bit(kind, M, N, K, count,
+                                                     seed):
+    if kind == "orthogonal":
+        M = max(M, 2)
+        N = min(N, M - 1)
+        K = min(K, M - N)
+    elif kind == "equal":
+        N = min(N, M)
+        K = min(K, N)
+    rng = np.random.default_rng(seed)
+    pairs = [_angle_pair(rng, kind, M, N, K) for _ in range(count)]
+    got = principal_angles_stack(np.stack([a for a, _ in pairs]),
+                                 np.stack([b for _, b in pairs]))
+    assert got.shape == (count, min(N, K))
+    for row, (A, B) in zip(got, pairs):
+        want = np.sort(subspace_angles(A, B))
+        # rows are padded with NaN where the spans have lower rank
+        assert np.array_equal(row[:len(want)], want)
+        assert np.isnan(row[len(want):]).all()
+        assert np.array_equal(principal_angles(
+            SubspaceBasis(M, A), SubspaceBasis(M, B)), want)
+
+
+def test_principal_angles_refuse_non_finite_input():
+    A = np.eye(3)[:, :2]
+    for bad in (np.nan, np.inf):
+        B = A.copy()
+        B[0, 0] = bad
+        with pytest.raises(ValueError):
+            subspace_angles(A, B)
+        with pytest.raises(ValueError):
+            principal_angles_stack(A[None], B[None])
+
+
+def test_principal_angles_of_a_zero_span_are_empty_as_in_scipy():
+    A, B = np.zeros((3, 2)), np.eye(3)[:, :2]
+    assert subspace_angles(A, B).shape == (0,)
+    assert np.isnan(principal_angles_stack(A[None], B[None])).all()
+    assert principal_angles(SubspaceBasis(3, A), SubspaceBasis(3, B)).shape \
+        == (0,)
+
+
+#: Trials of ``verify zero-intersection --trials 1500 --seed 113215257``
+#: whose smallest principal angle, between a (3, 1) and a (3, 2) basis at
+#: cosine ~1e-16, an evaluation on C-ordered orthonormal bases puts 1 ulp
+#: off scipy's: the last bits of these angles depend on the memory layout
+#: that BLAS receives.
+LAYOUT_SENSITIVE_TRIALS = (177, 276, 372, 398, 551, 771, 827, 878, 884, 1037,
+                           1073, 1344, 1463)
+
+
+@pytest.mark.parametrize("trial", LAYOUT_SENSITIVE_TRIALS)
+def test_zero_intersection_angle_near_pi_over_2_is_scipy_bit_for_bit(trial):
+    rng = np.random.default_rng(113215257 + trial)
+    spec = COMPACT_SWEEP_SPECS[int(rng.integers(len(COMPACT_SWEEP_SPECS)))]
+    n = 1 + int(rng.integers(6))
+    g, _ = random_torsion_element(spec, n, rng)
+    A = adjoint_matrix(spec, g)
+    fixed = kernel_basis(np.eye(spec.dim) - A)
+    ker = kernel_basis(_adjoint_power_sum(A, n))
+    assert (fixed.dim, ker.dim) == (1, 2)
+    want = float(np.sort(subspace_angles(fixed.vectors, ker.vectors))[0])
+    assert abs(want - np.pi / 2) < 1e-15
+    rep = verify_zero_intersection(spec, g, n)
+    assert rep.details["min_principal_angle"] == want
+
+
+@pytest.mark.parametrize("spec,n", [(GroupSpec("U", 3), 6),
+                                    (GroupSpec("SO", 4), 4),
+                                    (GroupSpec("SU", 4), 6),
+                                    (GroupSpec("U", 4), 12),
+                                    (GroupSpec("SL2R", 2), 24)])
+@pytest.mark.parametrize("tol_rank,tol_subspace", [(1e-9, 1e-7),
+                                                   (1e-3, 1e-300)])
+def test_stacked_subspace_checks_match_per_matrix_oracles(
+        spec, n, tol_rank, tol_subspace):
+    # a (spec, n) stack mixes classes of several image and kernel
+    # dimensions; each slice's outcome is the per-matrix statement's, bit
+    # for bit, whatever group of dimensions it is evaluated in
+    rng = np.random.default_rng(12)
+    g = np.stack([random_torsion_element(spec, n, rng)[0]
+                  for _ in range(120)])
+    A = adjoint_stack(spec, g)
+    image = kernel_image_outcomes(spec, g, n, tol_rank, tol_subspace)
+    zero = zero_intersection_outcomes(spec, g, n, tol_rank, tol_subspace)
+    dims = set()
+    for Ai, ki, zi in zip(A, image, zero):
+        assert ki["status"] == zi["status"]
+        if ki["status"] == "rejected":  # g^n = e fails (SL(2,R) only)
+            continue
+        residuals, passed, details = kernel_image_oracle(Ai, n, tol_rank,
+                                                         tol_subspace)
+        assert (ki["residuals"], ki["passed"], ki["details"]) == (
+            residuals, passed, details)
+        residuals, passed, details = zero_intersection_oracle(
+            Ai, n, tol_rank, tol_subspace)
+        assert (zi["residuals"], zi["passed"], zi["details"]) == (
+            residuals, passed, details)
+        dims.add(tuple(ki["details"].values()))
+    assert len(dims) > 1
 
 
 def test_subspace_equal_is_basis_independent():
