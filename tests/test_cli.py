@@ -268,6 +268,18 @@ SAME_SEED_DIGESTS = {
         0, "08a7b8baeb1fb7a5f9694dda7e1b756fcb24b45a66e75d31a721275f7ff3e3ae"),
     "verify zero-intersection --trials 1500 --seed 113215257": (
         0, "faa7b8c839fa0b53dcc493b3ed90c11fec420f48f5356fccf9f7c68d0ea9cf94"),
+    # the cluster censuses of every compact shape at benchmark size (SO(4)
+    # n=12 has free classes, which carry a parity bit, and non-free ones);
+    # recorded before the census invariants moved from one Schur form per
+    # sample to one stacked eigensolve per stack
+    "census cluster --group SO --size 5 --n 8 --samples 2000 --seed 5": (
+        0, "36972aeb9bde121ac863a73de5a5d93f2c6e884d2edb1f82a459b176d81c9757"),
+    "census cluster --group U --size 3 --n 6 --samples 2000 --seed 5": (
+        0, "0c9e5bab263cc5ff292293ce94751a620c8743a8b86024ce473483a63ec0782c"),
+    "census cluster --group SO --size 4 --n 12 --samples 3000 --seed 5": (
+        0, "38e09ceabc352b319e5b88af8b6acc571c5a8b9ac3b213f6c5a694944c84d9f4"),
+    "census cluster --group SO --size 2 --n 9 --samples 500 --seed 5": (
+        0, "a68fb695b021f005410c29b225720b1915b25c08bc2cb036272cc5245a8bc0aa"),
 }
 
 
