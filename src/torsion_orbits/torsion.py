@@ -13,19 +13,27 @@ each class's representative.  The ``Fraction`` API (``canonicalize``,
 ``canonical_realization``, ``torsion_point``, ``matrix_invariant``,
 ``canonical_align``) is a view over them that builds ``Fraction``s only
 for what it returns.  A catalog builds its representatives as one torus
-stack and prints its JSON from a fixed template.  ``enumerate_torsion``
-lists every torus point by brute force, as the tests' oracle.  Each element
-is decomposed once: a complex Schur form for U/SU, one real Schur scan for
-SO, and ``_sl2_align_stack`` for a stack of SL(2,R) elements (one trace,
-arctan2 and SVD per stack), off which the SL(2,R) orientations are also
-read; ``_sl2_align`` and ``orientation_sign`` are its one-element cases.
+stack and prints its JSON from a fixed template; ``count_components`` is
+a closed form, with the walk as its test oracle.  ``enumerate_torsion``
+lists every torus point by brute force, as the tests' oracle.
+
+A class invariant needs no conjugator: ``_invariant_rows`` reads a stack
+of compact elements off one stacked eigensolve (``_eigen_rows``; SO(2) off
+one arctan2, the SO(4) parity off the sign of a Pfaffian), and sends only
+an element it cannot decide to the Schur alignment.  ``matrix_invariant``
+is its one-element case.  Where the conjugator is wanted
+(``canonical_align``, ``_nearest_torsion``), an element is decomposed
+once: a complex Schur form for U/SU, one real Schur scan for SO.  A stack
+of SL(2,R) elements is aligned by ``_sl2_align_stack`` (one trace, arctan2
+and SVD per stack), off which the SL(2,R) orientations are also read;
+``_sl2_align`` and ``orientation_sign`` are its one-element cases.
 Snapping refuses an n whose 1/n grid is finer than 2 SNAP_TOL, where every
 phase would snap.  The censuses draw each sample from its own seeded
 Generator, so a sample replays alone, and evaluate the samples as stacks
 through ``reports.run_stacked_trials``: one Haar QR, torus build,
-conjugation and membership residual per stack.  ``_torsion_draw`` and
-``_conjugates`` are the draw and build of both censuses and of the three
-torsion sweeps.
+conjugation, membership residual and ``_invariant_rows`` per stack.
+``_torsion_draw`` and ``_conjugates`` are the draw and build of both
+censuses and of the three torsion sweeps.
 """
 
 from __future__ import annotations
@@ -523,9 +531,12 @@ def canonical_align(spec: GroupSpec, g: np.ndarray, n: int):
 
 def matrix_invariant(spec: GroupSpec, g: np.ndarray,
                      n: int) -> CanonicalInvariant:
-    """Canonical invariant computed from a matrix of order dividing n."""
-    ks = _snapped_alignment(spec, g, n)[1]
-    return _row_invariant(n, _canonical_rows(spec, n, ks[None])[0].tolist())
+    """Canonical invariant computed from a matrix of order dividing n: the
+    one-element case of ``_invariant_rows``, raising its error."""
+    rows, errors = _invariant_rows(spec, n, require_member(spec, g)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return _row_invariant(n, rows[0].tolist())
 
 
 def component_dimension(spec: GroupSpec, g: np.ndarray,
@@ -607,13 +618,7 @@ def _class_walk(spec: GroupSpec, n: int):
     r >= 2, a split into two parity classes when every slot is off
     {0, n/2}; the n phases k/n for SO(2) and SL(2,R).  Raises ValueError
     when ``class_count_bound`` exceeds MAX_CLASSES."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bound = class_count_bound(spec, n)
-    if bound > MAX_CLASSES:
-        raise ValueError(
-            f"{spec.label()} n={n} has up to {bound:,} classes, above the "
-            f"limit of {MAX_CLASSES:,}")
+    _check_class_budget(spec, n)
     if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
         for k in range(n):
             yield (k,), None, 1
@@ -664,8 +669,49 @@ def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
-    """Number of conjugation orbits of {g : g^n = e}."""
-    return sum(1 for _ in _class_walk(spec, n))
+    """Number of conjugation orbits of {g : g^n = e}, in closed form: the
+    number of Weyl orbits on the torus points killed by n, which
+    ``_class_walk`` lists one by one (Đoković, Proc. AMS 80, 1980).
+
+    U(m): C(n+m-1, m) phase multisets.  SU(m): the m-multisets of Z/n
+    summing to 0, (1/n) sum over d | gcd(n, m) of phi(d) C(n/d + m/d - 1,
+    m/d).  SO(2r+1): C(f + r, r) multisets of the f + 1 folded phases,
+    f = n // 2; SO(2r), r >= 2, adds C(h + r - 1, r) for the classes with
+    every phase among the h = (n - 1) // 2 free ones, which split by
+    parity.  SO(2) and SL(2,R): n.  Raises ValueError where
+    ``_class_walk`` does: n < 1, or ``class_count_bound`` above
+    MAX_CLASSES."""
+    _check_class_budget(spec, n)
+    m, r = spec.size, spec.rank
+    if spec.family == "U":
+        return math.comb(n + m - 1, m)
+    if spec.family == "SU":
+        return sum(_totient(d) * math.comb(n // d + m // d - 1, m // d)
+                   for d in range(1, m + 1)
+                   if n % d == 0 and m % d == 0) // n
+    if spec.family == "SL2R" or m == 2:
+        return n
+    count = math.comb(n // 2 + r, r)
+    if m % 2 == 0:
+        count += math.comb((n - 1) // 2 + r - 1, r)
+    return count
+
+
+def _totient(d: int) -> int:
+    # Euler's phi: the residues mod d prime to d
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def _check_class_budget(spec: GroupSpec, n: int) -> None:
+    """Refuse n < 1, and a group and order whose ``class_count_bound``
+    exceeds MAX_CLASSES."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bound = class_count_bound(spec, n)
+    if bound > MAX_CLASSES:
+        raise ValueError(
+            f"{spec.label()} n={n} has up to {bound:,} classes, above the "
+            f"limit of {MAX_CLASSES:,}")
 
 
 def invariant_set(spec: GroupSpec, n: int) -> frozenset:
@@ -889,12 +935,12 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     Sample i draws from its own Generator, as ``random_torsion_point`` and
     then ``random_element`` would, so it replays alone at seed + i.  The
     draws are evaluated as stacks: one QR, one torus build, one conjugation
-    and one membership residual per stack, then one alignment per member
-    (one per stack for SL(2,R)), and snapping and canonicalization on
-    integer phase numerators.  A run with a sample off the group or off
-    the 1/n grid raises the error ``matrix_invariant`` would, for the
-    first such sample; an n too fine to snap at is refused before any
-    sample is drawn."""
+    and one membership residual per stack, then the members' invariants
+    from ``_invariant_rows`` (one eigensolve per stack; one
+    ``_sl2_align_stack`` for SL(2,R)), on integer phase numerators.  A run
+    with a sample off the group or off the 1/n grid raises the error
+    ``matrix_invariant`` would, for the first such sample; an n too fine
+    to snap at is refused before any sample is drawn."""
     t0 = time.perf_counter()
     _check_snap_grid(n)
     expected = count_components(spec, n)
@@ -903,8 +949,7 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
 
     def records(key, stack, g, residuals):
         drawn = _torsion_rows(spec, n, [d[1] for d in stack])
-        ks, errors = _census_phases(spec, n, g)
-        found = _canonical_rows(spec, n, ks)
+        found, errors = _invariant_rows(spec, n, g)
         consistent = (found == _canonical_rows(spec, n, drawn)).all(axis=1)
         seen.update(map(tuple, np.unique(found, axis=0).tolist()))
         fields = []
@@ -933,29 +978,87 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     return report
 
 
-def _census_phases(spec: GroupSpec, n: int, g: np.ndarray):
-    """(snapped phase numerators, errors) of a stack of census samples in
-    the group: the checks of ``_snapped_alignment`` past membership, with
-    one alignment per sample (one stacked alignment for SL(2,R)).
-    ``errors[i]`` is the error of sample i's refused or failed alignment,
-    else of its first phase off the grid, else None."""
+def _invariant_rows(spec: GroupSpec, n: int, g: np.ndarray):
+    """(canonical rows, errors) of a stack g of group members of order
+    dividing n: ``_canonical_rows`` of each member's snapped phases, and
+    ``errors[i]``, the error of member i's refused or failed alignment,
+    else of its first phase off the grid, else None (row i is then
+    meaningless).
+
+    SL(2,R) is aligned by one ``_sl2_align_stack``.  The compact families
+    are read off one stacked eigensolve (``_eigen_rows``); a member it
+    leaves undecided goes through the Schur alignment (``_alignment``)
+    alone, which decides it, or raises the error, exactly as it would for
+    that member by itself.  A member the eigenvalues decide is one the
+    Schur path accepts too: a member's Schur form is diagonal to within
+    its membership residual, far inside the 1e-7 that path allows, and an
+    SO member (det 1) has an even count of -1 eigenvalues.  Both read the
+    same eigenvalues up to rounding, so they could snap a phase apart only
+    within rounding of SNAP_TOL from the grid."""
     errors = [None] * len(g)
     if spec.family == "SL2R":
         _, phases, refused = _sl2_align_stack(g)
         for i in np.flatnonzero(refused):
             errors[i] = _sl2_refusal(refused[i])
         raw = phases[:, None]
+        ks, off = _snap(raw, n)
+        for i in np.flatnonzero(off.any(axis=1)):
+            errors[i] = errors[i] or _off_grid(raw[i][off[i]][0], n)
+        return _canonical_rows(spec, n, ks), errors
+    ks, decided = _eigen_rows(spec, n, g)
+    for i in np.flatnonzero(~decided):
+        try:
+            raw = np.array(_alignment(spec, g[i])[1], dtype=float, ndmin=2)
+            ks[i] = _snap_rows(raw, n)[0]
+        except ValueError as error:  # numpy's LinAlgError included
+            errors[i] = error
+    return _canonical_rows(spec, n, ks), errors
+
+
+def _eigen_rows(spec: GroupSpec, n: int, g: np.ndarray):
+    """(ks, decided) for a stack g of compact group members: in the rows
+    where ``decided`` is set, phase numerators k (phases k/n) of a torus
+    point conjugate to the member, read off one stacked eigensolve.
+
+    U/SU: the eigenphases snapped by ``_snap``.  SO(2): the phase of
+    arctan2(g[1,0], g[0,0]).  SO(m), m >= 3: the snapped eigenphases with
+    one phase 0 dropped for odd m, folded to one k <= n/2 per conjugate
+    pair.  A class of SO(4) with no phase 0 or 1/2 splits by parity, read
+    off the sign of the Pfaffian of (g - g^T)/2: conjugation by SO(4) keeps
+    it, and on the torus it is sin(2 pi k1/n) sin(2 pi k2/n), so a negative
+    one takes the last pair's k -> n - k.  GroupSpec caps sizes at
+    MAX_SIZE = 5, so SO(4) is the only SO(2r), r >= 2.  A row is undecided
+    where a phase does not snap, the phases do not pair up as a real
+    orthogonal matrix's do, or the Pfaffian is below half its torus value,
+    too close to 0 for its sign to be trusted."""
+    if spec.family == "SO":
+        g = np.asarray(g, dtype=float)
+    if spec.family == "SO" and spec.size == 2:
+        raw = np.arctan2(g[:, 1, 0], g[:, 0, 0])[:, None] / (2 * np.pi) % 1.0
     else:
-        raw = np.zeros((len(g), phase_slots(spec)))
-        for i, gi in enumerate(g):
-            try:
-                raw[i] = _alignment(spec, gi)[1]
-            except ValueError as error:  # numpy's LinAlgError included
-                errors[i] = error
+        raw = np.angle(np.linalg.eigvals(g)) / (2 * np.pi) % 1.0
     ks, off = _snap(raw, n)
-    for i in np.flatnonzero(off.any(axis=1)):
-        errors[i] = errors[i] or _off_grid(raw[i][off[i]][0], n)
-    return ks, errors
+    decided = ~off.any(axis=1)
+    if spec.family != "SO" or spec.size == 2:
+        return ks, decided
+    ks = np.sort(ks, axis=1)
+    decided &= (ks == np.sort((n - ks) % n, axis=1)).all(axis=1)
+    folded = np.sort(np.minimum(ks, n - ks), axis=1)
+    if spec.size % 2:  # the fixed axis
+        decided &= folded[:, 0] == 0
+        folded = folded[:, 1:]
+    pairs = folded[:, 0::2]
+    decided &= (pairs == folded[:, 1::2]).all(axis=1)
+    if spec.size == 4:
+        a = (g - g.swapaxes(1, 2)) / 2
+        pf = (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
+              + a[:, 0, 3] * a[:, 1, 2])
+        free = ((pairs != 0) & (2 * pairs != n)).all(axis=1)
+        torus = np.prod(np.sin(2 * np.pi * pairs / n), axis=1)
+        decided &= ~free | (np.abs(pf) >= torus / 2)
+        flip = free & (pf < 0)
+        pairs[flip, -1] = n - pairs[flip, -1]
+    return pairs, decided
 
 
 # ---------------------------------------------------------------------------

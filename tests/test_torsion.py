@@ -453,6 +453,14 @@ def test_integer_walk_counts_and_dimensions(spec):
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+def test_closed_form_count_is_the_walk(spec):
+    # the walk lists the classes one by one; the count is a formula
+    for n in range(1, 25):
+        walked = sum(1 for _ in torsion._class_walk(spec, n))
+        assert count_components(spec, n) == walked, (spec.label(), n)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
 def test_catalog_entries_match_their_per_class_oracles(spec):
     # each class's row of the one representative stack is, bit for bit,
     # the one-element torus_matrix of its realization
@@ -1080,6 +1088,112 @@ def test_integer_labels_match_canonicalize(spec):
             assert (label, parity) == (want.label(), want.parity)
 
 
+# ------------------------------------- stacked invariants vs Schur alignment
+
+def schur_rows(spec, n, g):
+    """The invariant rows of a stack of members, one Schur alignment each:
+    ``_alignment``, then ``_snap_rows``, then ``_canonical_rows``."""
+    raw = np.array([torsion._alignment(spec, gi)[1] for gi in g], dtype=float)
+    return torsion._canonical_rows(spec, n, torsion._snap_rows(raw, n))
+
+
+def conjugated_points(spec, n, rows, seeds):
+    """The torus points with phase numerators ``rows``, each conjugated by
+    the ``random_element`` of its seed."""
+    t = torus_stack(spec, np.array(rows) / n)
+    h = np.stack([random_element(spec, seed) for seed in seeds])
+    return h @ t @ group_inverse(spec, h)
+
+
+COMPACT_SPECS = [s for s in ORACLE_SPECS if s.family != "SL2R"]
+
+
+@pytest.mark.parametrize("spec", COMPACT_SPECS, ids=lambda s: s.label())
+@settings(PROPERTY, max_examples=40)
+@given(n=st.integers(1, 60), data=st.data())
+def test_stacked_invariants_are_the_schur_invariants(spec, n, data):
+    # three drawn numerators at most, and 0 and n // 2, per stack: so
+    # repeated eigenvalues, phases 0 and 1/2 and, in SO(4), free and
+    # non-free classes of both parities all come up
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=3)) + [0, n // 2]
+    rows = data.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=phase_slots(spec),
+                 max_size=phase_slots(spec)), min_size=1, max_size=6))
+    if spec.family == "SU":
+        for row in rows:
+            row[-1] = -sum(row[:-1]) % n
+    seeds = data.draw(st.lists(st.integers(0, 2 ** 32 - 1),
+                               min_size=len(rows), max_size=len(rows)))
+    g = conjugated_points(spec, n, rows, seeds)
+    # no member takes the Schur fallback
+    assert torsion._eigen_rows(spec, n, g)[1].all()
+    found, errors = torsion._invariant_rows(spec, n, g)
+    assert errors == [None] * len(g)
+    assert np.array_equal(found, schur_rows(spec, n, g))
+    assert np.array_equal(found, torsion._canonical_rows(spec, n,
+                                                         np.array(rows)))
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_stacked_so4_invariants_on_every_torus_point(n):
+    # every class of SO(4): non-free ones (a phase 0 or 1/2) and free ones
+    # in both parities, each read off the Pfaffian's sign
+    spec = GroupSpec("SO", 4)
+    rows = torsion._torsion_rows(spec, n, range(n * n))
+    g = conjugated_points(spec, n, rows, range(len(rows)))
+    found, errors = torsion._invariant_rows(spec, n, g)
+    assert errors == [None] * len(g)
+    assert torsion._eigen_rows(spec, n, g)[1].all()
+    assert np.array_equal(found, schur_rows(spec, n, g))
+    assert np.array_equal(found, torsion._canonical_rows(spec, n, rows))
+    parities = Counter(found[:, -1].tolist())
+    assert parities[0] and parities[1] and parities[-1]
+    assert len(np.unique(found, axis=0)) == count_components(spec, n)
+
+
+@pytest.mark.parametrize("spec", COMPACT_SPECS, ids=lambda s: s.label())
+def test_stacked_invariants_refuse_an_element_off_the_grid(spec):
+    # 1e-4 off the grid (SU: two phases moved apart, so det stays 1): the
+    # stacked path leaves it to the Schur alignment, which refuses it
+    n = 12
+    ks = np.array([[5, 0, 3, 9, 4][:phase_slots(spec)]])
+    if spec.family == "SU":
+        ks[0, -1] = -ks[0, :-1].sum() % n
+    phases = ks / n
+    phases[0, 0] += 1e-4
+    if spec.family == "SU":
+        phases[0, 1] -= 1e-4
+    h = random_element(spec, 4)
+    g = h @ torus_stack(spec, phases)[0] @ group_inverse(spec, h)
+    assert not torsion._eigen_rows(spec, n, g[None])[1][0]
+    with pytest.raises(ValueError, match="not within 1e-06") as schur_error:
+        schur_rows(spec, n, g[None])
+    _, errors = torsion._invariant_rows(spec, n, g[None])
+    assert str(errors[0]) == str(schur_error.value)
+    with pytest.raises(ValueError) as public:
+        matrix_invariant(spec, g, n)
+    assert str(public.value) == str(schur_error.value)
+
+
+def test_valid_censuses_run_no_schur(monkeypatch):
+    # every member of a valid compact census is decided on the stacked
+    # eigenvalue path: these are the benchmark's three cluster censuses
+    # and the SO(4) and SO(2) digest runs
+    def no_schur(*args, **kwargs):
+        raise AssertionError("a census sample took the Schur alignment")
+
+    monkeypatch.setattr(torsion, "schur", no_schur)
+    for spec, n, samples in ((GroupSpec("SU", 4), 6, 2000),
+                             (GroupSpec("SO", 5), 8, 2000),
+                             (GroupSpec("U", 3), 6, 2000),
+                             (GroupSpec("SO", 4), 12, 3000),
+                             (GroupSpec("SO", 2), 9, 500)):
+        report = cluster_census(spec, n, samples, seed=5)
+        assert report.passed, (spec.label(), n)
+        assert len(report.trials) == samples
+
+
 CENSUS_ALIGNMENTS = [(GroupSpec("U", 3), 6, "_unitary_eigenstructure"),
                      (GroupSpec("SU", 3), 4, "_unitary_eigenstructure"),
                      (GroupSpec("SO", 5), 8, "_so_torus_align"),
@@ -1089,9 +1203,13 @@ CENSUS_ALIGNMENTS = [(GroupSpec("U", 3), 6, "_unitary_eigenstructure"),
 def break_alignment(monkeypatch, name, off_grid=(), failing=()):
     """Make the census's alignment return an off-grid first phase at the
     calls in ``off_grid`` (phase 0.3 + call/1e4, distinct per call) and
-    raise at the calls in ``failing``.  SL(2,R) samples are aligned as one
-    stack, so there a call is a slice of ``_sl2_align_stack`` and a
-    failing one is refused."""
+    raise at the calls in ``failing``.  A call is one member the census
+    evaluates, in order.  SL(2,R) members are aligned as one stack, so
+    there a call is a slice of ``_sl2_align_stack`` and a failing one is
+    refused.  The compact families are read off one stacked eigensolve,
+    ``_eigen_rows``: a broken call is left undecided there, so that its
+    member goes to the Schur alignment ``name``, which then returns the
+    off-grid phase or raises."""
     calls = itertools.count()
     if name == "_sl2_align":
         stacked = torsion._sl2_align_stack
@@ -1108,10 +1226,20 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
 
         monkeypatch.setattr(torsion, "_sl2_align_stack", aligned_stack)
         return
-    original = getattr(torsion, name)
+    eigen_rows, original = torsion._eigen_rows, getattr(torsion, name)
+    broken = {}  # a broken member's bytes: its call
+
+    def undecided(spec, n, g):
+        ks, decided = eigen_rows(spec, n, g)
+        for j in range(len(g)):
+            call = next(calls)
+            if call in off_grid or call in failing:
+                decided[j] = False
+                broken[g[j].tobytes()] = call
+        return ks, decided
 
     def aligned(g):
-        call = next(calls)
+        call = broken.get(np.asarray(g).tobytes())
         if call in failing:
             raise ValueError(f"alignment failed at call {call}")
         Q, phases = original(g)
@@ -1120,6 +1248,7 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
             phases[0] = 0.3 + call / 1e4 + 1e-3
         return Q, phases
 
+    monkeypatch.setattr(torsion, "_eigen_rows", undecided)
     monkeypatch.setattr(torsion, name, aligned)
 
 
@@ -1189,6 +1318,16 @@ def test_snap_refuses_an_n_at_which_every_phase_snaps():
                        r"of 1/100000; the element does not have order"):
         matrix_invariant(spec, g, 100_000)
     assert matrix_invariant(spec, np.eye(2), 499_999).phases == (0, 0)
+
+
+def test_matrix_invariant_refuses_a_fine_grid_before_an_alignment():
+    # the grid is a property of n alone, so it is refused first for every
+    # family, as the census refuses it before drawing
+    spec, g = GroupSpec("SL2R", 2), np.diag([2.0, 0.5])
+    with pytest.raises(ValueError, match="n=500000 is too large"):
+        matrix_invariant(spec, g, 500_000)
+    with pytest.raises(ValueError, match="not elliptic or central"):
+        matrix_invariant(spec, g, 499_999)
 
 
 def test_cluster_census_refuses_a_fine_grid_before_drawing(monkeypatch):
