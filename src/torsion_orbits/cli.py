@@ -24,11 +24,11 @@ from .groups import (FAMILIES, TOL_MEMBERSHIP, GroupSpec,
 from .subspaces import TOL_RANK, TOL_SUBSPACE
 from .surface import (circle_point, export_points_csv, sample_surface,
                       singular_locus_scan, tangent_cone_bound_check)
-from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS,
-                     sweep_curve_identities, sweep_density, sweep_kernel_image,
-                     sweep_tangent, sweep_zero_intersection)
-from .torsion import (catalog_components, cluster_census,
-                      gcd_intersection_check, sl2_component_census,
+from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS, cluster_census,
+                     sl2_component_census, sweep_curve_identities,
+                     sweep_density, sweep_kernel_image, sweep_tangent,
+                     sweep_zero_intersection)
+from .torsion import (catalog_components, gcd_intersection_check,
                       write_catalog_csv, write_catalog_json)
 
 EXIT_PASS = 0

@@ -32,8 +32,9 @@ from .groups import (TOL_MEMBERSHIP, GroupSpec, adjoint_stack,
 from .reports import VerificationReport
 from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
                         _outcome_report, _torsion_outcomes)
-from .torsion import (_so_torus_align, _unitary_eigenstructure, canonical_align,
-                      canonicalize, torus_matrix)
+from .torsion import canonicalize, torus_matrix
+from .alignment import (_so_torus_align, _unitary_eigenstructure,
+                        canonical_align)
 
 #: Errors below this floor count as exact; the O(h) ratio test is vacuous
 #: when the difference quotient already matches the derivative to roundoff.
@@ -181,7 +182,7 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     beyond roundoff is a bug.  This is the one-element case of
     ``curve_kernel_outcomes``."""
     t0 = time.perf_counter()
-    stack = _one_member(spec, g, n)
+    stack, n = _one_member(spec, g, n)
     outcome, = _torsion_outcomes(
         spec, stack, n,
         lambda keep: curve_kernel_outcomes(
@@ -219,8 +220,9 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     n * TOL_MEMBERSHIP.
     This is the one-element case of ``product_identity_outcomes``."""
     t0 = time.perf_counter()
-    inputs = {"group": spec.label(), "n": n, "t": float(t)}
-    stack = _one_member(spec, g, n)
+    t = float(t)
+    stack, n = _one_member(spec, g, n)
+    inputs = {"group": spec.label(), "n": n, "t": t}
     outcome, = _torsion_outcomes(
         spec, stack, n,
         lambda keep: product_identity_outcomes(

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 FAMILIES = ("U", "SU", "SO", "SL2R")
 
@@ -213,6 +212,9 @@ def exp_element(spec: GroupSpec, coords) -> np.ndarray:
     machine precision because the generator satisfies the algebra constraints
     exactly.
     """
+    # imported here, so that importing groups loads no scipy
+    from scipy.linalg import expm
+
     g = expm(algebra_matrix(spec, coords))
     if not spec.is_complex:
         g = np.real(g)

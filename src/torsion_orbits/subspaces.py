@@ -17,8 +17,9 @@ one-element cases, which refuse a non-member first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,12 +194,17 @@ def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
 
 
 def _one_member(spec: GroupSpec, g, n):
-    """g as a one-element stack for the single-shot checkers, which raise
-    for a non-member or a bad n."""
+    """(g as a one-element stack, n as an int) for the single-shot
+    checkers, which raise for a non-member or a bad n.  n is any integer
+    (numpy's too, through ``operator.index``) but a bool."""
     g = require_member(spec, g)
-    if not isinstance(n, int) or n < 1:
+    try:
+        order = operator.index(n)
+    except TypeError:
+        order = 0
+    if isinstance(n, bool) or order < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    return g[None]
+    return g[None], order
 
 
 def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
@@ -318,8 +324,8 @@ def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
     t0 = time.perf_counter()
     config = {"check": "kernel-image", "tol_rank": tol_rank,
               "tol_subspace": tol_subspace, "tol_membership": TOL_MEMBERSHIP}
-    outcome, = kernel_image_outcomes(spec, _one_member(spec, g, n), n,
-                                     tol_rank, tol_subspace)
+    stack, n = _one_member(spec, g, n)
+    outcome, = kernel_image_outcomes(spec, stack, n, tol_rank, tol_subspace)
     return _outcome_report("kernel-image", {"group": spec.label(), "n": n},
                            outcome, config, t0, "principal_angle")
 
@@ -337,8 +343,8 @@ def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
     t0 = time.perf_counter()
     config = {"check": "zero-intersection", "tol_rank": tol_rank,
               "angle_tol": angle_tol, "tol_membership": TOL_MEMBERSHIP}
-    outcome, = zero_intersection_outcomes(spec, _one_member(spec, g, n), n,
-                                          tol_rank, angle_tol)
+    stack, n = _one_member(spec, g, n)
+    outcome, = zero_intersection_outcomes(spec, stack, n, tol_rank, angle_tol)
     return _outcome_report("zero-intersection",
                            {"group": spec.label(), "n": n}, outcome, config,
                            t0, "intersection_dim")

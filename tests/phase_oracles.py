@@ -1,18 +1,21 @@
 """The ``Fraction`` forms of the torus-phase rules, kept as test oracles.
 
-``torsion`` canonicalizes, snaps and decodes torus points on integer phase
-numerators k (phase k/n) only, and its ``Fraction`` API is a view over that
-one implementation.  These are the direct ``Fraction`` statements of the
-same rules.  They share no code with ``torsion``, so a test that compares
-the two does not compare the code with itself.
+``torsion`` canonicalizes, realizes and decodes torus points, and
+``alignment`` snaps eigenphases, on integer phase numerators k (phase k/n)
+only, and their ``Fraction`` API is a view over that one implementation.
+These are the direct ``Fraction`` statements of the same rules, and
+``enumerate_torsion`` lists every torus point by brute force.  They share
+no code with ``torsion``, so a test that compares the two does not compare
+the code with itself.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from torsion_orbits.torsion import (SNAP_TOL, CanonicalInvariant,
-                                    TorusTorsionPoint)
+from torsion_orbits.alignment import SNAP_TOL
+from torsion_orbits.torsion import CanonicalInvariant, TorusTorsionPoint
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
@@ -36,9 +39,37 @@ def canonicalize_oracle(spec, phases):
     return CanonicalInvariant(tuple(folded))
 
 
+def canonical_realization(spec, canonical):
+    """Phase tuple of the catalog representative realizing ``canonical``:
+    the canonical phases, with the last block reflected, p -> (1 - p) % 1,
+    when the SO(2r) parity bit is set."""
+    phases = tuple(Fraction(p) % 1 for p in canonical.phases)
+    if canonical.parity == 1:
+        phases = phases[:-1] + ((1 - phases[-1]) % 1,)
+    return phases
+
+
+def enumerate_torsion(spec, n):
+    """All torus points killed by n: the complete, duplicate-free tuple of
+    phase vectors with entries in {0, 1/n, ..., (n-1)/n} (SU: summing to an
+    integer), in lexicographic order.  The O(n^rank) brute force that
+    ``class_table``, ``torsion_point`` and the orbit sizes are checked
+    against."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    slots = spec.size if spec.family in ("U", "SU") else spec.rank
+    points = []
+    for ks in itertools.product(range(n), repeat=slots):
+        if spec.family == "SU" and sum(ks) % n != 0:
+            continue
+        points.append(TorusTorsionPoint(spec,
+                                        tuple(Fraction(k, n) for k in ks)))
+    return tuple(points)
+
+
 def snap_phase_oracle(phi, n):
     """One raw phase snapped to the 1/n grid, as a Fraction in [0, 1); an
-    off-grid phase raises the error ``torsion._snap_rows`` raises."""
+    off-grid phase raises the error ``alignment._snap_rows`` raises."""
     k = int(np.rint(phi * n))
     if abs(phi - k / n) > SNAP_TOL:
         raise ValueError(

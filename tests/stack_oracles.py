@@ -1,6 +1,6 @@
 """One-element bodies of the stacked evaluators, kept as test oracles.
 
-``groups.membership_residuals``, ``torsion._sl2_align_stack`` and the
+``groups.membership_residuals``, ``alignment._sl2_align_stack`` and the
 stacked subspace checks take a whole stack at a time, and
 ``membership_residual``, ``_sl2_align``, ``orientation_sign`` and the
 single-shot subspace verifiers are their one-element cases.  These are the
@@ -8,10 +8,20 @@ direct per-matrix statements they replaced, with
 ``scipy.linalg.subspace_angles`` for the principal angles.  They share no
 code with the package, so a test that compares the two does not compare
 the code with itself.
+
+The last three are per-element forms built on the package's own
+primitives: ``component_dimension``, the numeric adjoint rank that the
+exact ``torsion.orbit_dimension`` is checked against, and
+``random_torsion_point`` and ``random_torsion_element``, one draw at a
+time in the order the stacked ``sweeps._torsion_draw`` takes it.
 """
 
 import numpy as np
 from scipy.linalg import subspace_angles
+
+from torsion_orbits.groups import adjoint_matrix, group_inverse, random_element
+from torsion_orbits.subspaces import TOL_RANK, image_basis
+from torsion_orbits.torsion import _indexable_count, torsion_point
 
 
 def membership_residual_oracle(spec, g):
@@ -124,3 +134,23 @@ def zero_intersection_oracle(A, n, tol_rank, angle_tol):
     return ({"intersection_dim": float(est)}, est == 0,
             {"fixed_dim": fixed.shape[1], "kernel_dim": ker.shape[1],
              "min_principal_angle": min_angle})
+
+
+def component_dimension(spec, g, tol_rank=TOL_RANK):
+    """Dimension of the conjugation orbit of g: the numeric rank of
+    I - Ad(g)."""
+    A = adjoint_matrix(spec, g)
+    return image_basis(np.eye(spec.dim) - A, tol_rank).dim
+
+
+def random_torsion_point(spec, n, rng):
+    """Uniform torus point killed by n, from one ``rng.integers`` draw over
+    the point count."""
+    return torsion_point(spec, n, int(rng.integers(_indexable_count(spec, n))))
+
+
+def random_torsion_element(spec, n, rng):
+    """Random conjugate of a random torsion point: (matrix, point)."""
+    point = random_torsion_point(spec, n, rng)
+    h = random_element(spec, rng)
+    return h @ point.matrix() @ group_inverse(spec, h), point

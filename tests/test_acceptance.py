@@ -14,24 +14,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phase_oracles import canonicalize_oracle
+from phase_oracles import canonicalize_oracle, enumerate_torsion
+from stack_oracles import random_torsion_element
 from torsion_orbits import cli
 from torsion_orbits.groups import GroupSpec, group_inverse, random_element
 from torsion_orbits.curves import (DifferentComponentsError,
                                    connect_within_component,
                                    path_order_residuals)
 from torsion_orbits.reports import strip_wall_time
-from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, random_torsion_element,
+from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, sl2_component_census,
                                    sweep_curve_identities, sweep_kernel_image,
                                    sweep_tangent, sweep_zero_intersection)
 from torsion_orbits.surface import (circle_point, sample_surface,
                                     singular_locus_scan,
                                     tangent_cone_bound_check)
-from torsion_orbits.torsion import (catalog_components,
-                                    count_components, enumerate_torsion,
-                                    gcd_intersection_check, matrix_invariant,
-                                    nearest_torsion_approximant,
-                                    sl2_component_census)
+from torsion_orbits.alignment import (matrix_invariant,
+                                      nearest_torsion_approximant)
+from torsion_orbits.torsion import (catalog_components, count_components,
+                                    gcd_intersection_check)
 
 SEED = 20240817
 

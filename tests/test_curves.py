@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phase_oracles import canonicalize_oracle
+from phase_oracles import (canonical_realization, canonicalize_oracle,
+                           enumerate_torsion)
 from torsion_orbits.groups import (GroupSpec, algebra_coords, algebra_matrix,
                                    membership_residual, random_algebra,
                                    random_element)
@@ -16,10 +17,9 @@ from torsion_orbits.curves import (CurveSample, DifferentComponentsError,
                                    curve_kernel_check, export_path_csv,
                                    path_order_residuals,
                                    product_identity_check, tangent_space_check)
-from torsion_orbits import torsion
-from torsion_orbits.torsion import (canonical_realization, canonicalize,
-                                    class_table, matrix_invariant,
-                                    torus_matrix)
+from torsion_orbits import alignment
+from torsion_orbits.alignment import matrix_invariant
+from torsion_orbits.torsion import canonicalize, class_table, torus_matrix
 
 
 def conj(spec, h, g):
@@ -159,7 +159,6 @@ def test_product_identity_trivial_group_element():
 
 @pytest.mark.parametrize("family,size", [("U", 2), ("SU", 3), ("SO", 4)])
 def test_exact_identities_random_torsion(family, size):
-    from torsion_orbits.torsion import enumerate_torsion
     spec = GroupSpec(family, size)
     rng = np.random.default_rng(size)
     for n in (2, 3, 6):
@@ -213,7 +212,6 @@ def test_connect_refuses_different_components():
                                            ("SO", 4, 4), ("SO", 5, 4),
                                            ("SL2R", 2, 6)])
 def test_connect_random_same_class_pairs(family, size, n):
-    from torsion_orbits.torsion import enumerate_torsion
     spec = GroupSpec(family, size)
     rng = np.random.default_rng(n * 31 + size)
     points = enumerate_torsion(spec, n)
@@ -239,13 +237,13 @@ def test_connect_validates_waypoints():
 
 def test_connect_aligns_each_endpoint_once(monkeypatch):
     calls = []
-    align = torsion._snapped_alignment
+    align = alignment._snapped_alignment
 
     def counted(spec, g, n):
         calls.append(n)
         return align(spec, g, n)
 
-    monkeypatch.setattr(torsion, "_snapped_alignment", counted)
+    monkeypatch.setattr(alignment, "_snapped_alignment", counted)
     spec = GroupSpec("SO", 4)
     g0 = torus_matrix(spec, [Fraction(1, 4), Fraction(3, 4)])
     connect_within_component(spec, g0, conj(spec, random_element(spec, 5), g0), 4)

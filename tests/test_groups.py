@@ -480,7 +480,7 @@ def test_every_one_element_entry_refuses_a_non_member():
                                        tangent_space_check)
     from torsion_orbits.subspaces import (verify_kernel_image_identity,
                                           verify_zero_intersection)
-    from torsion_orbits.torsion import nearest_torsion_approximant
+    from torsion_orbits.alignment import nearest_torsion_approximant
 
     spec = GroupSpec("U", 2)
     g = 2.0 * np.diag([1.0, -1.0]).astype(complex)

@@ -23,12 +23,11 @@ from torsion_orbits.subspaces import (verify_kernel_image_identity,
 from torsion_orbits.surface import (sample_surface, singular_locus_scan,
                                     tangent_cone_bound_check)
 from torsion_orbits.sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS,
+                                   cluster_census, sl2_component_census,
                                    sweep_curve_identities, sweep_density,
                                    sweep_kernel_image, sweep_tangent,
                                    sweep_zero_intersection)
-from torsion_orbits.torsion import (catalog_components, cluster_census,
-                                    gcd_intersection_check,
-                                    sl2_component_census)
+from torsion_orbits.torsion import catalog_components, gcd_intersection_check
 
 
 def test_inputs_digest_is_stable_and_order_free():

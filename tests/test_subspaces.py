@@ -6,15 +6,21 @@ margin, so an independent Gaussian-elimination oracle pins them exactly.
 kernel, which must reproduce it bit for bit.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from stack_oracles import kernel_image_oracle, zero_intersection_oracle
+from phase_oracles import enumerate_torsion
+from stack_oracles import (kernel_image_oracle, random_torsion_element,
+                           zero_intersection_oracle)
+from torsion_orbits.curves import curve_kernel_check, product_identity_check
 from torsion_orbits.groups import (GroupSpec, adjoint_matrix, adjoint_stack,
-                                   random_element)
+                                   random_algebra, random_element)
+from torsion_orbits.reports import strip_wall_time
 from torsion_orbits.subspaces import (SubspaceBasis, _adjoint_power_sum,
                                       image_basis, intersection_dimension,
                                       kernel_basis, kernel_image_outcomes,
@@ -23,9 +29,7 @@ from torsion_orbits.subspaces import (SubspaceBasis, _adjoint_power_sum,
                                       verify_kernel_image_identity,
                                       verify_zero_intersection,
                                       zero_intersection_outcomes)
-from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS,
-                                   random_torsion_element)
-from torsion_orbits.torsion import enumerate_torsion
+from torsion_orbits.sweeps import COMPACT_SWEEP_SPECS
 
 
 def gauss_rank(A, tol=1e-6):
@@ -347,3 +351,34 @@ def test_zero_intersection_randomized(family, size):
         g = conjugated_torsion(spec, 1, n, seed=n)
         rep = verify_zero_intersection(spec, g, n)
         assert rep.passed, rep.to_json()
+
+
+#: The single-shot checkers that take an order n, as run(spec, g, n).
+ORDER_CHECKERS = {
+    "kernel-image": verify_kernel_image_identity,
+    "zero-intersection": verify_zero_intersection,
+    "curve-kernel": lambda spec, g, n: curve_kernel_check(
+        spec, g, n, random_algebra(spec, 1)),
+    "product-identity": lambda spec, g, n: product_identity_check(
+        spec, g, n, random_algebra(spec, 1), 0.3),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ORDER_CHECKERS))
+def test_single_shot_checkers_take_any_integer_n_but_a_bool(check):
+    # n goes through operator.index, as the catalogs and counts take numpy
+    # integers; a bool is refused, not read as 0 or 1
+    run = ORDER_CHECKERS[check]
+    spec = GroupSpec("SO", 4)
+    g, _ = random_torsion_element(spec, 4, np.random.default_rng(7))
+    want = strip_wall_time(run(spec, g, 4).to_dict())
+    for n in (np.int64(4), np.uint8(4)):
+        report = run(spec, g, n)
+        assert report.passed
+        assert strip_wall_time(report.to_dict()) == want
+        assert type(report.trials[0].inputs["n"]) is int
+        json.loads(report.to_json())
+    for n in (True, False, 0, -4, np.int64(0), 4.0, np.float64(4.0), "4",
+              np.bool_(True)):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            run(spec, g, n)

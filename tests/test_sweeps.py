@@ -6,8 +6,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from stack_oracles import membership_residual_oracle, orientation_sign_oracle
-from torsion_orbits import cli, reports, torsion
+from stack_oracles import (membership_residual_oracle,
+                           orientation_sign_oracle, random_torsion_element)
+from torsion_orbits import cli, reports, sweeps
+from torsion_orbits.alignment import (_nearest_torsion,
+                                      nearest_torsion_approximant)
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
 from torsion_orbits.groups import (GroupSpec, random_algebra,
@@ -17,13 +20,10 @@ from torsion_orbits.reports import (TrialRecord, VerificationReport,
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
                                       verify_zero_intersection)
 from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, ALL_FAMILY_SPECS,
-                                   random_torsion_element,
+                                   cluster_census, sl2_component_census,
                                    sweep_curve_identities, sweep_density,
                                    sweep_kernel_image, sweep_tangent,
                                    sweep_zero_intersection)
-from torsion_orbits.torsion import (_nearest_torsion, cluster_census,
-                                    nearest_torsion_approximant,
-                                    sl2_component_census)
 
 #: run(count, seed) -> report, one per seeded multi-trial driver.
 RUNS = {
@@ -225,7 +225,7 @@ def test_non_torsion_slice_is_rejected_alone(command, monkeypatch, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     g_bad = random_element(spec, 1234)
-    build = torsion._conjugate_stack
+    build = sweeps._conjugate_stack
 
     def with_bad_slice(*args):
         g = build(*args)
@@ -233,7 +233,7 @@ def test_non_torsion_slice_is_rejected_alone(command, monkeypatch, capsys):
         g[middle] = g_bad
         return g
 
-    monkeypatch.setattr(torsion, "_conjugate_stack", with_bad_slice)
+    monkeypatch.setattr(sweeps, "_conjugate_stack", with_bad_slice)
     code = cli.main(argv)
     trials = json.loads(capsys.readouterr().out)["trials"]
     # a rejected trial fails the report, as it does one trial at a time
@@ -259,14 +259,14 @@ def test_first_non_member_in_trial_order_raises(monkeypatch):
     keys = [_torsion_trial(np.random.default_rng(seed + i))[:2]
             for i in range(count)]
     assert keys[1] != keys[0] and keys[0] in keys[2:]
-    build = torsion._conjugate_stack
+    build = sweeps._conjugate_stack
 
     def off_group(spec, n, rows, draws):
         g = build(spec, n, rows, draws)
         g[1 if (spec, n) == keys[0] else 0:] *= 2.0
         return g
 
-    monkeypatch.setattr(torsion, "_conjugate_stack", off_group)
+    monkeypatch.setattr(sweeps, "_conjugate_stack", off_group)
     with pytest.raises(ValueError, match="is not in") as info:
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
     spec, _, g, _ = _torsion_trial(np.random.default_rng(seed + 1))
@@ -285,7 +285,7 @@ def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
             for i in range(count)]
     j = keys.index(keys[0], 2)
     assert keys[1] != keys[0]
-    build = torsion._conjugate_stack
+    build = sweeps._conjugate_stack
 
     def poisoned(scale_trial_1):
         def stack(spec, n, rows, draws):
@@ -297,13 +297,13 @@ def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
             return g
         return stack
 
-    monkeypatch.setattr(torsion, "_conjugate_stack", poisoned(True))
+    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(True))
     with pytest.raises(ValueError, match="is not in") as info:
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
     spec, _, g, _ = _torsion_trial(np.random.default_rng(seed + 1))
     with pytest.raises(ValueError) as first:
         require_member(spec, 2.0 * g)
     assert str(info.value) == str(first.value)
-    monkeypatch.setattr(torsion, "_conjugate_stack", poisoned(False))
+    monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(False))
     with pytest.raises(ValueError, match=r"\(residual nan\)"):
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)

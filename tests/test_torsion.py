@@ -6,6 +6,7 @@ commutation equation X g = g X directly.  Neither route touches the package's
 canonicalization or adjoint code, so agreement pins both.
 """
 
+import ast
 import io
 import itertools
 import json
@@ -13,6 +14,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,30 +22,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsion_orbits
-from phase_oracles import (canonicalize_oracle, snap_phase_oracle,
+from phase_oracles import (canonical_realization, canonicalize_oracle,
+                           enumerate_torsion, snap_phase_oracle,
                            torsion_point_oracle)
-from stack_oracles import orientation_sign_oracle, sl2_align_oracle
-from torsion_orbits import cli, reports, torsion
+from stack_oracles import (component_dimension, orientation_sign_oracle,
+                           random_torsion_element, random_torsion_point,
+                           sl2_align_oracle)
+from torsion_orbits import alignment, cli, reports, sweeps, torsion
+from torsion_orbits.alignment import (approximation_bound, canonical_align,
+                                      matrix_invariant,
+                                      nearest_torsion_approximant,
+                                      orientation_sign)
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
                                    element_order, group_inverse,
                                    membership_residual, random_element)
 from torsion_orbits.reports import TrialRecord
-from torsion_orbits.sweeps import random_torsion_element
+from torsion_orbits.sweeps import cluster_census, sl2_component_census
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
-                                    TorusTorsionPoint, approximation_bound,
-                                    canonical_align, canonical_realization,
-                                    canonicalize, catalog_components,
-                                    catalog_rows,
+                                    TorusTorsionPoint, canonicalize,
+                                    catalog_components, catalog_rows,
                                     class_count_bound, class_table,
-                                    cluster_census, component_dimension,
-                                    count_components, enumerate_torsion,
-                                    gcd_intersection_check, invariant_set,
-                                    matrix_invariant,
-                                    nearest_torsion_approximant,
-                                    orbit_dimension, orientation_sign,
-                                    phase_slots,
-                                    random_torsion_point,
-                                    sl2_component_census, torsion_point,
+                                    count_components,
+                                    gcd_intersection_check, orbit_dimension,
+                                    phase_slots, torsion_point,
                                     torsion_point_count, torus_matrix,
                                     torus_stack, write_catalog_csv,
                                     write_catalog_json)
@@ -272,7 +273,7 @@ def test_canonical_realization_round_trips():
     for spec in (GroupSpec("U", 3), GroupSpec("SU", 3), GroupSpec("SO", 4),
                  GroupSpec("SO", 5), GroupSpec("SL2R", 2)):
         for n in (2, 3, 4):
-            for inv in invariant_set(spec, n):
+            for inv in frozenset(class_table(spec, n)):
                 realized = canonical_realization(spec, inv)
                 assert canonicalize(spec, realized) == inv
                 g = torus_matrix(spec, realized)
@@ -492,7 +493,7 @@ def test_class_budget_refuses_runaway_orders():
     bound = class_count_bound(spec, 400)
     assert bound == math.comb(404, 5) > MAX_CLASSES
     for build in (class_table, catalog_components, count_components,
-                  invariant_set):
+                  lambda spec, n: frozenset(class_table(spec, n))):
         with pytest.raises(ValueError, match=f"{bound:,} classes"):
             build(spec, 400)
     with pytest.raises(ValueError, match="classes"):
@@ -501,12 +502,31 @@ def test_class_budget_refuses_runaway_orders():
     assert class_count_bound(GroupSpec("SL2R", 2), 7) == 7
 
 
-def test_production_paths_never_enumerate(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_torsion is a test oracle only")
+#: Test-side oracles, and a deleted wrapper, that no module of the package
+#: may define or import.
+TEST_ONLY_NAMES = {"enumerate_torsion", "canonical_realization",
+                   "component_dimension", "random_torsion_point",
+                   "random_torsion_element", "invariant_set"}
 
-    monkeypatch.setattr(torsion, "enumerate_torsion", refuse)
-    monkeypatch.setattr(torsion_orbits, "enumerate_torsion", refuse)
+
+def package_bindings():
+    """(module file, name) of every function, class, assignment and import
+    binding in the package's source."""
+    for path in sorted(Path(torsion_orbits.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.name, node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                yield path.name, node.id
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    yield path.name, alias.asname or alias.name
+
+
+def test_production_paths_never_enumerate(capsys):
+    # the oracles live in tests/, so no production path can reach them
+    assert [b for b in package_bindings() if b[1] in TEST_ONLY_NAMES] == []
+    assert not TEST_ONLY_NAMES & set(torsion_orbits.__all__)
     assert len(catalog_components(GroupSpec("U", 4), 8)) == math.comb(11, 4)
     assert gcd_intersection_check(GroupSpec("U", 3), 6, 4).passed
     census = cluster_census(GroupSpec("SO", 4), 4, 20, seed=3)
@@ -568,7 +588,8 @@ def test_canonical_align_restores_det_on_a_self_paired_plane(monkeypatch):
     # plane swap; a second one, on the phase-0 plane, keeps det Q = 1
     spec = GroupSpec("SO", 4)
     Q0 = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])  # Q0 t(4/5, 0) Q0^T
-    monkeypatch.setattr(torsion, "_so_torus_align", lambda g: (Q0, [0.8, 0.0]))
+    monkeypatch.setattr(alignment, "_so_torus_align",
+                        lambda g: (Q0, [0.8, 0.0]))
     g = torus_matrix(spec, [Fraction(1, 5), 0])
     Q, realized = canonical_align(spec, g, 5)
     assert realized == (0, Fraction(1, 5))
@@ -591,7 +612,7 @@ def test_so_torus_align_det_repairs(m):
         inputs.append(h @ torus_matrix(spec, [grid[k] for k in ks]) @ h.T)
         inputs.append(random_element(spec, rng))
     for g in inputs:
-        Q, phases = torsion._so_torus_align(g)
+        Q, phases = alignment._so_torus_align(g)
         assert abs(np.linalg.det(Q) - 1) < 1e-12
         assert np.linalg.norm(Q.T @ Q - np.eye(m)) < 1e-12
         assert np.linalg.norm(Q @ torus_matrix(spec, phases) @ Q.T - g) <= 1e-12
@@ -714,12 +735,13 @@ def test_gcd_law_on_random_orders(spec, n, m):
     assert rep.passed, rep.to_json()
     assert rep.details["count_intersection"] == rep.details["count_gcd"]
     # the integer keys count what the Fraction invariants count
-    s_n, s_m = invariant_set(spec, n), invariant_set(spec, m)
+    s_n = frozenset(class_table(spec, n))
+    s_m = frozenset(class_table(spec, m))
     assert rep.details["count_n"] == len(s_n)
     assert rep.details["count_m"] == len(s_m)
     assert rep.details["count_intersection"] == len(s_n & s_m)
-    assert rep.details["count_gcd"] == len(invariant_set(spec,
-                                                         math.gcd(n, m)))
+    assert rep.details["count_gcd"] == len(
+        frozenset(class_table(spec, math.gcd(n, m))))
 
 
 def test_gcd_check_labels_a_mismatch_in_reduced_fractions(monkeypatch):
@@ -908,13 +930,13 @@ def _aligned_or_error(align, g):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_stacked_sl2_alignment_is_the_one_element_body():
     g = sl2_align_inputs()
-    h, phases, refused = torsion._sl2_align_stack(g)
-    sigmas = torsion._orientations(phases, refused)
+    h, phases, refused = alignment._sl2_align_stack(g)
+    sigmas = alignment._orientations(phases, refused)
     traces = np.trace(g, axis1=1, axis2=2)
     seen = set()
     for i, gi in enumerate(g):
         want = _aligned_or_error(sl2_align_oracle, gi)
-        assert _aligned_or_error(torsion._sl2_align, gi) == want, i
+        assert _aligned_or_error(alignment._sl2_align, gi) == want, i
         if refused[i]:
             seen.add(int(refused[i]))
             assert want[0] in (ValueError, np.linalg.LinAlgError), i
@@ -1073,7 +1095,7 @@ def test_integer_labels_match_canonicalize(spec):
                                   for p in point.phases] for point in points]
         # alignment phases: on the grid up to noise, some just below 1
         raw = rows / n + rng.uniform(-1e-8, 1e-8, rows.shape)
-        assert np.array_equal(torsion._snap_rows(raw, n), rows)
+        assert np.array_equal(alignment._snap_rows(raw, n), rows)
         assert [[Fraction(k, n) for k in row] for row in rows[:200]] == \
             [[snap_phase_oracle(phi, n) for phi in row] for row in raw[:200]]
         canonical = torsion._canonical_rows(spec, n, rows)
@@ -1093,8 +1115,8 @@ def test_integer_labels_match_canonicalize(spec):
 def schur_rows(spec, n, g):
     """The invariant rows of a stack of members, one Schur alignment each:
     ``_alignment``, then ``_snap_rows``, then ``_canonical_rows``."""
-    raw = np.array([torsion._alignment(spec, gi)[1] for gi in g], dtype=float)
-    return torsion._canonical_rows(spec, n, torsion._snap_rows(raw, n))
+    raw = np.array([alignment._alignment(spec, gi)[1] for gi in g], dtype=float)
+    return torsion._canonical_rows(spec, n, alignment._snap_rows(raw, n))
 
 
 def conjugated_points(spec, n, rows, seeds):
@@ -1127,8 +1149,8 @@ def test_stacked_invariants_are_the_schur_invariants(spec, n, data):
                                min_size=len(rows), max_size=len(rows)))
     g = conjugated_points(spec, n, rows, seeds)
     # no member takes the Schur fallback
-    assert torsion._eigen_rows(spec, n, g)[1].all()
-    found, errors = torsion._invariant_rows(spec, n, g)
+    assert alignment._eigen_rows(spec, n, g)[1].all()
+    found, errors = alignment._invariant_rows(spec, n, g)
     assert errors == [None] * len(g)
     assert np.array_equal(found, schur_rows(spec, n, g))
     assert np.array_equal(found, torsion._canonical_rows(spec, n,
@@ -1142,9 +1164,9 @@ def test_stacked_so4_invariants_on_every_torus_point(n):
     spec = GroupSpec("SO", 4)
     rows = torsion._torsion_rows(spec, n, range(n * n))
     g = conjugated_points(spec, n, rows, range(len(rows)))
-    found, errors = torsion._invariant_rows(spec, n, g)
+    found, errors = alignment._invariant_rows(spec, n, g)
     assert errors == [None] * len(g)
-    assert torsion._eigen_rows(spec, n, g)[1].all()
+    assert alignment._eigen_rows(spec, n, g)[1].all()
     assert np.array_equal(found, schur_rows(spec, n, g))
     assert np.array_equal(found, torsion._canonical_rows(spec, n, rows))
     parities = Counter(found[:, -1].tolist())
@@ -1166,10 +1188,10 @@ def test_stacked_invariants_refuse_an_element_off_the_grid(spec):
         phases[0, 1] -= 1e-4
     h = random_element(spec, 4)
     g = h @ torus_stack(spec, phases)[0] @ group_inverse(spec, h)
-    assert not torsion._eigen_rows(spec, n, g[None])[1][0]
+    assert not alignment._eigen_rows(spec, n, g[None])[1][0]
     with pytest.raises(ValueError, match="not within 1e-06") as schur_error:
         schur_rows(spec, n, g[None])
-    _, errors = torsion._invariant_rows(spec, n, g[None])
+    _, errors = alignment._invariant_rows(spec, n, g[None])
     assert str(errors[0]) == str(schur_error.value)
     with pytest.raises(ValueError) as public:
         matrix_invariant(spec, g, n)
@@ -1183,7 +1205,7 @@ def test_valid_censuses_run_no_schur(monkeypatch):
     def no_schur(*args, **kwargs):
         raise AssertionError("a census sample took the Schur alignment")
 
-    monkeypatch.setattr(torsion, "schur", no_schur)
+    monkeypatch.setattr(alignment, "schur", no_schur)
     for spec, n, samples in ((GroupSpec("SU", 4), 6, 2000),
                              (GroupSpec("SO", 5), 8, 2000),
                              (GroupSpec("U", 3), 6, 2000),
@@ -1212,7 +1234,7 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
     off-grid phase or raises."""
     calls = itertools.count()
     if name == "_sl2_align":
-        stacked = torsion._sl2_align_stack
+        stacked = alignment._sl2_align_stack
 
         def aligned_stack(g):
             h, phases, refused = stacked(g)
@@ -1224,9 +1246,9 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
                     refused[j] = 1
             return h, phases, refused
 
-        monkeypatch.setattr(torsion, "_sl2_align_stack", aligned_stack)
+        monkeypatch.setattr(alignment, "_sl2_align_stack", aligned_stack)
         return
-    eigen_rows, original = torsion._eigen_rows, getattr(torsion, name)
+    eigen_rows, original = alignment._eigen_rows, getattr(alignment, name)
     broken = {}  # a broken member's bytes: its call
 
     def undecided(spec, n, g):
@@ -1248,8 +1270,8 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
             phases[0] = 0.3 + call / 1e4 + 1e-3
         return Q, phases
 
-    monkeypatch.setattr(torsion, "_eigen_rows", undecided)
-    monkeypatch.setattr(torsion, name, aligned)
+    monkeypatch.setattr(alignment, "_eigen_rows", undecided)
+    monkeypatch.setattr(alignment, name, aligned)
 
 
 def snap_message(k):
@@ -1334,7 +1356,7 @@ def test_cluster_census_refuses_a_fine_grid_before_drawing(monkeypatch):
     def no_draws(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(torsion, "element_draws", no_draws)
+    monkeypatch.setattr(sweeps, "element_draws", no_draws)
     for spec in (GroupSpec("SO", 2), GroupSpec("SL2R", 2)):
         with pytest.raises(ValueError, match="n=500000 is too large"):
             cluster_census(spec, 500_000, 3, seed=0)
