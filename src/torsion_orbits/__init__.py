@@ -34,7 +34,7 @@ _SUBMODULE = {name: module for module, names in (
                "connect_within_component curve_kernel_check export_path_csv "
                "path_order_residuals product_identity_check "
                "tangent_space_check"),
-    ("surface", "SurfacePoint circle_point export_points_csv sample_surface "
+    ("surface", "circle_points export_points_csv sample_surface "
                 "singular_locus_scan surface_gradient surface_value "
                 "tangent_cone_bound_check"),
 ) for name in names.split()}

@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import schur
 
-from .groups import GroupSpec, UnsupportedGroupError, require_member
+from .groups import (GroupSpec, UnsupportedGroupError, _frobenius,
+                     require_member)
 from .torsion import (CanonicalInvariant, _canonical_rows, _realized_rows,
                       _row_invariant, torus_matrix)
 
@@ -152,8 +153,8 @@ def _sl2_align_stack(g: np.ndarray):
     h = np.tile(eye, (count, 1, 1))
     phases = np.zeros(count)
     refused = np.zeros(count, dtype=np.int8)
-    plus = _distance(g, eye) <= 1e-8
-    minus = ~plus & (_distance(g, -eye) <= 1e-8)
+    plus = _frobenius(g - eye) <= 1e-8
+    minus = ~plus & (_frobenius(g + eye) <= 1e-8)
     phases[minus] = 0.5
     tr = np.trace(g, axis1=1, axis2=2)
     rest = ~(plus | minus)
@@ -179,13 +180,6 @@ def _sl2_align_stack(g: np.ndarray):
     h[where[ok]] = cols[ok] / scale[ok, None, None]
     phases[where[ok]] = np.where(flip, cycles, 1.0 - cycles)[ok]
     return h, phases, refused
-
-
-def _distance(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Frobenius distance of each 2x2 slice of the real stack g from a,
-    # bit for bit np.linalg.norm's: the dot of the flattened difference
-    d = (g - a).reshape(len(g), 4)
-    return np.sqrt(np.vecdot(d, d))
 
 
 def _svd_vt(a: np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 from .groups import (FAMILIES, TOL_MEMBERSHIP, GroupSpec,
                      UnsupportedGroupError)
 from .subspaces import TOL_RANK, TOL_SUBSPACE
-from .surface import (circle_point, export_points_csv, sample_surface,
+from .surface import (circle_points, export_points_csv, sample_surface,
                       singular_locus_scan, tangent_cone_bound_check)
 from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS, cluster_census,
                      sl2_component_census, sweep_curve_identities,
@@ -254,15 +254,14 @@ def _scan_inputs(seed: int):
     the whole gradient, collapse)."""
     rng = np.random.default_rng(seed + 1)
     axis_x = np.linspace(-2.0, 2.0, _SCAN_POINTS)
-    points = []
-    while len(points) < _SCAN_POINTS:
+    draws = []
+    while len(draws) < _SCAN_POINTS:
         a = float(rng.uniform(0.5, 1.5))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         if abs(phi - np.pi) < 0.25:
             continue
-        branch = 1 if rng.uniform() < 0.5 else -1
-        points.append(circle_point(a, phi, branch))
-    return axis_x, points
+        draws.append((a, phi, 1 if rng.uniform() < 0.5 else -1))
+    return axis_x, circle_points(*np.transpose(draws))
 
 
 def cmd_demo_surface(args) -> int:
@@ -278,7 +277,7 @@ def cmd_demo_surface(args) -> int:
     if args.a is not None:
         if not (0 < args.a < np.inf and np.isfinite(args.phi)):
             raise ConfigError("--a must be finite and positive, --phi finite")
-        points = [circle_point(args.a, args.phi, 1)]
+        points = circle_points(args.a, args.phi, 1)
     else:
         points = sample_surface((args.a_min, args.a_max), args.samples, seed)
 

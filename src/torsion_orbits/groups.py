@@ -22,6 +22,7 @@ do not check them again.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +41,18 @@ class UnsupportedGroupError(ValueError):
     """A family/size combination outside the supported range."""
 
 
+def positive_int(value, name: str) -> int:
+    """``value`` as a Python int: any integer (numpy's too, through
+    ``operator.index``) that is >= 1, but not a bool."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = 0
+    if isinstance(value, bool) or number < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Family tag plus matrix size.  ``SL2R`` forces size 2."""
@@ -50,8 +63,7 @@ class GroupSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedGroupError(f"unknown family {self.family!r}")
-        if not isinstance(self.size, int) or self.size < 1:
-            raise ValueError(f"size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "size", positive_int(self.size, "size"))
         if self.family == "SL2R":
             if self.size != 2:
                 raise UnsupportedGroupError("SL2R is only realized on 2x2 matrices")

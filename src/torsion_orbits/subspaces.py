@@ -17,13 +17,13 @@ one-element cases, which refuse a non-member first.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import TOL_MEMBERSHIP, GroupSpec, adjoint_stack, require_member
+from .groups import (TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack,
+                     positive_int, require_member)
 from .reports import fill_kept, single_trial_report
 
 #: Relative singular-value threshold for rank decisions.
@@ -197,14 +197,7 @@ def _one_member(spec: GroupSpec, g, n):
     """(g as a one-element stack, n as an int) for the single-shot
     checkers, which raise for a non-member or a bad n.  n is any integer
     (numpy's too, through ``operator.index``) but a bool."""
-    g = require_member(spec, g)
-    try:
-        order = operator.index(n)
-    except TypeError:
-        order = 0
-    if isinstance(n, bool) or order < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    return g[None], order
+    return require_member(spec, g)[None], positive_int(n, "n")
 
 
 def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
@@ -217,8 +210,8 @@ def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
     ``details`` when it ran."""
     eye = spec.identity()
     return fill_kept(
-        [np.linalg.norm(p - eye) <= n * TOL_MEMBERSHIP
-         for p in np.linalg.matrix_power(g, n)], evaluate,
+        _frobenius(np.linalg.matrix_power(g, n) - eye) <= n * TOL_MEMBERSHIP,
+        evaluate,
         lambda i: {"residuals": {}, "passed": False, "status": "rejected",
                    "note": f"precondition g^{n} = e fails{note_suffix}"})
 

@@ -9,11 +9,13 @@ direct per-matrix statements they replaced, with
 code with the package, so a test that compares the two does not compare
 the code with itself.
 
-The last three are per-element forms built on the package's own
+The last four are per-element forms built on the package's own
 primitives: ``component_dimension``, the numeric adjoint rank that the
-exact ``torsion.orbit_dimension`` is checked against, and
+exact ``torsion.orbit_dimension`` is checked against,
 ``random_torsion_point`` and ``random_torsion_element``, one draw at a
-time in the order the stacked ``sweeps._torsion_draw`` takes it.
+time in the order the stacked ``sweeps._torsion_draw`` takes it, and
+``circle_point_oracle``, one surface point at a time, the scalar body that
+``surface.circle_points`` replaced.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ from scipy.linalg import subspace_angles
 
 from torsion_orbits.groups import adjoint_matrix, group_inverse, random_element
 from torsion_orbits.subspaces import TOL_RANK, image_basis
+from torsion_orbits.surface import surface_value
 from torsion_orbits.torsion import _indexable_count, torsion_point
 
 
@@ -154,3 +157,14 @@ def random_torsion_element(spec, n, rng):
     point = random_torsion_point(spec, n, rng)
     h = random_element(spec, rng)
     return h @ point.matrix() @ group_inverse(spec, h), point
+
+
+def circle_point_oracle(a, phi, branch):
+    """(x, y, z, residual) of the point y = a^2 sin(phi),
+    z = branch * a^2 (1 + cos(phi)) of the slice x = a, branch in
+    {+1, -1}."""
+    if branch not in (1, -1):
+        raise ValueError("branch must be +1 or -1")
+    y = a * a * np.sin(phi)
+    z = branch * a * a * (1.0 + np.cos(phi))
+    return (float(a), float(y), float(z), float(abs(surface_value(a, y, z))))

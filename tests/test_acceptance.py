@@ -25,7 +25,7 @@ from torsion_orbits.reports import strip_wall_time
 from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, sl2_component_census,
                                    sweep_curve_identities, sweep_kernel_image,
                                    sweep_tangent, sweep_zero_intersection)
-from torsion_orbits.surface import (circle_point, sample_surface,
+from torsion_orbits.surface import (circle_points, sample_surface,
                                     singular_locus_scan,
                                     tangent_cone_bound_check)
 from torsion_orbits.alignment import (matrix_invariant,
@@ -237,8 +237,9 @@ def test_criterion_10_surface_demo():
         a = float(rng.uniform(0.5, 1.5))
         phi = float(rng.uniform(0.0, 2.0 * np.pi))
         if abs(phi - np.pi) >= 0.25:
-            band.append(circle_point(a, phi, 1 if rng.uniform() < 0.5 else -1))
-    scan = singular_locus_scan(axis, band, tol_grad=1e-6)
+            band.append((a, phi, 1 if rng.uniform() < 0.5 else -1))
+    scan = singular_locus_scan(axis, circle_points(*np.transpose(band)),
+                               tol_grad=1e-6)
     ok = (cone.passed and scan.passed
           and scan.details["axis_worst_grad"] <= 1e-12
           and scan.details["circle_min_grad"] > 1e-6)

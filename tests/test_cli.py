@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +396,26 @@ def test_demo_surface_json_payload(capsys):
     assert payload["passed"] is True
     assert [c["check"] for c in payload["checks"]] == [
         "tangent-cone-bound", "singular-locus"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo-surface", "--samples", "2", "--a-min", "1e200", "--a-max", "1e200"],
+    ["demo-surface", "--a", "1e200", "--phi", "1", "--format", "json"],
+    ["demo-surface", "--a-min", "1e22", "--a-max", "1e22", "--format", "csv"],
+    ["demo-surface", "--a-min", "1e39", "--a-max", "1e39", "--format", "csv"],
+])
+def test_demo_surface_refuses_a_range_that_overflows(capsys, tmp_path, argv):
+    # a verdict or a CSV row read off an overflowed point is neither: the
+    # range is refused with exit 2 before any output, and no numpy warning
+    path = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "overflows" in err
+        code, out, _ = run(capsys, argv + ["--output", str(path)])
+    assert (code, out) == (2, "")
+    assert not path.exists()
 
 
 #: Exit code and sha256 of demo-surface stdout, recorded before the CSV

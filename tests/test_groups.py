@@ -59,6 +59,17 @@ def test_spec_validation():
         GroupSpec("U", 0)
 
 
+def test_spec_size_takes_any_integer_but_a_bool():
+    for size, want in ((np.int64(3), 3), (np.uint8(2), 2), (4, 4)):
+        spec = GroupSpec("U", size)
+        assert type(spec.size) is int and spec.size == want
+        assert spec == GroupSpec("U", want)
+        assert spec.label() == f"U({want})"
+    for size in (True, False, np.bool_(True), 3.0, "3"):
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            GroupSpec("U", size)
+
+
 def test_dimensions_and_ranks():
     assert GroupSpec("U", 3).dim == 9
     assert GroupSpec("SU", 3).dim == 8

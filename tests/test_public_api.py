@@ -23,7 +23,7 @@ PUBLIC_NAMES = (
     "CurveSample", "DifferentComponentsError", "conjugation_curve",
     "connect_within_component", "curve_kernel_check", "export_path_csv",
     "path_order_residuals", "product_identity_check", "tangent_space_check",
-    "SurfacePoint", "circle_point", "export_points_csv", "sample_surface",
+    "circle_points", "export_points_csv", "sample_surface",
     "singular_locus_scan", "surface_gradient", "surface_value",
     "tangent_cone_bound_check",
     "__version__",

@@ -2,12 +2,14 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from stack_oracles import circle_point_oracle
 from torsion_orbits import surface
-from torsion_orbits.surface import (_EXPORT_BLOCK, SurfacePoint, circle_point,
+from torsion_orbits.surface import (_EXPORT_BLOCK, circle_points,
                                     export_points_csv, sample_surface,
                                     singular_locus_scan, surface_gradient,
                                     surface_value, tangent_cone_bound_check)
@@ -42,31 +44,33 @@ def test_circle_points_lie_on_surface():
     for _ in range(100):
         a = rng.uniform(0.2, 1.8)
         phi = rng.uniform(0, 2 * np.pi)
-        p = circle_point(a, phi, 1 if rng.integers(2) else -1)
-        assert p.residual < 1e-11
-        assert abs(surface_value(p.x, p.y, p.z)) == p.residual
+        x, y, z, residual = circle_points(
+            a, phi, 1 if rng.integers(2) else -1)[0]
+        assert residual < 1e-11
+        assert abs(surface_value(x, y, z)) == residual
 
 
 def test_circle_point_validation_and_tangency():
     with pytest.raises(ValueError):
-        circle_point(1.0, 0.0, 0)
-    p = circle_point(1.0, np.pi, 1)  # both branches meet the axis here
-    assert p.x == 1.0
-    assert abs(p.y) < 1e-15
-    assert p.z == 0.0
-    q = circle_point(1.0, 0.0, 1)
-    assert (q.x, q.y, q.z) == (1.0, 0.0, 2.0)
+        circle_points(1.0, 0.0, 0)
+    # both branches meet the axis here
+    x, y, z, _ = circle_points(1.0, np.pi, 1)[0]
+    assert x == 1.0
+    assert abs(y) < 1e-15
+    assert z == 0.0
+    q = circle_points(1.0, 0.0, 1)[0]
+    assert tuple(q[:3]) == (1.0, 0.0, 2.0)
 
 
 def test_sample_surface_deterministic_and_in_range():
     pts = sample_surface((0.5, 1.5), 200, seed=3)
     again = sample_surface((0.5, 1.5), 200, seed=3)
     assert len(pts) == 200
-    assert all(p.x == q.x and p.y == q.y and p.z == q.z
-               for p, q in zip(pts, again))
-    assert all(0.5 <= p.x <= 1.5 for p in pts)
-    assert max(p.residual for p in pts) < 1e-11
-    assert {1.0, -1.0} == {np.sign(p.z) for p in pts if abs(p.z) > 0.1}
+    assert (pts[:, :3] == again[:, :3]).all()
+    assert ((0.5 <= pts[:, 0]) & (pts[:, 0] <= 1.5)).all()
+    assert pts[:, 3].max() < 1e-11
+    z = pts[:, 2]
+    assert {1.0, -1.0} == set(np.sign(z[np.abs(z) > 0.1]))
 
 
 def test_sample_surface_validation():
@@ -84,27 +88,28 @@ def test_tangent_cone_bound_on_samples():
     assert rep.passed
     assert rep.check == "tangent-cone-bound"
     # phi = 0 attains equality: sqrt(y^2+z^2) = 2 x^2 exactly
-    eq = tangent_cone_bound_check([circle_point(1.3, 0.0, -1)])
+    eq = tangent_cone_bound_check(circle_points(1.3, 0.0, -1))
     assert eq.passed
     assert eq.details["worst_excess"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tangent_cone_bound_fails_off_surface():
-    bad = SurfacePoint(1.0, 0.0, 3.0, 0.0)  # fabricated, violates the cone
-    rep = tangent_cone_bound_check([bad], slack=1e-9)
+    bad = np.array([[1.0, 0.0, 3.0, 0.0]])  # fabricated, violates the cone
+    rep = tangent_cone_bound_check(bad, slack=1e-9)
     assert not rep.passed
     assert rep.worst_residual == pytest.approx(1.0)
     with pytest.raises(ValueError):
         tangent_cone_bound_check([])
+    with pytest.raises(ValueError):
+        tangent_cone_bound_check(np.empty((0, 4)))
 
 
 def test_singular_locus_scan_passes_off_band():
     axis = np.linspace(-2.0, 2.0, 100)
     rng = np.random.default_rng(5)
-    pts = [circle_point(a, phi, 1)
-           for a, phi in zip(rng.uniform(0.5, 1.5, 100),
-                             np.pi + rng.uniform(0.25, np.pi - 0.25, 100)
-                             * np.where(rng.integers(0, 2, 100) == 0, 1, -1))]
+    pts = circle_points(rng.uniform(0.5, 1.5, 100),
+                        np.pi + rng.uniform(0.25, np.pi - 0.25, 100)
+                        * np.where(rng.integers(0, 2, 100) == 0, 1, -1), 1)
     rep = singular_locus_scan(axis, pts)
     assert rep.passed
     assert rep.details["axis_worst_grad"] == 0.0  # every term carries y or z
@@ -113,7 +118,7 @@ def test_singular_locus_scan_passes_off_band():
 
 def test_singular_locus_scan_fails_near_tangency():
     # points hugging phi = pi sit arbitrarily close to the singular axis
-    pts = [circle_point(1.0, np.pi + 1e-9, 1)]
+    pts = circle_points(1.0, np.pi + 1e-9, 1)
     rep = singular_locus_scan(np.array([1.0]), pts)
     assert not rep.passed
     assert rep.details["circle_min_grad"] < 1e-6
@@ -121,6 +126,8 @@ def test_singular_locus_scan_fails_near_tangency():
         singular_locus_scan(np.array([]), pts)
     with pytest.raises(ValueError):
         singular_locus_scan(np.array([1.0]), [])
+    with pytest.raises(ValueError):
+        singular_locus_scan(np.array([1.0]), np.empty((0, 4)))
 
 
 def test_export_points_csv_round_trip():
@@ -130,11 +137,10 @@ def test_export_points_csv_round_trip():
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["x", "y", "z", "residual", "grad_norm"]
     assert len(rows) == 8
-    for row, p in zip(rows[1:], pts):
-        assert float(row[0]) == p.x  # repr() keeps full precision
-        assert float(row[3]) == p.residual
-        assert float(row[4]) == np.linalg.norm(
-            surface_gradient(p.x, p.y, p.z))
+    for row, (x, y, z, residual) in zip(rows[1:], pts):
+        assert float(row[0]) == x  # repr() keeps full precision
+        assert float(row[3]) == residual
+        assert float(row[4]) == np.linalg.norm(surface_gradient(x, y, z))
 
 
 def _oracle_csv(points):
@@ -143,10 +149,10 @@ def _oracle_csv(points):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x", "y", "z", "residual", "grad_norm"])
-    for p in points:
-        gn = float(np.linalg.norm(surface_gradient(p.x, p.y, p.z)))
-        writer.writerow([repr(p.x), repr(p.y), repr(p.z),
-                         repr(p.residual), repr(gn)])
+    for x, y, z, residual in np.asarray(points).tolist():
+        gn = float(np.linalg.norm(surface_gradient(x, y, z)))
+        writer.writerow([repr(x), repr(y), repr(z),
+                         repr(residual), repr(gn)])
     return buf.getvalue()
 
 
@@ -157,9 +163,10 @@ def _exported_rows(points):
     export_points_csv(points, buf)
     assert buf.getvalue() == _oracle_csv(points)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
-    for row, p in zip(rows, points, strict=True):
+    for row, (x, y, z, _) in zip(rows, np.asarray(points).tolist(),
+                                 strict=True):
         assert float(row[4]) == float(np.linalg.norm(
-            surface_gradient(p.x, p.y, p.z)))
+            surface_gradient(x, y, z)))
     return rows
 
 
@@ -177,8 +184,51 @@ def test_export_blocks_match_per_point_norms(count, monkeypatch):
 def test_export_zero_gradients_and_the_axis():
     # a range starting at 0 reaches the origin, where the gradient is 0;
     # the forced tangency point has z = 0 and a gradient of ~1e-47
-    pts = (sample_surface((0.0, 0.0), 3, seed=9)
-           + sample_surface((0.0, 0.5), 200, seed=9)
-           + [circle_point(1.0, np.pi, 1), circle_point(1.3, 0.0, -1)])
+    pts = np.vstack([sample_surface((0.0, 0.0), 3, seed=9),
+                     sample_surface((0.0, 0.5), 200, seed=9),
+                     circle_points(1.0, np.pi, 1),
+                     circle_points(1.3, 0.0, -1)])
     rows = _exported_rows(pts)
     assert [float(r[4]) for r in rows[:3]] == [0.0, 0.0, 0.0]
+
+
+def test_circle_points_match_the_scalar_oracle():
+    # ~1,000 rows, bit for bit: random slices and angles on both branches,
+    # plus the tangency angle phi = pi, the origin a = 0 and phi = 0
+    rng = np.random.default_rng(13)
+    a = np.concatenate([rng.uniform(-2.0, 2.0, 960), [0.0] * 20,
+                        rng.uniform(0.1, 2.0, 20)])
+    phi = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, 960),
+                          rng.uniform(0.0, 2.0 * np.pi, 10), [np.pi] * 10,
+                          [np.pi] * 10, [0.0] * 10])
+    branch = np.where(rng.integers(0, 2, len(a)) == 0, 1, -1)
+    want = np.array([circle_point_oracle(float(ai), float(pi), int(bi))
+                     for ai, pi, bi in zip(a, phi, branch)])
+    got = circle_points(a, phi, branch)
+    assert got.shape == (len(a), 4)
+    assert {1, -1} == set(branch[phi == np.pi])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_circle_points_broadcast_to_rows():
+    assert circle_points(1.0, 0.0, 1).shape == (1, 4)
+    rows = circle_points(1.5, [0.0, 1.0, np.pi], [1, -1, 1])
+    assert rows.shape == (3, 4)
+    assert (rows[:, 0] == 1.5).all()
+    assert np.array_equal(rows[1], circle_points(1.5, 1.0, -1)[0])
+    for branch in (0, 2, 0.5, np.nan, [1, -1, 0]):
+        with pytest.raises(ValueError, match="branch"):
+            circle_points(1.0, [0.0, 1.0, 2.0], branch)
+
+
+@pytest.mark.parametrize("a", [1e22, 1e39, 1e200, -1e200])
+def test_circle_points_refuse_an_overflow(a):
+    # |grad F| grows like a^7 and its square overflows above a ~ 6e21; F
+    # itself turns inf - inf = nan near 1e39; y and z overflow near 1e154
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            circle_points(a, 1.0, 1)
+        with pytest.raises(ValueError, match="overflows"):
+            sample_surface((a, a), 2, seed=0)
+    assert circle_points(6e21, 1.0, 1)[0, 0] == 6e21  # the last finite scale
