@@ -28,8 +28,8 @@ from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS, cluster_census,
                      sl2_component_census, sweep_curve_identities,
                      sweep_density, sweep_kernel_image, sweep_tangent,
                      sweep_zero_intersection)
-from .torsion import (catalog_components, gcd_intersection_check,
-                      write_catalog_csv, write_catalog_json)
+from .torsion import (_catalog_json_blocks, catalog_components,
+                      gcd_intersection_check, write_catalog_csv)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -126,11 +126,16 @@ def _resolve_spec(args):
 
 
 def _write_text(path, text: str) -> None:
+    _write_blocks(path, (text,))
+
+
+def _write_blocks(path, blocks) -> None:
+    # the strings of blocks in order, to the --output path or stdout
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
 
 
 def _report_text(report) -> str:
@@ -161,12 +166,14 @@ def cmd_catalog(args) -> int:
     config = RunConfig(command="catalog", family=spec.family, size=spec.size,
                        n=args.n, fmt=args.format).validate()
     catalog = catalog_components(spec, args.n)
-    if args.format in ("csv", "json"):
+    if args.format == "json":
+        # checked before the output is opened; the JSON streams to it
+        _write_blocks(args.output,
+                      _catalog_json_blocks(catalog, config.as_dict()))
+        return EXIT_PASS
+    if args.format == "csv":
         buf = io.StringIO()
-        if args.format == "csv":
-            write_catalog_csv(catalog, buf)
-        else:
-            write_catalog_json(catalog, config.as_dict(), buf)
+        write_catalog_csv(catalog, buf)
         text = buf.getvalue()
     else:
         lines = [f"{spec.label()} n={args.n}: {len(catalog)} components"]

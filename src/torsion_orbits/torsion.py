@@ -6,15 +6,18 @@ of the standard maximal torus whose block phases are exact fractions k/n.
 Conjugation permutes and (family permitting) reflects those phases, so an
 orbit is labeled by a canonical invariant: the Weyl-reduced phase multiset.
 The phase rules have one implementation, on integer numerators k (phase
-k/n): ``_class_walk`` walks the invariants, one per class with its orbit
-size, so a catalog costs time in the classes rather than in the n^rank
-torus points; ``_torsion_rows`` decodes point indices, ``_canonical_rows``
-canonicalizes and ``_realized_rows`` picks each class's representative.
-The ``Fraction`` API (``canonicalize``, ``torsion_point``,
-``orbit_dimension``) is a view over them that builds ``Fraction``s only
-for what it returns.  A catalog builds its representatives as one torus
-stack and prints its JSON from a fixed template; ``count_components`` is
-a closed form, with the walk as its test oracle.
+k/n): ``_class_rows`` builds one integer class table, a row per class with
+its invariant, orbit size and dimension, so a catalog costs time in the
+classes rather than in the n^rank torus points; ``_torsion_rows`` decodes
+point indices, ``_canonical_rows`` canonicalizes, ``_dimension_rows``
+reads dimensions off phase multiplicities and ``_realized_rows`` picks
+each class's representative.  The ``Fraction`` API (``canonicalize``,
+``torsion_point``, ``orbit_dimension``) is a view over them that builds
+``Fraction``s only for what it returns.  A catalog builds its
+representatives as one torus stack, and its JSON streams from a fixed
+template with one float text per distinct value; ``count_components`` is
+a closed form.  A class-by-class walk in the tests is the oracle of the
+table and of the count.
 
 This layer reads no matrix and imports no scipy: the catalogs, counts and
 ``verify gcd`` need only numpy, ``groups`` and ``reports``.  The opposite
@@ -29,9 +32,9 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -231,22 +234,38 @@ def orbit_dimension(spec: GroupSpec, canonical: CanonicalInvariant) -> int:
     dimension m^2 - sum c^2.  SO(N): the a-dimensional +1 and b-dimensional
     -1 eigenspaces contribute so(a) and so(b), each other folded phase of
     multiplicity c contributes u(c).  SL(2,R): +-I are central, every
-    elliptic class is a 2-dimensional orbit."""
-    return _class_dimension(spec, *_scaled(canonical.phases))
+    elliptic class is a 2-dimensional orbit.  The one-row case of
+    ``_dimension_rows``."""
+    n, ks = _scaled(canonical.phases)
+    return int(_dimension_rows(spec, n, np.array([ks], dtype=object))[0])
 
 
-def _class_dimension(spec: GroupSpec, n: int, ks) -> int:
-    # ``orbit_dimension`` of the phases k/n, k in [0, n), from integers
+def _run_places(rows: np.ndarray) -> np.ndarray:
+    """Each entry's 1-based place in its run of equal entries, for rows
+    sorted along axis 1.  A run of length c holds the places 1..c, so a
+    row's product of places is the product of its runs' c!, and its sum of
+    2 * place - 1 is the sum of their c^2."""
+    places = np.ones(rows.shape, dtype=np.int64)
+    for j in range(1, rows.shape[1]):
+        same = rows[:, j] == rows[:, j - 1]
+        places[same, j] = places[same, j - 1] + 1
+    return places
+
+
+def _dimension_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
+    """``orbit_dimension`` of each row of ints k in [0, n) (phases k/n, in
+    any order; int64 or Python ints)."""
     if spec.family == "SL2R":
-        return 0 if 2 * ks[0] % n == 0 else 2
+        return np.where(2 * ks[:, 0] % n == 0, 0, 2)
     if spec.family in ("U", "SU"):
-        return spec.size ** 2 - sum(c * c for c in Counter(ks).values())
-    folded = Counter(min(k, n - k) for k in ks)
-    a = 2 * folded.pop(0, 0) + spec.size % 2
-    b = 0 if n % 2 else 2 * folded.pop(n // 2, 0)
-    centralizer = (a * (a - 1) // 2 + b * (b - 1) // 2
-                   + sum(c * c for c in folded.values()))
-    return spec.dim - centralizer
+        squares = 2 * _run_places(np.sort(ks, axis=1)) - 1
+        return spec.size ** 2 - squares.sum(axis=1)
+    folded = np.sort(np.minimum(ks, n - ks), axis=1)
+    zero, half = folded == 0, 2 * folded == n
+    a = 2 * zero.sum(axis=1) + spec.size % 2
+    b = 2 * half.sum(axis=1)
+    paired = ((2 * _run_places(folded) - 1) * ~(zero | half)).sum(axis=1)
+    return spec.dim - (a * (a - 1) // 2 + b * (b - 1) // 2 + paired)
 
 
 @dataclass
@@ -264,7 +283,7 @@ class ComponentDescriptor:
 
 def class_count_bound(spec: GroupSpec, n: int) -> int:
     """Upper bound on the number of classes of {g : g^n = e}, which is also
-    the number of multisets ``class_table`` walks: C(n+m-1, m) for U(m) and
+    the number of multisets ``_class_keys`` lists: C(n+m-1, m) for U(m) and
     SU(m), 2 C(n//2 + r, r) for SO(m) of rank r, m >= 3, and n for SO(2) and
     SL(2,R)."""
     if spec.family in ("U", "SU"):
@@ -274,80 +293,86 @@ def class_count_bound(spec: GroupSpec, n: int) -> int:
     return n
 
 
-def _arrangements(ks: tuple) -> int:
-    # Distinct orderings of a sorted tuple: the multinomial of its runs.
-    out = math.factorial(len(ks))
-    for _, run in itertools.groupby(ks):
-        out //= math.factorial(sum(1 for _ in run))
-    return out
+def _class_keys(spec: GroupSpec, n: int) -> tuple:
+    """(ks, parity) for the classes of {g : g^n = e}, one row per class in
+    sort order, as int64 arrays: ks are the canonical phase numerators
+    (phases k/n), parity the SO(2r) bit or -1.
 
-
-def _class_walk(spec: GroupSpec, n: int):
-    """Yield (ks, parity, orbit size) for each class of {g : g^n = e}, in
-    sort order: ks are the canonical phase numerators (phases k/n), parity
-    the SO(2r) bit or None.
-
-    The walk runs over the invariants themselves, in time proportional to
-    the multisets walked: sorted phase multisets (SU: those summing to an
+    The rows are the invariants themselves, in time proportional to the
+    multisets listed: sorted phase multisets (SU: those summing to an
     integer) for U/SU; for SO, multisets of folded phases f/n with
-    f <= n/2, each slot off {0, n/2} having two preimages, and for SO(2r),
-    r >= 2, a split into two parity classes when every slot is off
-    {0, n/2}; the n phases k/n for SO(2) and SL(2,R).  Raises ValueError
-    when ``class_count_bound`` exceeds MAX_CLASSES."""
+    f <= n/2, and for SO(2r), r >= 2, a split into two parity classes when
+    every slot is off {0, n/2}; the n phases k/n for SO(2) and SL(2,R).
+    Raises ValueError when ``class_count_bound`` exceeds MAX_CLASSES."""
     _check_class_budget(spec, n)
     if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
-        for k in range(n):
-            yield (k,), None, 1
-        return
-    if spec.family in ("U", "SU"):
-        for ks in itertools.combinations_with_replacement(range(n), spec.size):
-            if spec.family == "SU" and sum(ks) % n:
-                continue
-            yield ks, None, _arrangements(ks)
-        return
-    r = spec.rank
-    for fs in itertools.combinations_with_replacement(range(n // 2 + 1), r):
-        free = sum(1 for f in fs if f and 2 * f != n)
-        orbit = _arrangements(fs) << free
-        if spec.size % 2 == 0 and free == r:
-            yield fs, 0, orbit // 2
-            yield fs, 1, orbit // 2
-        else:
-            yield fs, None, orbit
+        return np.arange(n)[:, None], np.full(n, -1)
+    top = n if spec.family in ("U", "SU") else n // 2 + 1
+    slots = phase_slots(spec)
+    multisets = itertools.combinations_with_replacement(range(top), slots)
+    ks = np.fromiter(itertools.chain.from_iterable(multisets), dtype=np.int64,
+                     count=math.comb(top + slots - 1, slots) * slots)
+    ks = ks.reshape(-1, slots)
+    if spec.family == "SU":
+        ks = ks[ks.sum(axis=1) % n == 0]
+    if spec.family != "SO" or spec.size % 2:
+        return ks, np.full(len(ks), -1)
+    split = ((ks != 0) & (2 * ks != n)).all(axis=1)
+    copies = 1 + split
+    parity = np.repeat(np.where(split, 0, -1), copies)
+    parity[np.cumsum(copies)[split] - 1] = 1
+    return np.repeat(ks, copies, axis=0), parity
+
+
+def _class_rows(spec: GroupSpec, n: int) -> tuple:
+    """The class table of {g : g^n = e}: int64 arrays (ks, parity, orbit
+    size, dimension), one row per class in sort order, with ks and parity
+    from ``_class_keys``.  The orbit size counts the torus points in the
+    class: the distinct orderings of ks, m!/prod c!, times 2 for each SO
+    slot off {0, n/2}, halved between the two parity classes of a split."""
+    ks, parity = _class_keys(spec, n)
+    orbit = math.factorial(ks.shape[1]) // _run_places(ks).prod(axis=1)
+    if spec.family == "SO" and spec.size > 2:
+        orbit <<= ((ks != 0) & (2 * ks != n)).sum(axis=1)
+        orbit[parity >= 0] //= 2
+    return ks, parity, orbit, _dimension_rows(spec, n, ks)
+
+
+def _table_invariants(n: int, ks: np.ndarray, parity: np.ndarray) -> list:
+    # the CanonicalInvariants of class-table rows, from one Fraction grid
+    grid = [Fraction(k, n) for k in range(n)]
+    return [CanonicalInvariant(tuple(grid[k] for k in row),
+                               None if bit < 0 else bit)
+            for row, bit in zip(ks.tolist(), parity.tolist())]
 
 
 def class_table(spec: GroupSpec, n: int) -> dict:
     """{canonical invariant: orbit size} over the classes of {g : g^n = e},
     in sort order; the orbit size counts the torus points in the class.
-    Built from the invariants themselves (see ``_class_walk``), in time
+    Built from the invariants themselves (see ``_class_rows``), in time
     proportional to the class count.  Raises ValueError when
     ``class_count_bound`` exceeds MAX_CLASSES."""
-    grid = [Fraction(k, n) for k in range(n)]
-    return {CanonicalInvariant(tuple(grid[k] for k in ks), parity): orbit
-            for ks, parity, orbit in _class_walk(spec, n)}
+    ks, parity, orbit, _ = _class_rows(spec, n)
+    return dict(zip(_table_invariants(n, ks, parity), orbit.tolist()))
 
 
 def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     """Complete catalog of orbits of {g : g^n = e}, sorted by canonical
-    invariant.  One entry per Weyl orbit of torsion points; the
-    representatives are the rows of one torus stack."""
-    walk = list(_class_walk(spec, n))
-    realized = _realized_rows(
-        n, np.array([ks for ks, _, _ in walk], dtype=np.int64),
-        np.array([parity == 1 for _, parity, _ in walk], dtype=bool))
-    reps = torus_stack(spec, realized / n)
-    grid = [Fraction(k, n) for k in range(n)]
-    return [ComponentDescriptor(
-                spec, n, CanonicalInvariant(tuple(grid[k] for k in ks), parity),
-                rep, _class_dimension(spec, n, ks), n // math.gcd(n, *ks),
-                orbit)
-            for (ks, parity, orbit), rep in zip(walk, reps)]
+    invariant.  One entry per Weyl orbit of torsion points, read off one
+    class table; the representatives are the rows of one torus stack."""
+    ks, parity, orbit, dimension = _class_rows(spec, n)
+    reps = torus_stack(spec, _realized_rows(n, ks, parity == 1) / n)
+    orders = n // np.gcd.reduce(ks, axis=1, initial=n)
+    return [ComponentDescriptor(spec, n, inv, rep, dim, order, size)
+            for inv, rep, dim, order, size in zip(
+                _table_invariants(n, ks, parity), reps, dimension.tolist(),
+                orders.tolist(), orbit.tolist())]
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
     """Number of conjugation orbits of {g : g^n = e}, in closed form: the
     number of Weyl orbits on the torus points killed by n, which
-    ``_class_walk`` lists one by one (Đoković, Proc. AMS 80, 1980).
+    ``_class_keys`` lists one by one (Đoković, Proc. AMS 80, 1980).
 
     U(m): C(n+m-1, m) phase multisets.  SU(m): the m-multisets of Z/n
     summing to 0, (1/n) sum over d | gcd(n, m) of phi(d) C(n/d + m/d - 1,
@@ -355,7 +380,7 @@ def count_components(spec: GroupSpec, n: int) -> int:
     f = n // 2; SO(2r), r >= 2, adds C(h + r - 1, r) for the classes with
     every phase among the h = (n - 1) // 2 free ones, which split by
     parity.  SO(2) and SL(2,R): n.  Raises ValueError where
-    ``_class_walk`` does: n < 1, or ``class_count_bound`` above
+    ``_class_keys`` does: n < 1, or ``class_count_bound`` above
     MAX_CLASSES."""
     _check_class_budget(spec, n)
     m, r = spec.size, spec.rank
@@ -395,31 +420,35 @@ def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationRepor
 
     Each class is keyed by its canonical phases scaled to the common
     denominator lcm(n, m), plus its parity, so the same orbit gets the same
-    key no matter which n produced it; the check is exact.
+    key no matter which n produced it; the check is exact.  A key is one
+    class-table row, compared as one opaque array item.
     """
     t0 = time.perf_counter()
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     g, common = math.gcd(n, m), math.lcm(n, m)
+    width = phase_slots(spec) + 1
 
     def keys(order):
-        scale = common // order
-        return {(tuple(k * scale for k in ks), parity)
-                for ks, parity, _ in _class_walk(spec, order)}
+        ks, parity = _class_keys(spec, order)
+        ks *= common // order
+        rows = np.column_stack([ks, parity])
+        return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
 
     s_n, s_m, s_g = keys(n), keys(m), keys(g)
-    inter = s_n & s_m
-    mismatch = inter ^ s_g
+    inter = np.intersect1d(s_n, s_m, assume_unique=True)
+    mismatch = np.setxor1d(inter, s_g, assume_unique=True)
     labels = sorted(CanonicalInvariant(tuple(Fraction(k, common) for k in ks),
-                                       parity).label()
-                    for ks, parity in mismatch)[:10]
+                                       None if parity < 0 else parity).label()
+                    for *ks, parity in
+                    mismatch.view(np.int64).reshape(-1, width).tolist())[:10]
     inputs = {"group": spec.label(), "n": n, "m": m, "gcd": g}
     details = {"count_n": len(s_n), "count_m": len(s_m),
                "count_gcd": len(s_g), "count_intersection": len(inter),
                "mismatched_invariants": labels}
     return single_trial_report(
         "gcd-intersection", inputs, {"mismatch_count": float(len(mismatch))},
-        passed=(not mismatch), config={"check": "gcd-intersection"},
+        passed=not len(mismatch), config={"check": "gcd-intersection"},
         details=details, wall_time_s=time.perf_counter() - t0,
         worst_residual=float(len(mismatch)))
 
@@ -476,14 +505,13 @@ _JSON_ENTRY = """\
     }}"""
 
 
-def _json_floats(values: np.ndarray) -> str:
+#: Catalog entries per block of ``write_catalog_json`` output.
+_JSON_BLOCK = 256
+
+
+def _json_floats(texts: list) -> str:
     # a representative's part as json.dumps(indent=2) prints it at depth 4
-    text = repr(values.ravel().tolist())
-    if "n" in text:  # repr spells inf and nan so; a finite float has no n
-        raise ValueError("a catalog representative is not finite; JSON "
-                         "cannot hold it")
-    return ("[\n          " + text[1:-1].replace(", ", ",\n          ")
-            + "\n        ]")
+    return "[\n          " + ",\n          ".join(texts) + "\n        ]"
 
 
 def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
@@ -493,28 +521,71 @@ def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
     A component lists its label, phases as [numerator, denominator] pairs,
     parity, dimension, exact order, orbit size and its representative,
     row-major with full double precision, split into real and imaginary
-    parts.  Raises ValueError for a non-finite representative: repr spells
-    it nan or inf, where json.dumps prints NaN or Infinity, which is not
-    JSON either."""
-    entries = []
-    for idx, comp in enumerate(catalog):
-        rep = np.asarray(comp.representative)
+    parts.  The text goes to ``fileobj`` in blocks of entries.  Raises
+    ValueError for a non-finite representative, before anything is
+    written: json.dumps would print NaN or Infinity, which is not JSON."""
+    fileobj.writelines(_catalog_json_blocks(catalog, config))
+
+
+def _catalog_json_blocks(catalog: list[ComponentDescriptor],
+                         config: dict):
+    """The text of ``write_catalog_json`` as an iterator of blocks.  Every
+    representative is checked here, before the iterator is returned; the
+    float texts are one repr per distinct bit pattern (0.0 and -0.0
+    differ), shared by every entry."""
+    reps = [np.asarray(comp.representative) for comp in catalog]
+    parts = [part.ravel() for rep in reps
+             for part in ((rep.real, rep.imag) if rep.dtype.kind == "c"
+                          else (rep,))]
+    floats = np.concatenate(parts or [np.empty(0)], dtype=np.float64)
+    if not np.isfinite(floats).all():
+        raise ValueError("a catalog representative is not finite; JSON "
+                         "cannot hold it")
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)[inverse].tolist()
+    config_text = json.dumps(config, sort_keys=True, indent=2)
+    return _json_text(catalog, reps, texts,
+                      config_text.replace("\n", "\n  "))
+
+
+def _json_text(catalog, reps, texts, config_text):
+    # the blocks of _catalog_json_blocks; texts holds every entry's float
+    # texts in order, real part before imaginary part
+    yield '{\n  "components": ' + ("[\n" if catalog else "[]")
+    phase_texts = {}
+    entries, at, sep = [], 0, ""
+    for idx, (comp, rep) in enumerate(zip(catalog, reps)):
+        labels, phases = [], []
+        for p in comp.canonical.phases:
+            key = p.numerator, p.denominator
+            if key not in phase_texts:
+                phase_texts[key] = (
+                    f"{key[0]}/{key[1]}",
+                    f"        [\n          {key[0]},\n          {key[1]}"
+                    "\n        ]")
+            label, phase = phase_texts[key]
+            labels.append(label)
+            phases.append(phase)
         parity = comp.canonical.parity
+        if parity is not None:
+            labels.append(f"p{parity}")
+        real, at = texts[at:at + rep.size], at + rep.size
+        imag = ""
+        if rep.dtype.kind == "c":
+            imag = f'        "imag": {_json_floats(texts[at:at + rep.size])},\n'
+            at += rep.size
         entries.append(_JSON_ENTRY.format(
-            canonical=json.dumps(comp.canonical.label()), index=idx,
+            canonical=_json_string(",".join(labels)), index=idx,
             dimension=comp.dimension, exact_order=comp.exact_order,
-            group=json.dumps(comp.spec.family), n=comp.n,
+            group=_json_string(comp.spec.family), n=comp.n,
             orbit_size=comp.orbit_size,
             parity="null" if parity is None else parity,
-            phases=",\n".join(f"        [\n          {p.numerator},\n"
-                               f"          {p.denominator}\n        ]"
-                               for p in comp.canonical.phases),
-            imag=(f'        "imag": {_json_floats(rep.imag)},\n'
-                  if np.iscomplexobj(rep) else ""),
-            real=_json_floats(rep.real),
+            phases=",\n".join(phases), imag=imag, real=_json_floats(real),
             shape=",\n          ".join(map(str, rep.shape)),
             size=comp.spec.size))
-    components = ("[\n" + ",\n".join(entries) + "\n  ]") if entries else "[]"
-    config_text = json.dumps(config, sort_keys=True, indent=2)
-    fileobj.write('{\n  "components": ' + components + ',\n  "config": '
-                  + config_text.replace("\n", "\n  ") + "\n}\n")
+        if len(entries) == _JSON_BLOCK or idx == len(catalog) - 1:
+            yield sep + ",\n".join(entries)
+            sep, entries = ",\n", []
+    yield (("\n  ]" if catalog else "") + ',\n  "config": ' + config_text
+           + "\n}\n")

@@ -3,13 +3,16 @@
 ``torsion`` canonicalizes, realizes and decodes torus points, and
 ``alignment`` snaps eigenphases, on integer phase numerators k (phase k/n)
 only, and their ``Fraction`` API is a view over that one implementation.
-These are the direct ``Fraction`` statements of the same rules, and
-``enumerate_torsion`` lists every torus point by brute force.  They share
+These are the direct ``Fraction`` statements of the same rules,
+``enumerate_torsion`` lists every torus point by brute force, and
+``class_walk`` lists the classes one at a time, the oracle of the
+vectorized class table ``torsion._class_rows``.  They share
 no code with ``torsion``, so a test that compares the two does not compare
 the code with itself.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -90,3 +93,43 @@ def torsion_point_oracle(spec, n, i):
     if spec.family == "SU":
         ks.append(-sum(ks) % n)
     return TorusTorsionPoint(spec, tuple(Fraction(k, n) for k in ks))
+
+
+def arrangements(ks):
+    """Distinct orderings of a sorted tuple: the multinomial of its runs."""
+    out = math.factorial(len(ks))
+    for _, run in itertools.groupby(ks):
+        out //= math.factorial(sum(1 for _ in run))
+    return out
+
+
+def class_walk(spec, n):
+    """Yield (ks, parity, orbit size) for each class of {g : g^n = e}, in
+    sort order: ks are the canonical phase numerators (phases k/n), parity
+    the SO(2r) bit or None.
+
+    The walk runs over the invariants themselves, one at a time: sorted
+    phase multisets (SU: those summing to an integer) for U/SU; for SO,
+    multisets of folded phases f/n with f <= n/2, each slot off {0, n/2}
+    having two preimages, and for SO(2r), r >= 2, a split into two parity
+    classes when every slot is off {0, n/2}; the n phases k/n for SO(2)
+    and SL(2,R)."""
+    if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
+        for k in range(n):
+            yield (k,), None, 1
+        return
+    if spec.family in ("U", "SU"):
+        for ks in itertools.combinations_with_replacement(range(n), spec.size):
+            if spec.family == "SU" and sum(ks) % n:
+                continue
+            yield ks, None, arrangements(ks)
+        return
+    r = spec.rank
+    for fs in itertools.combinations_with_replacement(range(n // 2 + 1), r):
+        free = sum(1 for f in fs if f and 2 * f != n)
+        orbit = arrangements(fs) << free
+        if spec.size % 2 == 0 and free == r:
+            yield fs, 0, orbit // 2
+            yield fs, 1, orbit // 2
+        else:
+            yield fs, None, orbit

@@ -50,6 +50,37 @@ def test_catalog_bytes_match_reference_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == want, command
 
 
+def test_catalog_json_output_file_matches_its_reference_digest(capsys,
+                                                               tmp_path):
+    # --output streams the JSON to the file: the same bytes as stdout
+    command = "catalog --group U --size 4 --n 16 --format json"
+    path = tmp_path / "u4.json"
+    code, out, _ = run(capsys, [*command.split(), "--output", str(path)])
+    assert code == 0 and out == ""
+    want = json.loads(REFERENCE_DIGESTS.read_text())[command]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+
+
+def test_catalog_json_refusal_opens_no_output_file(capsys, tmp_path,
+                                                   monkeypatch):
+    # a non-finite representative is refused before --output is created
+    catalog_components = cli.catalog_components
+
+    def broken(spec, n):
+        cat = catalog_components(spec, n)
+        cat[0].representative = np.full_like(cat[0].representative, np.nan)
+        return cat
+
+    monkeypatch.setattr(cli, "catalog_components", broken)
+    path = tmp_path / "bad.json"
+    code, out, err = run(capsys, ["catalog", "--group", "U", "--size", "2",
+                                  "--n", "3", "--format", "json",
+                                  "--output", str(path)])
+    assert code == 2 and out == ""
+    assert "not finite" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--group", "U", "--size", "5", "--n", "400"],
     ["census", "cluster", "--group", "U", "--size", "5", "--n", "400"],

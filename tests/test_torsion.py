@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import torsion_orbits
 from phase_oracles import (canonical_realization, canonicalize_oracle,
-                           enumerate_torsion, snap_phase_oracle,
+                           class_walk, enumerate_torsion, snap_phase_oracle,
                            torsion_point_oracle)
 from stack_oracles import (component_dimension, orientation_sign_oracle,
                            random_torsion_element, random_torsion_point,
@@ -432,9 +432,10 @@ def test_closed_form_dimension_matches_adjoint_rank(spec):
 
 
 def walked_table(spec, n):
-    """``torsion._class_walk`` as (canonical invariant, orbit size) pairs."""
+    """``phase_oracles.class_walk`` as (canonical invariant, orbit size)
+    pairs."""
     return [(CanonicalInvariant(tuple(Fraction(k, n) for k in ks), parity),
-             orbit) for ks, parity, orbit in torsion._class_walk(spec, n)]
+             orbit) for ks, parity, orbit in class_walk(spec, n)]
 
 
 def integer_path_orders(spec):
@@ -457,7 +458,7 @@ def test_integer_walk_counts_and_dimensions(spec):
 def test_closed_form_count_is_the_walk(spec):
     # the walk lists the classes one by one; the count is a formula
     for n in range(1, 25):
-        walked = sum(1 for _ in torsion._class_walk(spec, n))
+        walked = sum(1 for _ in class_walk(spec, n))
         assert count_components(spec, n) == walked, (spec.label(), n)
 
 
@@ -744,19 +745,38 @@ def test_gcd_law_on_random_orders(spec, n, m):
         frozenset(class_table(spec, math.gcd(n, m))))
 
 
+@settings(PROPERTY, max_examples=40)
+@given(st.sampled_from(ORACLE_SPECS), st.integers(1, 16))
+def test_class_rows_on_random_orders(spec, n):
+    # the orbit sizes cover the n^rank torus points once, and each row
+    # agrees with the walk, the Fraction dimension rule and the gcd order
+    ks, parity, orbit, dimension = torsion._class_rows(spec, n)
+    assert int(orbit.sum()) == torsion_point_count(spec, n) == n ** spec.rank
+    rows = [(tuple(row), None if bit < 0 else bit, size) for row, bit, size
+            in zip(ks.tolist(), parity.tolist(), orbit.tolist())]
+    assert rows == list(class_walk(spec, n))
+    cat = catalog_components(spec, n)
+    assert len(cat) == len(rows)
+    for (row, bit, _), dim, comp in zip(rows, dimension.tolist(), cat):
+        inv = CanonicalInvariant(tuple(Fraction(k, n) for k in row), bit)
+        assert comp.canonical == inv
+        assert dim == comp.dimension == fraction_orbit_dimension(spec, inv)
+        assert comp.exact_order == n // math.gcd(n, *row)
+
+
 def test_gcd_check_labels_a_mismatch_in_reduced_fractions(monkeypatch):
-    # the law always holds, so drop the last class of the gcd's walk: the
-    # check fails and names that class by its reduced-fraction label
+    # the law always holds, so drop the last row of the gcd's class table:
+    # the check fails and names that class by its reduced-fraction label
     spec = GroupSpec("SO", 4)
     dropped = list(class_table(spec, 3))[-1]
     assert dropped.label() == "1/3,1/3,p1"
-    walk = torsion._class_walk
+    keys = torsion._class_keys
 
     def dropping(spec, n):
-        rows = list(walk(spec, n))
-        return rows[:-1] if n == 3 else rows
+        ks, parity = keys(spec, n)
+        return (ks[:-1], parity[:-1]) if n == 3 else (ks, parity)
 
-    monkeypatch.setattr(torsion, "_class_walk", dropping)
+    monkeypatch.setattr(torsion, "_class_keys", dropping)
     rep = gcd_intersection_check(spec, 6, 9)
     assert not rep.passed
     assert rep.details["mismatched_invariants"] == [dropped.label()]
@@ -1443,8 +1463,24 @@ def test_catalog_json_writer_refuses_non_finite_representatives(spec, part,
     rep = cat[1].representative.copy()
     getattr(rep, part)[0, 1] = bad
     cat[1].representative = rep
+    buf = io.StringIO()
     with pytest.raises(ValueError, match="not finite"):
-        write_catalog_json(cat, catalog_config(spec, 3), io.StringIO())
+        write_catalog_json(cat, catalog_config(spec, 3), buf)
+    assert buf.getvalue() == ""
+
+
+def test_catalog_json_writer_prints_a_mixed_catalog():
+    # entries of different shapes and dtypes (complex 2x2 beside real 3x3,
+    # whose 0.0 and -0.0 print apart) still print what json.dumps prints
+    cat = (catalog_components(GroupSpec("U", 2), 3)
+           + catalog_components(GroupSpec("SO", 3), 4))
+    config = catalog_config(GroupSpec("U", 2), 3)
+    buf = io.StringIO()
+    write_catalog_json(cat, config, buf)
+    assert "-0.0" in buf.getvalue()
+    assert buf.getvalue() == json.dumps(
+        {"config": config, "components": catalog_json_payload(cat)},
+        sort_keys=True, indent=2) + "\n"
 
 
 def test_catalog_json_payload_round_trips_representative():
