@@ -11,7 +11,7 @@ environment variable or --seed.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import os
 import sys
@@ -28,8 +28,8 @@ from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS, cluster_census,
                      sl2_component_census, sweep_curve_identities,
                      sweep_density, sweep_kernel_image, sweep_tangent,
                      sweep_zero_intersection)
-from .torsion import (_catalog_json_blocks, catalog_components,
-                      gcd_intersection_check, write_catalog_csv)
+from .torsion import (_catalog_blocks, _csv_blocks, _json_blocks,
+                      _text_blocks, gcd_intersection_check)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -130,12 +130,24 @@ def _write_text(path, text: str) -> None:
 
 
 def _write_blocks(path, blocks) -> None:
-    # the strings of blocks in order, to the --output path or stdout
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
-    else:
-        sys.stdout.writelines(blocks)
+    # the strings of blocks in order, to the --output path or stdout; the
+    # first is made before the path is opened, so a refusal opens no file
+    blocks = iter(blocks)
+    first = next(blocks, "")
+    with _open_output(path) as fh:
+        fh.write(first)
+        fh.writelines(blocks)
+
+
+def _open_output(path, newline=None):
+    # the --output file opened for writing, or stdout when there is none;
+    # a path that cannot be opened is a configuration error
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output: {exc}") from None
 
 
 def _report_text(report) -> str:
@@ -165,24 +177,14 @@ def cmd_catalog(args) -> int:
         raise ConfigError("catalog requires --group and --size")
     config = RunConfig(command="catalog", family=spec.family, size=spec.size,
                        n=args.n, fmt=args.format).validate()
-    catalog = catalog_components(spec, args.n)
+    blocks = _catalog_blocks(spec, args.n)
     if args.format == "json":
-        # checked before the output is opened; the JSON streams to it
-        _write_blocks(args.output,
-                      _catalog_json_blocks(catalog, config.as_dict()))
-        return EXIT_PASS
-    if args.format == "csv":
-        buf = io.StringIO()
-        write_catalog_csv(catalog, buf)
-        text = buf.getvalue()
+        text = _json_blocks(blocks, config.as_dict())
+    elif args.format == "csv":
+        text = _csv_blocks(blocks)
     else:
-        lines = [f"{spec.label()} n={args.n}: {len(catalog)} components"]
-        for idx, comp in enumerate(catalog):
-            lines.append(f"  [{idx}] {comp.canonical.label():<24} "
-                         f"dim={comp.dimension} order={comp.exact_order} "
-                         f"orbit={comp.orbit_size}")
-        text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
+        text = _text_blocks(spec, args.n, blocks)
+    _write_blocks(args.output, text)
     return EXIT_PASS
 
 
@@ -294,11 +296,8 @@ def cmd_demo_surface(args) -> int:
     passed = bound_rep.passed and scan_rep.passed
 
     if args.format == "csv":
-        if args.output:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                export_points_csv(points, fh)
-        else:
-            export_points_csv(points, sys.stdout)
+        with _open_output(args.output, newline="") as fh:
+            export_points_csv(points, fh)
     elif args.format == "json":
         payload = {"check": "surface-demo", "passed": passed,
                    "config": {**config.as_dict(),

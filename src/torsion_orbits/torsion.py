@@ -13,10 +13,13 @@ point indices, ``_canonical_rows`` canonicalizes, ``_dimension_rows``
 reads dimensions off phase multiplicities and ``_realized_rows`` picks
 each class's representative.  The ``Fraction`` API (``canonicalize``,
 ``torsion_point``, ``orbit_dimension``) is a view over them that builds
-``Fraction``s only for what it returns.  A catalog builds its
-representatives as one torus stack, and its JSON streams from a fixed
-template with one float text per distinct value; ``count_components`` is
-a closed form.  A class-by-class walk in the tests is the oracle of the
+``Fraction``s only for what it returns.  A catalog is one class table
+read in blocks (``_catalog_blocks``): each block is a list of
+``ComponentDescriptor``s with one torus stack of representatives, and
+``catalog_components`` joins them.  One printer per format (text, CSV,
+JSON) turns blocks into text, so the CLI holds one block at a time and
+the list writers print a list as one block; ``count_components`` is a
+closed form.  A class-by-class walk in the tests is the oracle of the
 table and of the count.
 
 This layer reads no matrix and imports no scipy: the catalogs, counts and
@@ -338,9 +341,9 @@ def _class_rows(spec: GroupSpec, n: int) -> tuple:
     return ks, parity, orbit, _dimension_rows(spec, n, ks)
 
 
-def _table_invariants(n: int, ks: np.ndarray, parity: np.ndarray) -> list:
-    # the CanonicalInvariants of class-table rows, from one Fraction grid
-    grid = [Fraction(k, n) for k in range(n)]
+def _table_invariants(grid: list, ks: np.ndarray, parity: np.ndarray) -> list:
+    # the CanonicalInvariants of class-table rows, their phases k/n read
+    # off the grid of Fraction(k, n), k < n
     return [CanonicalInvariant(tuple(grid[k] for k in row),
                                None if bit < 0 else bit)
             for row, bit in zip(ks.tolist(), parity.tolist())]
@@ -353,20 +356,38 @@ def class_table(spec: GroupSpec, n: int) -> dict:
     proportional to the class count.  Raises ValueError when
     ``class_count_bound`` exceeds MAX_CLASSES."""
     ks, parity, orbit, _ = _class_rows(spec, n)
-    return dict(zip(_table_invariants(n, ks, parity), orbit.tolist()))
+    grid = [Fraction(k, n) for k in range(n)]
+    return dict(zip(_table_invariants(grid, ks, parity), orbit.tolist()))
 
 
 def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     """Complete catalog of orbits of {g : g^n = e}, sorted by canonical
-    invariant.  One entry per Weyl orbit of torsion points, read off one
-    class table; the representatives are the rows of one torus stack."""
+    invariant.  One entry per Weyl orbit of torsion points: the join of
+    the blocks of ``_catalog_blocks``, which the CLI prints one by one."""
+    return list(itertools.chain.from_iterable(_catalog_blocks(spec, n)))
+
+
+#: Catalog entries per block of ``_catalog_blocks``.
+_BLOCK = 256
+
+
+def _catalog_blocks(spec: GroupSpec, n: int):
+    """The catalog of {g : g^n = e} in order, as lists of at most
+    ``_BLOCK`` components: one class table and one Fraction grid per
+    catalog, one torus stack of representatives per block.  Raises
+    ValueError where ``_class_keys`` does, at the first block."""
     ks, parity, orbit, dimension = _class_rows(spec, n)
-    reps = torus_stack(spec, _realized_rows(n, ks, parity == 1) / n)
+    grid = [Fraction(k, n) for k in range(n)]
     orders = n // np.gcd.reduce(ks, axis=1, initial=n)
-    return [ComponentDescriptor(spec, n, inv, rep, dim, order, size)
-            for inv, rep, dim, order, size in zip(
-                _table_invariants(n, ks, parity), reps, dimension.tolist(),
-                orders.tolist(), orbit.tolist())]
+    for at in range(0, len(ks), _BLOCK):
+        rows = slice(at, at + _BLOCK)
+        reps = torus_stack(spec, _realized_rows(n, ks[rows],
+                                                parity[rows] == 1) / n)
+        yield [ComponentDescriptor(spec, n, inv, rep, dim, order, size)
+               for inv, rep, dim, order, size in zip(
+                   _table_invariants(grid, ks[rows], parity[rows]), reps,
+                   dimension[rows].tolist(), orders[rows].tolist(),
+                   orbit[rows].tolist())]
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
@@ -460,24 +481,40 @@ CATALOG_CSV_COLUMNS = ("group", "size", "n", "component_index", "canonical",
                        "dimension", "exact_order")
 
 
-def catalog_rows(catalog: list[ComponentDescriptor]) -> list[dict]:
-    rows = []
-    for idx, comp in enumerate(catalog):
-        rows.append({
-            "group": comp.spec.family, "size": comp.spec.size, "n": comp.n,
-            "component_index": idx, "canonical": comp.canonical.label(),
-            "dimension": comp.dimension, "exact_order": comp.exact_order,
-        })
-    return rows
-
-
 def write_catalog_csv(catalog: list[ComponentDescriptor], fileobj) -> None:
-    import csv
-    writer = csv.DictWriter(fileobj, fieldnames=CATALOG_CSV_COLUMNS,
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in catalog_rows(catalog):
-        writer.writerow(row)
+    """Write the catalog as CSV with the ``CATALOG_CSV_COLUMNS`` header,
+    one row per component, as ``csv.writer`` prints it: a label holding a
+    comma is quoted."""
+    fileobj.writelines(_csv_blocks([catalog]))
+
+
+def _csv_blocks(blocks):
+    # the text of write_catalog_csv for a catalog given as lists of
+    # components, one piece per list (the header goes with the first)
+    head, index = ",".join(CATALOG_CSV_COLUMNS) + "\n", 0
+    for block in blocks:
+        rows = []
+        for i, comp in enumerate(block, index):
+            label = comp.canonical.label()
+            rows.append("%s,%s,%s,%s,%s,%s,%s\n" % (
+                comp.spec.family, comp.spec.size, comp.n, i,
+                f'"{label}"' if "," in label else label, comp.dimension,
+                comp.exact_order))
+        yield head + "".join(rows)
+        head, index = "", index + len(block)
+
+
+def _text_blocks(spec: GroupSpec, n: int, blocks):
+    # the text catalog of {g : g^n = e}, given as lists of components: a
+    # count line, then one line per component; one piece per list
+    head = f"{spec.label()} n={n}: {count_components(spec, n)} components\n"
+    index = 0
+    for block in blocks:
+        yield head + "".join(
+            f"  [{i}] {comp.canonical.label():<24} dim={comp.dimension} "
+            f"order={comp.exact_order} orbit={comp.orbit_size}\n"
+            for i, comp in enumerate(block, index))
+        head, index = "", index + len(block)
 
 
 #: One catalog entry of ``write_catalog_json``, at its depth in the
@@ -501,10 +538,6 @@ _JSON_ENTRY = """\
     }}"""
 
 
-#: Catalog entries per block of ``write_catalog_json`` output.
-_JSON_BLOCK = 256
-
-
 #: Indents of the closing brackets of an entry's phases and of the lists
 #: inside its representative.
 _PHASES_PAD, _PART_PAD = " " * 6, " " * 8
@@ -517,75 +550,62 @@ def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
     A component lists its label, phases as [numerator, denominator] pairs,
     parity, dimension, exact order, orbit size and its representative,
     row-major with full double precision, split into real and imaginary
-    parts.  The text goes to ``fileobj`` in blocks of entries.  Raises
-    ValueError for a non-finite representative, before anything is
-    written: json.dumps would print NaN or Infinity, which is not JSON."""
-    fileobj.writelines(_catalog_json_blocks(catalog, config))
+    parts.  Raises ValueError for a non-finite representative, before
+    anything is written: json.dumps would print NaN or Infinity, which is
+    not JSON."""
+    fileobj.writelines(_json_blocks([catalog], config))
 
 
-def _catalog_json_blocks(catalog: list[ComponentDescriptor],
-                         config: dict):
-    """The text of ``write_catalog_json`` as an iterator of blocks.  Every
-    representative is checked here, before the iterator is returned; the
+def _json_blocks(blocks, config: dict):
+    """The text of ``write_catalog_json`` for a catalog given as lists of
+    components: one piece per nonempty list, then the closing text.  A
+    list's representatives are checked before its piece is made; their
     float texts are one repr per distinct bit pattern (0.0 and -0.0
-    differ), shared by every entry."""
-    reps = [np.asarray(comp.representative) for comp in catalog]
-    parts = [part.ravel() for rep in reps
-             for part in ((rep.real, rep.imag) if rep.dtype.kind == "c"
-                          else (rep,))]
-    floats = np.concatenate(parts or [np.empty(0)], dtype=np.float64)
-    if not np.isfinite(floats).all():
-        raise ValueError("a catalog representative is not finite; JSON "
-                         "cannot hold it")
-    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-    texts = np.array([repr(x) for x in bits.view(np.float64).tolist()],
-                     dtype=object)[inverse].tolist()
+    differ), shared by the list's entries."""
     config_text = json.dumps(config, sort_keys=True, indent=2)
-    return _json_text(catalog, reps, texts,
-                      config_text.replace("\n", "\n  "))
-
-
-def _json_text(catalog, reps, texts, config_text):
-    # the blocks of _catalog_json_blocks; texts holds every entry's float
-    # texts in order, real part before imaginary part
-    yield '{\n  "components": ' + ("[\n" if catalog else "[]")
-    phase_texts, shape_texts = {}, {}
-    entries, at, sep = [], 0, ""
-    for idx, (comp, rep) in enumerate(zip(catalog, reps)):
-        labels, phases = [], []
-        for p in comp.canonical.phases:
-            key = p.numerator, p.denominator
-            if key not in phase_texts:
-                phase_texts[key] = (
-                    f"{key[0]}/{key[1]}",
-                    _json_list([str(key[0]), str(key[1])], _PART_PAD))
-            label, phase = phase_texts[key]
-            labels.append(label)
-            phases.append(phase)
-        parity = comp.canonical.parity
-        if parity is not None:
-            labels.append(f"p{parity}")
-        if rep.shape not in shape_texts:
-            shape_texts[rep.shape] = _json_list(list(map(str, rep.shape)),
-                                                _PART_PAD)
-        real, at = texts[at:at + rep.size], at + rep.size
-        imag = ""
-        if rep.dtype.kind == "c":
-            imag = (f'        "imag": '
-                    f'{_json_list(texts[at:at + rep.size], _PART_PAD)},\n')
-            at += rep.size
-        entries.append(_JSON_ENTRY.format(
-            canonical=_json_string(",".join(labels)), index=idx,
-            dimension=comp.dimension, exact_order=comp.exact_order,
-            group=_json_string(comp.spec.family), n=comp.n,
-            orbit_size=comp.orbit_size,
-            parity="null" if parity is None else parity,
-            phases=_json_list(phases, _PHASES_PAD), imag=imag,
-            real=_json_list(real, _PART_PAD),
-            shape=shape_texts[rep.shape],
-            size=comp.spec.size))
-        if len(entries) == _JSON_BLOCK or idx == len(catalog) - 1:
-            yield sep + ",\n".join(entries)
-            sep, entries = ",\n", []
-    yield (("\n  ]" if catalog else "") + ',\n  "config": ' + config_text
-           + "\n}\n")
+    phase_texts, shape_texts, index = {}, {}, 0
+    head = '{\n  "components": [\n'
+    for block in filter(None, blocks):
+        reps = [np.asarray(comp.representative) for comp in block]
+        floats = np.concatenate(
+            [part.ravel() for rep in reps for part in
+             ((rep.real, rep.imag) if rep.dtype.kind == "c" else (rep,))],
+            dtype=np.float64)
+        if not np.isfinite(floats).all():
+            raise ValueError("a catalog representative is not finite; JSON "
+                             "cannot hold it")
+        bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+        texts = np.array([repr(x) for x in bits.view(np.float64).tolist()],
+                         dtype=object)[inverse].tolist()
+        entries, at = [], 0
+        for i, (comp, rep) in enumerate(zip(block, reps), index):
+            phases = []
+            for p in comp.canonical.phases:
+                key = p.numerator, p.denominator
+                if key not in phase_texts:
+                    phase_texts[key] = _json_list(list(map(str, key)),
+                                                  _PART_PAD)
+                phases.append(phase_texts[key])
+            if rep.shape not in shape_texts:
+                shape_texts[rep.shape] = _json_list(list(map(str, rep.shape)),
+                                                    _PART_PAD)
+            real, at = texts[at:at + rep.size], at + rep.size
+            imag = ""
+            if rep.dtype.kind == "c":
+                imag = (f'        "imag": '
+                        f'{_json_list(texts[at:at + rep.size], _PART_PAD)},\n')
+                at += rep.size
+            parity = comp.canonical.parity
+            entries.append(_JSON_ENTRY.format(
+                canonical=_json_string(comp.canonical.label()), index=i,
+                dimension=comp.dimension, exact_order=comp.exact_order,
+                group=_json_string(comp.spec.family), n=comp.n,
+                orbit_size=comp.orbit_size,
+                parity="null" if parity is None else parity,
+                phases=_json_list(phases, _PHASES_PAD), imag=imag,
+                real=_json_list(real, _PART_PAD),
+                shape=shape_texts[rep.shape], size=comp.spec.size))
+        yield head + ",\n".join(entries)
+        head, index = ",\n", index + len(block)
+    yield (("\n  ]" if index else '{\n  "components": []') + ',\n  "config": '
+           + config_text.replace("\n", "\n  ") + "\n}\n")

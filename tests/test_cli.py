@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torsion_orbits import cli
+from torsion_orbits import cli, torsion
+from torsion_orbits.groups import GroupSpec
 from torsion_orbits.reports import strip_wall_time
 
 #: sha256 of the stdout of catalog commands, recorded by the benchmark.
@@ -64,14 +65,12 @@ def test_catalog_json_output_file_matches_its_reference_digest(capsys,
 def test_catalog_json_refusal_opens_no_output_file(capsys, tmp_path,
                                                    monkeypatch):
     # a non-finite representative is refused before --output is created
-    catalog_components = cli.catalog_components
+    torus_stack = torsion.torus_stack
 
-    def broken(spec, n):
-        cat = catalog_components(spec, n)
-        cat[0].representative = np.full_like(cat[0].representative, np.nan)
-        return cat
+    def broken(spec, phases):
+        return np.full_like(torus_stack(spec, phases), np.nan)
 
-    monkeypatch.setattr(cli, "catalog_components", broken)
+    monkeypatch.setattr(torsion, "torus_stack", broken)
     path = tmp_path / "bad.json"
     code, out, err = run(capsys, ["catalog", "--group", "U", "--size", "2",
                                   "--n", "3", "--format", "json",
@@ -79,6 +78,73 @@ def test_catalog_json_refusal_opens_no_output_file(capsys, tmp_path,
     assert code == 2 and out == ""
     assert "not finite" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_catalog_budget_refusal_opens_no_output_file(capsys, tmp_path, fmt):
+    path = tmp_path / f"big.{fmt}"
+    code, out, err = run(capsys, ["catalog", "--group", "U", "--size", "5",
+                                  "--n", "400", "--format", fmt,
+                                  "--output", str(path)])
+    assert code == 2 and out == ""
+    assert "above the limit" in err
+    assert not path.exists()
+
+
+def catalog_text(spec, n, catalog):
+    """The text catalog as the CLI printed it from a whole catalog list:
+    the oracle of the block printer."""
+    lines = [f"{spec.label()} n={n}: {len(catalog)} components"]
+    for idx, comp in enumerate(catalog):
+        lines.append(f"  [{idx}] {comp.canonical.label():<24} "
+                     f"dim={comp.dimension} order={comp.exact_order} "
+                     f"orbit={comp.orbit_size}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_catalog_blocks_print_the_list_writers_bytes(capsys, monkeypatch,
+                                                     block):
+    # catalogs shorter than, equal to and longer than a block, and a few
+    # blocks long, print what the list writers print for the whole list
+    monkeypatch.setattr(torsion, "_BLOCK", block)
+    for family, size, n in (("SU", 2, 2), ("U", 2, 2), ("U", 1, 4),
+                            ("SO", 4, 3), ("SO", 2, 255), ("SO", 2, 256),
+                            ("SO", 2, 257), ("U", 3, 12), ("SL2R", 2, 7)):
+        spec = GroupSpec(family, size)
+        catalog = torsion.catalog_components(spec, n)
+        config = cli.RunConfig(command="catalog", family=family, size=size,
+                               n=n, fmt="json").as_dict()
+        csv_buf, json_buf = io.StringIO(), io.StringIO()
+        torsion.write_catalog_csv(catalog, csv_buf)
+        torsion.write_catalog_json(catalog, config, json_buf)
+        argv = ["catalog", "--group", family, "--size", str(size),
+                "--n", str(n), "--format"]
+        for fmt, want in (("text", catalog_text(spec, n, catalog)),
+                          ("csv", csv_buf.getvalue()),
+                          ("json", json_buf.getvalue())):
+            code, out, _ = run(capsys, argv + [fmt])
+            assert (code, out) == (0, want), (spec.label(), n, fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--group", "U", "--size", "2", "--n", "2"],
+    ["catalog", "--group", "U", "--size", "2", "--n", "2", "--format",
+     "json"],
+    ["verify", "gcd", "--group", "SU", "--size", "2", "--n", "4", "--m",
+     "6"],
+    ["demo-surface", "--samples", "20"],
+    ["demo-surface", "--samples", "20", "--format", "csv"],
+])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, where):
+    # a path in a missing directory, or a directory, is a bad --output:
+    # exit 2 with an error line, not a traceback and exit 1
+    path = tmp_path / "no-such-dir" / "out" if where == "missing" else tmp_path
+    code, out, err = run(capsys, argv + ["--output", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --output:")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

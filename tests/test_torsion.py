@@ -7,6 +7,7 @@ canonicalization or adjoint code, so agreement pins both.
 """
 
 import ast
+import csv
 import io
 import itertools
 import json
@@ -41,7 +42,7 @@ from torsion_orbits.sweeps import cluster_census, sl2_component_census
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     ComponentDescriptor, TorusTorsionPoint,
                                     canonicalize,
-                                    catalog_components, catalog_rows,
+                                    catalog_components,
                                     class_count_bound, class_table,
                                     count_components,
                                     gcd_intersection_check, orbit_dimension,
@@ -1420,13 +1421,40 @@ def test_catalog_csv_schema():
     assert lines[0] == "group,size,n,component_index,canonical,dimension,exact_order"
     assert len(lines) == 1 + len(cat)
     assert any(",p1" in line or '"1/4,1/4,p1"' in line for line in lines[1:])
+    # read back as csv reads it: labels holding a comma come back whole
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [r["component_index"] for r in rows] == [
+        str(i) for i in range(len(cat))]
+    assert {(r["group"], r["size"], r["n"]) for r in rows} == {("SO", "4",
+                                                                "4")}
+    assert [r["canonical"] for r in rows] == [c.canonical.label()
+                                              for c in cat]
+    assert [(int(r["dimension"]), int(r["exact_order"])) for r in rows] == [
+        (c.dimension, c.exact_order) for c in cat]
 
 
-def test_catalog_rows_and_indices():
-    cat = catalog_components(GroupSpec("U", 2), 2)
-    rows = catalog_rows(cat)
-    assert [r["component_index"] for r in rows] == [0, 1, 2]
-    assert rows[0]["group"] == "U" and rows[0]["size"] == 2
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_catalog_components_is_the_join_of_its_blocks(monkeypatch, block):
+    # at any block size, the blocks hold the catalog in order, every block
+    # but the last full, and catalog_components joins them
+    cases = ((GroupSpec("U", 3), 12), (GroupSpec("SO", 4), 6),
+             (GroupSpec("SO", 5), 40), (GroupSpec("SL2R", 2), 7))
+    wholes = [catalog_components(spec, n) for spec, n in cases]
+    monkeypatch.setattr(torsion, "_BLOCK", block)
+    for (spec, n), whole in zip(cases, wholes):
+        blocks = list(torsion._catalog_blocks(spec, n))
+        assert {len(b) for b in blocks[:-1]} <= {block}
+        assert 0 < len(blocks[-1]) <= block
+        for got in (list(itertools.chain.from_iterable(blocks)),
+                    catalog_components(spec, n)):
+            assert len(got) == len(whole) == count_components(spec, n)
+            for a, b in zip(got, whole):
+                assert (a.spec, a.n, a.canonical, a.dimension, a.exact_order,
+                        a.orbit_size) == (b.spec, b.n, b.canonical,
+                                          b.dimension, b.exact_order,
+                                          b.orbit_size)
+                assert a.representative.dtype == b.representative.dtype
+                assert np.array_equal(a.representative, b.representative)
 
 
 def catalog_config(spec, n):
