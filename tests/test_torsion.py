@@ -1433,6 +1433,15 @@ def test_catalog_csv_schema():
         (c.dimension, c.exact_order) for c in cat]
 
 
+def test_catalog_rows_and_indices():
+    cat = catalog_components(GroupSpec("U", 2), 2)
+    buf = io.StringIO()
+    write_catalog_csv(cat, buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [r["component_index"] for r in rows] == ["0", "1", "2"]
+    assert rows[0]["group"] == "U" and rows[0]["size"] == "2"
+
+
 @pytest.mark.parametrize("block", [1, 3, 256])
 def test_catalog_components_is_the_join_of_its_blocks(monkeypatch, block):
     # at any block size, the blocks hold the catalog in order, every block
