@@ -386,6 +386,13 @@ SAME_SEED_DIGESTS = {
         0, "2f569f7aa5048aa3e7734a47d2ccb2385226a865478a42583ebc68c5a9909985"),
     "census sl2 --n 6 --samples 60 --seed 18446744073709551600": (
         0, "9b821c505005546757701aea6f20c370aa083c77ac9edbec2a54709939b38414"),
+    # SL(2,R) cluster censuses, whose clusters are labelled by the
+    # alignment phases; recorded while SL(2,R) elements were aligned by
+    # an SVD of g - mu I
+    "census cluster --group SL2R --n 24 --samples 2000 --seed 5": (
+        0, "47381cd8b8d8ff812523801f4e01168025684a75d09c9eb8bdfaffee1cd7f718"),
+    "census cluster --group SL2R --n 7 --samples 300 --seed 3": (
+        0, "92b2945ec6ffd3e11705470f0c09c9a3c7dd29ee80c33902b7f4c4dac41c861a"),
 }
 
 
