@@ -8,9 +8,10 @@ an element it cannot decide to the Schur alignment.  ``matrix_invariant``
 is its one-element case.  Where the conjugator is wanted
 (``canonical_align``, ``_nearest_torsion``), an element is decomposed
 once: a complex Schur form for U/SU, one real Schur scan for SO.  A stack
-of SL(2,R) elements is aligned by ``_sl2_align_stack`` (one trace, arctan2
-and SVD per stack), off which the SL(2,R) orientations are also read;
-``_sl2_align`` and ``orientation_sign`` are its one-element cases.
+of SL(2,R) elements is aligned by ``_sl2_align_stack`` in closed form (one
+trace and arctan2 per stack, the eigenvector read off the entries), off
+which the SL(2,R) orientations are also read; ``_sl2_align`` and
+``orientation_sign`` are its one-element cases.
 Snapping refuses an n whose 1/n grid is finer than 2 SNAP_TOL, where every
 phase would snap.  The snapped numerators are canonicalized and realized
 by the exact rules of ``torsion``; this module holds every floating-point
@@ -131,8 +132,7 @@ def _so_torus_align(g: np.ndarray):
 _SL2_REFUSALS = (None,
                  "element is not elliptic or central; it has no finite "
                  "order in SL(2,R)",
-                 "degenerate eigenvector; cannot align",
-                 "SVD did not converge")
+                 "degenerate eigenvector; cannot align")
 
 
 def _sl2_align_stack(g: np.ndarray):
@@ -140,13 +140,16 @@ def _sl2_align_stack(g: np.ndarray):
     ``refused`` is 0, g_i = h_i R(2 pi phase_i) h_i^-1 with h_i in SL(2,R).
 
     Defined for elements of finite order: +-I (phases 0 and 1/2) and the
-    elliptic ones, from one trace, one arctan2 and one SVD of g_i - mu_i I
-    per stack, mu_i the eigenvalue with positive imaginary part.  The
-    refusal code indexes ``_SL2_REFUSALS``: 1 for |trace| >= 2, 2 for a
-    degenerate eigenvector, 3 where the SVD does not converge (as for some
-    non-finite inputs); a refused slice has phase 0 and h = I.
-    Orientations are read off the phases: -1 in (0, 1/2), +1 in
-    (1/2, 1)."""
+    elliptic ones, in closed form.  For g = [[a, b], [c, d]] with
+    |trace| < 2, theta = arccos(trace/2) in (0, pi) and v = x + i y with
+    x = (b, (d - a)/2), y = (0, sin theta) is (for det g = 1) an
+    eigenvector for mu = e^(i theta); delta = det [x y] = b sin theta.
+    Where b > 0, h = [x y]/sqrt(delta) and the phase is 1 - theta/2pi;
+    where b < 0, h = [y x]/sqrt(-delta) and the phase is theta/2pi.  The
+    refusal code indexes ``_SL2_REFUSALS``: 1 for |trace| >= 2 or a
+    non-finite entry, 2 for a degenerate eigenvector, |delta| < 1e-12
+    |v|^2; a refused slice has phase 0 and h = I.  Orientations are read
+    off the phases: -1 in (0, 1/2), +1 in (1/2, 1)."""
     g = np.asarray(g, dtype=float)
     eye = np.eye(2)
     count = len(g)
@@ -158,60 +161,35 @@ def _sl2_align_stack(g: np.ndarray):
     phases[minus] = 0.5
     tr = np.trace(g, axis1=1, axis2=2)
     rest = ~(plus | minus)
-    refused[rest & (np.abs(tr) >= 2)] = 1
+    refused[rest & ((np.abs(tr) >= 2)
+                    | ~np.isfinite(g).all(axis=(1, 2)))] = 1
     rest &= refused == 0
-    tr = tr[rest]
+    tr, b = tr[rest], g[rest, 0, 1]
     half = 1 - tr * tr / 4
     theta = np.arctan2(np.sqrt(np.where(half > 0.0, half, 0.0)), tr / 2)
-    mu = tr / 2 + 1j * np.sin(theta)
-    vt, failed = _svd_vt(g[rest].astype(complex) - mu[:, None, None] * eye)
-    v = vt[:, -1].conj()
-    x, y = v.real, v.imag
-    delta = x[:, 0] * y[:, 1] - x[:, 1] * y[:, 0]
-    code = np.where(failed, 3, np.where(np.abs(delta) < 1e-12, 2, 0))
-    ok = code == 0
-    flip = delta < 0
-    scale = np.sqrt(np.where(flip, -delta, delta))
+    x = np.stack([b, (g[rest, 1, 1] - g[rest, 0, 0]) / 2], axis=1)
+    y = np.stack([np.zeros_like(b), np.sin(theta)], axis=1)
+    delta = b * y[:, 1]
+    degenerate = np.abs(delta) < 1e-12 * (x * x + y * y).sum(axis=1)
+    where = np.flatnonzero(rest)
+    refused[where[degenerate]] = 2
+    ok, flip = ~degenerate, b < 0
     cols = np.where(flip[:, None, None], np.stack([y, x], axis=2),
                     np.stack([x, y], axis=2))
     cycles = theta / (2 * np.pi)
-    where = np.flatnonzero(rest)
-    refused[where] = code
-    h[where[ok]] = cols[ok] / scale[ok, None, None]
+    h[where[ok]] = cols[ok] / np.sqrt(np.abs(delta[ok]))[:, None, None]
     phases[where[ok]] = np.where(flip, cycles, 1.0 - cycles)[ok]
     return h, phases, refused
 
 
-def _svd_vt(a: np.ndarray):
-    """(Vt, failed) of the SVD of each matrix of the stack a: one stacked
-    SVD, or, when it raises, one per slice, so that the slices on which
-    numpy's SVD does not converge are told apart (their Vt is zero)."""
-    try:
-        return np.linalg.svd(a)[2], np.zeros(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        vt, failed = np.zeros_like(a), np.zeros(len(a), dtype=bool)
-        for j, slice_ in enumerate(a):
-            try:
-                vt[j] = np.linalg.svd(slice_)[2]
-            except np.linalg.LinAlgError:
-                failed[j] = True
-        return vt, failed
-
-
 def _sl2_align(g: np.ndarray):
     """(h, phase) with h in SL(2,R) and g = h R(2 pi phase) h^-1: the
-    one-element case of ``_sl2_align_stack``, raising ValueError (numpy's
-    LinAlgError where the SVD does not converge) where it refuses."""
+    one-element case of ``_sl2_align_stack``, raising ValueError where it
+    refuses."""
     h, phases, refused = _sl2_align_stack(np.asarray(g, dtype=float)[None])
     if refused[0]:
-        raise _sl2_refusal(refused[0])
+        raise ValueError(_SL2_REFUSALS[refused[0]])
     return h[0], float(phases[0])
-
-
-def _sl2_refusal(code: int) -> ValueError:
-    # the error of an _sl2_align_stack refusal code
-    error = np.linalg.LinAlgError if code == 3 else ValueError
-    return error(_SL2_REFUSALS[code])
 
 
 def _alignment(spec: GroupSpec, g: np.ndarray):
@@ -302,7 +280,7 @@ def _invariant_rows(spec: GroupSpec, n: int, g: np.ndarray):
     if spec.family == "SL2R":
         _, phases, refused = _sl2_align_stack(g)
         for i in np.flatnonzero(refused):
-            errors[i] = _sl2_refusal(refused[i])
+            errors[i] = ValueError(_SL2_REFUSALS[refused[i]])
         raw = phases[:, None]
         ks, off = _snap(raw, n)
         for i in np.flatnonzero(off.any(axis=1)):
@@ -430,15 +408,21 @@ def orientation_sign(g: np.ndarray) -> int:
     The one-element case of ``_orientations``: -1 when g is conjugate to a
     rotation by a phase in (0, 1/2), +1 for a phase in (1/2, 1), and 0 for
     +-I, for any input ``_sl2_align_stack`` refuses (|trace| >= 2, a
-    degenerate eigenvector, an SVD that does not converge) and for a
-    non-2x2 input.  It equals the sign of det [Re v, Im v] with v an
-    eigenvector for the eigenvalue with positive imaginary part, which
-    conjugation by det h = 1 and complex rescaling of v leave unchanged.
+    non-finite entry, a degenerate eigenvector) and for an input whose
+    shape is not (2, 2).  It is the sign of det [Re v, Im v] for v an
+    eigenvector of the eigenvalue with positive imaginary part, which
+    conjugation by det h = 1 and complex rescaling of v leave unchanged;
+    for g = [[a, b], [c, d]] that is the sign of b: v = (b, mu - a) gives
+    det [Re v, Im v] = b sin theta with sin theta > 0, and b is not 0, as
+    bc = ad - 1 < -((a - d)/2)^2 <= 0 when (a + d)^2 < 4.
     """
     try:
-        _, phases, refused = _sl2_align_stack(np.asarray(g, dtype=float)[None])
-    except ValueError:  # not a 2x2 matrix
+        g = np.asarray(g, dtype=float)
+    except ValueError:  # ragged, or not numbers
         return 0
+    if g.shape != (2, 2):
+        return 0
+    _, phases, refused = _sl2_align_stack(g[None])
     return int(_orientations(phases, refused)[0])
 
 

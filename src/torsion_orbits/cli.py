@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_group(p):
         p.add_argument("--group", choices=FAMILIES,
-                       help="group family (SL2R ignores --size)")
+                       help="group family (SL2R takes no --size, or --size 2)")
         p.add_argument("--size", type=int, help="matrix size m")
 
     def add_output(p, default_fmt="text"):

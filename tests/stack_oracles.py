@@ -5,7 +5,9 @@ stacked subspace checks take a whole stack at a time, and
 ``membership_residual``, ``_sl2_align``, ``orientation_sign`` and the
 single-shot subspace verifiers are their one-element cases.  These are the
 direct per-matrix statements they replaced, with
-``scipy.linalg.subspace_angles`` for the principal angles.  They share no
+``scipy.linalg.subspace_angles`` for the principal angles and an SVD of
+g - mu I for the SL(2,R) eigenvector, which the stack now reads off g's
+entries in closed form.  They share no
 code with the package, so a test that compares the two does not compare
 the code with itself.
 

@@ -263,6 +263,10 @@ def test_unsupported_group_exits_3(capsys):
     code, _, err = run(capsys, ["verify", "density", "--group", "SL2R",
                                 "--trials", "2"])
     assert code == 3
+    code, out, err = run(capsys, ["catalog", "--group", "SL2R", "--size", "3",
+                                  "--n", "3"])
+    assert code == 3 and out == ""
+    assert "SL2R is only realized on 2x2 matrices" in err
 
 
 def test_help_exits_0(capsys):

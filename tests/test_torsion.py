@@ -34,9 +34,10 @@ from torsion_orbits.alignment import (approximation_bound, canonical_align,
                                       matrix_invariant,
                                       nearest_torsion_approximant,
                                       orientation_sign)
-from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
-                                   element_order, group_inverse,
-                                   membership_residual, random_element)
+from torsion_orbits.groups import (TOL_MEMBERSHIP, GroupSpec,
+                                   UnsupportedGroupError, element_order,
+                                   group_inverse, membership_residual,
+                                   random_element)
 from torsion_orbits.reports import TrialRecord
 from torsion_orbits.sweeps import cluster_census, sl2_component_census
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
@@ -949,32 +950,85 @@ def _aligned_or_error(align, g):
     return h.tobytes(), np.float64(phase).tobytes()
 
 
+def _sl2_reconstruction_bound(g, h, phase):
+    """Bound on ||h R(2 pi phase) h^-1 - g||_F for an aligned SL(2,R)
+    member g, fixed from the closed form rather than from its results.
+
+    +-I are accepted within 1e-8.  Otherwise, in exact arithmetic h R h^-1
+    has g's entries a, b, d and c' = (ad - 1)/b in place of c, so it misses
+    g by |det g - 1|/|b| <= TOL_MEMBERSHIP ||h||_F^2 / sin theta (as
+    ||h||_F^2 sin theta = |v|^2/|b| >= sin^2 theta/|b|).  Rounding moves the
+    trace by a few eps ||g||_F and theta by that over sin theta, which h
+    carries into g with a factor ||h||_F^2; 1e-13 is ~450 eps."""
+    if phase in (0.0, 0.5):
+        return 1e-8
+    sin = abs(np.sin(2 * np.pi * phase))
+    return (np.linalg.norm(h) ** 2 / sin
+            * (TOL_MEMBERSHIP + 1e-13 * np.linalg.norm(g)))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_stacked_sl2_alignment_is_the_one_element_body():
+    spec = GroupSpec("SL2R", 2)
     g = sl2_align_inputs()
     h, phases, refused = alignment._sl2_align_stack(g)
     sigmas = alignment._orientations(phases, refused)
     traces = np.trace(g, axis1=1, axis2=2)
-    seen = set()
+    seen, members = set(), 0
     for i, gi in enumerate(g):
-        want = _aligned_or_error(sl2_align_oracle, gi)
-        assert _aligned_or_error(alignment._sl2_align, gi) == want, i
+        got = _aligned_or_error(alignment._sl2_align, gi)
         if refused[i]:
             seen.add(int(refused[i]))
-            assert want[0] in (ValueError, np.linalg.LinAlgError), i
+            assert got == (ValueError, alignment._SL2_REFUSALS[refused[i]]), i
             assert phases[i] == 0.0 and (h[i] == np.eye(2)).all()
         else:
-            assert want == (h[i].tobytes(), phases[i].tobytes()), i
-        assert sigmas[i] == orientation_sign_oracle(gi) \
-            == orientation_sign(gi), i
+            assert got == (h[i].tobytes(), phases[i].tobytes()), i
+        assert sigmas[i] == orientation_sign(gi), i
         assert traces[i].tobytes() == np.trace(gi).tobytes()
-    assert seen == {1, 2, 3}
+        assert refused[i] == 1 or np.isfinite(gi).all(), i
+        if not membership_residual(spec, gi) <= TOL_MEMBERSHIP:
+            continue
+        # on members: the SVD oracle's phase bits, refusals, orientation
+        members += 1
+        want = _aligned_or_error(sl2_align_oracle, gi)
+        if refused[i]:
+            assert want == got, i
+        else:
+            assert want[1] == phases[i].tobytes(), i
+            assert membership_residual(spec, h[i]) <= TOL_MEMBERSHIP, i
+            rebuilt = (h[i] @ torus_matrix(spec, [phases[i]])
+                       @ group_inverse(spec, h[i]))
+            assert np.linalg.norm(rebuilt - gi) <= _sl2_reconstruction_bound(
+                gi, h[i], phases[i]), i
+        assert sigmas[i] == orientation_sign_oracle(gi), i
+    assert members == 816
+    assert seen == {1, 2}
     assert {-1, 0, 1} <= set(sigmas.tolist())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_sl2_alignment_and_censuses_call_no_svd(capsys, monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    _, _, refused = alignment._sl2_align_stack(sl2_align_inputs())
+    assert set(refused.tolist()) == {0, 1, 2}
+    for argv in ("census sl2 --n 24 --samples 200 --seed 3",
+                 "census cluster --group SL2R --n 7 --samples 300 --seed 3"):
+        assert cli.main(argv.split() + ["--format", "json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["passed"], argv
 
 
 def test_orientation_sign_of_a_non_2x2_input_is_zero():
     assert orientation_sign(np.eye(3)) == 0 == orientation_sign_oracle(
         np.eye(3))
+    # a 1x2 row broadcasts against I, and R(1/4) stacked twice aligns
+    # slice by slice, but neither is a 2x2 matrix
+    quarter = torus_matrix(GroupSpec("SL2R", 2), [Fraction(1, 4)])
+    for g in ([[0.0, -1.0]], 1.0, [[0.5]], np.stack([quarter, quarter]),
+              [[1.0, 2.0], [3.0]]):
+        assert orientation_sign(g) == 0, g
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
