@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from .groups import (GroupSpec, UnsupportedGroupError, _frobenius,
-                     require_member)
+                     positive_int, require_member)
 from .torsion import (CanonicalInvariant, _canonical_rows, _realized_rows,
                       _row_invariant, torus_matrix)
 
@@ -35,15 +35,19 @@ from .torsion import (CanonicalInvariant, _canonical_rows, _realized_rows,
 SNAP_TOL = 1e-6
 
 
-def _check_snap_grid(n: int) -> None:
-    """Refuse an n whose 1/n grid is too fine to snap to: once
-    2 n SNAP_TOL >= 1, every phase lies within SNAP_TOL of some k/n, and a
-    snap would accept any element as having order dividing n."""
+def _check_snap_grid(n) -> int:
+    """n as a Python int, refused with ValueError unless it is a positive
+    integer (``groups.positive_int``) whose 1/n grid is coarse enough to
+    snap to: once 2 n SNAP_TOL >= 1, every phase lies within SNAP_TOL of
+    some k/n, and a snap would accept any element as having order
+    dividing n."""
+    n = positive_int(n, "n")
     if 2 * n * SNAP_TOL >= 1:
         raise ValueError(
             f"n={n} is too large to recover phases on the 1/n grid: every "
             f"phase is within SNAP_TOL={SNAP_TOL:g} of a multiple of 1/n "
             f"once n >= 1/(2 SNAP_TOL) = {round(1 / (2 * SNAP_TOL)):,}")
+    return n
 
 
 def _snap(raw: np.ndarray, n: int):
@@ -51,7 +55,7 @@ def _snap(raw: np.ndarray, n: int):
     to the 1/n grid, as int64s k (phases k/n) in [0, n), 0 where ``off``
     marks a phase farther than SNAP_TOL from every k/n.  Raises ValueError
     for an n ``_check_snap_grid`` refuses."""
-    _check_snap_grid(n)
+    n = _check_snap_grid(n)
     k = np.rint(raw * n)
     off = ~(np.abs(raw - k / n) <= SNAP_TOL)
     return np.where(off, 0.0, k).astype(np.int64) % n, off
@@ -361,9 +365,9 @@ def _refuse_nearest(spec: GroupSpec, N: int) -> None:
 
 
 def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
-    """(approx, distance, bound) for a group member g, which is not checked
-    again."""
-    _refuse_nearest(spec, N)
+    """(approx, distance, bound) for a group member g.  Neither membership
+    nor the refusals of ``_refuse_nearest`` are checked here: the callers
+    check both first."""
     corrections = 0
     if spec.family in ("U", "SU"):
         Z, phases = _unitary_eigenstructure(g)

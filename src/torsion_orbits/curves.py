@@ -10,12 +10,15 @@ identity.  connect_within_component makes the "orbits are connected" fact
 constructive by producing an explicit path between two elements with the
 same canonical invariant.
 
-``tangent_outcomes``, ``curve_kernel_outcomes`` and
-``product_identity_outcomes`` evaluate stacks of group members and do not
-check membership again; the single-shot checkers are their one-element
-cases and refuse a non-member first.  The tangent test's slack and floor
-are the constants ``RATIO_SLACK`` and ``RATIO_FLOOR``, echoed in the
-report config.
+Everything here is array code over a stack.  ``tangent_outcomes``,
+``curve_kernel_outcomes`` and ``product_identity_outcomes`` evaluate
+stacks of group members and do not check membership again; the
+single-shot checkers are their one-element cases and refuse a non-member,
+and a non-finite t, X or step, before any exponential.  A connecting path
+is one stacked expm of its conjugator path (``_conjugator_stack``) and
+one stacked conjugation.  The tangent test's slack and floor are the
+constants ``RATIO_SLACK`` and ``RATIO_FLOOR``, echoed in the report
+config.
 """
 
 from __future__ import annotations
@@ -26,15 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, adjoint_stack,
+from .groups import (TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack,
                      algebra_matrix, cartan_decompose, group_inverse,
-                     require_member)
+                     positive_int, require_member)
 from .reports import VerificationReport
 from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
                         _outcome_report, _torsion_outcomes)
-from .torsion import canonicalize, torus_matrix
-from .alignment import (_so_torus_align, _unitary_eigenstructure,
-                        canonical_align)
+from .torsion import canonicalize, torus_stack
+from .alignment import _alignment, canonical_align
 
 #: Errors below this floor count as exact; the O(h) ratio test is vacuous
 #: when the difference quotient already matches the derivative to roundoff.
@@ -52,13 +54,25 @@ class DifferentComponentsError(ValueError):
 
 
 def _sample_times(times) -> tuple:
-    """``times`` as floats, checked to be positive and strictly decreasing."""
+    """``times`` as floats, checked to be finite, positive and strictly
+    decreasing."""
     times = tuple(float(t) for t in times)
+    if not np.isfinite(times).all():
+        raise ValueError("sample times must be finite")
     if any(t <= 0 for t in times):
         raise ValueError("sample times must be positive")
     if any(a <= b for a, b in zip(times, times[1:])):
         raise ValueError("sample times must decrease strictly toward 0")
     return times
+
+
+def _coords(spec: GroupSpec, X) -> np.ndarray:
+    """X as ``spec.dim`` finite algebra coordinates, else ValueError."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (spec.dim,) or not np.isfinite(X).all():
+        raise ValueError(f"X must be {spec.dim} finite algebra coordinates, "
+                         f"got {X.tolist()}")
+    return X
 
 
 @dataclass
@@ -95,45 +109,43 @@ def _conjugation_stack(g: np.ndarray, Xm: np.ndarray, times) -> np.ndarray:
 def conjugation_curve(spec: GroupSpec, g: np.ndarray, X,
                       steps=DEFAULT_STEPS) -> CurveSample:
     """Sample c(t) = exp(tX) g exp(-tX) at the given decreasing steps."""
+    steps = _sample_times(steps)
     g = require_member(spec, g)
-    Xm = algebra_matrix(spec, X)
+    Xm = algebra_matrix(spec, _coords(spec, X))
     pts = _conjugation_stack(g[None], Xm[None], [steps])[0]
-    return CurveSample(spec, g, tuple(steps), tuple(pts))
+    return CurveSample(spec, g, steps, tuple(pts))
 
 
 def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
                      steps=DEFAULT_STEPS):
     """Outcome of ``tangent_space_check`` for each slice of the stack g of
-    group members and the stack Xm of algebra matrices."""
+    group members and the stack Xm of algebra matrices: the errors of
+    every (slice, step) from one stacked Frobenius norm, and the ratio
+    test of every consecutive pair of steps as array operations."""
     if len(steps) < 2:
         raise ValueError("need at least two steps for the ratio test")
-    times = _sample_times(steps)
-    points = _conjugation_stack(g, Xm, np.broadcast_to(times, (len(g),
-                                                               len(times))))
+    steps = _sample_times(steps)
+    times = np.array(steps)
+    count, k, m = len(g), len(steps), spec.size
+    points = _conjugation_stack(g, Xm, np.broadcast_to(times, (count, k)))
     D = Xm @ g - g @ Xm  # (X - Ad(g)X) g
-    out = []
-    for base, Di, curve in zip(g, D, points):
-        errors = [float(np.linalg.norm((c - base) / h - Di))
-                  for h, c in zip(times, curve)]
-        passed = True
-        ratios = []
-        for (h1, e1), (h2, e2) in zip(zip(times, errors),
-                                      zip(times[1:], errors[1:])):
-            if e1 <= RATIO_FLOOR and e2 <= RATIO_FLOOR:
-                ratios.append(None)
-                continue
-            step_ratio = h1 / h2
-            err_ratio = e1 / max(e2, 1e-300)
-            ratios.append(err_ratio)
-            if not (step_ratio / RATIO_SLACK <= err_ratio
-                    <= step_ratio * RATIO_SLACK):
-                passed = False
-        out.append(_outcome(
-            {f"error_h{i}": e for i, e in enumerate(errors)}, passed,
-            {"steps": list(times),
-             "error_ratios": [r if r is None else float(r) for r in ratios],
-             "derivative_norm": float(np.linalg.norm(Di))}))
-    return out
+    quotients = (points - g[:, None]) / times[:, None, None] - D[:, None]
+    errors = _frobenius(quotients.reshape(count * k, m, m)).reshape(count, k)
+    e1, e2 = errors[:, :-1], errors[:, 1:]
+    exact = (e1 <= RATIO_FLOOR) & (e2 <= RATIO_FLOOR)
+    ratios = e1 / np.maximum(e2, 1e-300)
+    step_ratios = times[:-1] / times[1:]
+    passed = (exact | ((step_ratios / RATIO_SLACK <= ratios)
+                       & (ratios <= step_ratios * RATIO_SLACK))).all(axis=1)
+    names = [f"error_h{i}" for i in range(k)]
+    return [_outcome(dict(zip(names, row)), ok,
+                     {"steps": list(steps),
+                      "error_ratios": [None if x else r
+                                       for x, r in zip(vacuous, ratio_row)],
+                      "derivative_norm": norm})
+            for row, ok, vacuous, ratio_row, norm in zip(
+                errors.tolist(), passed.tolist(), exact.tolist(),
+                ratios.tolist(), _frobenius(D).tolist())]
 
 
 def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
@@ -149,7 +161,7 @@ def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
     """
     t0 = time.perf_counter()
     g = require_member(spec, g)
-    Xm = algebra_matrix(spec, X)
+    Xm = algebra_matrix(spec, _coords(spec, X))
     outcome, = tangent_outcomes(spec, g[None], Xm[None], steps)
     return _outcome_report(
         "tangent-space", {"group": spec.label()}, outcome,
@@ -164,13 +176,12 @@ def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
     per slice)."""
     A = adjoint_stack(spec, g)
     alpha0 = (np.eye(spec.dim) - A) @ X[..., None]
-    killed = _adjoint_power_sum(A, n) @ alpha0
-    out = []
-    for a, k in zip(alpha0[..., 0], killed[..., 0]):
-        residual = float(np.linalg.norm(k))
-        out.append(_outcome({"kernel_residual": residual}, residual <= tol,
-                            {"alpha0_norm": float(np.linalg.norm(a))}))
-    return out
+    killed = (_adjoint_power_sum(A, n) @ alpha0)[..., 0]
+    alpha0 = alpha0[..., 0]
+    residuals = np.sqrt(np.vecdot(killed, killed)).tolist()
+    norms = np.sqrt(np.vecdot(alpha0, alpha0)).tolist()
+    return [_outcome({"kernel_residual": r}, r <= tol, {"alpha0_norm": a})
+            for r, a in zip(residuals, norms)]
 
 
 def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
@@ -183,10 +194,10 @@ def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     ``curve_kernel_outcomes``."""
     t0 = time.perf_counter()
     stack, n = _one_member(spec, g, n)
+    X = _coords(spec, X)[None]
     outcome, = _torsion_outcomes(
         spec, stack, n,
-        lambda keep: curve_kernel_outcomes(
-            spec, stack, n, np.asarray(X, dtype=float)[None], tol))
+        lambda keep: curve_kernel_outcomes(spec, stack, n, X, tol))
     return _outcome_report("curve-kernel", {"group": spec.label(), "n": n},
                            outcome, {"tol": tol}, t0, "kernel_residual")
 
@@ -204,8 +215,7 @@ def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
         prod = prod @ (left @ alpha @ right)
         left = left @ g
         right = ginv @ right
-    eye = np.eye(spec.size)
-    residuals = [float(np.linalg.norm(p - eye)) for p in prod]
+    residuals = _frobenius(prod - np.eye(spec.size)).tolist()
     return [_outcome({"product_residual": r}, r <= n * TOL_MEMBERSHIP, {})
             for r in residuals]
 
@@ -221,53 +231,53 @@ def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
     This is the one-element case of ``product_identity_outcomes``."""
     t0 = time.perf_counter()
     t = float(t)
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     stack, n = _one_member(spec, g, n)
+    Xm = algebra_matrix(spec, _coords(spec, X))[None]
     inputs = {"group": spec.label(), "n": n, "t": t}
     outcome, = _torsion_outcomes(
         spec, stack, n,
-        lambda keep: product_identity_outcomes(
-            spec, stack, n, algebra_matrix(spec, X)[None], [t]))
+        lambda keep: product_identity_outcomes(spec, stack, n, Xm, [t]))
     return _outcome_report("product-identity", inputs, outcome,
                            {"tol_membership": TOL_MEMBERSHIP}, t0,
                            "product_residual")
 
 
-def _conjugator_path(spec: GroupSpec, h: np.ndarray):
-    """Return a function s -> H(s) with H(0) = I, H(1) = h, H(s) in G.
+def _conjugator_stack(spec: GroupSpec, h: np.ndarray,
+                      s: np.ndarray) -> np.ndarray:
+    """H(s) for each s of the array s, with H(0) = I, H(1) = h, H(s) in G:
+    shape (len(s), m, m), from one stacked expm.
 
-    Compact families: h is unitary/orthogonal, so h = exp(L) for a skew L
-    read off its eigenstructure (orthogonal matrices pair their -1
-    eigenvalues, so the log always exists in the algebra).  SL(2,R): split
-    h = k exp(p) and move both factors linearly.
+    Compact families: h = Q t Q^-1 for the frame Q of ``_alignment``, so
+    h = exp(L) for the skew L = Q log(t) Q^-1, with every angle in
+    (-pi, pi] (SU: one angle shifted by full turns to keep L traceless),
+    and H(s) = exp(s L).  SL(2,R): split h = k exp(p) and move both
+    factors linearly, H(s) = R(s phi) exp(s p).
     """
-    if spec.family in ("U", "SU"):
-        Z, phases = _unitary_eigenstructure(h)
-        theta = 2 * np.pi * phases
-        theta = np.where(theta > np.pi, theta - 2 * np.pi, theta)
+    if spec.family == "SL2R":
+        k, p = cartan_decompose(h)
+        phi = float(np.arctan2(k[1, 0], k[0, 0]))
+        return (torus_stack(spec, (s * phi / (2 * np.pi))[:, None])
+                @ expm(s[:, None, None] * p))
+    Q, phases = _alignment(spec, h)
+    theta = 2 * np.pi * np.asarray(phases, dtype=float)
+    theta = np.where(theta > np.pi, theta - 2 * np.pi, theta)
+    if spec.family == "SO":
+        J = np.zeros((spec.size, spec.size))
+        for b, th in enumerate(theta):  # at most 2 rotation blocks
+            J[2 * b, 2 * b + 1], J[2 * b + 1, 2 * b] = -th, th
+        L = Q @ J @ Q.T
+    else:
         if spec.family == "SU":
             # keep the generator traceless: the angles sum to a multiple of
             # 2 pi, absorbed by shifting one of them a full turn
-            total = theta.sum()
-            shift = int(np.rint(total / (2 * np.pi)))
+            shift = int(np.rint(theta.sum() / (2 * np.pi)))
             if shift != 0:
-                j = int(np.argmax(theta)) if shift > 0 else int(np.argmin(theta))
+                j = np.argmax(theta) if shift > 0 else np.argmin(theta)
                 theta[j] -= 2 * np.pi * shift
-        L = (Z * (1j * theta)) @ Z.conj().T
-        return lambda s: expm(s * L)
-    if spec.family == "SO":
-        Q, phases = _so_torus_align(h)
-        J = np.zeros((spec.size, spec.size))
-        for b, p in enumerate(phases):
-            th = 2 * np.pi * p
-            if th > np.pi:
-                th -= 2 * np.pi
-            J[2 * b, 2 * b + 1] = -th
-            J[2 * b + 1, 2 * b] = th
-        L = Q @ J @ Q.T
-        return lambda s: np.real(expm(s * L))
-    k, p = cartan_decompose(h)
-    phi = float(np.arctan2(k[1, 0], k[0, 0]))
-    return lambda s: torus_matrix(spec, [s * phi / (2 * np.pi)]) @ expm(s * p)
+        L = (Q * (1j * theta)) @ Q.conj().T
+    return expm(s[:, None, None] * L)
 
 
 def connect_within_component(spec: GroupSpec, g1: np.ndarray,
@@ -278,10 +288,11 @@ def connect_within_component(spec: GroupSpec, g1: np.ndarray,
     Both endpoints must have order dividing n and equal canonical
     invariants; otherwise DifferentComponentsError is raised.  The path is
     g(s) = H(s) g1 H(s)^-1 for a conjugator path H, so every waypoint stays
-    in the orbit.  Returned as a CurveSample based at g1 with times
-    descending from 1.
+    in the orbit; the waypoints are one stacked conjugation of g1 by
+    ``_conjugator_stack``.  Returned as a CurveSample based at g1 with
+    times descending from 1.
     """
-    if waypoints < 2:
+    if positive_int(waypoints, "waypoints") < 2:
         raise ValueError("need at least two waypoints")
     g1 = require_member(spec, g1)
     g2 = require_member(spec, g2)
@@ -292,46 +303,31 @@ def connect_within_component(spec: GroupSpec, g1: np.ndarray,
             f"elements lie in different components: canonical invariants "
             f"{canonicalize(spec, realized1).label()} vs "
             f"{canonicalize(spec, realized2).label()}")
-    h = Q2 @ group_inverse(spec, Q1)
-    path = _conjugator_path(spec, h)
     svals = np.linspace(0.0, 1.0, waypoints)[1:][::-1]  # 1 down to 1/(w-1)
-    pts = []
-    for s in svals:
-        H = path(float(s))
-        pts.append(H @ g1 @ group_inverse(spec, H))
-    return CurveSample(spec, g1, tuple(float(s) for s in svals), pts)
+    H = _conjugator_stack(spec, Q2 @ group_inverse(spec, Q1), svals)
+    return CurveSample(spec, g1, svals.tolist(),
+                       H @ g1 @ group_inverse(spec, H))
 
 
 def path_order_residuals(sample: CurveSample, n: int) -> list[float]:
-    """||g(s)^n - I|| for every waypoint plus the base."""
-    eye = np.eye(sample.spec.size)
-    out = []
-    for g in (*sample.points, sample.base):
-        out.append(float(np.linalg.norm(np.linalg.matrix_power(g, n) - eye)))
-    return out
+    """||g(s)^n - I|| for every waypoint plus the base, from one stacked
+    matrix power."""
+    powers = np.linalg.matrix_power(np.stack([*sample.points, sample.base]), n)
+    return _frobenius(powers - np.eye(sample.spec.size)).tolist()
 
 
 def export_path_csv(sample: CurveSample, fileobj) -> None:
     """Waypoints as CSV, one row per parameter value in ascending order;
-    complex entries are split into re/im columns."""
-    import csv
+    complex entries are split into re/im columns.  The rows are one float
+    array, every value printed by ``repr``."""
     m = sample.spec.size
-    is_c = sample.spec.is_complex
-    header = ["s"]
-    for i in range(m):
-        for j in range(m):
-            if is_c:
-                header += [f"e{i}{j}_re", f"e{i}{j}_im"]
-            else:
-                header.append(f"e{i}{j}")
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(header)
-    rows = [(0.0, sample.base)] + list(zip(sample.times, sample.points))[::-1]
-    for s, g in rows:
-        row = [repr(float(s))]
-        for x in np.asarray(g).ravel():
-            if is_c:
-                row += [repr(float(x.real)), repr(float(x.imag))]
-            else:
-                row.append(repr(float(np.real(x))))
-        writer.writerow(row)
+    names = [f"e{i}{j}" for i in range(m) for j in range(m)]
+    mats = np.stack([sample.base, *sample.points[::-1]])
+    if sample.spec.is_complex:
+        names = [f"{e}_{part}" for e in names for part in ("re", "im")]
+        mats = np.asarray(mats, dtype=complex).view(np.float64)
+    rows = np.column_stack([[0.0, *sample.times[::-1]],
+                            np.real(mats).reshape(len(mats), -1)])
+    lines = [",".join(["s", *names])]
+    lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    fileobj.write("\n".join(lines) + "\n")

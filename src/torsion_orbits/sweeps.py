@@ -34,7 +34,7 @@ import numpy as np
 
 from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
                      element_draws, elements_from_draws, group_inverse,
-                     random_algebra)
+                     positive_int, random_algebra)
 from .reports import (VerificationReport, inputs_memo, members_only,
                       run_stacked_trials)
 from .subspaces import (TOL_RANK, TOL_SUBSPACE, _torsion_outcomes,
@@ -45,7 +45,7 @@ from .torsion import (_canonical_rows, _indexable_count, _point_label,
                       _row_invariant, _torsion_rows, count_components,
                       torus_stack)
 from .alignment import (_check_snap_grid, _invariant_rows, _nearest_torsion,
-                        _orientations, _sl2_align_stack)
+                        _orientations, _refuse_nearest, _sl2_align_stack)
 
 COMPACT_SWEEP_SPECS = tuple(
     [GroupSpec("U", m) for m in (1, 2, 3, 4)]
@@ -219,8 +219,12 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
 
 def sweep_density(specs, N, trials, seed) -> VerificationReport:
     """Nearest torsion approximation of Haar-random elements: the distance
-    must respect the per-family rounding bound."""
+    must respect the per-family rounding bound.  A group or N that
+    ``nearest_torsion_approximant`` refuses is refused before any trial is
+    drawn."""
     specs = list(specs)
+    for spec in specs:
+        _refuse_nearest(spec, N)
     memo = inputs_memo()
 
     def draw(rng):
@@ -269,8 +273,7 @@ def sl2_component_census(n: int, samples: int,
     orientations and traces read, as stacks.  Membership is recorded as a
     residual, not required.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = positive_int(n, "n")
     spec = GroupSpec("SL2R", 2)
     classes = set()
     memo = inputs_memo()
@@ -318,10 +321,10 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     eigensolve per stack; one ``_sl2_align_stack`` for SL(2,R)), on
     integer phase numerators.  A run with a sample off the group or off
     the 1/n grid raises the error ``matrix_invariant`` would, for the
-    first such sample; an n too fine to snap at is refused before any
-    sample is drawn."""
+    first such sample; an n that is not a positive integer, or too fine
+    to snap at, is refused before any sample is drawn."""
     t0 = time.perf_counter()
-    _check_snap_grid(n)
+    n = _check_snap_grid(n)
     expected = count_components(spec, n)
     seen = set()
     memo = inputs_memo()

@@ -11,22 +11,35 @@ entries in closed form.  They share no
 code with the package, so a test that compares the two does not compare
 the code with itself.
 
-The last four are per-element forms built on the package's own
-primitives: ``component_dimension``, the numeric adjoint rank that the
-exact ``torsion.orbit_dimension`` is checked against,
-``random_torsion_point`` and ``random_torsion_element``, one draw at a
-time in the order the stacked ``sweeps._torsion_draw`` takes it, and
-``circle_point_oracle``, one surface point at a time, the scalar body that
-``surface.circle_points`` replaced.
+The rest are per-element forms built on the package's own primitives:
+``component_dimension``, the numeric adjoint rank that the exact
+``torsion.orbit_dimension`` is checked against; ``random_torsion_point``
+and ``random_torsion_element``, one draw at a time in the order the
+stacked ``sweeps._torsion_draw`` takes it; ``circle_point_oracle``, one
+surface point at a time, the scalar body that ``surface.circle_points``
+replaced; and the per-element bodies that ``curves`` replaced with array
+code: ``tangent_outcome_oracle``, one norm per (trial, step) and the
+ratio test as a loop, ``connect_waypoints_oracle``, one expm and one
+conjugation per waypoint of the conjugator path that
+``conjugator_path_oracle`` returns as a closure, and
+``export_path_csv_oracle``, the ``csv.writer`` path export.
 """
 
-import numpy as np
-from scipy.linalg import subspace_angles
+import csv
 
-from torsion_orbits.groups import adjoint_matrix, group_inverse, random_element
+import numpy as np
+from scipy.linalg import expm, subspace_angles
+
+from torsion_orbits.alignment import (_so_torus_align,
+                                      _unitary_eigenstructure,
+                                      canonical_align)
+from torsion_orbits.curves import RATIO_FLOOR, RATIO_SLACK
+from torsion_orbits.groups import (adjoint_matrix, cartan_decompose,
+                                   group_inverse, random_element)
 from torsion_orbits.subspaces import TOL_RANK, image_basis
 from torsion_orbits.surface import surface_value
-from torsion_orbits.torsion import _indexable_count, torsion_point
+from torsion_orbits.torsion import (_indexable_count, torsion_point,
+                                    torus_matrix)
 
 
 def membership_residual_oracle(spec, g):
@@ -170,3 +183,98 @@ def circle_point_oracle(a, phi, branch):
     y = a * a * np.sin(phi)
     z = branch * a * a * (1.0 + np.cos(phi))
     return (float(a), float(y), float(z), float(abs(surface_value(a, y, z))))
+
+
+def tangent_outcome_oracle(g, Xm, times):
+    """(errors, passed, error_ratios, derivative_norm) of the tangent check
+    on one member g and algebra matrix Xm: one expm per sample time, one
+    norm per step, the ratio test over consecutive steps as a loop."""
+    D = Xm @ g - g @ Xm
+    errors = [float(np.linalg.norm((expm(h * Xm) @ g @ expm(-h * Xm) - g)
+                                   / h - D)) for h in times]
+    passed, ratios = True, []
+    for (h1, e1), (h2, e2) in zip(zip(times, errors),
+                                  zip(times[1:], errors[1:])):
+        if e1 <= RATIO_FLOOR and e2 <= RATIO_FLOOR:
+            ratios.append(None)
+            continue
+        step_ratio = h1 / h2
+        err_ratio = e1 / max(e2, 1e-300)
+        ratios.append(err_ratio)
+        if not (step_ratio / RATIO_SLACK <= err_ratio
+                <= step_ratio * RATIO_SLACK):
+            passed = False
+    return errors, passed, ratios, float(np.linalg.norm(D))
+
+
+def conjugator_path_oracle(spec, h):
+    """A function s -> H(s) with H(0) = I, H(1) = h, H(s) in G, one expm
+    per call: h = exp(L) for a skew L read off h's eigenstructure
+    (compact families), or h = k exp(p) with both factors moved linearly
+    (SL(2,R))."""
+    if spec.family in ("U", "SU"):
+        Z, phases = _unitary_eigenstructure(h)
+        theta = 2 * np.pi * phases
+        theta = np.where(theta > np.pi, theta - 2 * np.pi, theta)
+        if spec.family == "SU":
+            total = theta.sum()
+            shift = int(np.rint(total / (2 * np.pi)))
+            if shift != 0:
+                j = int(np.argmax(theta)) if shift > 0 else int(np.argmin(theta))
+                theta[j] -= 2 * np.pi * shift
+        L = (Z * (1j * theta)) @ Z.conj().T
+        return lambda s: expm(s * L)
+    if spec.family == "SO":
+        Q, phases = _so_torus_align(h)
+        J = np.zeros((spec.size, spec.size))
+        for b, p in enumerate(phases):
+            th = 2 * np.pi * p
+            if th > np.pi:
+                th -= 2 * np.pi
+            J[2 * b, 2 * b + 1] = -th
+            J[2 * b + 1, 2 * b] = th
+        L = Q @ J @ Q.T
+        return lambda s: np.real(expm(s * L))
+    k, p = cartan_decompose(h)
+    phi = float(np.arctan2(k[1, 0], k[0, 0]))
+    return lambda s: torus_matrix(spec, [s * phi / (2 * np.pi)]) @ expm(s * p)
+
+
+def connect_waypoints_oracle(spec, g1, g2, n, waypoints=20):
+    """The waypoints of ``connect_within_component(spec, g1, g2, n,
+    waypoints)`` for a same-class pair, s from 1 down to 1/(waypoints - 1):
+    one call of the ``conjugator_path_oracle`` closure and one conjugation
+    of g1 per waypoint."""
+    Q1, _ = canonical_align(spec, g1, n)
+    Q2, _ = canonical_align(spec, g2, n)
+    path = conjugator_path_oracle(spec, Q2 @ group_inverse(spec, Q1))
+    points = []
+    for s in np.linspace(0.0, 1.0, waypoints)[1:][::-1]:
+        H = path(float(s))
+        points.append(H @ g1 @ group_inverse(spec, H))
+    return points
+
+
+def export_path_csv_oracle(sample, fileobj):
+    """``curves.export_path_csv`` through ``csv.writer``, one ``repr`` per
+    matrix entry (two for a complex entry)."""
+    m = sample.spec.size
+    is_c = sample.spec.is_complex
+    header = ["s"]
+    for i in range(m):
+        for j in range(m):
+            if is_c:
+                header += [f"e{i}{j}_re", f"e{i}{j}_im"]
+            else:
+                header.append(f"e{i}{j}")
+    writer = csv.writer(fileobj, lineterminator="\n")
+    writer.writerow(header)
+    rows = [(0.0, sample.base)] + list(zip(sample.times, sample.points))[::-1]
+    for s, g in rows:
+        row = [repr(float(s))]
+        for x in np.asarray(g).ravel():
+            if is_c:
+                row += [repr(float(x.real)), repr(float(x.imag))]
+            else:
+                row.append(repr(float(np.real(x))))
+        writer.writerow(row)

@@ -9,15 +9,20 @@ import pytest
 
 from phase_oracles import (canonical_realization, canonicalize_oracle,
                            enumerate_torsion)
+from stack_oracles import (connect_waypoints_oracle, export_path_csv_oracle,
+                           tangent_outcome_oracle)
 from torsion_orbits.groups import (GroupSpec, algebra_coords, algebra_matrix,
                                    membership_residual, random_algebra,
                                    random_element)
-from torsion_orbits.curves import (CurveSample, DifferentComponentsError,
+from torsion_orbits.curves import (DEFAULT_STEPS, CurveSample,
+                                   DifferentComponentsError,
                                    conjugation_curve, connect_within_component,
                                    curve_kernel_check, export_path_csv,
                                    path_order_residuals,
-                                   product_identity_check, tangent_space_check)
-from torsion_orbits import alignment
+                                   product_identity_check, tangent_outcomes,
+                                   tangent_space_check)
+from torsion_orbits import alignment, curves
+from torsion_orbits.sweeps import ALL_FAMILY_SPECS
 from torsion_orbits.alignment import matrix_invariant
 from torsion_orbits.torsion import canonicalize, class_table, torus_matrix
 
@@ -107,6 +112,64 @@ def test_tangent_check_needs_two_steps():
     spec = GroupSpec("U", 1)
     with pytest.raises(ValueError):
         tangent_space_check(spec, np.eye(1, dtype=complex), [1.0], steps=(1e-3,))
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILY_SPECS, ids=GroupSpec.label)
+def test_tangent_outcomes_equal_the_per_trial_oracle(spec):
+    # the stacked errors, ratio test and derivative norms are the loop's,
+    # bit for bit; the second step set makes the ratio test fail often,
+    # and the third fails SL(2,R) above the band (exp grows like e^(2h))
+    # and the compact families below it
+    rng = np.random.default_rng(len(spec.label()) * 7 + spec.size)
+    g = np.stack([random_element(spec, rng) for _ in range(30)]
+                 + [spec.identity()])
+    Xm = np.stack([algebra_matrix(spec, random_algebra(spec, rng))
+                   for _ in range(31)])
+    verdicts = set()
+    for steps in (DEFAULT_STEPS, (0.5, 1e-6, 1e-7, 1e-13), (5.0, 1e-3)):
+        outcomes = tangent_outcomes(spec, g, Xm, steps)
+        for gi, Xi, outcome in zip(g, Xm, outcomes):
+            errors, passed, ratios, norm = tangent_outcome_oracle(gi, Xi,
+                                                                  steps)
+            assert list(outcome["residuals"].values()) == errors
+            assert outcome["passed"] is passed
+            assert outcome["details"]["error_ratios"] == ratios
+            assert outcome["details"]["derivative_norm"] == norm
+            verdicts.add(passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, g, X: conjugation_curve(spec, g, X, steps=(1e-2, np.nan)),
+    lambda spec, g, X: conjugation_curve(spec, g, X, steps=(np.inf, 1e-2)),
+    lambda spec, g, X: conjugation_curve(spec, g, [np.nan, *X[1:]]),
+    lambda spec, g, X: conjugation_curve(spec, g, X[1:]),
+    lambda spec, g, X: tangent_space_check(spec, g, X, steps=(1e-2, np.nan)),
+    lambda spec, g, X: tangent_space_check(spec, g, [np.inf, *X[1:]]),
+    lambda spec, g, X: tangent_space_check(spec, g, [*X, 0.0]),
+    lambda spec, g, X: curve_kernel_check(spec, g, 4, [np.nan, *X[1:]]),
+    lambda spec, g, X: curve_kernel_check(spec, g, 4, [-np.inf, *X[1:]]),
+    lambda spec, g, X: curve_kernel_check(spec, g, 4, X[1:]),
+    lambda spec, g, X: product_identity_check(spec, g, 4, X, np.nan),
+    lambda spec, g, X: product_identity_check(spec, g, 4, X, np.inf),
+    lambda spec, g, X: product_identity_check(spec, g, 4, [np.inf, *X[1:]],
+                                              0.5),
+    lambda spec, g, X: product_identity_check(spec, g, 4, [*X, 0.0], 0.5),
+], ids=["curve-nan-step", "curve-inf-step", "curve-nan-X", "curve-short-X",
+        "tangent-nan-step", "tangent-inf-X", "tangent-long-X", "kernel-nan-X",
+        "kernel-inf-X", "kernel-short-X", "product-nan-t", "product-inf-t",
+        "product-inf-X", "product-long-X"])
+def test_curves_refuse_non_finite_inputs_before_any_expm(monkeypatch, call):
+    # a FAIL must mean a false identity: a NaN step, t or coordinate used
+    # to give a FAIL (or a RuntimeWarning for inf) out of expm
+    def no_expm(*args):
+        raise AssertionError("expm was called")
+
+    monkeypatch.setattr(curves, "expm", no_expm)
+    spec = GroupSpec("SU", 2)
+    X = random_algebra(spec, 2)
+    with pytest.raises(ValueError, match="finite"):
+        call(spec, np.diag([1j, -1j]), list(X))
 
 
 # ----------------------------------------------------------- exact identity
@@ -233,6 +296,37 @@ def test_connect_validates_waypoints():
     eye = np.eye(1, dtype=complex)
     with pytest.raises(ValueError):
         connect_within_component(spec, eye, eye, 1, waypoints=1)
+    # waypoints go through positive_int: 2.5 used to raise TypeError
+    for waypoints in (0, -3, True, 2.5):
+        with pytest.raises(ValueError, match="waypoints must be a positive"):
+            connect_within_component(spec, eye, eye, 1, waypoints=waypoints)
+    for n in (0, -3, True, 2.5):
+        with pytest.raises(ValueError, match="n must be a positive"):
+            connect_within_component(spec, eye, eye, n)
+
+
+@pytest.mark.parametrize("family,size,n", [
+    ("U", 1, 5), ("U", 3, 6), ("SU", 2, 4), ("SU", 3, 6), ("SO", 2, 5),
+    ("SO", 3, 4), ("SO", 4, 6), ("SO", 5, 8), ("SL2R", 2, 6)])
+def test_connect_waypoints_equal_the_per_waypoint_oracle(family, size, n):
+    # one stacked expm and one stacked conjugation give the bytes of one
+    # expm and one conjugation per waypoint
+    spec = GroupSpec(family, size)
+    points = enumerate_torsion(spec, n)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        point = points[int(rng.integers(len(points)))]
+        g1 = conj(spec, random_element(spec, rng), point.matrix())
+        g2 = conj(spec, random_element(spec, rng), point.matrix())
+        sample = connect_within_component(spec, g1, g2, n, waypoints=7)
+        want = connect_waypoints_oracle(spec, g1, g2, n, waypoints=7)
+        assert [p.dtype for p in sample.points] == [p.dtype for p in want]
+        assert [p.tobytes() for p in sample.points] == \
+            [p.tobytes() for p in want]
+        assert path_order_residuals(sample, n) == [
+            float(np.linalg.norm(np.linalg.matrix_power(p, n)
+                                 - np.eye(size)))
+            for p in (*want, g1)]
 
 
 def test_connect_aligns_each_endpoint_once(monkeypatch):
@@ -295,3 +389,26 @@ def test_export_path_csv_real():
     export_path_csv(sample, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["s", "e00", "e01", "e10", "e11"]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("SU", 2), GroupSpec("U", 1),
+                                  GroupSpec("SO", 3), GroupSpec("SL2R", 2)],
+                         ids=GroupSpec.label)
+def test_export_path_csv_equals_the_csv_writer_oracle(spec):
+    # the text printed from one float array is the csv.writer oracle's,
+    # byte for byte, on a connecting path and on a sample with -0.0, nan
+    # and complex entries
+    g0 = enumerate_torsion(spec, 4)[-1].matrix()
+    g1 = conj(spec, random_element(spec, 3), g0)
+    m = spec.size
+    odd = np.full((m, m), -0.0, dtype=g0.dtype)
+    odd[0, 0] = np.nan if not spec.is_complex else complex(-0.0, np.nan)
+    odd[-1, 0] = 1e-300 if not spec.is_complex else complex(3.5, -0.0)
+    samples = [connect_within_component(spec, g0, g1, 4, waypoints=5),
+               CurveSample(spec, odd, (0.5, 1e-17), (g0, odd))]
+    for sample in samples:
+        got, want = io.StringIO(), io.StringIO()
+        export_path_csv(sample, got)
+        export_path_csv_oracle(sample, want)
+        assert got.getvalue() == want.getvalue()
+    assert "-0.0" in got.getvalue()

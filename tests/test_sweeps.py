@@ -13,8 +13,9 @@ from torsion_orbits.alignment import (_nearest_torsion,
                                       nearest_torsion_approximant)
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
-from torsion_orbits.groups import (GroupSpec, random_algebra,
-                                   random_element, require_member)
+from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
+                                   random_algebra, random_element,
+                                   require_member)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
                                     inputs_digest)
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
@@ -307,3 +308,20 @@ def test_a_nan_slice_is_refused_in_trial_order(monkeypatch):
     monkeypatch.setattr(sweeps, "_conjugate_stack", poisoned(False))
     with pytest.raises(ValueError, match=r"\(residual nan\)"):
         sweep_kernel_image(COMPACT_SWEEP_SPECS, N_MAX, count, seed)
+
+
+def test_density_refuses_before_drawing(monkeypatch, capsys):
+    # SL(2,R) and a grid order N < 1 are refused up front: the refusal
+    # used to come from the first stack, after every trial was drawn
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(sweeps, "element_draws", no_draws)
+    sl2 = GroupSpec("SL2R", 2)
+    with pytest.raises(UnsupportedGroupError, match="compact families"):
+        sweep_density([GroupSpec("U", 2), sl2], 100, 200_000, 0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        sweep_density([GroupSpec("U", 2)], 0, 200_000, 0)
+    assert cli.main(["verify", "density", "--group", "SL2R",
+                     "--trials", "200000"]) == 3
+    assert "compact families" in capsys.readouterr().err

@@ -1438,6 +1438,26 @@ def test_cluster_census_refuses_a_fine_grid_before_drawing(monkeypatch):
             cluster_census(spec, 500_000, 3, seed=0)
 
 
+@pytest.mark.parametrize("n", [0, -3, True, 2.5])
+def test_snapping_refuses_an_order_that_is_not_a_positive_integer(n):
+    # every entry point that snaps to the 1/n grid takes n through
+    # positive_int: a negative n used to give an invariant, True to pass
+    # as 1, 0 to divide by zero and 2.5 to raise TypeError from Fraction
+    message = re.escape(f"n must be a positive integer, got {n!r}")
+    u1 = GroupSpec("U", 1)
+    eye = np.eye(1, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        matrix_invariant(u1, eye, n)
+    with pytest.raises(ValueError, match=message):
+        canonical_align(u1, eye, n)
+    with pytest.raises(ValueError, match=message):
+        matrix_invariant(GroupSpec("SL2R", 2), np.eye(2), n)
+    with pytest.raises(ValueError, match=message):
+        cluster_census(GroupSpec("SO", 3), n, 3, seed=0)
+    with pytest.raises(ValueError, match=message):
+        sl2_component_census(n, 3, seed=0)
+
+
 def test_cluster_census_off_grid_sample_in_a_later_block(monkeypatch):
     monkeypatch.setattr(reports, "STACK_CAP", 8)
     break_alignment(monkeypatch, "_so_torus_align", off_grid={13})
