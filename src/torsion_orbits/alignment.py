@@ -355,13 +355,13 @@ def approximation_bound(spec: GroupSpec, N: int, corrections: int = 0) -> float:
     return (2 * np.pi / N) * float(np.sqrt((p - c) * 0.25 + c * 2.25))
 
 
-def _refuse_nearest(spec: GroupSpec, N: int) -> None:
-    # the refusals of nearest torsion approximation that precede membership
+def _refuse_nearest(spec: GroupSpec, N: int) -> int:
+    # the refusals of nearest torsion approximation that precede
+    # membership; returns N as an int
     if spec.family == "SL2R":
         raise UnsupportedGroupError(
             "nearest torsion approximation is defined for the compact families")
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    return positive_int(N, "N")
 
 
 def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
@@ -399,9 +399,10 @@ def nearest_torsion_approximant(spec: GroupSpec, g: np.ndarray, N: int):
     the 1/N grid (SU determinants restored on-grid).
 
     Returns (approx, distance); the distance obeys approximation_bound.
-    Refuses SL(2,R), then N < 1, then a non-member.
+    Refuses SL(2,R), then an N that is not a positive integer, then a
+    non-member.
     """
-    _refuse_nearest(spec, N)
+    N = _refuse_nearest(spec, N)
     approx, distance, _ = _nearest_torsion(spec, require_member(spec, g), N)
     return approx, distance
 

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack,
-                     algebra_matrix, cartan_decompose, group_inverse,
-                     positive_int, require_member)
+from .groups import (TOL_MEMBERSHIP, GroupSpec, _coords, _frobenius,
+                     adjoint_stack, algebra_matrix, cartan_decompose,
+                     group_inverse, positive_int, require_member)
 from .reports import VerificationReport
 from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
                         _outcome_report, _torsion_outcomes)
@@ -64,15 +64,6 @@ def _sample_times(times) -> tuple:
     if any(a <= b for a, b in zip(times, times[1:])):
         raise ValueError("sample times must decrease strictly toward 0")
     return times
-
-
-def _coords(spec: GroupSpec, X) -> np.ndarray:
-    """X as ``spec.dim`` finite algebra coordinates, else ValueError."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != (spec.dim,) or not np.isfinite(X).all():
-        raise ValueError(f"X must be {spec.dim} finite algebra coordinates, "
-                         f"got {X.tolist()}")
-    return X
 
 
 @dataclass

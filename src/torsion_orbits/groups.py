@@ -197,6 +197,17 @@ def algebra_matrix(spec: GroupSpec, coords) -> np.ndarray:
     return np.tensordot(coords, basis.matrices, axes=(0, 0))
 
 
+def _coords(spec: GroupSpec, X, name: str = "X") -> np.ndarray:
+    """X as ``spec.dim`` finite algebra coordinates, else ValueError
+    naming ``name``: the one coordinate check of ``exp_element`` and the
+    curves."""
+    X = np.asarray(X, dtype=float)
+    if X.shape != (spec.dim,) or not np.isfinite(X).all():
+        raise ValueError(f"{name} must be {spec.dim} finite algebra "
+                         f"coordinates, got {X.tolist()}")
+    return X
+
+
 def algebra_coords(spec: GroupSpec, mat: np.ndarray) -> np.ndarray:
     """Coordinates of ``mat`` in the fixed basis (orthonormal projection)."""
     basis = algebra_basis(spec)
@@ -222,12 +233,13 @@ def exp_element(spec: GroupSpec, coords) -> np.ndarray:
 
     Scaling-and-squaring Pade exponential; the result lands in the group to
     machine precision because the generator satisfies the algebra constraints
-    exactly.
+    exactly.  Coordinates of the wrong length or not finite are refused
+    with ValueError before any exponential is taken.
     """
     # imported here, so that importing groups loads no scipy
     from scipy.linalg import expm
 
-    g = expm(algebra_matrix(spec, coords))
+    g = expm(algebra_matrix(spec, _coords(spec, coords, "coords")))
     if not spec.is_complex:
         g = np.real(g)
     return g
@@ -371,8 +383,7 @@ def cartan_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def element_order(spec: GroupSpec, g: np.ndarray, n_max: int,
                   tol: float = TOL_MEMBERSHIP) -> int | None:
     """Smallest d in [1, n_max] with ||g^d - I|| <= tol, else None."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = positive_int(n_max, "n_max")
     g = np.asarray(g)
     eye = spec.identity()
     power = g

@@ -8,10 +8,10 @@ wall-time field.  ``to_json`` prints a report from a fixed skeleton and
 per-trial templates with sorted keys, byte for byte what
 ``json.dumps(..., sort_keys=True, indent=2)`` prints, which the tests keep
 as its oracle.  A passed trial with finite float residuals prints through
-one ``%``-template per residual key order, and a flat list of scalars
-through one list template; ``json.dumps`` itself encodes only the config,
-the details, strings, and, once per object, the other lists and dicts
-nested in a trial's ``inputs`` or ``residuals``.
+one ``%``-template per residual key order, with its ``inputs`` dict
+encoded by ``json.dumps`` once per object; ``json.dumps`` itself prints
+every other trial whole (failed, rejected, seedless, or with other
+residuals), the config and the details.
 
 ``run_stacked_trials`` is the one engine of every sweep and census: trial
 i draws from a Generator in the state of ``np.random.default_rng(seed +
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import membership_error, membership_residuals
+from .groups import membership_error, membership_residuals, positive_int
 
 # Field stripped when comparing reports for reproducibility.
 WALL_TIME_FIELD = "wall_time_s"
@@ -124,9 +124,8 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte
-        for byte, printed from ``_REPORT_JSON`` and, per trial, from its
-        residual layout's template or ``_TRIAL_JSON`` (see
-        ``_TrialPrinter``).  The config and details are encoded by
+        for byte, printed from ``_REPORT_JSON`` with each trial from
+        ``_TrialPrinter``.  The config and details are encoded by
         ``json.dumps`` and re-indented."""
         printer = _TrialPrinter()
         trials = [printer.trial(t) for t in self.trials]
@@ -134,10 +133,10 @@ class VerificationReport:
             check=json.dumps(self.check),
             config=_json_nested(self.config, "  "),
             details=_json_nested(self.details, "  "),
-            passed=_json_scalar(self.passed),
+            passed=json.dumps(self.passed),
             trials=("[\n" + ",\n".join(trials) + "\n  ]") if trials else "[]",
-            wall_time_s=_json_scalar(self.wall_time_s),
-            worst_residual=_json_scalar(self.worst_residual))
+            wall_time_s=json.dumps(self.wall_time_s),
+            worst_residual=json.dumps(self.worst_residual))
 
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
@@ -174,32 +173,15 @@ _TRIAL_JSON = """\
     }}"""
 
 
-def _json_scalar(value) -> str:
-    """A number, bool, None or string as ``json.dumps`` prints it: floats
-    (numpy's float64 included) through ``float.__repr__``, non-finite
-    ones as NaN, Infinity and -Infinity."""
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if value is None or type(value) is bool:
-        return _JSON_CONSTANTS[value]
-    return json.dumps(value)
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+#: The encoder of ``json.dumps(..., sort_keys=True, indent=2)``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 def _json_nested(value, pad: str) -> str:
     # any value as json.dumps(indent=2) prints it with its first line at
     # indent ``pad``; JSON strings hold no raw newline, so each break is
     # a line of the layout
-    text = json.dumps(value, sort_keys=True, indent=2)
-    return text.replace("\n", "\n" + pad)
+    return _ENCODER.encode(value).replace("\n", "\n" + pad)
 
 
 def _json_list(texts: list, pad: str) -> str:
@@ -213,94 +195,47 @@ def _json_list(texts: list, pad: str) -> str:
 #: Indents of a trial's fields and of the values of its dicts.
 _FIELD_PAD, _VALUE_PAD = " " * 6, " " * 8
 
-#: The types ``_TrialPrinter`` prints a list of from ``_json_list``.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
 
 class _TrialPrinter:
-    """The trials of one ``to_json`` call as ``_TRIAL_JSON`` prints them.
+    """The trials of one ``to_json`` call, each at its depth in the report.
 
-    A passed trial with an int index and seed, whose residuals are finite
-    floats under string keys, prints through the ``%``-template of its
-    residual key order, which inlines the whole trial with its sorted
-    residual keys (``_trial_template``); every other trial goes through
-    ``_TRIAL_JSON``.  Per call, each string, each ``inputs`` dict object
-    and each nested list or dict object at each depth is printed once:
-    trials share their status, note and digest strings, and the sweeps
-    share ``inputs`` dicts or the ``point`` lists inside them."""
+    A passed trial with an int index and seed, string digest, note and
+    status, and finite float residuals under string keys prints through
+    the ``%``-template of its residual key order (``_trial_template``).
+    Per call, each such ``inputs`` dict object and each of those strings
+    is encoded once: the sweeps share them between trials.  Every other
+    trial (failed, rejected, seedless, or with other residuals) is
+    ``json.dumps`` of its ``to_dict()``, re-indented."""
 
     def __init__(self):
-        self.texts, self.inputs, self.layouts, self.templates = {}, {}, {}, {}
+        self.texts, self.inputs, self.templates = {}, {}, {}
 
     def trial(self, t) -> str:
-        inputs = self.inputs.get(id(t.inputs))
-        if inputs is None:
-            inputs = self.inputs[id(t.inputs)] = self.fields(t.inputs)
         order = tuple(t.residuals)
         if order not in self.templates:
             self.templates[order] = _trial_template(order)
         template = self.templates[order]
         if (template is not None and t.passed is True
-                and type(t.index) is int and type(t.seed) is int):
+                and type(t.index) is int and type(t.seed) is int
+                and type(t.digest) is type(t.note) is type(t.status) is str):
             text, values = template
             values = values(t.residuals)
             if (all(type(v) is float for v in values)
                     and math.isfinite(sum(values))):
-                return text % (self.value(t.digest, _FIELD_PAD), t.index,
-                               inputs, self.value(t.note, _FIELD_PAD),
-                               *values, t.seed,
-                               self.value(t.status, _FIELD_PAD))
-        return _TRIAL_JSON.format(
-            digest=self.value(t.digest, _FIELD_PAD),
-            index=_json_scalar(t.index),
-            inputs=inputs,
-            note=self.value(t.note, _FIELD_PAD),
-            passed=_json_scalar(t.passed),
-            residuals=self.fields(t.residuals),
-            seed=_json_scalar(t.seed),
-            status=self.value(t.status, _FIELD_PAD))
+                inputs = self.inputs.get(id(t.inputs))
+                if inputs is None:
+                    inputs = self.inputs[id(t.inputs)] = _json_nested(
+                        t.inputs, _FIELD_PAD)
+                return text % (self.text(t.digest), t.index, inputs,
+                               self.text(t.note), *values, t.seed,
+                               self.text(t.status))
+        return "    " + _json_nested(t.to_dict(), "    ")
 
-    def value(self, value, pad: str) -> str:
-        """Any value as ``_json_nested(value, pad)`` prints it; strings
-        and list, tuple or dict objects printed once per call, a list or
-        tuple of strings, numbers, bools and Nones (a ``point``) through
-        ``_json_list``."""
-        if type(value) is str:
-            text = self.texts.get(value)
-            if text is None:
-                text = self.texts[value] = json.dumps(value)
-            return text
-        if not isinstance(value, (dict, list, tuple)):
-            return _json_scalar(value)
-        key = id(value), pad
-        text = self.texts.get(key)
+    def text(self, value: str) -> str:
+        text = self.texts.get(value)
         if text is None:
-            if not isinstance(value, dict) and _SCALARS.issuperset(
-                    map(type, value)):
-                text = _json_list([self.value(v, pad) for v in value], pad)
-            else:
-                text = _json_nested(value, pad)
-            self.texts[key] = text
+            text = self.texts[value] = json.dumps(value)
         return text
-
-    def fields(self, fields: dict) -> str:
-        """A trial's ``inputs`` or ``residuals`` dict as ``_TRIAL_JSON``
-        nests it: key by key in sorted order.  ``layouts`` keeps, per key
-        order, the sorted keys with their printed prefixes, or None for an
-        empty dict or one with a non-string key, which ``_json_nested``
-        prints whole."""
-        order = tuple(fields)
-        if order not in self.layouts:
-            keyed = order and all(type(k) is str for k in order)
-            self.layouts[order] = ([(k, f"{_VALUE_PAD}{json.dumps(k)}: ")
-                                    for k in sorted(order)]
-                                   if keyed else None)
-        layout = self.layouts[order]
-        if layout is None:
-            return _json_nested(fields, _FIELD_PAD)
-        items = [prefix + self.value(fields[k], _VALUE_PAD)
-                 for k, prefix in layout]
-        return "{\n" + ",\n".join(items) + "\n" + _FIELD_PAD + "}"
 
 
 def _trial_template(order: tuple):
@@ -458,8 +393,7 @@ def run_stacked_trials(check, count, seed, draw, build, records, config,
     seed, and trial i replays alone as trial 0 of a one-trial run at
     seed + i.  ``worst_residual`` names the residual whose maximum is the
     report's worst residual (default: every residual)."""
-    if count < 1:
-        raise ValueError(f"trial count must be >= 1, got {count}")
+    count = positive_int(count, "trial count")
     t0 = time.perf_counter()
     bits = np.random.PCG64()
     rng, draws = np.random.Generator(bits), []

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from .groups import positive_int
 from .reports import VerificationReport, single_trial_report
 
 #: Rows per block of the CSV export: one gradient call and one write each.
@@ -74,8 +75,7 @@ def sample_surface(a_range: tuple[float, float], count: int,
     lo, hi = float(a_range[0]), float(a_range[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
         raise ValueError("a_range must be a finite (lo, hi) with lo <= hi")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = positive_int(count, "count")
     rng = np.random.default_rng(seed)
     a = rng.uniform(lo, hi, size=count)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=count)

@@ -122,7 +122,7 @@ def _record(inputs_and_digest, outcome):
 def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
     """Sweep of a subspace check, ``outcomes(spec, g, n, **config)`` giving
     a (spec, n) stack's outcomes; ``config`` holds its tolerances."""
-    specs = list(specs)
+    specs, n_max = list(specs), positive_int(n_max, "n_max")
     memo = inputs_memo()
 
     def records(key, stack, g, residuals):
@@ -179,7 +179,7 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
                            tol=TOL_MEMBERSHIP) -> VerificationReport:
     """Kernel identity of the initial velocity plus the telescoping product
     at a random parameter, on random torsion elements."""
-    specs = list(specs)
+    specs, n_max = list(specs), positive_int(n_max, "n_max")
     memo = inputs_memo()
     torsion_draw = _conjugate_draw(specs, n_max)
 
@@ -224,7 +224,7 @@ def sweep_density(specs, N, trials, seed) -> VerificationReport:
     drawn."""
     specs = list(specs)
     for spec in specs:
-        _refuse_nearest(spec, N)
+        N = _refuse_nearest(spec, N)
     memo = inputs_memo()
 
     def draw(rng):

@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-from .groups import GroupSpec
+from .groups import GroupSpec, positive_int
 from .reports import VerificationReport, _json_list, single_trial_report
 
 #: Catalogs, counts and censuses refuse a group and order whose
@@ -110,9 +110,7 @@ def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
 def torsion_point_count(spec: GroupSpec, n: int) -> int:
     """Number of torus points killed by n: n^rank (for SU the sum
     constraint fixes the last of the m phases)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n ** spec.rank
+    return positive_int(n, "n") ** spec.rank
 
 
 def torsion_point(spec: GroupSpec, n: int, i: int) -> TorusTorsionPoint:
@@ -307,7 +305,7 @@ def _class_keys(spec: GroupSpec, n: int) -> tuple:
     f <= n/2, and for SO(2r), r >= 2, a split into two parity classes when
     every slot is off {0, n/2}; the n phases k/n for SO(2) and SL(2,R).
     Raises ValueError when ``class_count_bound`` exceeds MAX_CLASSES."""
-    _check_class_budget(spec, n)
+    n = _check_class_budget(spec, n)
     if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
         return np.arange(n)[:, None], np.full(n, -1)
     top = n if spec.family in ("U", "SU") else n // 2 + 1
@@ -403,7 +401,7 @@ def count_components(spec: GroupSpec, n: int) -> int:
     parity.  SO(2) and SL(2,R): n.  Raises ValueError where
     ``_class_keys`` does: n < 1, or ``class_count_bound`` above
     MAX_CLASSES."""
-    _check_class_budget(spec, n)
+    n = _check_class_budget(spec, n)
     m, r = spec.size, spec.rank
     if spec.family == "U":
         return math.comb(n + m - 1, m)
@@ -424,16 +422,16 @@ def _totient(d: int) -> int:
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
-def _check_class_budget(spec: GroupSpec, n: int) -> None:
-    """Refuse n < 1, and a group and order whose ``class_count_bound``
-    exceeds MAX_CLASSES."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _check_class_budget(spec: GroupSpec, n: int) -> int:
+    """n as an int (``positive_int``); refuses a group and order whose
+    ``class_count_bound`` exceeds MAX_CLASSES."""
+    n = positive_int(n, "n")
     bound = class_count_bound(spec, n)
     if bound > MAX_CLASSES:
         raise ValueError(
             f"{spec.label()} n={n} has up to {bound:,} classes, above the "
             f"limit of {MAX_CLASSES:,}")
+    return n
 
 
 def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationReport:
@@ -445,8 +443,7 @@ def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationRepor
     class-table row, compared as one opaque array item.
     """
     t0 = time.perf_counter()
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    n, m = positive_int(n, "n"), positive_int(m, "m")
     g, common = math.gcd(n, m), math.lcm(n, m)
     width = phase_slots(spec) + 1
 

@@ -519,8 +519,24 @@ def test_every_one_element_entry_refuses_a_non_member():
     # the non-member
     with pytest.raises(UnsupportedGroupError):
         nearest_torsion_approximant(GroupSpec("SL2R", 2), 2.0 * np.eye(2), 0)
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
         nearest_torsion_approximant(spec, g, 0)
+
+
+@pytest.mark.parametrize("coords", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                    [0.0, 0.0, -np.inf], [0.0, 0.0]],
+                         ids=["nan", "inf", "-inf", "length"])
+def test_exp_element_refuses_coordinates_before_any_expm(monkeypatch, coords):
+    # a NaN coordinate used to give a NaN matrix without an error
+    import scipy.linalg
+
+    def no_expm(*args):
+        raise AssertionError("expm was called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", no_expm)
+    with pytest.raises(ValueError,
+                       match="coords must be 3 finite algebra coordinates"):
+        exp_element(GroupSpec("SO", 3), coords)
 
 
 class DrawQueue:

@@ -14,17 +14,21 @@ from torsion_orbits.alignment import (_nearest_torsion,
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
-                                   random_algebra, random_element,
-                                   require_member)
+                                   element_order, random_algebra,
+                                   random_element, require_member)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
-                                    inputs_digest)
+                                    inputs_digest, run_stacked_trials)
 from torsion_orbits.subspaces import (verify_kernel_image_identity,
                                       verify_zero_intersection)
+from torsion_orbits.surface import sample_surface
 from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, ALL_FAMILY_SPECS,
                                    cluster_census, sl2_component_census,
                                    sweep_curve_identities, sweep_density,
                                    sweep_kernel_image, sweep_tangent,
                                    sweep_zero_intersection)
+from torsion_orbits.torsion import (catalog_components, count_components,
+                                    gcd_intersection_check,
+                                    torsion_point_count)
 
 #: run(count, seed) -> report, one per seeded multi-trial driver.
 RUNS = {
@@ -64,9 +68,44 @@ def test_trial_i_replays_alone_from_seed_plus_i(check):
 
 @pytest.mark.parametrize("check", sorted(RUNS))
 def test_empty_runs_are_refused(check):
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match="must be a positive integer"):
         RUNS[check](0, 0)
 
+
+U2 = GroupSpec("U", 2)
+
+#: call(value) of each public entry point that takes a count or an order,
+#: with ``value`` in that place.
+COUNTS_AND_ORDERS = {
+    "torsion_point_count": lambda v: torsion_point_count(U2, v),
+    "count_components": lambda v: count_components(U2, v),
+    "catalog_components": lambda v: catalog_components(U2, v),
+    "gcd n": lambda v: gcd_intersection_check(U2, v, 3),
+    "gcd m": lambda v: gcd_intersection_check(U2, 3, v),
+    "element_order": lambda v: element_order(U2, np.eye(2), v),
+    "sample_surface": lambda v: sample_surface((0.5, 1.5), v, 1),
+    "nearest_torsion_approximant": lambda v: nearest_torsion_approximant(
+        GroupSpec("U", 1), [[np.exp(0.3j)]], v),
+    "run_stacked_trials": lambda v: run_stacked_trials(
+        "c", v, 0, lambda rng: ((U2,),), lambda key, d: np.eye(2)[None],
+        lambda key, d, g, r: [], {}),
+    "kernel-image n_max": lambda v: sweep_kernel_image([U2], v, 3, 0),
+    "zero-intersection n_max": lambda v: sweep_zero_intersection(
+        [U2], v, 3, 0),
+    "curve-identities n_max": lambda v: sweep_curve_identities([U2], v, 3, 0),
+    "density N": lambda v: sweep_density([U2], v, 3, 0),
+    "cluster-census samples": lambda v: cluster_census(U2, 2, v, 0),
+}
+
+
+@pytest.mark.parametrize("value", [0, -3, True, 2.5], ids=repr)
+@pytest.mark.parametrize("entry", sorted(COUNTS_AND_ORDERS))
+def test_counts_and_orders_are_positive_integers(entry, value):
+    # one rule, groups.positive_int: before, a bool ran as 1, 2.5 ran (or
+    # raised TypeError) and an order below 1 raised numpy's "high <= 0"
+    # or another text
+    with pytest.raises(ValueError, match="must be a positive integer, got"):
+        COUNTS_AND_ORDERS[entry](value)
 
 
 # ------------------------------------------------------- per-trial oracles
@@ -320,7 +359,7 @@ def test_density_refuses_before_drawing(monkeypatch, capsys):
     sl2 = GroupSpec("SL2R", 2)
     with pytest.raises(UnsupportedGroupError, match="compact families"):
         sweep_density([GroupSpec("U", 2), sl2], 100, 200_000, 0)
-    with pytest.raises(ValueError, match="N must be >= 1"):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
         sweep_density([GroupSpec("U", 2)], 0, 200_000, 0)
     assert cli.main(["verify", "density", "--group", "SL2R",
                      "--trials", "200000"]) == 3
