@@ -374,6 +374,14 @@ def _trial_states(seed, count) -> list:
     return states
 
 
+def _trial_ints(count, seed) -> tuple:
+    """(count, seed) of a seeded run as the Python ints its config echoes
+    and its trials number their seeds from: ``positive_int`` of the count
+    and ``operator.index`` of the seed, so a numpy integer prints as
+    JSON."""
+    return positive_int(count, "trial count"), operator.index(seed)
+
+
 def run_stacked_trials(check, count, seed, draw, build, records, config,
                        worst_residual=None):
     """Run ``count`` seeded trials as stacks and assemble their report.
@@ -393,7 +401,7 @@ def run_stacked_trials(check, count, seed, draw, build, records, config,
     seed, and trial i replays alone as trial 0 of a one-trial run at
     seed + i.  ``worst_residual`` names the residual whose maximum is the
     report's worst residual (default: every residual)."""
-    count = positive_int(count, "trial count")
+    count, seed = _trial_ints(count, seed)
     t0 = time.perf_counter()
     bits = np.random.PCG64()
     rng, draws = np.random.Generator(bits), []

@@ -35,8 +35,8 @@ import numpy as np
 from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
                      element_draws, elements_from_draws, group_inverse,
                      positive_int, random_algebra)
-from .reports import (VerificationReport, inputs_memo, members_only,
-                      run_stacked_trials)
+from .reports import (VerificationReport, _trial_ints, inputs_memo,
+                      members_only, run_stacked_trials)
 from .subspaces import (TOL_RANK, TOL_SUBSPACE, _torsion_outcomes,
                         kernel_image_outcomes, zero_intersection_outcomes)
 from .curves import (DEFAULT_STEPS, RATIO_SLACK, curve_kernel_outcomes,
@@ -123,6 +123,7 @@ def _subspace_sweep(check, outcomes, specs, n_max, trials, seed, config):
     """Sweep of a subspace check, ``outcomes(spec, g, n, **config)`` giving
     a (spec, n) stack's outcomes; ``config`` holds its tolerances."""
     specs, n_max = list(specs), positive_int(n_max, "n_max")
+    trials, seed = _trial_ints(trials, seed)
     memo = inputs_memo()
 
     def records(key, stack, g, residuals):
@@ -156,6 +157,7 @@ def sweep_zero_intersection(specs, n_max, trials, seed, *, tol_rank=TOL_RANK,
 def sweep_tangent(specs, trials, seed) -> VerificationReport:
     """First-order tangent check on random (g, X); g need not be torsion."""
     specs = list(specs)
+    trials, seed = _trial_ints(trials, seed)
     memo = inputs_memo()
 
     def draw(rng):
@@ -180,6 +182,7 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
     """Kernel identity of the initial velocity plus the telescoping product
     at a random parameter, on random torsion elements."""
     specs, n_max = list(specs), positive_int(n_max, "n_max")
+    trials, seed = _trial_ints(trials, seed)
     memo = inputs_memo()
     torsion_draw = _conjugate_draw(specs, n_max)
 
@@ -225,6 +228,7 @@ def sweep_density(specs, N, trials, seed) -> VerificationReport:
     specs = list(specs)
     for spec in specs:
         N = _refuse_nearest(spec, N)
+    trials, seed = _trial_ints(trials, seed)
     memo = inputs_memo()
 
     def draw(rng):
@@ -274,6 +278,7 @@ def sl2_component_census(n: int, samples: int,
     residual, not required.
     """
     n = positive_int(n, "n")
+    samples, seed = _trial_ints(samples, seed)
     spec = GroupSpec("SL2R", 2)
     classes = set()
     memo = inputs_memo()
@@ -326,6 +331,7 @@ def cluster_census(spec: GroupSpec, n: int, samples: int,
     t0 = time.perf_counter()
     n = _check_snap_grid(n)
     expected = count_components(spec, n)
+    samples, seed = _trial_ints(samples, seed)
     seen = set()
     memo = inputs_memo()
 

@@ -14,13 +14,17 @@ reads dimensions off phase multiplicities and ``_realized_rows`` picks
 each class's representative.  The ``Fraction`` API (``canonicalize``,
 ``torsion_point``, ``orbit_dimension``) is a view over them that builds
 ``Fraction``s only for what it returns.  A catalog is one class table
-read in blocks (``_catalog_blocks``): each block is a list of
-``ComponentDescriptor``s with one torus stack of representatives, and
-``catalog_components`` joins them.  One printer per format (text, CSV,
-JSON) turns blocks into text, so the CLI holds one block at a time and
-the list writers print a list as one block; ``count_components`` is a
-closed form.  A class-by-class walk in the tests is the oracle of the
-table and of the count.
+read in blocks (``_catalog_blocks``): each block is a slice of the
+table's columns (phase numerators, parity, orbit size, dimension, order)
+with one torus stack of representatives.  One printer per format (text,
+CSV, JSON) prints blocks from per-catalog text tables: a label part and
+a JSON pair per numerator, a float-list text per distinct representative
+row.  So the CLI holds one block at a time and builds no per-class
+object.  ``catalog_components`` reads the same blocks as
+``ComponentDescriptor``s, and the list writers print a descriptor list
+as blocks of its runs of one group, n, shape and dtype.
+``count_components`` is a closed form.  A class-by-class walk in the
+tests is the oracle of the table and of the count.
 
 This layer reads no matrix and imports no scipy: the catalogs, counts and
 ``verify gcd`` need only numpy, ``groups`` and ``reports``.  The opposite
@@ -31,6 +35,7 @@ their classes back, are in ``sweeps``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -339,12 +344,12 @@ def _class_rows(spec: GroupSpec, n: int) -> tuple:
     return ks, parity, orbit, _dimension_rows(spec, n, ks)
 
 
-def _table_invariants(grid: list, ks: np.ndarray, parity: np.ndarray) -> list:
-    # the CanonicalInvariants of class-table rows, their phases k/n read
-    # off the grid of Fraction(k, n), k < n
+def _table_invariants(grid: list, ks: list, parity: list) -> list:
+    # the CanonicalInvariants of class-table rows (lists of ints), their
+    # phases read off the grid of Fractions that the ints k index
     return [CanonicalInvariant(tuple(grid[k] for k in row),
                                None if bit < 0 else bit)
-            for row, bit in zip(ks.tolist(), parity.tolist())]
+            for row, bit in zip(ks, parity)]
 
 
 def class_table(spec: GroupSpec, n: int) -> dict:
@@ -355,14 +360,66 @@ def class_table(spec: GroupSpec, n: int) -> dict:
     ``class_count_bound`` exceeds MAX_CLASSES."""
     ks, parity, orbit, _ = _class_rows(spec, n)
     grid = [Fraction(k, n) for k in range(n)]
-    return dict(zip(_table_invariants(grid, ks, parity), orbit.tolist()))
+    return dict(zip(_table_invariants(grid, ks.tolist(), parity.tolist()),
+                    orbit.tolist()))
 
 
 def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     """Complete catalog of orbits of {g : g^n = e}, sorted by canonical
     invariant.  One entry per Weyl orbit of torsion points: the join of
-    the blocks of ``_catalog_blocks``, which the CLI prints one by one."""
+    the blocks of ``_catalog_blocks``, each read as its components."""
     return list(itertools.chain.from_iterable(_catalog_blocks(spec, n)))
+
+
+class _PhaseTable:
+    """The phases that the ks of catalog blocks index, as (numerator,
+    denominator) pairs in lowest terms.  Their label parts "num/den", JSON
+    [num, den] lists and Fractions are each made once per table, on first
+    use."""
+
+    def __init__(self, pairs: list):
+        self.pairs = pairs
+
+    @functools.cached_property
+    def label_parts(self) -> list:
+        return [f"{a}/{b}" for a, b in self.pairs]
+
+    @functools.cached_property
+    def json_pairs(self) -> list:
+        return [_json_list([str(a), str(b)], _PART_PAD) for a, b in self.pairs]
+
+    @functools.cached_property
+    def fractions(self) -> list:
+        return [Fraction(a, b) for a, b in self.pairs]
+
+
+@dataclass
+class _CatalogBlock:
+    """Consecutive catalog entries of one group and n, as columns: each
+    entry's row of ks (indices into ``phases``, its canonical phases in
+    order), parity bit (-1 for none), orbit size, dimension and exact
+    order, and the (entries, *shape) stack of representatives.  Iterating
+    a block gives its ``ComponentDescriptor``s; the printers read the
+    columns and build none."""
+
+    spec: GroupSpec
+    n: int
+    ks: list
+    parity: list
+    orbit: list
+    dimension: list
+    order: list
+    reps: np.ndarray
+    phases: _PhaseTable
+
+    def __len__(self) -> int:
+        return len(self.ks)
+
+    def __iter__(self):
+        return map(functools.partial(ComponentDescriptor, self.spec, self.n),
+                   _table_invariants(self.phases.fractions, self.ks,
+                                     self.parity),
+                   self.reps, self.dimension, self.order, self.orbit)
 
 
 #: Catalog entries per block of ``_catalog_blocks``.
@@ -370,22 +427,48 @@ _BLOCK = 256
 
 
 def _catalog_blocks(spec: GroupSpec, n: int):
-    """The catalog of {g : g^n = e} in order, as lists of at most
-    ``_BLOCK`` components: one class table and one Fraction grid per
-    catalog, one torus stack of representatives per block.  Raises
+    """The catalog of {g : g^n = e} in order, as ``_CatalogBlock``s of at
+    most ``_BLOCK`` classes: slices of one ``_class_rows`` table, whose ks
+    are the phase numerators (phases k/n) and index one phase table per
+    catalog, and one torus stack of representatives per block.  Raises
     ValueError where ``_class_keys`` does, at the first block."""
+    n = positive_int(n, "n")
     ks, parity, orbit, dimension = _class_rows(spec, n)
-    grid = [Fraction(k, n) for k in range(n)]
     orders = n // np.gcd.reduce(ks, axis=1, initial=n)
+    k = np.arange(n)
+    gcd = np.gcd(k, n)
+    phases = _PhaseTable(list(zip((k // gcd).tolist(), (n // gcd).tolist())))
     for at in range(0, len(ks), _BLOCK):
         rows = slice(at, at + _BLOCK)
         reps = torus_stack(spec, _realized_rows(n, ks[rows],
                                                 parity[rows] == 1) / n)
-        yield [ComponentDescriptor(spec, n, inv, rep, dim, order, size)
-               for inv, rep, dim, order, size in zip(
-                   _table_invariants(grid, ks[rows], parity[rows]), reps,
-                   dimension[rows].tolist(), orders[rows].tolist(),
-                   orbit[rows].tolist())]
+        yield _CatalogBlock(spec, n, ks[rows].tolist(), parity[rows].tolist(),
+                            orbit[rows].tolist(), dimension[rows].tolist(),
+                            orders[rows].tolist(), reps, phases)
+
+
+def _component_blocks(catalog: list[ComponentDescriptor]):
+    """A list of components as ``_CatalogBlock``s, one per run of
+    consecutive components that share group, n, and representative shape
+    and dtype.  A run's ks index a phase table of the run's own
+    Fractions."""
+    def run_key(comp):
+        rep = np.asarray(comp.representative)
+        return comp.spec, comp.n, rep.shape, rep.dtype
+
+    for (spec, n, *_), run in itertools.groupby(catalog, run_key):
+        run, table = list(run), {}
+        ks = [[table.setdefault(p, len(table)) for p in comp.canonical.phases]
+              for comp in run]
+        yield _CatalogBlock(
+            spec, n, ks,
+            [-1 if comp.canonical.parity is None else comp.canonical.parity
+             for comp in run],
+            [comp.orbit_size for comp in run],
+            [comp.dimension for comp in run],
+            [comp.exact_order for comp in run],
+            np.stack([np.asarray(comp.representative) for comp in run]),
+            _PhaseTable([(p.numerator, p.denominator) for p in table]))
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
@@ -482,62 +565,98 @@ def write_catalog_csv(catalog: list[ComponentDescriptor], fileobj) -> None:
     """Write the catalog as CSV with the ``CATALOG_CSV_COLUMNS`` header,
     one row per component, as ``csv.writer`` prints it: a label holding a
     comma is quoted."""
-    fileobj.writelines(_csv_blocks([catalog]))
+    fileobj.writelines(_csv_blocks(_component_blocks(catalog)))
+
+
+def _labels(block: _CatalogBlock) -> list:
+    # each entry's CanonicalInvariant.label, from the block's phase table
+    parts = block.phases.label_parts
+    return [",".join([parts[k] for k in row] + ([] if bit < 0 else
+                                                [f"p{bit}"]))
+            for row, bit in zip(block.ks, block.parity)]
 
 
 def _csv_blocks(blocks):
-    # the text of write_catalog_csv for a catalog given as lists of
-    # components, one piece per list (the header goes with the first)
+    # the text of write_catalog_csv for a catalog given as blocks, one
+    # piece per block (the header goes with the first)
     head, index = ",".join(CATALOG_CSV_COLUMNS) + "\n", 0
     for block in blocks:
-        rows = []
-        for i, comp in enumerate(block, index):
-            label = comp.canonical.label()
-            rows.append("%s,%s,%s,%s,%s,%s,%s\n" % (
-                comp.spec.family, comp.spec.size, comp.n, i,
-                f'"{label}"' if "," in label else label, comp.dimension,
-                comp.exact_order))
-        yield head + "".join(rows)
+        row = f"{block.spec.family},{block.spec.size},{block.n},%d,%s,%s,%s\n"
+        labels = [f'"{label}"' if "," in label else label
+                  for label in _labels(block)]
+        yield head + "".join(map(row.__mod__, zip(
+            itertools.count(index), labels, block.dimension, block.order)))
         head, index = "", index + len(block)
 
 
 def _text_blocks(spec: GroupSpec, n: int, blocks):
-    # the text catalog of {g : g^n = e}, given as lists of components: a
-    # count line, then one line per component; one piece per list
+    # the text catalog of {g : g^n = e}, given as blocks: a count line,
+    # then one line per component; one piece per block
     head = f"{spec.label()} n={n}: {count_components(spec, n)} components\n"
     index = 0
     for block in blocks:
-        yield head + "".join(
-            f"  [{i}] {comp.canonical.label():<24} dim={comp.dimension} "
-            f"order={comp.exact_order} orbit={comp.orbit_size}\n"
-            for i, comp in enumerate(block, index))
+        yield head + "".join(map(
+            "  [%d] %-24s dim=%s order=%s orbit=%s\n".__mod__,
+            zip(itertools.count(index), _labels(block), block.dimension,
+                block.order, block.orbit)))
         head, index = "", index + len(block)
 
 
-#: One catalog entry of ``write_catalog_json``, at its depth in the
-#: document and with its keys in sorted order.
-_JSON_ENTRY = """\
+#: Indents of the closing brackets of an entry's phases and of the lists
+#: inside its representative, and the separator of a list's floats.
+_PHASES_PAD, _PART_PAD = " " * 6, " " * 8
+_FLOAT_SEP = ",\n" + _PART_PAD + "  "
+
+
+def _json_entry(block: _CatalogBlock) -> str:
+    """The ``%``-template of one entry of ``write_catalog_json``, at its
+    depth in the document and with its keys in sorted order, with what
+    the block's entries share filled in: group, n, size and the shape and
+    dtype of the representative.  It takes the label, index, dimension,
+    exact order, orbit size, parity and phases texts, then the imaginary
+    part (complex blocks only) and the real part."""
+    shape = _json_list([str(d) for d in block.reps.shape[1:]], _PART_PAD)
+    imag = '        "imag": %s,\n' if block.reps.dtype.kind == "c" else ""
+    return f"""\
     {{
-      "canonical": {canonical},
-      "component_index": {index},
-      "dimension": {dimension},
-      "exact_order": {exact_order},
-      "group": {group},
-      "n": {n},
-      "orbit_size": {orbit_size},
-      "parity": {parity},
-      "phases": {phases},
+      "canonical": "%s",
+      "component_index": %d,
+      "dimension": %s,
+      "exact_order": %s,
+      "group": {_json_string(block.spec.family)},
+      "n": {block.n},
+      "orbit_size": %s,
+      "parity": %s,
+      "phases": %s,
       "representative": {{
-{imag}        "real": {real},
+{imag}        "real": %s,
         "shape": {shape}
       }},
-      "size": {size}
+      "size": {block.spec.size}
     }}"""
 
 
-#: Indents of the closing brackets of an entry's phases and of the lists
-#: inside its representative.
-_PHASES_PAD, _PART_PAD = " " * 6, " " * 8
+def _float_lists(part: np.ndarray) -> list:
+    """The JSON list text of each entry of a (entries, *shape) array, its
+    floats flat in row-major order, at the depth of a representative's
+    lists.  A row of the last axis is printed once per distinct bit
+    pattern (0.0 and -0.0 differ), by ``repr``, and shared: each row of a
+    torus representative holds one phase, so a block has at most slots x n
+    distinct rows."""
+    count = len(part)
+    flat = np.ascontiguousarray(part, dtype=np.float64).reshape(count, -1)
+    if not flat.size:
+        return ["[]"] * count
+    width = part.shape[-1] if part.ndim > 1 else 1
+    rows = flat.reshape(-1, width)
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * width))).ravel(),
+        return_index=True, return_inverse=True)
+    texts = np.array([_FLOAT_SEP.join(map(repr, row))
+                      for row in rows[first].tolist()], dtype=object)
+    head, tail = "[\n" + _PART_PAD + "  ", "\n" + _PART_PAD + "]"
+    return [head + _FLOAT_SEP.join(entry) + tail
+            for entry in texts[inverse].reshape(count, -1).tolist()]
 
 
 def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
@@ -550,59 +669,30 @@ def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
     parts.  Raises ValueError for a non-finite representative, before
     anything is written: json.dumps would print NaN or Infinity, which is
     not JSON."""
-    fileobj.writelines(_json_blocks([catalog], config))
+    fileobj.write("".join(_json_blocks(_component_blocks(catalog), config)))
 
 
 def _json_blocks(blocks, config: dict):
-    """The text of ``write_catalog_json`` for a catalog given as lists of
-    components: one piece per nonempty list, then the closing text.  A
-    list's representatives are checked before its piece is made; their
-    float texts are one repr per distinct bit pattern (0.0 and -0.0
-    differ), shared by the list's entries."""
+    """The text of ``write_catalog_json`` for a catalog given as blocks:
+    one piece per block, then the closing text.  A block's
+    representatives are checked before its piece is made, and its float
+    lists come from ``_float_lists``."""
     config_text = json.dumps(config, sort_keys=True, indent=2)
-    phase_texts, shape_texts, index = {}, {}, 0
-    head = '{\n  "components": [\n'
-    for block in filter(None, blocks):
-        reps = [np.asarray(comp.representative) for comp in block]
-        floats = np.concatenate(
-            [part.ravel() for rep in reps for part in
-             ((rep.real, rep.imag) if rep.dtype.kind == "c" else (rep,))],
-            dtype=np.float64)
-        if not np.isfinite(floats).all():
+    head, index = '{\n  "components": [\n', 0
+    for block in blocks:
+        reps = block.reps
+        if not np.isfinite(reps).all():
             raise ValueError("a catalog representative is not finite; JSON "
                              "cannot hold it")
-        bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
-        texts = np.array([repr(x) for x in bits.view(np.float64).tolist()],
-                         dtype=object)[inverse].tolist()
-        entries, at = [], 0
-        for i, (comp, rep) in enumerate(zip(block, reps), index):
-            phases = []
-            for p in comp.canonical.phases:
-                key = p.numerator, p.denominator
-                if key not in phase_texts:
-                    phase_texts[key] = _json_list(list(map(str, key)),
-                                                  _PART_PAD)
-                phases.append(phase_texts[key])
-            if rep.shape not in shape_texts:
-                shape_texts[rep.shape] = _json_list(list(map(str, rep.shape)),
-                                                    _PART_PAD)
-            real, at = texts[at:at + rep.size], at + rep.size
-            imag = ""
-            if rep.dtype.kind == "c":
-                imag = (f'        "imag": '
-                        f'{_json_list(texts[at:at + rep.size], _PART_PAD)},\n')
-                at += rep.size
-            parity = comp.canonical.parity
-            entries.append(_JSON_ENTRY.format(
-                canonical=_json_string(comp.canonical.label()), index=i,
-                dimension=comp.dimension, exact_order=comp.exact_order,
-                group=_json_string(comp.spec.family), n=comp.n,
-                orbit_size=comp.orbit_size,
-                parity="null" if parity is None else parity,
-                phases=_json_list(phases, _PHASES_PAD), imag=imag,
-                real=_json_list(real, _PART_PAD),
-                shape=shape_texts[rep.shape], size=comp.spec.size))
-        yield head + ",\n".join(entries)
+        parts = (reps.imag, reps.real) if reps.dtype.kind == "c" else (reps,)
+        pairs = block.phases.json_pairs
+        yield head + ",\n".join(map(_json_entry(block).__mod__, zip(
+            _labels(block), itertools.count(index), block.dimension,
+            block.order, block.orbit,
+            ["null" if bit < 0 else str(bit) for bit in block.parity],
+            [_json_list([pairs[k] for k in row], _PHASES_PAD)
+             for row in block.ks],
+            *map(_float_lists, parts))))
         head, index = ",\n", index + len(block)
     yield (("\n  ]" if index else '{\n  "components": []') + ',\n  "config": '
            + config_text.replace("\n", "\n  ") + "\n}\n")

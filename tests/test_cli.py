@@ -1,5 +1,7 @@
 """End-to-end CLI runs: exit codes, output formats, determinism."""
 
+import collections
+import contextlib
 import csv
 import hashlib
 import io
@@ -7,10 +9,14 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_torsion import catalog_json_payload
 from torsion_orbits import cli, torsion
 from torsion_orbits.groups import GroupSpec
 from torsion_orbits.reports import strip_wall_time
@@ -125,6 +131,71 @@ def test_catalog_blocks_print_the_list_writers_bytes(capsys, monkeypatch,
                           ("json", json_buf.getvalue())):
             code, out, _ = run(capsys, argv + [fmt])
             assert (code, out) == (0, want), (spec.label(), n, fmt)
+
+
+#: Groups of the catalog property, every family and parity case.
+CATALOG_SPECS = ([GroupSpec("U", m) for m in range(1, 5)]
+                 + [GroupSpec("SU", m) for m in range(2, 5)]
+                 + [GroupSpec("SO", m) for m in range(2, 6)]
+                 + [GroupSpec("SL2R", 2)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(CATALOG_SPECS), st.integers(1, 12),
+       st.sampled_from([1, 2, 3, 5, 256]))
+def test_catalog_blocks_print_the_list_writers_bytes_everywhere(spec, n,
+                                                                block):
+    # at any block size, the CLI's three formats print what the list
+    # writers print for catalog_components, and the JSON is what json.dumps
+    # prints for the oracle payload; catalogs kept under 200 classes
+    if torsion.count_components(spec, n) > 200:
+        n = 2
+    catalog = torsion.catalog_components(spec, n)
+    config = cli.RunConfig(command="catalog", family=spec.family,
+                           size=spec.size, n=n, fmt="json").as_dict()
+    csv_buf, json_buf = io.StringIO(), io.StringIO()
+    torsion.write_catalog_csv(catalog, csv_buf)
+    torsion.write_catalog_json(catalog, config, json_buf)
+    assert json_buf.getvalue() == json.dumps(
+        {"config": config, "components": catalog_json_payload(catalog)},
+        sort_keys=True, indent=2) + "\n"
+    argv = ["catalog", "--group", spec.family, "--size", str(spec.size),
+            "--n", str(n), "--format"]
+    with mock.patch.object(torsion, "_BLOCK", block):
+        for fmt, want in (("text", catalog_text(spec, n, catalog)),
+                          ("csv", csv_buf.getvalue()),
+                          ("json", json_buf.getvalue())):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv + [fmt]) == 0
+            assert out.getvalue() == want, (spec.label(), n, block, fmt)
+
+
+def test_cli_catalogs_build_no_per_class_objects(capsys, monkeypatch):
+    # the printers read the class table's columns: a CLI catalog in any
+    # format makes no ComponentDescriptor, CanonicalInvariant or Fraction
+    counts = collections.Counter()
+
+    def counting(name, make):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return make(*args, **kwargs)
+        return counted
+
+    for name in ("ComponentDescriptor", "CanonicalInvariant", "Fraction"):
+        monkeypatch.setattr(torsion, name,
+                            counting(name, getattr(torsion, name)))
+    for family, size, n in (("U", 3, 6), ("SO", 4, 5), ("SL2R", 2, 4)):
+        for fmt in ("text", "csv", "json"):
+            code, out, _ = run(capsys, ["catalog", "--group", family,
+                                        "--size", str(size), "--n", str(n),
+                                        "--format", fmt])
+            assert code == 0 and out
+    assert counts == {}
+    # the wrappers count: the list API still builds all three per class
+    torsion.catalog_components(GroupSpec("SO", 4), 5)
+    assert set(counts) == {"ComponentDescriptor", "CanonicalInvariant",
+                           "Fraction"}
 
 
 @pytest.mark.parametrize("argv", [

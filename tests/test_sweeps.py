@@ -67,6 +67,20 @@ def test_trial_i_replays_alone_from_seed_plus_i(check):
 
 
 @pytest.mark.parametrize("check", sorted(RUNS))
+def test_numpy_integer_counts_and_seeds_print_as_json(check):
+    # a numpy count and seed are echoed, and number the trial seeds, as
+    # Python ints: before, to_json raised "Object of type int64 is not JSON
+    # serializable" after every trial had run
+    report = RUNS[check](np.int64(3), np.int64(5))
+    want = RUNS[check](3, 5)
+    assert (reports.strip_wall_time(json.loads(report.to_json()))
+            == reports.strip_wall_time(json.loads(want.to_json())))
+    for value in (report.config.get("trials", report.config.get("samples")),
+                  report.config["seed"], *(t.seed for t in report.trials)):
+        assert type(value) is int
+
+
+@pytest.mark.parametrize("check", sorted(RUNS))
 def test_empty_runs_are_refused(check):
     with pytest.raises(ValueError, match="must be a positive integer"):
         RUNS[check](0, 0)
