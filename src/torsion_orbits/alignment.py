@@ -198,14 +198,15 @@ def _sl2_align(g: np.ndarray):
 
 def _alignment(spec: GroupSpec, g: np.ndarray):
     """(Q, raw phases) of a group member g, with g = Q t Q^-1 for t the
-    torus point with those phases (cycles): a complex Schur form for U/SU,
-    ``_so_torus_align`` for SO and ``_sl2_align`` for SL(2,R)."""
-    if spec.family in ("U", "SU"):
+    torus point with those phases (cycles): a complex Schur form for a
+    complex family, ``_so_torus_align`` for a real compact one and
+    ``_sl2_align`` for SL(2,R)."""
+    if spec.is_complex:
         return _unitary_eigenstructure(g)
-    if spec.family == "SL2R":
-        Q, phase = _sl2_align(g)
-        return Q, [phase]
-    return _so_torus_align(g)
+    if spec.is_compact:
+        return _so_torus_align(g)
+    Q, phase = _sl2_align(g)
+    return Q, [phase]
 
 
 def _snapped_alignment(spec: GroupSpec, g: np.ndarray, n: int):
@@ -231,11 +232,11 @@ def canonical_align(spec: GroupSpec, g: np.ndarray, n: int):
     realized = _realized_rows(n, canonical[:, :-1],
                               canonical[:, -1] == 1)[0].tolist()
     ks = ks.tolist()
-    if spec.family in ("U", "SU"):
+    if spec.weyl == "permutations":
         Q = Q[:, sorted(range(len(ks)), key=ks.__getitem__)]
-        if spec.family == "SU":
+        if spec.phase_sum:
             Q = Q * np.exp(-1j * np.angle(np.linalg.det(Q)) / spec.size)
-    elif spec.family == "SO" and spec.size > 2:
+    elif spec.weyl == "signed":
         order = sorted(range(len(ks)), key=lambda b: min(ks[b], n - ks[b]))
         # moving whole planes keeps det Q = 1; an odd axis stays last
         Q = Q[:, [c for b in order for c in (2 * b, 2 * b + 1)]
@@ -281,7 +282,7 @@ def _invariant_rows(spec: GroupSpec, n: int, g: np.ndarray):
     same eigenvalues up to rounding, so they could snap a phase apart only
     within rounding of SNAP_TOL from the grid."""
     errors = [None] * len(g)
-    if spec.family == "SL2R":
+    if not spec.is_compact:
         _, phases, refused = _sl2_align_stack(g)
         for i in np.flatnonzero(refused):
             errors[i] = ValueError(_SL2_REFUSALS[refused[i]])
@@ -316,15 +317,15 @@ def _eigen_rows(spec: GroupSpec, n: int, g: np.ndarray):
     where a phase does not snap, the phases do not pair up as a real
     orthogonal matrix's do, or the Pfaffian is below half its torus value,
     too close to 0 for its sign to be trusted."""
-    if spec.family == "SO":
+    if not spec.is_complex:
         g = np.asarray(g, dtype=float)
-    if spec.family == "SO" and spec.size == 2:
+    if spec.weyl == "trivial":
         raw = np.arctan2(g[:, 1, 0], g[:, 0, 0])[:, None] / (2 * np.pi) % 1.0
     else:
         raw = np.angle(np.linalg.eigvals(g)) / (2 * np.pi) % 1.0
     ks, off = _snap(raw, n)
     decided = ~off.any(axis=1)
-    if spec.family != "SO" or spec.size == 2:
+    if spec.weyl != "signed":
         return ks, decided
     ks = np.sort(ks, axis=1)
     decided &= (ks == np.sort((n - ks) % n, axis=1)).all(axis=1)
@@ -334,7 +335,7 @@ def _eigen_rows(spec: GroupSpec, n: int, g: np.ndarray):
         folded = folded[:, 1:]
     pairs = folded[:, 0::2]
     decided &= (pairs == folded[:, 1::2]).all(axis=1)
-    if spec.size == 4:
+    if spec.parity_split:
         a = (g - g.swapaxes(1, 2)) / 2
         pf = (a[:, 0, 1] * a[:, 2, 3] - a[:, 0, 2] * a[:, 1, 3]
               + a[:, 0, 3] * a[:, 1, 2])
@@ -358,7 +359,7 @@ def approximation_bound(spec: GroupSpec, N: int, corrections: int = 0) -> float:
 def _refuse_nearest(spec: GroupSpec, N: int) -> int:
     # the refusals of nearest torsion approximation that precede
     # membership; returns N as an int
-    if spec.family == "SL2R":
+    if not spec.is_compact:
         raise UnsupportedGroupError(
             "nearest torsion approximation is defined for the compact families")
     return positive_int(N, "N")
@@ -369,10 +370,10 @@ def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
     nor the refusals of ``_refuse_nearest`` are checked here: the callers
     check both first."""
     corrections = 0
-    if spec.family in ("U", "SU"):
+    if spec.is_complex:
         Z, phases = _unitary_eigenstructure(g)
         ks = np.rint(phases * N).astype(int)
-        if spec.family == "SU":
+        if spec.phase_sum:
             # det g = 1 means the raw phases sum to an integer; push the
             # rounded sum back onto the grid with minimal extra movement.
             target = int(np.rint(phases.sum()))

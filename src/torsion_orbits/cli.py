@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .groups import (FAMILIES, TOL_MEMBERSHIP, GroupSpec,
+from .groups import (FAMILIES, FAMILY_RECORDS, TOL_MEMBERSHIP, GroupSpec,
                      UnsupportedGroupError)
 from .subspaces import TOL_RANK, TOL_SUBSPACE
 from .surface import (circle_points, export_points_csv, sample_surface,
@@ -111,18 +111,18 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_spec(args):
-    """GroupSpec from --group/--size, or None when neither was given."""
+    """GroupSpec from --group/--size, or None when neither was given; a
+    family realized at one size only takes it by default."""
     family = getattr(args, "group", None)
     size = getattr(args, "size", None)
     if family is None and size is None:
         return None
     if family is None:
         raise ConfigError("--size requires --group")
-    if family == "SL2R":
-        return GroupSpec("SL2R", 2 if size is None else size)
-    if size is None:
+    sizes = FAMILY_RECORDS[family].sizes
+    if size is None and len(sizes) > 1:
         raise ConfigError(f"--group {family} requires --size")
-    return GroupSpec(family, size)
+    return GroupSpec(family, sizes[0] if size is None else size)
 
 
 def _write_text(path, text: str) -> None:

@@ -246,7 +246,7 @@ def _conjugator_stack(spec: GroupSpec, h: np.ndarray,
     and H(s) = exp(s L).  SL(2,R): split h = k exp(p) and move both
     factors linearly, H(s) = R(s phi) exp(s p).
     """
-    if spec.family == "SL2R":
+    if not spec.is_compact:
         k, p = cartan_decompose(h)
         phi = float(np.arctan2(k[1, 0], k[0, 0]))
         return (torus_stack(spec, (s * phi / (2 * np.pi))[:, None])
@@ -254,13 +254,13 @@ def _conjugator_stack(spec: GroupSpec, h: np.ndarray,
     Q, phases = _alignment(spec, h)
     theta = 2 * np.pi * np.asarray(phases, dtype=float)
     theta = np.where(theta > np.pi, theta - 2 * np.pi, theta)
-    if spec.family == "SO":
+    if not spec.is_complex:
         J = np.zeros((spec.size, spec.size))
         for b, th in enumerate(theta):  # at most 2 rotation blocks
             J[2 * b, 2 * b + 1], J[2 * b + 1, 2 * b] = -th, th
         L = Q @ J @ Q.T
     else:
-        if spec.family == "SU":
+        if spec.phase_sum:
             # keep the generator traceless: the angles sum to a multiple of
             # 2 pi, absorbed by shifting one of them a full turn
             shift = int(np.rint(theta.sum() / (2 * np.pi)))

@@ -6,6 +6,17 @@ vectors with respect to a fixed orthonormal basis of the algebra; the inner
 product throughout is <X, Y> = Re tr(X* Y), which is Ad-invariant on the
 compact families.
 
+Every fact that makes a family what it is is decided here, once, in its
+``Family`` record (``FAMILY_RECORDS``): the label template, the admissible
+sizes, complex or real (``is_complex``), det = 1 (``det_one``; for a
+complex family, the SU phase-sum constraint) and compact or not
+(``is_compact``), with ``dim(m)`` and ``rank(m)`` derived from them.  A
+``GroupSpec`` looks its record up by family tag and derives the shapes the
+other layers branch on: ``phase_slots``, ``phase_sum``, the Weyl action
+(``weyl``: permutations, signed permutations, or trivial for SO(2) and
+SL(2,R)) and the SO(2r) ``parity_split``.  No other module tests a family
+tag, and the branches of this module read the same parameters.
+
 Membership residuals, adjoints and random elements are computed for a
 stack of matrices at a time (``membership_residuals``, ``adjoint_stack``,
 ``elements_from_draws``); ``membership_residual``, ``adjoint_matrix`` and
@@ -24,11 +35,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
-
-FAMILIES = ("U", "SU", "SO", "SL2R")
 
 #: Frobenius tolerance for membership checks.
 TOL_MEMBERSHIP = 1e-9
@@ -54,8 +63,57 @@ def positive_int(value, name: str) -> int:
 
 
 @dataclass(frozen=True)
+class Family:
+    """The parameters of one matrix family; ``dim`` and ``rank`` of its
+    size-m group, and every shape ``GroupSpec`` exposes, follow from them.
+
+    A complex family is a group of unitary matrices, a real compact one of
+    orthogonal matrices; either way its maximal torus is the standard one.
+    A real noncompact family is a real form of SL(m, C) whose torus is
+    that of its maximal compact subgroup SO(m)."""
+
+    #: ``str.format`` template of a group's label, given its size m.
+    label: str
+    #: The admissible matrix sizes m.
+    sizes: range
+    is_complex: bool
+    #: det g = 1; for a complex family, the torus phases sum to an integer.
+    det_one: bool
+    is_compact: bool
+
+    @property
+    def orthogonal(self) -> bool:
+        """Real orthogonal matrices: a real form of SO(m, C).  The other
+        families are real forms of GL(m, C) or SL(m, C)."""
+        return self.is_compact and not self.is_complex
+
+    def dim(self, m: int) -> int:
+        """Real dimension of the Lie algebra: m(m-1)/2 skew-symmetric
+        real matrices, else m^2 entries less the trace for det = 1."""
+        return m * (m - 1) // 2 if self.orthogonal else m * m - self.det_one
+
+    def rank(self, m: int) -> int:
+        """Dimension of a maximal torus: the m eigenphases less the sum
+        constraint (complex), or the m // 2 rotation blocks (real)."""
+        return m - self.det_one if self.is_complex else m // 2
+
+
+#: The record of each family, by the tag ``GroupSpec`` takes.
+FAMILY_RECORDS = {
+    # tag: Family(label, sizes, is_complex, det_one, is_compact)
+    "U": Family("U({})", range(1, MAX_SIZE + 1), True, False, True),
+    "SU": Family("SU({})", range(2, MAX_SIZE + 1), True, True, True),
+    "SO": Family("SO({})", range(2, MAX_SIZE + 1), False, True, True),
+    "SL2R": Family("SL(2,R)", range(2, 3), False, True, False),
+}
+
+FAMILIES = tuple(FAMILY_RECORDS)
+
+
+@dataclass(frozen=True)
 class GroupSpec:
-    """Family tag plus matrix size.  ``SL2R`` forces size 2."""
+    """Family tag plus matrix size.  Every family fact is read off the
+    family's ``Family`` record (``record``), looked up, not stored."""
 
     family: str
     size: int
@@ -64,61 +122,84 @@ class GroupSpec:
         if self.family not in FAMILIES:
             raise UnsupportedGroupError(f"unknown family {self.family!r}")
         object.__setattr__(self, "size", positive_int(self.size, "size"))
-        if self.family == "SL2R":
-            if self.size != 2:
-                raise UnsupportedGroupError("SL2R is only realized on 2x2 matrices")
-        else:
-            lo = 2 if self.family in ("SU", "SO") else 1
-            if self.size < lo or self.size > MAX_SIZE:
+        sizes = self.record.sizes
+        if self.size not in sizes:
+            if len(sizes) == 1:
                 raise UnsupportedGroupError(
-                    f"{self.family}({self.size}) is out of the supported range "
-                    f"{lo}..{MAX_SIZE}")
+                    f"{self.family} is only realized on {sizes[0]}x{sizes[0]} "
+                    "matrices")
+            raise UnsupportedGroupError(
+                f"{self.family}({self.size}) is out of the supported range "
+                f"{sizes[0]}..{sizes[-1]}")
+
+    @property
+    def record(self) -> Family:
+        """The family's record, looked up on every read."""
+        return FAMILY_RECORDS[self.family]
 
     @property
     def is_complex(self) -> bool:
-        return self.family in ("U", "SU")
+        return self.record.is_complex
+
+    @property
+    def is_compact(self) -> bool:
+        return self.record.is_compact
+
+    @property
+    def phase_sum(self) -> bool:
+        """The torus phases sum to an integer (SU: det = 1 on the torus)."""
+        return self.is_complex and self.record.det_one
 
     @property
     def dim(self) -> int:
         """Real dimension of the Lie algebra."""
-        m = self.size
-        if self.family == "U":
-            return m * m
-        if self.family == "SU":
-            return m * m - 1
-        if self.family == "SO":
-            return m * (m - 1) // 2
-        return 3
+        return self.record.dim(self.size)
 
     @property
     def rank(self) -> int:
         """Dimension of a maximal torus."""
-        m = self.size
-        if self.family == "U":
-            return m
-        if self.family == "SU":
-            return m - 1
-        if self.family == "SO":
-            return m // 2
-        return 1
+        return self.record.rank(self.size)
+
+    @property
+    def phase_slots(self) -> int:
+        """Length of a torus phase vector: one phase per eigenvalue for a
+        complex family (the sum constraint cuts the dimension down to the
+        rank), one per rotation block for a real one."""
+        return self.size if self.is_complex else self.rank
 
     @property
     def eigenphase_count(self) -> int:
         # Number of unit-circle eigenphases moved when perturbing along the
-        # torus: every eigenvalue for U/SU, both members of each rotation
-        # pair for SO, the single rotation pair for SL2R.
-        if self.family == "SO":
-            return 2 * self.rank
-        if self.family == "SL2R":
-            return 2
-        return self.size
+        # torus: every eigenvalue of a complex family, both members of each
+        # rotation pair of a real one.
+        return self.size if self.is_complex else 2 * self.rank
+
+    @property
+    def weyl(self) -> str:
+        """How the Weyl group acts on a torus phase vector:
+        "permutations" (complex families), "signed" permutations, each
+        sign reflecting a phase p -> 1 - p (real families, m >= 3), or
+        "trivial" (SO(2), SL(2,R))."""
+        if self.is_complex:
+            return "permutations"
+        return "trivial" if self.size == 2 else "signed"
+
+    @property
+    def parity_split(self) -> bool:
+        """SO(2r), r >= 2: the Weyl group makes only even sign changes, so
+        a class with every phase off {0, 1/2} splits in two by parity."""
+        return self.weyl == "signed" and self.size % 2 == 0
 
     def identity(self) -> np.ndarray:
         dtype = complex if self.is_complex else float
         return np.eye(self.size, dtype=dtype)
 
     def label(self) -> str:
-        return "SL(2,R)" if self.family == "SL2R" else f"{self.family}({self.size})"
+        return self.record.label.format(self.size)
+
+
+#: The one SL(2,R) group, which the SL(2,R)-only code runs on.
+SL2R = GroupSpec("SL2R", 2)
 
 
 class AlgebraBasis:
@@ -153,36 +234,25 @@ def _su_diagonal_directions(m: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def algebra_basis(spec: GroupSpec) -> AlgebraBasis:
-    """Orthonormal basis (w.r.t. Re tr(X* Y)) of the Lie algebra."""
-    m = spec.size
-    mats = []
-    if spec.family in ("U", "SU"):
-        if spec.family == "U":
-            for j in range(m):
-                B = np.zeros((m, m), dtype=complex)
-                B[j, j] = 1j
-                mats.append(B)
-        else:
-            for v in _su_diagonal_directions(m):
-                mats.append(np.diag(1j * v))
-        for j in range(m):
-            for k in range(j + 1, m):
-                A = np.zeros((m, m), dtype=complex)
-                A[j, k], A[k, j] = 1.0, -1.0
-                mats.append(A / np.sqrt(2))
-                S = np.zeros((m, m), dtype=complex)
-                S[j, k], S[k, j] = 1j, 1j
-                mats.append(S / np.sqrt(2))
-    elif spec.family == "SO":
-        for j in range(m):
-            for k in range(j + 1, m):
-                A = np.zeros((m, m))
-                A[j, k], A[k, j] = 1.0, -1.0
-                mats.append(A / np.sqrt(2))
-    else:  # sl(2,R): traceless real
-        mats.append(np.diag([1.0, -1.0]) / np.sqrt(2))
-        mats.append(np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(2))
-        mats.append(np.array([[0.0, 1.0], [-1.0, 0.0]]) / np.sqrt(2))
+    """Orthonormal basis (w.r.t. Re tr(X* Y)) of the Lie algebra: unless
+    the family is orthogonal, the diagonals (traceless for det = 1; times
+    i for a complex family), then per pair j < k of indices the skew
+    direction A = E_jk - E_kj and, unless orthogonal, the symmetric one
+    S = u (E_jk + E_kj), u = i or 1; a noncompact family lists S first."""
+    m, record = spec.size, spec.record
+    unit = 1j if spec.is_complex else 1.0
+    diagonals = [] if record.orthogonal else (
+        _su_diagonal_directions(m) if record.det_one else np.eye(m))
+    mats = [np.diag(unit * v) for v in diagonals]
+    for j in range(m):
+        for k in range(j + 1, m):
+            A = np.zeros((m, m), dtype=type(unit))
+            A[j, k], A[k, j] = 1.0, -1.0
+            S = np.zeros((m, m), dtype=type(unit))
+            S[j, k] = S[k, j] = unit
+            pair = [A] if record.orthogonal else [A, S]
+            mats += [B / np.sqrt(2)
+                     for B in (pair if spec.is_compact else pair[::-1])]
     stack = np.stack(mats)
     assert stack.shape[0] == spec.dim
     return AlgebraBasis(spec, stack)
@@ -219,13 +289,15 @@ def algebra_coords(spec: GroupSpec, mat: np.ndarray) -> np.ndarray:
 def constraint_residual(spec: GroupSpec, mat: np.ndarray) -> float:
     """How far ``mat`` is from the defining algebra constraints."""
     mat = np.asarray(mat)
-    if spec.family == "U":
-        return float(np.linalg.norm(mat + mat.conj().T))
-    if spec.family == "SU":
-        return float(max(np.linalg.norm(mat + mat.conj().T), abs(np.trace(mat))))
-    if spec.family == "SO":
-        return float(max(np.linalg.norm(mat + mat.T), np.linalg.norm(np.imag(mat))))
-    return float(max(abs(np.trace(mat)), np.linalg.norm(np.imag(mat))))
+    parts = []
+    if spec.is_compact:  # skew-Hermitian, or skew-symmetric
+        parts.append(np.linalg.norm(
+            mat + (mat.conj().T if spec.is_complex else mat.T)))
+    if spec.record.det_one and not spec.record.orthogonal:  # traceless
+        parts.append(abs(np.trace(mat)))
+    if not spec.is_complex:
+        parts.append(np.linalg.norm(np.imag(mat)))
+    return float(max(parts))
 
 
 def exp_element(spec: GroupSpec, coords) -> np.ndarray:
@@ -248,11 +320,9 @@ def exp_element(spec: GroupSpec, coords) -> np.ndarray:
 def group_inverse(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Inverse of g, or of each matrix in a stack g of shape (..., m, m)."""
     g = np.asarray(g)
-    if spec.family in ("U", "SU"):
+    if spec.is_compact:
         return g.conj().swapaxes(-1, -2)
-    if spec.family == "SO":
-        return g.swapaxes(-1, -2)
-    # det = 1: adjugate formula, exact up to the det residual
+    # 2x2, det = 1: adjugate formula, exact up to the det residual
     inv = np.empty_like(g)
     inv[..., 0, 0], inv[..., 1, 1] = g[..., 1, 1], g[..., 0, 0]
     inv[..., 0, 1], inv[..., 1, 0] = -g[..., 0, 1], -g[..., 1, 0]
@@ -290,27 +360,25 @@ def _det_offset(a: np.ndarray) -> np.ndarray:
 
 def membership_residuals(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """``membership_residual`` of each matrix of the stack g of shape
-    (count, m, m), as a float array: the max of ||g^H g - I|| (U, SU; SO
-    with g real), |det g - 1| (SU, SO, SL(2,R)) and the norm of any
-    imaginary part (SO, SL(2,R)); NaN when any of them is NaN."""
+    (count, m, m), as a float array: the max of the norm of any imaginary
+    part (real families; the other terms then read the real part),
+    ||g^H g - I|| (compact families) and |det g - 1| (det = 1: SU, SO,
+    SL(2,R)); NaN when any of them is NaN."""
     g = np.asarray(g)
     m = spec.size
     if g.ndim != 3 or g.shape[1:] != (m, m):
         raise ValueError(f"expected a stack of {m}x{m} matrices, "
                          f"got shape {g.shape}")
-    eye = np.eye(m)
-    if spec.family in ("U", "SU"):
-        r = _frobenius(g.conj().swapaxes(-1, -2) @ g - eye)
-        if spec.family == "SU":
-            r = np.maximum(r, _det_offset(g))
-        return r
-    imag = (_frobenius(np.imag(g)) if np.iscomplexobj(g)
-            else np.zeros(len(g)))
-    gr = np.real(g)
-    r = _det_offset(gr)
-    if spec.family == "SO":
-        r = np.maximum(_frobenius(gr.swapaxes(-1, -2) @ gr - eye), r)
-    return np.maximum(r, imag)
+    parts = []
+    if not spec.is_complex:
+        parts.append(_frobenius(np.imag(g)) if np.iscomplexobj(g)
+                     else np.zeros(len(g)))
+        g = np.real(g)
+    if spec.is_compact:
+        parts.append(_frobenius(g.conj().swapaxes(-1, -2) @ g - np.eye(m)))
+    if spec.record.det_one:
+        parts.append(_det_offset(g))
+    return reduce(np.maximum, parts)
 
 
 def membership_error(spec: GroupSpec, r: float) -> ValueError | None:
@@ -367,8 +435,7 @@ def cartan_decompose(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(k, p)``.  The polar factors k = u vh and vh^T s vh come from
     the SVD g = u s vh; p is the log of the positive factor.
     """
-    spec = GroupSpec("SL2R", 2)
-    g = require_member(spec, np.asarray(g, dtype=float))
+    g = require_member(SL2R, np.asarray(g, dtype=float))
     u, s, vh = np.linalg.svd(g)
     k, pos = u @ vh, (vh.T * s) @ vh
     w, V = np.linalg.eigh(pos)
@@ -447,10 +514,8 @@ def element_draws(spec: GroupSpec, rng) -> np.ndarray:
     the roundoff of both evaluations, so every decision, and so every
     draw, is LAPACK's."""
     m = spec.size
-    if spec.is_complex:
-        return rng.standard_normal((2, m, m))
-    if spec.family == "SO":
-        return rng.standard_normal((m, m))
+    if spec.is_compact:
+        return rng.standard_normal((2, m, m) if spec.is_complex else (m, m))
     for _ in range(100):
         z = rng.standard_normal((2, 2))
         if _sl2_keeps(z):
@@ -461,35 +526,32 @@ def element_draws(spec: GroupSpec, rng) -> np.ndarray:
 def elements_from_draws(spec: GroupSpec, draws: np.ndarray) -> np.ndarray:
     """Stack of group elements, one per stacked ``element_draws`` result.
 
-    Compact families: QR of the Gaussian matrices with the phase (U/SU) or
-    sign (SO) correction of Mezzadri (arXiv:math-ph/0609050), which makes
-    U and SO Haar; SU rescales by a det phase, and SO swaps the first two
+    Compact families: QR of the Gaussian matrices (complex ones for a
+    complex family) with the phase correction of Mezzadri
+    (arXiv:math-ph/0609050), the phase of each diagonal entry of R (its
+    sign, for a real family; 1 below 1e-300), which makes U and SO Haar;
+    for det = 1, SU rescales by a det phase, and SO swaps the first two
     columns where det = -1.  SL(2,R): columns swapped where det < 0, then
     rescaled to det 1.  Slice i equals ``random_element`` from the rng that
     drew ``draws[i]``, bit for bit.
     """
     draws = np.asarray(draws)
     m = spec.size
-    if spec.is_complex:
-        z = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
+    if spec.is_compact:
+        z = ((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2) if spec.is_complex
+             else draws)
         q, r = np.linalg.qr(z)
         d = np.diagonal(r, axis1=-2, axis2=-1)
         d = np.where(np.abs(d) < 1e-300, 1.0, d)
         q = q * (d / np.abs(d))[:, None, :]
-        if spec.family == "SU":
+        if spec.phase_sum:
             # (angle / m), not (-1j * angle) / m: numpy divides a complex
             # array by an int through a rounded reciprocal, which is off in
             # the last bit for m = 3 and 5.
             angle = np.angle(np.linalg.det(q))
             q = q * np.exp(-1j * (angle / m))[:, None, None]
-        return q
-    if spec.family == "SO":
-        q, r = np.linalg.qr(draws)
-        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        signs[signs == 0] = 1.0
-        q = q * signs[:, None, :]
-        flip = np.linalg.det(q) < 0
-        if flip.any():
+        elif spec.record.det_one:
+            flip = np.linalg.det(q) < 0
             q[flip, :, :2] = q[flip, :, 1::-1]
         return q
     det = np.linalg.det(draws)

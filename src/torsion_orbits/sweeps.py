@@ -32,9 +32,9 @@ import time
 
 import numpy as np
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
-                     element_draws, elements_from_draws, group_inverse,
-                     positive_int, random_algebra)
+from .groups import (FAMILY_RECORDS, SL2R, TOL_MEMBERSHIP, GroupSpec,
+                     algebra_matrix, element_draws, elements_from_draws,
+                     group_inverse, positive_int, random_algebra)
 from .reports import (VerificationReport, _trial_ints, inputs_memo,
                       members_only, run_stacked_trials)
 from .subspaces import (TOL_RANK, TOL_SUBSPACE, _torsion_outcomes,
@@ -47,12 +47,12 @@ from .torsion import (_canonical_rows, _indexable_count, _point_label,
 from .alignment import (_check_snap_grid, _invariant_rows, _nearest_torsion,
                         _orientations, _refuse_nearest, _sl2_align_stack)
 
+#: The sweeps' default groups: every compact group of size <= 4, by family.
 COMPACT_SWEEP_SPECS = tuple(
-    [GroupSpec("U", m) for m in (1, 2, 3, 4)]
-    + [GroupSpec("SU", m) for m in (2, 3, 4)]
-    + [GroupSpec("SO", m) for m in (2, 3, 4)])
+    GroupSpec(family, m) for family, record in FAMILY_RECORDS.items()
+    if record.is_compact for m in record.sizes if m <= 4)
 
-ALL_FAMILY_SPECS = COMPACT_SWEEP_SPECS + (GroupSpec("SL2R", 2),)
+ALL_FAMILY_SPECS = COMPACT_SWEEP_SPECS + (SL2R,)
 
 #: Decimal digits of the trace that ``sl2_component_census`` clusters by.
 TRACE_DIGITS = 6
@@ -205,11 +205,8 @@ def sweep_curve_identities(specs, n_max, trials, seed, *,
                      "passed": k["passed"] and p["passed"]}
                     for k, p in zip(kernel, product)]
 
-        # a rejected trial fails with no residuals but keeps status "ok"
         outcomes = _torsion_outcomes(spec, g, n, both)
-        return [{"inputs": {**inputs, "t": d[4]},
-                 "residuals": outcome["residuals"],
-                 "passed": outcome["passed"]}
+        return [{**outcome, "inputs": {**inputs, "t": d[4]}}
                 for d, (inputs, _), outcome in
                 zip(stack, _point_inputs(memo, spec, n, stack), outcomes)]
 
@@ -279,7 +276,6 @@ def sl2_component_census(n: int, samples: int,
     """
     n = positive_int(n, "n")
     samples, seed = _trial_ints(samples, seed)
-    spec = GroupSpec("SL2R", 2)
     classes = set()
     memo = inputs_memo()
 
@@ -299,7 +295,7 @@ def sl2_component_census(n: int, samples: int,
         return fields
 
     report = run_stacked_trials("sl2-census", samples, seed,
-                                _torsion_draw(spec, n), _conjugates, records,
+                                _torsion_draw(SL2R, n), _conjugates, records,
                                 {"n": n, "samples": samples, "seed": seed,
                                  "trace_digits": TRACE_DIGITS},
                                 worst_residual="membership")

@@ -24,7 +24,9 @@ object.  ``catalog_components`` reads the same blocks as
 ``ComponentDescriptor``s, and the list writers print a descriptor list
 as blocks of its runs of one group, n, shape and dtype.
 ``count_components`` is a closed form.  A class-by-class walk in the
-tests is the oracle of the table and of the count.
+tests is the oracle of the table and of the count.  Every rule branches
+on the shapes ``GroupSpec`` derives from its family record (``weyl``,
+``parity_split``, ``phase_sum``, ``phase_slots``), never on a family tag.
 
 This layer reads no matrix and imports no scipy: the catalogs, counts and
 ``verify gcd`` need only numpy, ``groups`` and ``reports``.  The opposite
@@ -54,13 +56,6 @@ from .reports import VerificationReport, _json_list, single_trial_report
 MAX_CLASSES = 2_000_000
 
 
-def phase_slots(spec: GroupSpec) -> int:
-    """Length of a torus phase vector: one phase per eigenvalue for U/SU
-    (the SU integer-sum constraint cuts the dimension down to the rank),
-    one per rotation block for SO and SL(2,R)."""
-    return spec.size if spec.family in ("U", "SU") else spec.rank
-
-
 @dataclass(frozen=True)
 class TorusTorsionPoint:
     """Point of the standard maximal torus with exact rational phases."""
@@ -71,12 +66,12 @@ class TorusTorsionPoint:
     def __post_init__(self):
         phases = tuple(Fraction(p) for p in self.phases)
         object.__setattr__(self, "phases", phases)
-        if len(phases) != phase_slots(self.spec):
+        if len(phases) != self.spec.phase_slots:
             raise ValueError(
-                f"expected {phase_slots(self.spec)} phases, got {len(phases)}")
+                f"expected {self.spec.phase_slots} phases, got {len(phases)}")
         if any(p < 0 or p >= 1 for p in phases):
             raise ValueError("phases must lie in [0, 1)")
-        if self.spec.family == "SU" and sum(phases) % 1 != 0:
+        if self.spec.phase_sum and sum(phases) % 1 != 0:
             raise ValueError("SU phases must sum to an integer")
 
     def matrix(self) -> np.ndarray:
@@ -94,10 +89,10 @@ def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
     """Stack of standard torus elements, one per row of the (count, slots)
     float array ``phases``; row i gives ``torus_matrix`` of that row."""
     phases = np.asarray(phases, dtype=float)
-    m, slots = spec.size, phase_slots(spec)
+    m, slots = spec.size, spec.phase_slots
     if phases.ndim != 2 or phases.shape[1] != slots:
         raise ValueError(f"expected {slots} phases")
-    if spec.family in ("U", "SU"):
+    if spec.is_complex:
         out = np.zeros((len(phases), m, m), dtype=complex)
         out.reshape(-1, m * m)[:, ::m + 1] = np.exp(2j * np.pi * phases)
         return out
@@ -108,7 +103,7 @@ def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
         i, j = 2 * b, 2 * b + 1
         out[:, i, i] = out[:, j, j] = c[:, b]
         out[:, i, j], out[:, j, i] = -s[:, b], s[:, b]
-    if spec.family == "SO" and m % 2 == 1:
+    if m % 2:  # the fixed axis
         out[:, m - 1, m - 1] = 1.0
     return out
 
@@ -144,10 +139,10 @@ def _torsion_rows(spec: GroupSpec, n: int, indices) -> np.ndarray:
     count does not fit in int64."""
     wide = torsion_point_count(spec, n) > np.iinfo(np.int64).max
     indices = np.array(indices, dtype=object if wide else np.int64)
-    rows = np.empty((len(indices), phase_slots(spec)), dtype=indices.dtype)
+    rows = np.empty((len(indices), spec.phase_slots), dtype=indices.dtype)
     for j in reversed(range(spec.rank)):
         indices, rows[:, j] = indices // n, indices % n
-    if spec.family == "SU":
+    if spec.phase_sum:
         rows[:, -1] = -rows[:, :-1].sum(axis=1) % n
     return rows
 
@@ -205,12 +200,12 @@ def _canonical_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
     or Python ints), as an int row: the canonical numerators, then the
     parity bit or -1."""
     parity = np.full((len(ks), 1), -1)
-    if spec.family in ("U", "SU"):
+    if spec.weyl == "permutations":
         return np.hstack([np.sort(ks, axis=1), parity])
-    if spec.family == "SL2R" or spec.size == 2:
+    if spec.weyl == "trivial":
         return np.hstack([ks, parity])
     folded = np.minimum(ks, n - ks)
-    if spec.size % 2 == 0:
+    if spec.parity_split:
         free = ((folded != 0) & (2 * folded != n)).all(axis=1)
         flips = (2 * ks > n).sum(axis=1) % 2
         parity[free, 0] = flips[free]
@@ -236,11 +231,13 @@ def orbit_dimension(spec: GroupSpec, canonical: CanonicalInvariant) -> int:
     """Dimension of the class labeled by ``canonical``: dim G - dim Z(t),
     with the centralizer dimension read off the phase multiplicities.
 
-    U/SU: a phase of multiplicity c contributes u(c), so the orbit has
-    dimension m^2 - sum c^2.  SO(N): the a-dimensional +1 and b-dimensional
-    -1 eigenspaces contribute so(a) and so(b), each other folded phase of
-    multiplicity c contributes u(c).  SL(2,R): +-I are central, every
-    elliptic class is a 2-dimensional orbit.  The one-row case of
+    A family that is not orthogonal (U, SU, and SL(2,R), a real form of
+    SL(2, C)): an eigenphase of multiplicity c contributes gl(c), so the
+    orbit has dimension m^2 - sum c^2 over the eigenphases (a rotation
+    block has two, k/n and -k/n): +-I are central, every elliptic class of
+    SL(2,R) is a 2-dimensional orbit.  SO(N): the a-dimensional +1 and
+    b-dimensional -1 eigenspaces contribute so(a) and so(b), each other
+    folded phase of multiplicity c contributes u(c).  The one-row case of
     ``_dimension_rows``."""
     n, ks = _scaled(canonical.phases)
     return int(_dimension_rows(spec, n, np.array([ks], dtype=object))[0])
@@ -261,10 +258,10 @@ def _run_places(rows: np.ndarray) -> np.ndarray:
 def _dimension_rows(spec: GroupSpec, n: int, ks: np.ndarray) -> np.ndarray:
     """``orbit_dimension`` of each row of ints k in [0, n) (phases k/n, in
     any order; int64 or Python ints)."""
-    if spec.family == "SL2R":
-        return np.where(2 * ks[:, 0] % n == 0, 0, 2)
-    if spec.family in ("U", "SU"):
-        squares = 2 * _run_places(np.sort(ks, axis=1)) - 1
+    if not spec.record.orthogonal:
+        # the eigenphases: the ks, or k and -k of each rotation block
+        eigen = ks if spec.is_complex else np.hstack([ks, (n - ks) % n])
+        squares = 2 * _run_places(np.sort(eigen, axis=1)) - 1
         return spec.size ** 2 - squares.sum(axis=1)
     folded = np.sort(np.minimum(ks, n - ks), axis=1)
     zero, half = folded == 0, 2 * folded == n
@@ -292,9 +289,9 @@ def class_count_bound(spec: GroupSpec, n: int) -> int:
     the number of multisets ``_class_keys`` lists: C(n+m-1, m) for U(m) and
     SU(m), 2 C(n//2 + r, r) for SO(m) of rank r, m >= 3, and n for SO(2) and
     SL(2,R)."""
-    if spec.family in ("U", "SU"):
+    if spec.weyl == "permutations":
         return math.comb(n + spec.size - 1, spec.size)
-    if spec.family == "SO" and spec.size > 2:
+    if spec.weyl == "signed":
         return 2 * math.comb(n // 2 + spec.rank, spec.rank)
     return n
 
@@ -311,17 +308,17 @@ def _class_keys(spec: GroupSpec, n: int) -> tuple:
     every slot is off {0, n/2}; the n phases k/n for SO(2) and SL(2,R).
     Raises ValueError when ``class_count_bound`` exceeds MAX_CLASSES."""
     n = _check_class_budget(spec, n)
-    if spec.family == "SL2R" or (spec.family == "SO" and spec.size == 2):
+    if spec.weyl == "trivial":
         return np.arange(n)[:, None], np.full(n, -1)
-    top = n if spec.family in ("U", "SU") else n // 2 + 1
-    slots = phase_slots(spec)
+    top = n if spec.weyl == "permutations" else n // 2 + 1
+    slots = spec.phase_slots
     multisets = itertools.combinations_with_replacement(range(top), slots)
     ks = np.fromiter(itertools.chain.from_iterable(multisets), dtype=np.int64,
                      count=math.comb(top + slots - 1, slots) * slots)
     ks = ks.reshape(-1, slots)
-    if spec.family == "SU":
+    if spec.phase_sum:
         ks = ks[ks.sum(axis=1) % n == 0]
-    if spec.family != "SO" or spec.size % 2:
+    if not spec.parity_split:
         return ks, np.full(len(ks), -1)
     split = ((ks != 0) & (2 * ks != n)).all(axis=1)
     copies = 1 + split
@@ -338,7 +335,7 @@ def _class_rows(spec: GroupSpec, n: int) -> tuple:
     slot off {0, n/2}, halved between the two parity classes of a split."""
     ks, parity = _class_keys(spec, n)
     orbit = math.factorial(ks.shape[1]) // _run_places(ks).prod(axis=1)
-    if spec.family == "SO" and spec.size > 2:
+    if spec.weyl == "signed":
         orbit <<= ((ks != 0) & (2 * ks != n)).sum(axis=1)
         orbit[parity >= 0] //= 2
     return ks, parity, orbit, _dimension_rows(spec, n, ks)
@@ -481,21 +478,20 @@ def count_components(spec: GroupSpec, n: int) -> int:
     m/d).  SO(2r+1): C(f + r, r) multisets of the f + 1 folded phases,
     f = n // 2; SO(2r), r >= 2, adds C(h + r - 1, r) for the classes with
     every phase among the h = (n - 1) // 2 free ones, which split by
-    parity.  SO(2) and SL(2,R): n.  Raises ValueError where
-    ``_class_keys`` does: n < 1, or ``class_count_bound`` above
+    parity.  SO(2) and SL(2,R): n.  For U(m), SO(2) and SL(2,R) that is
+    ``class_count_bound``, which is exact for them.  Raises ValueError
+    where ``_class_keys`` does: n < 1, or ``class_count_bound`` above
     MAX_CLASSES."""
     n = _check_class_budget(spec, n)
     m, r = spec.size, spec.rank
-    if spec.family == "U":
-        return math.comb(n + m - 1, m)
-    if spec.family == "SU":
+    if spec.phase_sum:
         return sum(_totient(d) * math.comb(n // d + m // d - 1, m // d)
                    for d in range(1, m + 1)
                    if n % d == 0 and m % d == 0) // n
-    if spec.family == "SL2R" or m == 2:
-        return n
+    if spec.weyl != "signed":
+        return class_count_bound(spec, n)
     count = math.comb(n // 2 + r, r)
-    if m % 2 == 0:
+    if spec.parity_split:
         count += math.comb((n - 1) // 2 + r - 1, r)
     return count
 
@@ -528,7 +524,7 @@ def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationRepor
     t0 = time.perf_counter()
     n, m = positive_int(n, "n"), positive_int(m, "m")
     g, common = math.gcd(n, m), math.lcm(n, m)
-    width = phase_slots(spec) + 1
+    width = spec.phase_slots + 1
 
     def keys(order):
         ks, parity = _class_keys(spec, order)

@@ -8,7 +8,9 @@ These are the direct ``Fraction`` statements of the same rules,
 ``class_walk`` lists the classes one at a time, the oracle of the
 vectorized class table ``torsion._class_rows``.  They share
 no code with ``torsion``, so a test that compares the two does not compare
-the code with itself.
+the code with itself.  They keep their own family tests and read no
+family fact off ``GroupSpec`` or its ``groups.Family`` record, so a
+change to a record shows up as a difference.
 """
 
 import itertools
@@ -22,6 +24,12 @@ from torsion_orbits.torsion import CanonicalInvariant, TorusTorsionPoint
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+
+
+def rank_oracle(spec):
+    """The dimension of a maximal torus, by family."""
+    m = spec.size
+    return {"U": m, "SU": m - 1, "SO": m // 2, "SL2R": 1}[spec.family]
 
 
 def canonicalize_oracle(spec, phases):
@@ -60,7 +68,7 @@ def enumerate_torsion(spec, n):
     against."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    slots = spec.size if spec.family in ("U", "SU") else spec.rank
+    slots = spec.size if spec.family in ("U", "SU") else rank_oracle(spec)
     points = []
     for ks in itertools.product(range(n), repeat=slots):
         if spec.family == "SU" and sum(ks) % n != 0:
@@ -86,7 +94,7 @@ def torsion_point_oracle(spec, n, i):
     phases are the base-n digits of i, most significant first, and the
     last SU phase is minus their sum."""
     ks = []
-    for _ in range(spec.rank):
+    for _ in range(rank_oracle(spec)):
         i, k = divmod(i, n)
         ks.append(k)
     ks.reverse()
@@ -124,7 +132,7 @@ def class_walk(spec, n):
                 continue
             yield ks, None, arrangements(ks)
         return
-    r = spec.rank
+    r = rank_oracle(spec)
     for fs in itertools.combinations_with_replacement(range(n // 2 + 1), r):
         free = sum(1 for f in fs if f and 2 * f != n)
         orbit = arrangements(fs) << free

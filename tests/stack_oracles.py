@@ -158,7 +158,7 @@ def component_dimension(spec, g, tol_rank=TOL_RANK):
     """Dimension of the conjugation orbit of g: the numeric rank of
     I - Ad(g)."""
     A = adjoint_matrix(spec, g)
-    return image_basis(np.eye(spec.dim) - A, tol_rank).dim
+    return image_basis(np.eye(len(A)) - A, tol_rank).dim
 
 
 def random_torsion_point(spec, n, rng):
@@ -259,7 +259,7 @@ def export_path_csv_oracle(sample, fileobj):
     """``curves.export_path_csv`` through ``csv.writer``, one ``repr`` per
     matrix entry (two for a complex entry)."""
     m = sample.spec.size
-    is_c = sample.spec.is_complex
+    is_c = sample.spec.family in ("U", "SU")
     header = ["s"]
     for i in range(m):
         for j in range(m):

@@ -62,6 +62,34 @@ def test_spec_validation():
         GroupSpec("U", 0)
 
 
+#: What each supported group is, written out by hand apart from the
+#: family records: (label, dim, rank, phase slots, eigenphase count, Weyl
+#: action, parity split, phase sum, complex, compact).
+SPEC_FACTS = {
+    ("U", 1): ("U(1)", 1, 1, 1, 1, "permutations", False, False, True, True),
+    ("U", 5): ("U(5)", 25, 5, 5, 5, "permutations", False, False, True, True),
+    ("SU", 2): ("SU(2)", 3, 1, 2, 2, "permutations", False, True, True, True),
+    ("SU", 5): ("SU(5)", 24, 4, 5, 5, "permutations", False, True, True,
+                True),
+    ("SO", 2): ("SO(2)", 1, 1, 1, 2, "trivial", False, False, False, True),
+    ("SO", 3): ("SO(3)", 3, 1, 1, 2, "signed", False, False, False, True),
+    ("SO", 4): ("SO(4)", 6, 2, 2, 4, "signed", True, False, False, True),
+    ("SO", 5): ("SO(5)", 10, 2, 2, 4, "signed", False, False, False, True),
+    ("SL2R", 2): ("SL(2,R)", 3, 1, 1, 2, "trivial", False, False, False,
+                  False),
+}
+
+
+@pytest.mark.parametrize("key", SPEC_FACTS, ids=str)
+def test_spec_facts_follow_from_the_family_record(key):
+    spec = GroupSpec(*key)
+    assert (spec.label(), spec.dim, spec.rank, spec.phase_slots,
+            spec.eigenphase_count, spec.weyl, spec.parity_split,
+            spec.phase_sum, spec.is_complex, spec.is_compact) \
+        == SPEC_FACTS[key]
+    assert len(algebra_basis(spec)) == spec.dim
+
+
 def test_spec_size_takes_any_integer_but_a_bool():
     for size, want in ((np.int64(3), 3), (np.uint8(2), 2), (4, 4)):
         spec = GroupSpec("U", size)

@@ -1,17 +1,27 @@
-"""Which modules an import loads, each in a fresh interpreter.
+"""Which modules an import loads, each in a fresh interpreter, and which
+module tells the group families apart.
 
 The exact layer (``torsion``) reads no matrix and must load no scipy and
 none of the numeric layers; the package ``__init__`` resolves its public
 names on first use, so importing it loads no submodule; ``cli`` imports
 every layer up front, so that every command loads the same modules.
+
+Every family fact is decided in ``groups``, in the family's record: no
+other module compares a ``.family`` or names a family tag, and a change
+to a record reaches the counts and the class table.
 """
 
+import ast
+import dataclasses
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from phase_oracles import class_walk
+from torsion_orbits import groups, torsion
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -74,3 +84,55 @@ def test_an_unknown_name_raises_attribute_error():
         torsion_orbits.no_such_name
     assert package_modules(loaded_after("from torsion_orbits import cli")) \
         == CLI_MODULES
+
+
+def family_tests(path):
+    """The lines of the module at path that compare a ``.family``
+    attribute or hold a family tag as a string constant."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        operands = ([node.left, *node.comparators]
+                    if isinstance(node, ast.Compare) else [])
+        if (any(isinstance(x, ast.Attribute) and x.attr == "family"
+                for x in operands)
+                or (isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and node.value in groups.FAMILIES)):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in (SRC / "torsion_orbits").glob("*.py")
+    if path.name != "groups.py"))
+def test_no_module_but_groups_tells_families_apart(module):
+    assert family_tests(SRC / "torsion_orbits" / module) == []
+
+
+def test_the_family_scan_finds_the_family_table():
+    # the scan sees the literal tags of FAMILY_RECORDS and GroupSpec's
+    # own family comparison
+    assert len(family_tests(SRC / "torsion_orbits" / "groups.py")) >= 5
+
+
+def test_a_record_change_reaches_the_counts_and_the_class_table(
+        monkeypatch):
+    # SU(3) with U's det_one: no phase-sum constraint, so the counts and
+    # the class table become U(3)'s; the oracle, which reads no record,
+    # still walks SU(3)'s classes
+    spec, n = groups.GroupSpec("SU", 3), 6
+
+    def observed():
+        return (torsion.count_components(spec, n),
+                [column.tolist() for column in torsion._class_rows(spec, n)])
+
+    before, walk = observed(), list(class_walk(spec, n))
+    assert before[0] == len(walk)
+    records = groups.FAMILY_RECORDS
+    monkeypatch.setitem(records, "SU", dataclasses.replace(
+        records["SU"], det_one=records["U"].det_one))
+    after = observed()
+    assert after[0] != before[0]
+    assert after[1] != before[1]
+    assert after[0] == torsion.count_components(groups.GroupSpec("U", 3), n)
+    assert list(class_walk(spec, n)) == walk

@@ -168,7 +168,9 @@ def curve_trial(rng, **draw):
                        "point": point},
             "residuals": {**kernel.residuals, **product.residuals},
             "passed": all(r.passed and r.status == "ok"
-                          for r in (kernel, product))}
+                          for r in (kernel, product)),
+            # both checks share the g^n = e precondition
+            "status": kernel.status, "note": kernel.note}
 
 
 def tangent_trial(rng):
@@ -300,10 +302,8 @@ def test_non_torsion_slice_is_rejected_alone(command, monkeypatch, capsys):
                 "digest": inputs_digest(want["inputs"])}
         assert {k: got[k] for k in want} == want, i
         assert got["passed"] == (i != middle)
-    if command == "lemma32":  # the curve sweep keeps status "ok"
-        assert trials[middle]["residuals"] == {}
-    else:
-        assert trials[middle]["status"] == "rejected"
+    assert trials[middle]["residuals"] == {}
+    assert trials[middle]["status"] == "rejected"
 
 
 def test_first_non_member_in_trial_order_raises(monkeypatch):

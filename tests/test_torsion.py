@@ -47,7 +47,7 @@ from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     class_count_bound, class_table,
                                     count_components,
                                     gcd_intersection_check, orbit_dimension,
-                                    phase_slots, torsion_point,
+                                    torsion_point,
                                     torsion_point_count, torus_matrix,
                                     torus_stack, write_catalog_csv,
                                     write_catalog_json)
@@ -180,10 +180,10 @@ def test_torus_point_validation():
 
 
 def test_phase_slots():
-    assert phase_slots(GroupSpec("U", 3)) == 3
-    assert phase_slots(GroupSpec("SU", 3)) == 3
-    assert phase_slots(GroupSpec("SO", 5)) == 2
-    assert phase_slots(GroupSpec("SL2R", 2)) == 1
+    assert GroupSpec("U", 3).phase_slots == 3
+    assert GroupSpec("SU", 3).phase_slots == 3
+    assert GroupSpec("SO", 5).phase_slots == 2
+    assert GroupSpec("SL2R", 2).phase_slots == 1
 
 
 def test_enumerate_counts_and_membership():
@@ -661,7 +661,7 @@ def torus_phases(draw, spec):
     """Phases k/n of a torus point killed by a small n (SU: the last phase
     makes the sum an integer)."""
     n = draw(st.integers(1, 12))
-    slots = phase_slots(spec)
+    slots = spec.phase_slots
     ks = draw(st.lists(st.integers(0, n - 1), min_size=slots, max_size=slots))
     if spec.family == "SU":
         ks[-1] = -sum(ks[:-1]) % n
@@ -1216,8 +1216,8 @@ def test_stacked_invariants_are_the_schur_invariants(spec, n, data):
     pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                               max_size=3)) + [0, n // 2]
     rows = data.draw(st.lists(
-        st.lists(st.sampled_from(pool), min_size=phase_slots(spec),
-                 max_size=phase_slots(spec)), min_size=1, max_size=6))
+        st.lists(st.sampled_from(pool), min_size=spec.phase_slots,
+                 max_size=spec.phase_slots), min_size=1, max_size=6))
     if spec.family == "SU":
         for row in rows:
             row[-1] = -sum(row[:-1]) % n
@@ -1255,7 +1255,7 @@ def test_stacked_invariants_refuse_an_element_off_the_grid(spec):
     # 1e-4 off the grid (SU: two phases moved apart, so det stays 1): the
     # stacked path leaves it to the Schur alignment, which refuses it
     n = 12
-    ks = np.array([[5, 0, 3, 9, 4][:phase_slots(spec)]])
+    ks = np.array([[5, 0, 3, 9, 4][:spec.phase_slots]])
     if spec.family == "SU":
         ks[0, -1] = -ks[0, :-1].sum() % n
     phases = ks / n
