@@ -32,7 +32,7 @@ from scipy.linalg import expm
 from .groups import (TOL_MEMBERSHIP, GroupSpec, _coords, _frobenius,
                      adjoint_stack, algebra_matrix, cartan_decompose,
                      group_inverse, positive_int, require_member)
-from .reports import VerificationReport
+from .reports import VerificationReport, _float_csv
 from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
                         _outcome_report, _torsion_outcomes)
 from .torsion import canonicalize, torus_stack
@@ -310,7 +310,8 @@ def path_order_residuals(sample: CurveSample, n: int) -> list[float]:
 def export_path_csv(sample: CurveSample, fileobj) -> None:
     """Waypoints as CSV, one row per parameter value in ascending order;
     complex entries are split into re/im columns.  The rows are one float
-    array, every value printed by ``repr``."""
+    array, printed by ``reports._float_csv`` as ``repr`` prints each
+    value."""
     m = sample.spec.size
     names = [f"e{i}{j}" for i in range(m) for j in range(m)]
     mats = np.stack([sample.base, *sample.points[::-1]])
@@ -319,6 +320,4 @@ def export_path_csv(sample: CurveSample, fileobj) -> None:
         mats = np.asarray(mats, dtype=complex).view(np.float64)
     rows = np.column_stack([[0.0, *sample.times[::-1]],
                             np.real(mats).reshape(len(mats), -1)])
-    lines = [",".join(["s", *names])]
-    lines += [",".join(map(repr, row)) for row in rows.tolist()]
-    fileobj.write("\n".join(lines) + "\n")
+    fileobj.write(",".join(["s", *names]) + "\n" + _float_csv(rows))

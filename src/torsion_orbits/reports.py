@@ -13,6 +13,17 @@ encoded by ``json.dumps`` once per object; ``json.dumps`` itself prints
 every other trial whole (failed, rejected, seedless, or with other
 residuals), the config and the details.
 
+``_float_csv`` prints a 2-D float64 block as CSV lines, every value as
+``float.__repr__`` prints it; the tests keep that ``repr`` join as its
+oracle.  The shortest digits come from Schubfach (Giulietti, "The
+Schubfach way to render doubles") in numpy uint64, with 64x128-bit
+products built from 32-bit limbs, and ``repr``'s layout fills one
+fixed-width uint8 slot per value; one boolean mask per pass compresses
+the slots into the text.  Java's Schubfach keeps two digits at least,
+which ``repr`` does not: here every value may try one digit fewer, so
+k 5e-324 for k in {1, 2, 10, 12, ..., 20} prints with one digit as
+``repr`` prints it.  Its tables are built on first use, not at import.
+
 ``run_stacked_trials`` is the one engine of every sweep and census: trial
 i draws from a Generator in the state of ``np.random.default_rng(seed +
 i)``, as it always has, so every same-seed output is unchanged.  The
@@ -28,6 +39,7 @@ residuals once, and raises the error of a run's earliest failing trial.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -468,3 +480,215 @@ def strip_wall_time(payload):
     if isinstance(payload, list):
         return [strip_wall_time(v) for v in payload]
     return payload
+
+
+#: Values per pass of ``_float_csv``: a pass's temporaries (a few dozen
+#: arrays of that many uint64, and one 41-byte slot per value) stay at a
+#: few MB, where one pass over a 100k-point cloud peaks near 130 MiB.
+_CSV_VALUES = 5120
+
+_U64 = np.uint64
+_LOW32, _LOW63 = _U64(0xFFFFFFFF), _U64((1 << 63) - 1)
+#: 10^i for i < 20, every power of ten below 2^64.
+_POW10 = np.array([10 ** i for i in range(20)], dtype=np.uint64)
+
+#: The slot of one value: an optional '-' and the whole-part digits end
+#: at column ``_POINT``, where the '.' is; the fraction digits follow,
+#: left-aligned in 17 columns; the exponent and the separator start at
+#: ``_SUFFIX``.  A slot's text is at most two runs of its columns.
+_POINT = 17
+_SUFFIX = _POINT + 18
+_SLOT = _SUFFIX + 6
+
+
+@functools.cache
+def _float_tables():
+    """The tables of ``_float_csv``, built on first use.
+
+    Per biased exponent e, and at e + 2048 for the irregular spacing of a
+    power of two (c = 2^52, e > 1): Schubfach's k and h, and the 126-bit g
+    of 10^-k as 32-bit limbs of g0 and g1 and g1 itself, g = g1 2^63 + g0
+    (Giulietti, "The Schubfach way to render doubles", section 9); the
+    ASCII digits of every 4-digit group as one uint32; the exponent and
+    separator text of each suffix row (``e+XX`` for a decimal exponent,
+    then nan, inf and none, each with ',' and with a newline) and its
+    length without the separator; and the slot mask of each (start,
+    point end, suffix length)."""
+    g = []
+    for k in range(-324, 293):  # 10^-k = beta 2^r, 2^125 <= beta < 2^126
+        r = ((-k * 913_124_641_741) >> 38) - 125
+        g.append((1 << -r) // 10 ** k + 1 if k > 0 else
+                 (10 ** -k >> r if r >= 0 else 10 ** -k << -r) + 1)
+    g = np.array([[x >> 63, x & ((1 << 63) - 1)] for x in g], np.uint64).T
+    q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
+    irregular = np.repeat([0, 1], 2048)
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    g1, g0 = g[:, k + 324]
+    limbs = np.stack([g0 & _LOW32, g0 >> _U64(32), g1 & _LOW32,
+                      g1 >> _U64(32), g1])
+    digits = np.indices((10,) * 4).reshape(4, -1).T + 48
+    ascii4 = digits.astype(np.uint8, order="C").view("<u4").ravel()
+    texts = [f"e{e:+03d}" for e in range(-324, 309)] + ["nan", "inf", ""]
+    suffixes = np.frombuffer("".join(
+        (text + sep).ljust(6, "\0") for text in texts for sep in ",\n"
+    ).encode(), np.uint8).reshape(-1, 6)
+    lengths = np.repeat([len(t) for t in texts], 2)
+    col = np.arange(_SLOT)
+    start = np.arange(_POINT + 1)[:, None, None, None]
+    end = np.arange(_POINT, _SUFFIX + 1)[None, :, None, None]
+    length = np.arange(6)[None, None, :, None]
+    masks = ((col >= start) & (col < end)
+             | (col >= _SUFFIX) & (col <= _SUFFIX + length))
+    return (k, h, limbs, ascii4, suffixes, lengths,
+            masks.reshape(-1, _SLOT))
+
+
+def _mulhi(a0, a1, b0, b1):
+    # the high 64 bits of a b for a < 2^63 and b < 2^60, given as 32-bit
+    # limbs: no partial sum reaches 2^64
+    mid = a1 * b0 + a0 * b1 + ((a0 * b0) >> _U64(32))
+    return a1 * b1 + (mid >> _U64(32))
+
+
+def _shortest(bits):
+    """Schubfach (Giulietti, section 9, figure 7) on uint64 arrays: for the
+    float64 bits of finite nonzero values, s and k with s 10^k the decimal
+    of fewest digits that rounds to each value, the closest one when
+    several do, an even s on a tie; s may end in zeros.  Java's original
+    keeps two digits at least (it scales c < 3 by ten, and tries one digit
+    fewer only from s >= 100), so it differs from ``repr`` on k 5e-324
+    for k in {1, 2, 10, 12, 14, 16, 18, 20}; here no c is scaled and
+    every s tries one digit fewer, which prints those with ``repr``'s one
+    digit (5e-324, 1e-323, 5e-323, ...).  Other bits give unspecified
+    output."""
+    ks, hs, limbs, *_ = _float_tables()
+    e = (bits >> _U64(52)) & _U64(2047)
+    t = bits & _U64((1 << 52) - 1)
+    irregular = (t == 0) & (e > 1)
+    key = (e + irregular * _U64(2048)).astype(np.intp)
+    c = t | (e != 0) * _U64(1 << 52)
+    cb = c << _U64(2)
+    # c 2^q and the ends of its rounding interval, scaled by 4 2^h
+    cp = np.stack([cb, cb - _U64(2) + irregular, cb + _U64(2)]) << hs[key]
+    g0l, g0h, g1l, g1h, g1 = limbs.take(key, axis=1)
+    c0, c1 = cp & _LOW32, cp >> _U64(32)
+    # round to odd of cp g 2^-127, as Java's rop
+    z = ((g1 * cp) >> _U64(1)) + _mulhi(g0l, g0h, c0, c1)
+    vb, vbl, vbr = (_mulhi(g1l, g1h, c0, c1) + (z >> _U64(63))
+                    | ((z & _LOW63) + _LOW63) >> _U64(63))
+    odd = c & _U64(1)
+    vbl += odd  # the interval is closed for an even c, open for an odd one
+    vbr -= odd
+    s = vb >> _U64(2)
+    sp = s // _U64(10) * _U64(10)
+    upin = vbl <= sp << _U64(2)
+    wpin = (sp + _U64(10)) << _U64(2) <= vbr
+    uin = vbl <= s << _U64(2)
+    win = (s + _U64(1)) << _U64(2) <= vbr
+    mid = (s << _U64(2)) + _U64(2)
+    lower = (vb < mid) | ((vb == mid) & ((s & _U64(1)) == 0))
+    shorter = upin != wpin  # one digit fewer: sp or sp + 10, over ten
+    s = np.where(shorter, sp // _U64(10) + wpin,
+                 s + ~np.where(uin != win, uin, lower))
+    return s, ks[key] + shorter
+
+
+def _quads(x, count):
+    # the low ``count`` 4-digit groups of each x < 10^(4 count), low first
+    x = x.view(np.int64)
+    for _ in range(count - 1):
+        q = x // 10000
+        yield x - q * 10000
+        x = q
+    if count:
+        yield x
+
+
+def _float_csv(block) -> str:
+    """The rows of a 2-D float64 block as CSV lines, every value printed as
+    ``float.__repr__`` prints it: byte for byte
+    ``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``,
+    which the tests keep as its oracle.  Shortest digits come from
+    ``_shortest`` and are laid out by ``repr``'s rules (positional for a
+    decimal exponent in [-4, 16), else ``d.ddde±XX``; ``0.0`` and
+    ``-0.0``; ``.0`` after an integer; ``nan``, ``inf``), ``_CSV_VALUES``
+    values per pass."""
+    block = np.asarray(block, dtype=np.float64)
+    rows, cols = block.shape
+    step = max(1, _CSV_VALUES // cols)
+    return "".join(_float_lines(block[i:i + step])
+                   for i in range(0, rows, step))
+
+
+def _float_lines(block) -> str:
+    # each value's text in one slot of a uint8 matrix, the slots' used
+    # columns compressed by one boolean mask
+    _, _, _, ascii4, suffixes, lengths, masks = _float_tables()
+    rows, cols = block.shape
+    v = block.ravel()
+    bits = v.view(np.uint64)
+    s, k = _shortest(bits)
+    finite = np.isfinite(v)
+    flat = ~finite | (v == 0)  # printed from s = 0: "0.0", or a word
+    s[flat], k[flat] = 1, 0
+    # strip trailing zeros: only an s one digit shorter has them, at most
+    # 15 (any other s would be sp or sp + 10 itself)
+    ends = np.flatnonzero(s // _U64(10) * _U64(10) == s)
+    if len(ends):
+        z, zeros = s[ends], 0
+        for t in (8, 4, 2, 1):
+            q = z // _POW10[t]
+            strip = q * _POW10[t] == z
+            z = np.where(strip, q, z)
+            zeros = zeros + strip * t
+        s[ends] = z
+        k[ends] += zeros
+    digits = np.searchsorted(_POW10[1:], s, side="right") + 1
+    exp = k + digits - 1  # the decimal exponent of the first digit
+    s[flat], exp[flat] = 0, 0
+    sci = (exp < -4) | (exp >= 16)
+    whole = np.where(sci, 1, np.maximum(exp + 1, 0))  # digits before '.'
+    frac = digits - whole  # digits after it; < 0 when zeros pad the whole
+    shift = _POW10[np.maximum(frac, 0)]
+    x = s * _POW10[np.maximum(-frac, 0)]
+    w = x // shift
+    f = (x - w * shift) * _POW10[17 - np.maximum(frac, 0)]
+    f1 = f // _U64(10 ** 16)
+    slot = np.empty((len(v), _SLOT), np.uint8)
+    # the whole digits as wide as the widest whole part (at least the "0"
+    # of "0.000d"), the fraction digits after the first as wide as the
+    # longest fraction
+    wide = max(1, -(-int(whole.max()) // 4))
+    long = max(0, -(-(int(frac.max()) - 1) // 4))
+    for at, value, count in ((_POINT - 4 * wide, w, wide),
+                             (_POINT + 2, (f - f1 * _U64(10 ** 16))
+                              // _POW10[16 - 4 * long], long)):
+        words = slot[:, at:at + 4 * count].view("<u4")
+        for j, quad in enumerate(_quads(value, count)):
+            words[:, count - 1 - j] = ascii4[quad]
+    slot[:, _POINT] = 46
+    slot[:, _POINT + 1] = f1 + _U64(48)
+    lead = np.where(sci, 0, np.maximum(-exp - 1, 0))  # zeros after "0."
+    shifted = np.flatnonzero(lead)
+    slot[shifted, _POINT] = 48
+    slot[shifted, _POINT - lead[shifted]] = 46
+    neg = (bits >> _U64(63)).astype(bool)
+    frac = np.maximum(frac, ~sci)  # "1.0", "1e+16"
+    end = _POINT + (frac > 0) + frac
+    start = _POINT - np.maximum(whole, 1) - lead - neg
+    suffix = np.where(sci, exp + 324, 635)
+    if not finite.all():
+        word = ~finite
+        suffix[word] = 633 + np.isinf(v[word])
+        neg[np.isnan(v)] = False
+        end[word] = _POINT
+        start[word] = _POINT - neg[word]
+    slot.ravel()[(np.arange(len(v)) * _SLOT + start)[neg]] = 45
+    sep = np.zeros(len(v), np.intp)
+    sep[cols - 1::cols] = 1
+    suffix = suffix * 2 + sep
+    slot[:, _SUFFIX:] = suffixes.take(suffix, axis=0)
+    mask = masks.take(((start * (_SUFFIX - _POINT + 1) + end - _POINT) * 6
+                       + lengths[suffix]), axis=0)
+    return slot[mask].tobytes().decode("ascii")

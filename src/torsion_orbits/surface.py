@@ -11,7 +11,10 @@ sqrt(y^2 + z^2) <= 2 x^2 everywhere on the surface.
 A point cloud is one float array of shape (N, 4) with columns x, y, z and
 residual = |F(x, y, z)|.  ``circle_points`` is the one parametrization that
 makes such rows; every function here takes the array as it is, from the
-draw to the CSV.
+draw to the CSV.  ``export_points_csv`` adds the gradient norm and prints
+each block of rows with ``reports._float_csv``, as ``repr`` prints every
+float; it refuses a cloud that is not (N, 4) or not finite before it
+writes anything.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import time
 import numpy as np
 
 from .groups import positive_int
-from .reports import VerificationReport, single_trial_report
+from .reports import VerificationReport, _float_csv, single_trial_report
 
 #: Rows per block of the CSV export: one gradient call and one write each.
 _EXPORT_BLOCK = 4096
+
+_OVERFLOW = ("surface point overflows float64: a coordinate, residual or "
+             "gradient norm is not finite")
 
 
 def surface_value(x, y, z):
@@ -63,8 +69,7 @@ def circle_points(a, phi, branch) -> np.ndarray:
         g = surface_gradient(a, y, z)
         finite = np.isfinite(rows).all() and np.isfinite(np.vecdot(g, g)).all()
     if not finite:
-        raise ValueError("surface point overflows float64: a coordinate, "
-                         "residual or gradient norm is not finite")
+        raise ValueError(_OVERFLOW)
     return rows
 
 
@@ -137,17 +142,32 @@ def singular_locus_scan(axis_x, points,
 def export_points_csv(points, fileobj) -> None:
     """Point cloud as CSV: x, y, z, residual, grad_norm.
 
-    Full-precision ``repr`` floats, written ``_EXPORT_BLOCK`` rows at a time
-    with one gradient call per block.  ``sqrt(vecdot(g, g))`` runs the same
-    dot kernel as ``np.linalg.norm`` of one gradient, so each grad_norm has
-    the bits of the per-point norm (``norm(axis=-1)`` and ``einsum`` do not).
-    """
+    Full-precision floats, as ``repr`` prints them, written
+    ``_EXPORT_BLOCK`` rows at a time by ``reports._float_csv``, with one
+    gradient call per block.  ``sqrt(vecdot(g, g))`` runs the same dot
+    kernel as ``np.linalg.norm`` of one gradient, so each grad_norm has
+    the bits of the per-point norm (``norm(axis=-1)`` and ``einsum`` do
+    not).
+
+    Raises ValueError, before anything is written, for a cloud that is
+    not of shape (N, 4), and for a value or gradient norm that is not
+    finite, as ``circle_points`` does.  An empty cloud writes the header
+    alone."""
     points = np.asarray(points, dtype=float)
+    if points.shape == (0,):
+        points = points.reshape(0, 4)
+    if points.ndim != 2 or points.shape[1] != 4:
+        raise ValueError(f"points must be an (N, 4) cloud, got shape "
+                         f"{points.shape}")
+    norms = np.empty(len(points))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(points), _EXPORT_BLOCK):
+            g = surface_gradient(*points[start:start + _EXPORT_BLOCK, :3].T)
+            norms[start:start + _EXPORT_BLOCK] = np.sqrt(np.vecdot(g, g))
+    if not (np.isfinite(points).all() and np.isfinite(norms).all()):
+        raise ValueError(_OVERFLOW)
     fileobj.write("x,y,z,residual,grad_norm\n")
     for start in range(0, len(points), _EXPORT_BLOCK):
-        block = points[start:start + _EXPORT_BLOCK]
-        g = surface_gradient(*block[:, :3].T)
-        norms = np.sqrt(np.vecdot(g, g)).tolist()
-        fileobj.write("".join(
-            f"{x!r},{y!r},{z!r},{r!r},{gn!r}\n"
-            for (x, y, z, r), gn in zip(block.tolist(), norms)))
+        stop = start + _EXPORT_BLOCK
+        fileobj.write(_float_csv(np.column_stack([points[start:stop],
+                                                  norms[start:stop]])))

@@ -4,6 +4,9 @@ template JSON writer, checked against ``json.dumps``."""
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +481,80 @@ def template_reports(draw):
 @given(template_reports())
 def test_to_json_prints_what_json_dumps_prints_on_any_report(report):
     assert report.to_json() == json_oracle(report)
+
+
+def repr_csv(block):
+    # the oracle of reports._float_csv: one float.__repr__ per value
+    return "".join(",".join(map(repr, row)) + "\n"
+                   for row in np.asarray(block).tolist())
+
+
+def _one_column(values):
+    return np.asarray(values, dtype=np.float64).reshape(-1, 1)
+
+
+def _float_edge_cases():
+    two = np.ldexp(1.0, np.arange(-1074, 1024))
+    ints = np.concatenate([np.arange(0.0, 2.0 ** 16),
+                           np.ldexp(1.0, np.arange(54)) - 1.0,
+                           2.0 ** 53 - np.arange(1.0, 2.0 ** 12)])
+    return {
+        "signed zeros": [0.0, -0.0],
+        "powers of two and their neighbours": np.concatenate(
+            [two, np.nextafter(two, 0.0), np.nextafter(two, np.inf)]),
+        "powers of ten": [float(f"1e{e}") for e in range(-323, 309)],
+        "multiples of 5e-324": np.arange(1, 10 ** 5 + 1,
+                                         dtype=np.uint64).view(np.float64),
+        "positional and scientific edges": [
+            1e-4, 9.999999999999999e-05, 9999999999999998.0, 1e16,
+            1e-5, 0.0001234, 123456789012345.6, 1234567890123456.8],
+        "integers up to 2^53": ints,
+        "nan and infinities": [np.nan, -np.nan, np.inf, -np.inf],
+    }
+
+
+@pytest.mark.parametrize("case", list(_float_edge_cases()))
+def test_float_csv_prints_what_repr_prints(case):
+    values = np.asarray(_float_edge_cases()[case], dtype=np.float64)
+    for block in (_one_column(values), _one_column(-values),
+                  values[:len(values) // 3 * 3].reshape(-1, 3)):
+        assert reports._float_csv(block) == repr_csv(block)
+
+
+def test_float_csv_prints_the_one_digit_subnormals():
+    # Java's Schubfach keeps two digits for these eight; repr prints one
+    tiny = np.array([1, 2, 10, 12, 14, 16, 18, 20], dtype=np.uint64)
+    text = reports._float_csv(_one_column(tiny.view(np.float64)))
+    assert text.split() == ["5e-324", "1e-323", "5e-323", "6e-323",
+                            "7e-323", "8e-323", "9e-323", "1e-322"]
+
+
+def test_float_csv_random_bit_patterns():
+    # 10^6 finite values of every exponent and sign in one call, which
+    # runs many passes of _CSV_VALUES
+    bits = np.random.default_rng(27).integers(0, 2 ** 64, 10 ** 6 + 10 ** 4,
+                                              dtype=np.uint64)
+    values = bits.view(np.float64)
+    block = values[np.isfinite(values)][:10 ** 6].reshape(-1, 4)
+    assert len(block) == 250_000
+    assert reports._float_csv(block) == repr_csv(block)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(lambda cols: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=cols, max_size=cols), max_size=8).map(
+    lambda rows: np.array(rows, dtype=np.float64).reshape(-1, cols))))
+def test_float_csv_matches_repr_on_small_blocks(block):
+    assert reports._float_csv(block) == repr_csv(block)
+
+
+def test_float_csv_builds_its_tables_on_first_use():
+    # importing the CLI builds none of them, so start-up does not pay
+    code = ("import torsion_orbits.cli, torsion_orbits.reports as r; "
+            "print(r._float_tables.cache_info().currsize)")
+    src = Path(reports.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert out.stdout.strip() == "0"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stack_oracles import circle_point_oracle
-from torsion_orbits import surface
+from torsion_orbits import cli, surface
 from torsion_orbits.surface import (_EXPORT_BLOCK, circle_points,
                                     export_points_csv, sample_surface,
                                     singular_locus_scan, surface_gradient,
@@ -232,3 +232,52 @@ def test_circle_points_refuse_an_overflow(a):
         with pytest.raises(ValueError, match="overflows"):
             sample_surface((a, a), 2, seed=0)
     assert circle_points(6e21, 1.0, 1)[0, 0] == 6e21  # the last finite scale
+
+
+@pytest.mark.parametrize("points", [
+    np.ones((3, 3)), np.ones(4), np.ones((2, 5)), np.ones((2, 2, 4)),
+    np.empty((0, 3))], ids=["N-by-3", "1-D", "N-by-5", "3-D", "empty 0-by-3"])
+def test_export_refuses_a_cloud_that_is_not_n_by_4(points):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=r"\(N, 4\) cloud"):
+        export_points_csv(points, buf)
+    assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("bad", [
+    [1e200, 1e200, 1e200, 0.0],   # the gradient norm overflows
+    [1e22, 0.0, 2e44, 0.0],       # the gradient overflows, the row does not
+    [1.0, np.nan, 0.0, 0.0],
+    [1.0, 0.0, 0.0, np.inf]])
+def test_export_refuses_a_non_finite_row_before_writing(bad):
+    # the bad row comes after a full block, so a writer that checks as it
+    # goes would already have written the first block
+    points = np.vstack([sample_surface((0.5, 1.5), _EXPORT_BLOCK, seed=1),
+                        [bad]])
+    buf = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            export_points_csv(points, buf)
+    assert buf.getvalue() == ""
+
+
+def test_export_of_an_empty_cloud_is_the_header():
+    for points in ([], np.empty((0, 4))):
+        buf = io.StringIO()
+        export_points_csv(points, buf)
+        assert buf.getvalue() == "x,y,z,residual,grad_norm\n"
+
+
+@pytest.mark.parametrize("a, phi, printed", [
+    ("3e-162", "2", ["1e-323", "5e-324"]),    # one-digit subnormals
+    ("1e-161", "1", ["8.4e-323", "1.53e-322"]),
+    ("1e21", "1", ["1e+21", "3.796049909540334e+148"])])
+def test_cli_surface_rows_print_what_repr_prints(a, phi, printed, capsys):
+    # rows that reach the printer's special cases, through the CLI, against
+    # the per-point csv.writer oracle
+    assert cli.main(["demo-surface", "--a", a, "--phi", phi,
+                     "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == _oracle_csv(circle_points(float(a), float(phi), 1))
+    assert all(text in out.split("\n")[1].split(",") for text in printed)
