@@ -14,7 +14,10 @@ makes such rows; every function here takes the array as it is, from the
 draw to the CSV.  ``export_points_csv`` adds the gradient norm and prints
 each block of rows with ``reports._float_csv``, as ``repr`` prints every
 float; it refuses a cloud that is not (N, 4) or not finite before it
-writes anything.
+writes anything.  The two checks take a cloud of 3 or 4 columns (the
+residual column is not read) and refuse, with ValueError, another shape or
+a coordinate that is not finite before they compute, and a value that
+overflows before they decide.
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ def sample_surface(a_range: tuple[float, float], count: int,
     return circle_points(a, phi, branch)
 
 
+def _coordinates(points: np.ndarray) -> np.ndarray:
+    """The x, y, z columns of a cloud of 3 or 4 columns.
+
+    Raises ValueError for another shape and for a coordinate that is not
+    finite."""
+    if points.ndim != 2 or points.shape[1] not in (3, 4):
+        raise ValueError(f"points must be an (N, 3) or (N, 4) cloud, got "
+                         f"shape {points.shape}")
+    coordinates = points[:, :3]
+    if not np.isfinite(coordinates).all():
+        raise ValueError("a point coordinate is not finite")
+    return coordinates
+
+
 def tangent_cone_bound_check(points, slack: float = 1e-9) -> VerificationReport:
     """sqrt(y^2 + z^2) <= 2 x^2 + slack for every point of the cloud.
 
@@ -98,8 +115,11 @@ def tangent_cone_bound_check(points, slack: float = 1e-9) -> VerificationReport:
     points = np.asarray(points, dtype=float)
     if len(points) == 0:
         raise ValueError("no points supplied")
-    xs, ys, zs = points[:, :3].T
-    excess = np.sqrt(ys * ys + zs * zs) - 2.0 * xs * xs
+    xs, ys, zs = _coordinates(points).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        excess = np.sqrt(ys * ys + zs * zs) - 2.0 * xs * xs
+    if not np.isfinite(excess).all():
+        raise ValueError(_OVERFLOW)
     worst = float(excess.max())
     passed = worst <= slack
     return single_trial_report(
@@ -123,10 +143,17 @@ def singular_locus_scan(axis_x, points,
     points = np.asarray(points, dtype=float)
     if axis_x.size == 0 or len(points) == 0:
         raise ValueError("need both axis points and surface points")
-    axis_norms = np.linalg.norm(
-        surface_gradient(axis_x, np.zeros_like(axis_x), np.zeros_like(axis_x)),
-        axis=-1)
-    circle_norms = np.linalg.norm(surface_gradient(*points[:, :3].T), axis=-1)
+    coordinates = _coordinates(points)
+    if not np.isfinite(axis_x).all():
+        raise ValueError("an axis_x value is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis_norms = np.linalg.norm(
+            surface_gradient(axis_x, np.zeros_like(axis_x),
+                             np.zeros_like(axis_x)), axis=-1)
+        circle_norms = np.linalg.norm(surface_gradient(*coordinates.T),
+                                      axis=-1)
+    if not (np.isfinite(axis_norms).all() and np.isfinite(circle_norms).all()):
+        raise ValueError(_OVERFLOW)
     axis_worst = float(axis_norms.max())
     circle_min = float(circle_norms.min())
     passed = axis_worst <= tol_grad < circle_min

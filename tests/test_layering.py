@@ -1,5 +1,6 @@
-"""Which modules an import loads, each in a fresh interpreter, and which
-module tells the group families apart.
+"""Which modules an import loads, each in a fresh interpreter, which
+module tells the group families apart, and which one touches the garbage
+collector.
 
 The exact layer (``torsion``) reads no matrix and must load no scipy and
 none of the numeric layers; the package ``__init__`` resolves its public
@@ -9,6 +10,9 @@ every layer up front, so that every command loads the same modules.
 Every family fact is decided in ``groups``, in the family's record: no
 other module compares a ``.family`` or names a family tag, and a change
 to a record reaches the counts and the class table.
+
+Only ``cli.main`` touches the collector: its first call in a process
+freezes the heap, and no import of the package does anything to it.
 """
 
 import ast
@@ -33,16 +37,21 @@ CLI_MODULES = ["torsion_orbits", "torsion_orbits.alignment",
                "torsion_orbits.sweeps", "torsion_orbits.torsion"]
 
 
-def loaded_after(statement):
-    """The sorted names in ``sys.modules`` after ``statement`` runs in a
+def run_fresh(script):
+    """The JSON that ``script`` prints as its last stdout line, run in a
     fresh interpreter with the package's source on its path."""
-    script = (f"import json, sys\n{statement}\n"
-              "print(json.dumps(sorted(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=120, cwd=SRC,
                           env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(statement):
+    """The sorted names in ``sys.modules`` after ``statement`` runs in a
+    fresh interpreter."""
+    return run_fresh(f"import json, sys\n{statement}\n"
+                     "print(json.dumps(sorted(sys.modules)))")
 
 
 def package_modules(modules):
@@ -136,3 +145,67 @@ def test_a_record_change_reaches_the_counts_and_the_class_table(
     assert after[1] != before[1]
     assert after[0] == torsion.count_components(groups.GroupSpec("U", 3), n)
     assert list(class_walk(spec, n)) == walk
+
+
+#: The collector's state as a fresh-interpreter script prints it.
+GC_STATE = ("[gc.isenabled(), gc.get_freeze_count(), gc.get_threshold(), "
+            "len(gc.callbacks)]")
+
+
+def test_imports_leave_the_collector_alone():
+    before, after = run_fresh(
+        f"import gc, json\nbefore = {GC_STATE}\n"
+        + "".join(f"import {name}\n" for name in CLI_MODULES)
+        + f"print(json.dumps([before, {GC_STATE}]))")
+    assert after == before
+    assert after[:2] == [True, 0]
+
+
+def test_main_freezes_the_import_heap_once():
+    entered, first, later = run_fresh("""
+import contextlib, gc, io, json
+from torsion_orbits import cli
+argv = ["catalog", "--group", "SU", "--size", "3", "--n", "6"]
+with contextlib.redirect_stdout(io.StringIO()):
+    entered = len(gc.get_objects())
+    assert cli.main(argv) == 0
+    first = [gc.get_freeze_count(), len(gc.get_objects(2)), gc.isenabled()]
+    assert cli.main(argv) == 0
+    second = gc.get_freeze_count()
+    assert cli.main(["verify", "lemma31", "--trials", "20"]) == 0
+print(json.dumps([entered, first, [second, gc.get_freeze_count()]]))
+""")
+    frozen, generation_2, enabled = first
+    # the import heap, about 40,000 objects, went to the permanent
+    # generation and out of generation 2, where full collections walk
+    assert frozen >= entered > 10_000
+    assert generation_2 < entered // 20
+    assert enabled
+    # later calls freeze nothing more, so their garbage stays collectable;
+    # a frozen object that a call frees leaves the count
+    second, third = later
+    assert second == frozen
+    assert third <= frozen
+
+
+def gc_mentions(path):
+    """The lines of the module at path that import or name ``gc``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if ((isinstance(node, ast.Import)
+             and any(alias.name == "gc" for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "gc")
+                or (isinstance(node, ast.Name) and node.id == "gc")):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in (SRC / "torsion_orbits").glob("*.py")
+    if path.name != "cli.py"))
+def test_no_module_but_cli_touches_the_collector(module):
+    assert gc_mentions(SRC / "torsion_orbits" / module) == []
+
+
+def test_the_collector_scan_finds_the_freeze_in_cli():
+    assert len(gc_mentions(SRC / "torsion_orbits" / "cli.py")) >= 2

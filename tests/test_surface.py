@@ -130,6 +130,73 @@ def test_singular_locus_scan_fails_near_tangency():
         singular_locus_scan(np.array([1.0]), np.empty((0, 4)))
 
 
+def _no_gradient(*args):
+    raise AssertionError("the check computed a gradient of bad input")
+
+
+CHECKS = {
+    "tangent-cone": lambda pts, axis=(1.0,): tangent_cone_bound_check(pts),
+    "singular-locus": lambda pts, axis=(1.0,): singular_locus_scan(axis, pts),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("points", [
+    np.ones(4), np.ones((2, 2)), np.ones((2, 5)), np.ones((2, 2, 4)),
+    [[1.0, 0.0]]], ids=["1-d", "2-col", "5-col", "3-d", "list"])
+def test_checks_refuse_a_cloud_of_the_wrong_shape(check, points,
+                                                  monkeypatch):
+    # tangent_cone_bound_check(np.ones(4)) raised IndexError, and
+    # singular_locus_scan([1.0], np.ones((2, 2))) TypeError
+    monkeypatch.setattr(surface, "surface_gradient", _no_gradient)
+    with pytest.raises(ValueError, match=r"\(N, 3\) or \(N, 4\) cloud"):
+        CHECKS[check](points)
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("bad", [[1.0, np.nan, 0.0, 0.0],
+                                 [np.inf, 0.0, 0.0, 0.0],
+                                 [1.0, 0.0, -np.inf]])
+def test_checks_refuse_a_non_finite_coordinate(check, bad, monkeypatch):
+    # a NaN row gave a FAIL with worst_residual nan
+    points = [[1.0, 0.0, 2.0, 0.0][:len(bad)], bad]
+    monkeypatch.setattr(surface, "surface_gradient", _no_gradient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coordinate is not finite"):
+            CHECKS[check](points)
+
+
+@pytest.mark.parametrize("axis", [[0.0, np.nan], [np.inf], [[1.0, -np.inf]]])
+def test_singular_locus_scan_refuses_a_non_finite_axis_value(axis,
+                                                             monkeypatch):
+    points = circle_points(1.0, 0.5, 1)
+    monkeypatch.setattr(surface, "surface_gradient", _no_gradient)
+    with pytest.raises(ValueError, match="axis_x value is not finite"):
+        singular_locus_scan(axis, points)
+
+
+@pytest.mark.parametrize("check, points, axis", [
+    ("tangent-cone", [[1e200, 1e200, 1e200, 0.0]], [1.0]),
+    ("singular-locus", [[1e200, 1e200, 1e200, 0.0]], [1.0]),
+    ("singular-locus", [[1.0, 0.0, 2.0, 0.0]], [1e110])])
+def test_checks_refuse_an_overflow(check, points, axis):
+    # a finite input whose excess or gradient norm overflows would be
+    # judged on the overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            CHECKS[check](points, axis)
+
+
+def test_checks_take_three_columns_as_four():
+    pts = sample_surface((0.1, 2.0), 200, seed=8)
+    axis = np.linspace(-2.0, 2.0, 7)
+    for check in CHECKS.values():
+        full, xyz = check(pts, axis), check(pts[:, :3], axis)
+        assert (full.passed, full.details) == (xyz.passed, xyz.details)
+
+
 def test_export_points_csv_round_trip():
     pts = sample_surface((0.5, 1.5), 7, seed=6)
     buf = io.StringIO()
