@@ -2,21 +2,26 @@
 class direction of ``torsion``.
 
 A class invariant needs no conjugator: ``_invariant_rows`` reads a stack
-of compact elements off one stacked eigensolve (``_eigen_rows``; SO(2) off
-one arctan2, the SO(4) parity off the sign of a Pfaffian), and sends only
-an element it cannot decide to the Schur alignment.  ``matrix_invariant``
-is its one-element case.  Where the conjugator is wanted
-(``canonical_align``, ``_nearest_torsion``), an element is decomposed
-once: a complex Schur form for U/SU, one real Schur scan for SO.  A stack
-of SL(2,R) elements is aligned by ``_sl2_align_stack`` in closed form (one
-trace and arctan2 per stack, the eigenvector read off the entries), off
-which the SL(2,R) orientations are also read; ``_sl2_align`` and
+of members of any family off one stacked pass (``_eigen_rows``: one
+eigensolve for U/SU and SO(m >= 3), the SO(4) parity off the sign of a
+Pfaffian; SO(2) off one arctan2; SL(2,R) off ``_sl2_align_stack``), and
+sends only a member it cannot decide to the per-member alignment
+``_alignment``, one path for every family.  ``matrix_invariant`` is its
+one-element case.  Where the conjugator is
+wanted (``canonical_align``, ``_nearest_torsion``), an element is
+decomposed once by ``_alignment``: a complex Schur form for U/SU, one real
+Schur scan for SO, and ``_sl2_align`` for SL(2,R).  A stack of SL(2,R)
+elements is aligned by ``_sl2_align_stack`` in closed form (one trace and
+arctan2 per stack, the eigenvector read off the entries), off which the
+SL(2,R) orientations are also read; ``_sl2_align`` and
 ``orientation_sign`` are its one-element cases.
 Snapping refuses an n whose 1/n grid is finer than 2 SNAP_TOL, where every
-phase would snap.  The snapped numerators are canonicalized and realized
-by the exact rules of ``torsion``; this module holds every floating-point
-decision between a matrix and those rules, and is the only one of the two
-that imports scipy.
+phase would snap; nearest torsion approximation refuses an N whose half
+step pi/N is within the float64 roundoff of its distance.  The snapped
+numerators are canonicalized and realized by the exact rules of
+``torsion``; this module holds every floating-point decision between a
+matrix and those rules, and is the only one of the two that imports
+scipy.
 """
 
 from __future__ import annotations
@@ -271,26 +276,19 @@ def _invariant_rows(spec: GroupSpec, n: int, g: np.ndarray):
     else of its first phase off the grid, else None (row i is then
     meaningless).
 
-    SL(2,R) is aligned by one ``_sl2_align_stack``.  The compact families
-    are read off one stacked eigensolve (``_eigen_rows``); a member it
-    leaves undecided goes through the Schur alignment (``_alignment``)
-    alone, which decides it, or raises the error, exactly as it would for
-    that member by itself.  A member the eigenvalues decide is one the
-    Schur path accepts too: a member's Schur form is diagonal to within
-    its membership residual, far inside the 1e-7 that path allows, and an
-    SO member (det 1) has an even count of -1 eigenvalues.  Both read the
-    same eigenvalues up to rounding, so they could snap a phase apart only
-    within rounding of SNAP_TOL from the grid."""
+    Every family is read off one stacked pass (``_eigen_rows``); a member
+    it leaves undecided goes through the per-member alignment
+    (``_alignment``) alone, which decides it, or raises the error, exactly
+    as it would for that member by itself.  A compact member the
+    eigenvalues decide is one the Schur path accepts too: a member's Schur
+    form is diagonal to within its membership residual, far inside the
+    1e-7 that path allows, and an SO member (det 1) has an even count of
+    -1 eigenvalues.  Both read the same eigenvalues up to rounding, so
+    they could snap a phase apart only within rounding of SNAP_TOL from
+    the grid.  An SL(2,R) member is read off ``_sl2_align_stack`` on both
+    paths, so the fallback raises the refusal or off-grid error of the
+    slice the stack left undecided."""
     errors = [None] * len(g)
-    if not spec.is_compact:
-        _, phases, refused = _sl2_align_stack(g)
-        for i in np.flatnonzero(refused):
-            errors[i] = ValueError(_SL2_REFUSALS[refused[i]])
-        raw = phases[:, None]
-        ks, off = _snap(raw, n)
-        for i in np.flatnonzero(off.any(axis=1)):
-            errors[i] = errors[i] or _off_grid(raw[i][off[i]][0], n)
-        return _canonical_rows(spec, n, ks), errors
     ks, decided = _eigen_rows(spec, n, g)
     for i in np.flatnonzero(~decided):
         try:
@@ -302,29 +300,34 @@ def _invariant_rows(spec: GroupSpec, n: int, g: np.ndarray):
 
 
 def _eigen_rows(spec: GroupSpec, n: int, g: np.ndarray):
-    """(ks, decided) for a stack g of compact group members: in the rows
-    where ``decided`` is set, phase numerators k (phases k/n) of a torus
-    point conjugate to the member, read off one stacked eigensolve.
+    """(ks, decided) for a stack g of group members: in the rows where
+    ``decided`` is set, phase numerators k (phases k/n) of a torus point
+    conjugate to the member, read off one stacked pass.
 
     U/SU: the eigenphases snapped by ``_snap``.  SO(2): the phase of
-    arctan2(g[1,0], g[0,0]).  SO(m), m >= 3: the snapped eigenphases with
-    one phase 0 dropped for odd m, folded to one k <= n/2 per conjugate
-    pair.  A class of SO(4) with no phase 0 or 1/2 splits by parity, read
-    off the sign of the Pfaffian of (g - g^T)/2: conjugation by SO(4) keeps
-    it, and on the torus it is sin(2 pi k1/n) sin(2 pi k2/n), so a negative
-    one takes the last pair's k -> n - k.  GroupSpec caps sizes at
-    MAX_SIZE = 5, so SO(4) is the only SO(2r), r >= 2.  A row is undecided
-    where a phase does not snap, the phases do not pair up as a real
-    orthogonal matrix's do, or the Pfaffian is below half its torus value,
-    too close to 0 for its sign to be trusted."""
+    arctan2(g[1,0], g[0,0]).  SL(2,R): the phase of ``_sl2_align_stack``,
+    undecided where it refuses the slice.  SO(m), m >= 3: the snapped
+    eigenphases with one phase 0 dropped for odd m, folded to one k <= n/2
+    per conjugate pair.  A class of SO(4) with no phase 0 or 1/2 splits by
+    parity, read off the sign of the Pfaffian of (g - g^T)/2: conjugation
+    by SO(4) keeps it, and on the torus it is sin(2 pi k1/n) sin(2 pi
+    k2/n), so a negative one takes the last pair's k -> n - k.  GroupSpec
+    caps sizes at MAX_SIZE = 5, so SO(4) is the only SO(2r), r >= 2.  A
+    row is undecided where a phase does not snap, the phases do not pair
+    up as a real orthogonal matrix's do, or the Pfaffian is below half its
+    torus value, too close to 0 for its sign to be trusted."""
+    refused = 0
     if not spec.is_complex:
         g = np.asarray(g, dtype=float)
-    if spec.weyl == "trivial":
+    if not spec.is_compact:
+        _, raw, refused = _sl2_align_stack(g)
+        raw = raw[:, None]
+    elif spec.weyl == "trivial":
         raw = np.arctan2(g[:, 1, 0], g[:, 0, 0])[:, None] / (2 * np.pi) % 1.0
     else:
         raw = np.angle(np.linalg.eigvals(g)) / (2 * np.pi) % 1.0
     ks, off = _snap(raw, n)
-    decided = ~off.any(axis=1)
+    decided = ~off.any(axis=1) & (refused == 0)
     if spec.weyl != "signed":
         return ks, decided
     ks = np.sort(ks, axis=1)
@@ -356,56 +359,84 @@ def approximation_bound(spec: GroupSpec, N: int, corrections: int = 0) -> float:
     return (2 * np.pi / N) * float(np.sqrt((p - c) * 0.25 + c * 2.25))
 
 
+def _rounding_slack(spec: GroupSpec) -> float:
+    """A priori bound on the float64 error of the distance that
+    ``_nearest_torsion`` computes for a member of size m, with u = 2^-53
+    the unit roundoff: the decomposition's backward error, m u ||g||_F =
+    m^(3/2) u; forming Q t Q^-1, two products of length m whose entries
+    |Q| |t| |Q^-1| are at most 1, at most 3 m (m + 2) u; and, per phase,
+    reading its angle (arctan2, the scaling by 1/2 pi, the mod 1: 5 pi u)
+    and forming the grid angle 2 pi k/N and its exp, or cos and sin
+    (5 pi u), so 10 pi sqrt(m) u over the phases.  Their sum is below
+    5 (m + 2)^2 u at every size up to MAX_SIZE; the slack doubles it for
+    the unstated constant of LAPACK's backward-error bound.  It enters
+    the pass decision, never the printed distance or bound."""
+    return 10 * (spec.size + 2) ** 2 * 2.0 ** -53
+
+
 def _refuse_nearest(spec: GroupSpec, N: int) -> int:
-    # the refusals of nearest torsion approximation that precede
-    # membership; returns N as an int
+    """The refusals of nearest torsion approximation that precede
+    membership; returns N as an int.  Refuses SL(2,R), then an N that is
+    not a positive integer (``positive_int``), then one whose rounding
+    float64 cannot resolve: once a phase's half grid step pi/N is no
+    larger than the distance's roundoff (``_rounding_slack``), a rounding
+    one step off is as good as the right one."""
     if not spec.is_compact:
         raise UnsupportedGroupError(
             "nearest torsion approximation is defined for the compact families")
-    return positive_int(N, "N")
+    N, slack = positive_int(N, "N"), _rounding_slack(spec)
+    limit = int(np.ceil(np.pi / slack))
+    if N >= limit:
+        raise ValueError(
+            f"N={N} is too large to round {spec.label()} to the 1/N grid in "
+            f"float64: the half step pi/N is within the roundoff {slack:.3g} "
+            f"of the distance once N >= pi/{slack:.3g} = {limit:,}")
+    return N
 
 
 def _nearest_torsion(spec: GroupSpec, g: np.ndarray, N: int):
-    """(approx, distance, bound) for a group member g.  Neither membership
-    nor the refusals of ``_refuse_nearest`` are checked here: the callers
-    check both first."""
+    """(approx, distance, bound, passed) for a group member g: each phase
+    of ``_alignment`` rounded to the 1/N grid (SU: the rounded sum pushed
+    back onto the grid with minimal extra movement), and whether the
+    distance is within the bound up to ``_rounding_slack``.  Neither
+    membership nor the refusals of ``_refuse_nearest`` are checked here:
+    the callers check both first."""
+    Q, phases = _alignment(spec, g)
+    phases = np.asarray(phases)
+    ks = np.rint(phases * N).astype(int)
     corrections = 0
+    if spec.phase_sum:
+        # det g = 1 means the raw phases sum to an integer
+        s = int(ks.sum()) - int(np.rint(phases.sum())) * N
+        while s != 0:
+            step = -1 if s > 0 else 1
+            # step toward the grid on the phase that overshot most
+            j = int(np.argmax(step * (phases * N - ks)))
+            ks[j] += step
+            s += step
+            corrections += 1
     if spec.is_complex:
-        Z, phases = _unitary_eigenstructure(g)
-        ks = np.rint(phases * N).astype(int)
-        if spec.phase_sum:
-            # det g = 1 means the raw phases sum to an integer; push the
-            # rounded sum back onto the grid with minimal extra movement.
-            target = int(np.rint(phases.sum()))
-            s = int(ks.sum()) - target * N
-            while s != 0:
-                step = -1 if s > 0 else 1
-                # step toward the grid on the phase that overshot most
-                j = int(np.argmax(step * (phases * N - ks)))
-                ks[j] += step
-                s += step
-                corrections += 1
         t = np.diag(np.exp(2j * np.pi * (ks % N) / N))
-        approx = Z @ t @ Z.conj().T
     else:
-        Q, phases = _so_torus_align(g)
-        ks = [int(np.rint(p * N)) % N for p in phases]
-        approx = Q @ torus_matrix(spec, np.array(ks) / N) @ Q.T
+        t = torus_matrix(spec, ks % N / N)
+    approx = Q @ t @ Q.conj().T
     distance = float(np.linalg.norm(g - approx))
-    return approx, distance, approximation_bound(spec, N, corrections)
+    bound = approximation_bound(spec, N, corrections)
+    return approx, distance, bound, distance <= bound + _rounding_slack(spec)
 
 
 def nearest_torsion_approximant(spec: GroupSpec, g: np.ndarray, N: int):
     """Element of order dividing N near g, found by rounding eigenphases to
     the 1/N grid (SU determinants restored on-grid).
 
-    Returns (approx, distance); the distance obeys approximation_bound.
-    Refuses SL(2,R), then an N that is not a positive integer, then a
+    Returns (approx, distance); the distance obeys approximation_bound
+    up to float64 roundoff (``_rounding_slack``).
+    Refuses SL(2,R), then an N that is not a positive integer or too
+    large to round at in float64 (``_refuse_nearest``), then a
     non-member.
     """
     N = _refuse_nearest(spec, N)
-    approx, distance, _ = _nearest_torsion(spec, require_member(spec, g), N)
-    return approx, distance
+    return _nearest_torsion(spec, require_member(spec, g), N)[:2]
 
 
 def orientation_sign(g: np.ndarray) -> int:

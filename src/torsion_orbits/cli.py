@@ -27,7 +27,7 @@ import numpy as np
 from .groups import (FAMILIES, FAMILY_RECORDS, TOL_MEMBERSHIP, GroupSpec,
                      UnsupportedGroupError)
 from .subspaces import TOL_RANK, TOL_SUBSPACE
-from .surface import (circle_points, export_points_csv, sample_surface,
+from .surface import (_points_csv, circle_points, sample_surface,
                       singular_locus_scan, tangent_cone_bound_check)
 from .sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS, cluster_census,
                      sl2_component_census, sweep_curve_identities,
@@ -130,29 +130,20 @@ def _resolve_spec(args):
     return GroupSpec(family, sizes[0] if size is None else size)
 
 
-def _write_text(path, text: str) -> None:
-    _write_blocks(path, (text,))
-
-
 def _write_blocks(path, blocks) -> None:
     # the strings of blocks in order, to the --output path or stdout; the
-    # first is made before the path is opened, so a refusal opens no file
+    # first is made before the path is opened, so a refusal opens no file,
+    # and a path that cannot be opened is a configuration error
     blocks = iter(blocks)
     first = next(blocks, "")
-    with _open_output(path) as fh:
-        fh.write(first)
-        fh.writelines(blocks)
-
-
-def _open_output(path, newline=None):
-    # the --output file opened for writing, or stdout when there is none;
-    # a path that cannot be opened is a configuration error
-    if not path:
-        return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        out = (open(path, "w", encoding="utf-8") if path
+               else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
         raise ConfigError(f"cannot write --output: {exc}") from None
+    with out as fh:
+        fh.write(first)
+        fh.writelines(blocks)
 
 
 def _report_text(report) -> str:
@@ -170,9 +161,9 @@ def _report_text(report) -> str:
 def _emit_report(report, config: RunConfig, output) -> int:
     report.config["cli"] = config.as_dict()
     if config.fmt == "json":
-        _write_text(output, report.to_json() + "\n")
+        _write_blocks(output, (report.to_json() + "\n",))
     else:
-        _write_text(output, _report_text(report))
+        _write_blocks(output, (_report_text(report),))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -301,19 +292,18 @@ def cmd_demo_surface(args) -> int:
     passed = bound_rep.passed and scan_rep.passed
 
     if args.format == "csv":
-        with _open_output(args.output, newline="") as fh:
-            export_points_csv(points, fh)
+        _write_blocks(args.output, _points_csv(points))
     elif args.format == "json":
         payload = {"check": "surface-demo", "passed": passed,
                    "config": {**config.as_dict(),
                               "a_min": args.a_min, "a_max": args.a_max},
                    "checks": [bound_rep.to_dict(), scan_rep.to_dict()]}
-        _write_text(args.output, json.dumps(payload, sort_keys=True,
-                                            indent=2) + "\n")
+        _write_blocks(args.output, (json.dumps(payload, sort_keys=True,
+                                               indent=2) + "\n",))
     else:
         text = (_report_text(bound_rep) + _report_text(scan_rep)
                 + ("demo-surface: PASS\n" if passed else "demo-surface: FAIL\n"))
-        _write_text(args.output, text)
+        _write_blocks(args.output, (text,))
     return EXIT_PASS if passed else EXIT_FAIL
 
 

@@ -310,8 +310,8 @@ def path_order_residuals(sample: CurveSample, n: int) -> list[float]:
 def export_path_csv(sample: CurveSample, fileobj) -> None:
     """Waypoints as CSV, one row per parameter value in ascending order;
     complex entries are split into re/im columns.  The rows are one float
-    array, printed by ``reports._float_csv`` as ``repr`` prints each
-    value."""
+    array, printed pass by pass by ``reports._float_csv`` as ``repr``
+    prints each value."""
     m = sample.spec.size
     names = [f"e{i}{j}" for i in range(m) for j in range(m)]
     mats = np.stack([sample.base, *sample.points[::-1]])
@@ -320,4 +320,5 @@ def export_path_csv(sample: CurveSample, fileobj) -> None:
         mats = np.asarray(mats, dtype=complex).view(np.float64)
     rows = np.column_stack([[0.0, *sample.times[::-1]],
                             np.real(mats).reshape(len(mats), -1)])
-    fileobj.write(",".join(["s", *names]) + "\n" + _float_csv(rows))
+    fileobj.write(",".join(["s", *names]) + "\n")
+    fileobj.writelines(_float_csv(rows))

@@ -14,12 +14,14 @@ every other trial whole (failed, rejected, seedless, or with other
 residuals), the config and the details.
 
 ``_float_csv`` prints a 2-D float64 block as CSV lines, every value as
-``float.__repr__`` prints it; the tests keep that ``repr`` join as its
-oracle.  The shortest digits come from Schubfach (Giulietti, "The
-Schubfach way to render doubles") in numpy uint64, with 64x128-bit
-products built from 32-bit limbs, and ``repr``'s layout fills one
-fixed-width uint8 slot per value; one boolean mask per pass compresses
-the slots into the text.  Java's Schubfach keeps two digits at least,
+``float.__repr__`` prints it, and yields them one text per pass of at
+most ``_CSV_VALUES`` values; it is the one float-CSV writer of the
+package (the surface and path exports, the demo-surface CLI), and the
+tests keep the ``repr`` join as its oracle.  The shortest digits come
+from Schubfach (Giulietti, "The Schubfach way to render doubles") in
+numpy uint64, with 64x128-bit products built from 32-bit limbs, and
+``repr``'s layout fills one fixed-width uint8 slot per value; one
+boolean mask per pass compresses the slots into the text.  Java's Schubfach keeps two digits at least,
 which ``repr`` does not: here every value may try one digit fewer, so
 k 5e-324 for k in {1, 2, 10, 12, ..., 20} prints with one digit as
 ``repr`` prints it.  Its tables are built on first use, not at import.
@@ -605,20 +607,20 @@ def _quads(x, count):
         yield x
 
 
-def _float_csv(block) -> str:
-    """The rows of a 2-D float64 block as CSV lines, every value printed as
-    ``float.__repr__`` prints it: byte for byte
+def _float_csv(block):
+    """The rows of a 2-D float64 block as CSV lines, one text per pass of
+    whole rows holding at most ``_CSV_VALUES`` values (one row where a row
+    holds more), every value printed as ``float.__repr__`` prints it: the
+    passes joined are, byte for byte,
     ``"".join(",".join(map(repr, row)) + "\\n" for row in block.tolist())``,
     which the tests keep as its oracle.  Shortest digits come from
     ``_shortest`` and are laid out by ``repr``'s rules (positional for a
     decimal exponent in [-4, 16), else ``d.ddde±XX``; ``0.0`` and
-    ``-0.0``; ``.0`` after an integer; ``nan``, ``inf``), ``_CSV_VALUES``
-    values per pass."""
+    ``-0.0``; ``.0`` after an integer; ``nan``, ``inf``)."""
     block = np.asarray(block, dtype=np.float64)
-    rows, cols = block.shape
-    step = max(1, _CSV_VALUES // cols)
-    return "".join(_float_lines(block[i:i + step])
-                   for i in range(0, rows, step))
+    step = max(1, _CSV_VALUES // block.shape[1])
+    for i in range(0, len(block), step):
+        yield _float_lines(block[i:i + step])
 
 
 def _float_lines(block) -> str:

@@ -11,13 +11,15 @@ sqrt(y^2 + z^2) <= 2 x^2 everywhere on the surface.
 A point cloud is one float array of shape (N, 4) with columns x, y, z and
 residual = |F(x, y, z)|.  ``circle_points`` is the one parametrization that
 makes such rows; every function here takes the array as it is, from the
-draw to the CSV.  ``export_points_csv`` adds the gradient norm and prints
-each block of rows with ``reports._float_csv``, as ``repr`` prints every
-float; it refuses a cloud that is not (N, 4) or not finite before it
-writes anything.  The two checks take a cloud of 3 or 4 columns (the
-residual column is not read) and refuse, with ValueError, another shape or
-a coordinate that is not finite before they compute, and a value that
-overflows before they decide.
+draw to the CSV.  ``_points_csv`` adds the gradient norms, from one
+array call, and yields the header and then the passes of
+``reports._float_csv``, which prints every float as ``repr`` does; it
+refuses a cloud that is not (N, 4) or not finite before its first piece,
+so ``export_points_csv`` and the demo-surface CLI, which write its
+pieces, write nothing for a refused cloud.  The two checks take a cloud
+of 3 or 4 columns (the residual column is not read) and refuse, with
+ValueError, another shape or a coordinate that is not finite before they
+compute, and a value that overflows before they decide.
 """
 
 from __future__ import annotations
@@ -28,9 +30,6 @@ import numpy as np
 
 from .groups import positive_int
 from .reports import VerificationReport, _float_csv, single_trial_report
-
-#: Rows per block of the CSV export: one gradient call and one write each.
-_EXPORT_BLOCK = 4096
 
 _OVERFLOW = ("surface point overflows float64: a coordinate, residual or "
              "gradient norm is not finite")
@@ -169,32 +168,32 @@ def singular_locus_scan(axis_x, points,
 def export_points_csv(points, fileobj) -> None:
     """Point cloud as CSV: x, y, z, residual, grad_norm.
 
-    Full-precision floats, as ``repr`` prints them, written
-    ``_EXPORT_BLOCK`` rows at a time by ``reports._float_csv``, with one
-    gradient call per block.  ``sqrt(vecdot(g, g))`` runs the same dot
+    Full-precision floats, as ``repr`` prints them: the pieces of
+    ``_points_csv`` written in order.  Raises ValueError, before anything
+    is written, for a cloud that is not of shape (N, 4), and for a value
+    or gradient norm that is not finite, as ``circle_points`` does.  An
+    empty cloud writes the header alone."""
+    fileobj.writelines(_points_csv(points))
+
+
+def _points_csv(points):
+    """The text of ``export_points_csv``: the header, then one piece per
+    pass of ``reports._float_csv``.  The cloud is checked before the
+    header is made, so a refused cloud yields nothing.  The gradient norms
+    come from one array call, and ``sqrt(vecdot(g, g))`` runs the same dot
     kernel as ``np.linalg.norm`` of one gradient, so each grad_norm has
     the bits of the per-point norm (``norm(axis=-1)`` and ``einsum`` do
-    not).
-
-    Raises ValueError, before anything is written, for a cloud that is
-    not of shape (N, 4), and for a value or gradient norm that is not
-    finite, as ``circle_points`` does.  An empty cloud writes the header
-    alone."""
+    not)."""
     points = np.asarray(points, dtype=float)
     if points.shape == (0,):
         points = points.reshape(0, 4)
     if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"points must be an (N, 4) cloud, got shape "
                          f"{points.shape}")
-    norms = np.empty(len(points))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(points), _EXPORT_BLOCK):
-            g = surface_gradient(*points[start:start + _EXPORT_BLOCK, :3].T)
-            norms[start:start + _EXPORT_BLOCK] = np.sqrt(np.vecdot(g, g))
+        g = surface_gradient(*points[:, :3].T)
+        norms = np.sqrt(np.vecdot(g, g))
     if not (np.isfinite(points).all() and np.isfinite(norms).all()):
         raise ValueError(_OVERFLOW)
-    fileobj.write("x,y,z,residual,grad_norm\n")
-    for start in range(0, len(points), _EXPORT_BLOCK):
-        stop = start + _EXPORT_BLOCK
-        fileobj.write(_float_csv(np.column_stack([points[start:stop],
-                                                  norms[start:stop]])))
+    yield "x,y,z,residual,grad_norm\n"
+    yield from _float_csv(np.column_stack([points, norms]))

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -49,7 +48,8 @@ from json.encoder import encode_basestring_ascii as _json_string
 import numpy as np
 
 from .groups import GroupSpec, positive_int
-from .reports import VerificationReport, _json_list, single_trial_report
+from .reports import (VerificationReport, _json_list, _json_nested,
+                      single_trial_report)
 
 #: Catalogs, counts and censuses refuse a group and order whose
 #: class_count_bound exceeds this.
@@ -535,9 +535,7 @@ def gcd_intersection_check(spec: GroupSpec, n: int, m: int) -> VerificationRepor
     s_n, s_m, s_g = keys(n), keys(m), keys(g)
     inter = np.intersect1d(s_n, s_m, assume_unique=True)
     mismatch = np.setxor1d(inter, s_g, assume_unique=True)
-    labels = sorted(CanonicalInvariant(tuple(Fraction(k, common) for k in ks),
-                                       None if parity < 0 else parity).label()
-                    for *ks, parity in
+    labels = sorted(_row_invariant(common, row).label() for row in
                     mismatch.view(np.int64).reshape(-1, width).tolist())[:10]
     inputs = {"group": spec.label(), "n": n, "m": m, "gcd": g}
     details = {"count_n": len(s_n), "count_m": len(s_m),
@@ -673,7 +671,6 @@ def _json_blocks(blocks, config: dict):
     one piece per block, then the closing text.  A block's
     representatives are checked before its piece is made, and its float
     lists come from ``_float_lists``."""
-    config_text = json.dumps(config, sort_keys=True, indent=2)
     head, index = '{\n  "components": [\n', 0
     for block in blocks:
         reps = block.reps
@@ -691,4 +688,4 @@ def _json_blocks(blocks, config: dict):
             *map(_float_lists, parts))))
         head, index = ",\n", index + len(block)
     yield (("\n  ]" if index else '{\n  "components": []') + ',\n  "config": '
-           + config_text.replace("\n", "\n  ") + "\n}\n")
+           + _json_nested(config, "  ") + "\n}\n")

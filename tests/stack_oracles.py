@@ -23,6 +23,9 @@ ratio test as a loop, ``connect_waypoints_oracle``, one expm and one
 conjugation per waypoint of the conjugator path that
 ``conjugator_path_oracle`` returns as a closure, and
 ``export_path_csv_oracle``, the ``csv.writer`` path export.
+``sl2_invariant_rows_oracle`` is the SL(2,R) branch that
+``alignment._invariant_rows`` kept beside its compact path, before every
+family was read off ``_eigen_rows`` with one per-member fallback.
 """
 
 import csv
@@ -30,16 +33,17 @@ import csv
 import numpy as np
 from scipy.linalg import expm, subspace_angles
 
-from torsion_orbits.alignment import (_so_torus_align,
+from torsion_orbits.alignment import (_SL2_REFUSALS, _off_grid, _snap,
+                                      _sl2_align_stack, _so_torus_align,
                                       _unitary_eigenstructure,
                                       canonical_align)
 from torsion_orbits.curves import RATIO_FLOOR, RATIO_SLACK
-from torsion_orbits.groups import (adjoint_matrix, cartan_decompose,
+from torsion_orbits.groups import (SL2R, adjoint_matrix, cartan_decompose,
                                    group_inverse, random_element)
 from torsion_orbits.subspaces import TOL_RANK, image_basis
 from torsion_orbits.surface import surface_value
-from torsion_orbits.torsion import (_indexable_count, torsion_point,
-                                    torus_matrix)
+from torsion_orbits.torsion import (_canonical_rows, _indexable_count,
+                                    torsion_point, torus_matrix)
 
 
 def membership_residual_oracle(spec, g):
@@ -92,6 +96,22 @@ def sl2_align_oracle(g):
         h = np.column_stack([x, y]) / np.sqrt(delta)
         phase = 1.0 - theta / (2 * np.pi)
     return h, phase
+
+
+def sl2_invariant_rows_oracle(n, g):
+    """(canonical rows, errors) of ``alignment._invariant_rows`` for a
+    stack g of SL(2,R) members, as its own SL(2,R) branch read them: one
+    ``_sl2_align_stack``, a refused slice's error its refusal text, else
+    the error of its phase off the 1/n grid."""
+    errors = [None] * len(g)
+    _, phases, refused = _sl2_align_stack(g)
+    for i in np.flatnonzero(refused):
+        errors[i] = ValueError(_SL2_REFUSALS[refused[i]])
+    raw = phases[:, None]
+    ks, off = _snap(raw, n)
+    for i in np.flatnonzero(off.any(axis=1)):
+        errors[i] = errors[i] or _off_grid(raw[i][off[i]][0], n)
+    return _canonical_rows(SL2R, n, ks), errors
 
 
 def orientation_sign_oracle(g):

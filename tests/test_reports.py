@@ -518,13 +518,13 @@ def test_float_csv_prints_what_repr_prints(case):
     values = np.asarray(_float_edge_cases()[case], dtype=np.float64)
     for block in (_one_column(values), _one_column(-values),
                   values[:len(values) // 3 * 3].reshape(-1, 3)):
-        assert reports._float_csv(block) == repr_csv(block)
+        assert "".join(reports._float_csv(block)) == repr_csv(block)
 
 
 def test_float_csv_prints_the_one_digit_subnormals():
     # Java's Schubfach keeps two digits for these eight; repr prints one
     tiny = np.array([1, 2, 10, 12, 14, 16, 18, 20], dtype=np.uint64)
-    text = reports._float_csv(_one_column(tiny.view(np.float64)))
+    text = "".join(reports._float_csv(_one_column(tiny.view(np.float64))))
     assert text.split() == ["5e-324", "1e-323", "5e-323", "6e-323",
                             "7e-323", "8e-323", "9e-323", "1e-322"]
 
@@ -537,7 +537,7 @@ def test_float_csv_random_bit_patterns():
     values = bits.view(np.float64)
     block = values[np.isfinite(values)][:10 ** 6].reshape(-1, 4)
     assert len(block) == 250_000
-    assert reports._float_csv(block) == repr_csv(block)
+    assert "".join(reports._float_csv(block)) == repr_csv(block)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -546,7 +546,24 @@ def test_float_csv_random_bit_patterns():
              min_size=cols, max_size=cols), max_size=8).map(
     lambda rows: np.array(rows, dtype=np.float64).reshape(-1, cols))))
 def test_float_csv_matches_repr_on_small_blocks(block):
-    assert reports._float_csv(block) == repr_csv(block)
+    assert "".join(reports._float_csv(block)) == repr_csv(block)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 3), (1, 1), (5120, 1), (5121, 1),
+                                       (3000, 5), (7, 5121), (2049, 7)])
+def test_float_csv_passes_hold_at_most_csv_values(rows, cols):
+    # whole rows per pass, at most _CSV_VALUES values each unless one row
+    # alone holds more; the passes joined are the repr oracle
+    block = np.random.default_rng(rows).standard_normal((rows, cols))
+    passes = list(reports._float_csv(block))
+    counts = [text.count("\n") for text in passes]
+    assert sum(counts) == rows
+    per_pass = max(1, reports._CSV_VALUES // cols)
+    assert all(0 < count <= per_pass for count in counts)
+    assert len(passes) == -(-rows // per_pass)
+    assert all(text.count(",") + text.count("\n")
+               <= max(reports._CSV_VALUES, cols) for text in passes)
+    assert "".join(passes) == repr_csv(block)
 
 
 def test_float_csv_builds_its_tables_on_first_use():

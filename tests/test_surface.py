@@ -9,7 +9,7 @@ import pytest
 
 from stack_oracles import circle_point_oracle
 from torsion_orbits import cli, surface
-from torsion_orbits.surface import (_EXPORT_BLOCK, circle_points,
+from torsion_orbits.surface import (circle_points,
                                     export_points_csv, sample_surface,
                                     singular_locus_scan, surface_gradient,
                                     surface_value, tangent_cone_bound_check)
@@ -237,15 +237,11 @@ def _exported_rows(points):
     return rows
 
 
-@pytest.mark.parametrize("count", [0, 1, _EXPORT_BLOCK - 1, _EXPORT_BLOCK,
-                                   _EXPORT_BLOCK + 1])
-def test_export_blocks_match_per_point_norms(count, monkeypatch):
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+def test_export_blocks_match_per_point_norms(count):
+    # the sizes around 4,096 rows, the block of an earlier per-block export
     pts = sample_surface((0.1, 2.0), count, seed=8) if count else []
-    calls = []
-    monkeypatch.setattr(surface, "surface_gradient",
-                        lambda *xyz: calls.append(1) or surface_gradient(*xyz))
     assert len(_exported_rows(pts)) == count
-    assert len(calls) == -(-count // _EXPORT_BLOCK)  # one call per block
 
 
 def test_export_zero_gradients_and_the_axis():
@@ -317,9 +313,9 @@ def test_export_refuses_a_cloud_that_is_not_n_by_4(points):
     [1.0, np.nan, 0.0, 0.0],
     [1.0, 0.0, 0.0, np.inf]])
 def test_export_refuses_a_non_finite_row_before_writing(bad):
-    # the bad row comes after a full block, so a writer that checks as it
-    # goes would already have written the first block
-    points = np.vstack([sample_surface((0.5, 1.5), _EXPORT_BLOCK, seed=1),
+    # the bad row comes after four passes of the float writer, so a writer
+    # that checks as it goes would already have written them
+    points = np.vstack([sample_surface((0.5, 1.5), 4096, seed=1),
                         [bad]])
     buf = io.StringIO()
     with warnings.catch_warnings():
@@ -327,6 +323,18 @@ def test_export_refuses_a_non_finite_row_before_writing(bad):
         with pytest.raises(ValueError, match="overflows"):
             export_points_csv(points, buf)
     assert buf.getvalue() == ""
+
+
+def test_a_refused_cloud_opens_no_output_file(tmp_path):
+    # the demo-surface CSV goes through the CLI's one writer, which makes
+    # the first piece, and so checks the cloud, before it opens the file
+    path = tmp_path / "cloud.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            cli._write_blocks(str(path), surface._points_csv(
+                [[1.0, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]]))
+    assert not path.exists()
 
 
 def test_export_of_an_empty_cloud_is_the_header():

@@ -1,6 +1,8 @@
 """Seeded multi-trial runs: every sweep and census replays trial by trial."""
 
 import json
+import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 
 from stack_oracles import (membership_residual_oracle,
                            orientation_sign_oracle, random_torsion_element)
-from torsion_orbits import cli, reports, sweeps
-from torsion_orbits.alignment import (_nearest_torsion,
+from torsion_orbits import alignment, cli, reports, sweeps
+from torsion_orbits.alignment import (_nearest_torsion, approximation_bound,
                                       nearest_torsion_approximant)
 from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
                                    tangent_space_check)
@@ -378,3 +380,57 @@ def test_density_refuses_before_drawing(monkeypatch, capsys):
     assert cli.main(["verify", "density", "--group", "SL2R",
                      "--trials", "200000"]) == 3
     assert "compact families" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("U", 1), GroupSpec("U", 2),
+                                  GroupSpec("SO", 3), GroupSpec("SU", 3),
+                                  GroupSpec("SO", 4), GroupSpec("U", 5)],
+                         ids=lambda s: s.label())
+def test_density_refuses_an_n_float64_cannot_round_at(spec, monkeypatch):
+    # the limit is the first N whose half step pi/N is no larger than the
+    # distance's roundoff: one below it runs and passes, it and one above
+    # it are refused before any trial is drawn
+    slack = alignment._rounding_slack(spec)
+    limit = math.ceil(math.pi / slack)
+    assert math.pi / limit <= slack < math.pi / (limit - 1)
+    assert alignment._refuse_nearest(spec, limit - 1) == limit - 1
+    report = sweep_density([spec], limit - 1, 200, 4)
+    assert report.passed and len(report.trials) == 200
+    g = random_element(spec, 4)
+    assert nearest_torsion_approximant(spec, g, limit - 1)[1] <= \
+        approximation_bound(spec, limit - 1, spec.eigenphase_count) + slack
+
+    def no_draws(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(sweeps, "element_draws", no_draws)
+    for N in (limit, limit + 1, 2 ** 62, 2 ** 63, 10 ** 400):
+        with pytest.raises(ValueError, match=f"N={N} is too large to round "
+                           f"{re.escape(spec.label())} .* = {limit:,}$"):
+            sweep_density([spec], N, 200, 4)
+        with pytest.raises(ValueError, match="is too large to round"):
+            nearest_torsion_approximant(spec, g, N)
+
+
+def test_density_cli_refuses_a_grid_it_cannot_round_at(capsys):
+    # SU(3) at 2^62, seed 1, used to overflow its int64 phase sum and step
+    # ~2^64 times; U(2) at 2^63 raised OverflowError: both now exit 2 at
+    # once
+    for group, size, N in (("SU", "3", 2 ** 62), ("U", "2", 2 ** 63),
+                           ("U", "1", 10 ** 15)):
+        assert cli.main(["verify", "density", "--group", group, "--size",
+                         size, "--n", str(N), "--trials", "1",
+                         "--seed", "1"]) == 2
+        assert "float64" in capsys.readouterr().err
+
+
+def test_density_passes_a_distance_over_the_bound_by_roundoff(capsys):
+    # U(1) at N = 10^13: the distance exceeds pi/N by ~2.6e-16, roundoff
+    # of the grid point's angle, well inside the slack; the printed
+    # residuals are the computed ones
+    assert cli.main(["verify", "density", "--group", "U", "--size", "1",
+                     "--n", str(10 ** 13), "--trials", "1", "--seed", "2763",
+                     "--format", "json"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["trials"][0]["residuals"]
+    excess = residuals["distance"] - residuals["bound"]
+    assert 0 < excess <= alignment._rounding_slack(GroupSpec("U", 1))

@@ -28,7 +28,7 @@ from phase_oracles import (canonical_realization, canonicalize_oracle,
                            torsion_point_oracle)
 from stack_oracles import (component_dimension, orientation_sign_oracle,
                            random_torsion_element, random_torsion_point,
-                           sl2_align_oracle)
+                           sl2_align_oracle, sl2_invariant_rows_oracle)
 from torsion_orbits import alignment, cli, reports, sweeps, torsion
 from torsion_orbits.alignment import (approximation_bound, canonical_align,
                                       matrix_invariant,
@@ -1274,6 +1274,34 @@ def test_stacked_invariants_refuse_an_element_off_the_grid(spec):
     assert str(public.value) == str(schur_error.value)
 
 
+@pytest.mark.parametrize("n", [1, 6, 24])
+def test_sl2_class_read_matches_its_former_stacked_branch(n):
+    # one stack of +-I, elliptic conjugates, an off-grid element, a
+    # hyperbolic member and a degenerate eigenvector: the rows the
+    # per-member fallback decides, and every error text, are the ones the
+    # SL(2,R) branch of _invariant_rows read off the stack alone
+    spec = GroupSpec("SL2R", 2)
+    phases = [[k / 24] for k in (1, 5, 12, 19, 23)] + [[1 / 24 + 1e-4]]
+    h = np.stack([random_element(spec, seed) for seed in range(6)])
+    elliptic = h @ torus_stack(spec, phases) @ group_inverse(spec, h)
+    squeeze = np.diag([1e-7, 1e7])  # b ~ 1e-14: a degenerate eigenvector
+    degenerate = (squeeze @ torus_stack(spec, [[0.3]])[0]
+                  @ group_inverse(spec, squeeze))
+    g = np.stack([np.eye(2), *elliptic[:3], np.diag([2.0, 0.5]), -np.eye(2),
+                  *elliptic[3:], degenerate])
+    found, errors = alignment._invariant_rows(spec, n, g)
+    want, want_errors = sl2_invariant_rows_oracle(n, g)
+    assert [None if e is None else str(e) for e in errors] == \
+        [None if e is None else str(e) for e in want_errors]
+    decided = [e is None for e in errors]
+    assert np.array_equal(found[decided], want[decided])
+    texts = " ".join(str(e) for e in errors)
+    for text in ("not elliptic", "degenerate eigenvector", "not within 1e-06"):
+        assert text in texts
+    # I; then -I and phase 1/2 at n = 6; then the on-grid conjugates at 24
+    assert sum(decided) == {1: 1, 6: 3, 24: 7}[n]
+
+
 def test_valid_censuses_run_no_schur(monkeypatch):
     # every member of a valid compact census is decided on the stacked
     # eigenvalue path: these are the benchmark's three cluster censuses
@@ -1302,28 +1330,13 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
     """Make the census's alignment return an off-grid first phase at the
     calls in ``off_grid`` (phase 0.3 + call/1e4, distinct per call) and
     raise at the calls in ``failing``.  A call is one member the census
-    evaluates, in order.  SL(2,R) members are aligned as one stack, so
-    there a call is a slice of ``_sl2_align_stack`` and a failing one is
-    refused.  The compact families are read off one stacked eigensolve,
+    evaluates, in order.  Every family is read off one stacked pass,
     ``_eigen_rows``: a broken call is left undecided there, so that its
-    member goes to the Schur alignment ``name``, which then returns the
-    off-grid phase or raises."""
+    member goes to the per-member alignment ``name``, which then returns
+    the off-grid phase or raises: for SL(2,R) its refusal of a
+    non-elliptic element, for the compact families a failed Schur
+    alignment.  The fault is keyed by the member's bytes."""
     calls = itertools.count()
-    if name == "_sl2_align":
-        stacked = alignment._sl2_align_stack
-
-        def aligned_stack(g):
-            h, phases, refused = stacked(g)
-            for j in range(len(g)):
-                call = next(calls)
-                if call in off_grid:
-                    phases[j] = 0.3 + call / 1e4 + 1e-3
-                if call in failing:
-                    refused[j] = 1
-            return h, phases, refused
-
-        monkeypatch.setattr(alignment, "_sl2_align_stack", aligned_stack)
-        return
     eigen_rows, original = alignment._eigen_rows, getattr(alignment, name)
     broken = {}  # a broken member's bytes: its call
 
@@ -1339,7 +1352,8 @@ def break_alignment(monkeypatch, name, off_grid=(), failing=()):
     def aligned(g):
         call = broken.get(np.asarray(g).tobytes())
         if call in failing:
-            raise ValueError(f"alignment failed at call {call}")
+            raise ValueError(alignment._SL2_REFUSALS[1] if name == "_sl2_align"
+                             else f"alignment failed at call {call}")
         Q, phases = original(g)
         if call in off_grid:
             phases = np.array(phases, dtype=float, ndmin=1)
