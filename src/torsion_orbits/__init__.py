@@ -19,21 +19,17 @@ _SUBMODULE = {name: module for module, names in (
                "exp_element group_inverse membership_residual random_algebra "
                "random_element"),
     ("reports", "TrialRecord VerificationReport strip_wall_time"),
-    ("subspaces", "SubspaceBasis image_basis kernel_basis principal_angles "
-                  "verify_kernel_image_identity verify_zero_intersection"),
     ("torsion", "MAX_CLASSES CanonicalInvariant ComponentDescriptor "
                 "TorusTorsionPoint canonicalize catalog_components "
                 "class_count_bound class_table count_components "
                 "gcd_intersection_check orbit_dimension torsion_point "
-                "torsion_point_count torus_matrix write_catalog_csv "
-                "write_catalog_json"),
+                "torsion_point_count torus_matrix"),
     ("alignment", "canonical_align matrix_invariant "
                   "nearest_torsion_approximant orientation_sign"),
     ("sweeps", "cluster_census sl2_component_census"),
-    ("curves", "CurveSample DifferentComponentsError conjugation_curve "
-               "connect_within_component curve_kernel_check export_path_csv "
-               "path_order_residuals product_identity_check "
-               "tangent_space_check"),
+    ("curves", "CurveSample DifferentComponentsError "
+               "connect_within_component export_path_csv "
+               "path_order_residuals"),
     ("surface", "circle_points export_points_csv sample_surface "
                 "singular_locus_scan surface_gradient surface_value "
                 "tangent_cone_bound_check"),

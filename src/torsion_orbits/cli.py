@@ -1,11 +1,12 @@
 """Command-line surface: catalogs, randomized verifiers, censuses, and the
 surface demo.
 
-Exit codes: 0 = pass, 1 = a verification failed, 2 = bad configuration,
-3 = unsupported group.  JSON output is canonical (sorted keys); re-running a
-command with the same seed reproduces it byte for byte apart from the
-wall-time field.  The default seed is 0, overridable by the TORSION_ORBITS_SEED
-environment variable or --seed.
+Exit codes: 0 = pass, 1 = a verification failed or stdout was closed
+before the output was written, 2 = bad configuration, 3 = unsupported
+group.  JSON output is canonical (sorted keys); re-running a command with
+the same seed reproduces it byte for byte apart from the wall-time field.
+The default seed is 0, overridable by the TORSION_ORBITS_SEED environment
+variable or --seed.
 
 ``main`` is the one place in the package that touches the garbage
 collector: it freezes the heap once per process (see there).  Importing
@@ -133,7 +134,8 @@ def _resolve_spec(args):
 def _write_blocks(path, blocks) -> None:
     # the strings of blocks in order, to the --output path or stdout; the
     # first is made before the path is opened, so a refusal opens no file,
-    # and a path that cannot be opened is a configuration error
+    # and a path that cannot be opened is a configuration error; the
+    # flush makes a closed stdout raise here, inside main, not at exit
     blocks = iter(blocks)
     first = next(blocks, "")
     try:
@@ -144,6 +146,7 @@ def _write_blocks(path, blocks) -> None:
     with out as fh:
         fh.write(first)
         fh.writelines(blocks)
+        fh.flush()
 
 
 def _report_text(report) -> str:
@@ -426,6 +429,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
+    except BrokenPipeError:
+        # the reader of stdout went away (``| head``): point the
+        # descriptor at devnull, so that the flush at interpreter exit
+        # meets no broken pipe and prints no "Exception ignored" line (the
+        # SIGPIPE note of the Python docs); the output is cut short, so
+        # the exit code is 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

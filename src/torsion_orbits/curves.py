@@ -12,29 +12,26 @@ same canonical invariant.
 
 Everything here is array code over a stack.  ``tangent_outcomes``,
 ``curve_kernel_outcomes`` and ``product_identity_outcomes`` evaluate
-stacks of group members and do not check membership again; the
-single-shot checkers are their one-element cases and refuse a non-member,
-and a non-finite t, X or step, before any exponential.  A connecting path
-is one stacked expm of its conjugator path (``_conjugator_stack``) and
-one stacked conjugation.  The tangent test's slack and floor are the
-constants ``RATIO_SLACK`` and ``RATIO_FLOOR``, echoed in the report
-config.
+stacks of group members and do not check membership again; on a
+one-element stack ``g[None]`` they are the check of one element.  A
+connecting path is one stacked expm of its conjugator path
+(``_conjugator_stack``) and one stacked conjugation.  The tangent test's
+slack and floor are the constants ``RATIO_SLACK`` and ``RATIO_FLOOR``,
+echoed in the sweep's config.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, _coords, _frobenius,
-                     adjoint_stack, algebra_matrix, cartan_decompose,
-                     group_inverse, positive_int, require_member)
-from .reports import VerificationReport, _float_csv
-from .subspaces import (_adjoint_power_sum, _one_member, _outcome,
-                        _outcome_report, _torsion_outcomes)
+from .groups import (TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack,
+                     cartan_decompose, group_inverse, positive_int,
+                     require_member)
+from .reports import _float_csv
+from .subspaces import _adjoint_power_sum, _outcome
 from .torsion import canonicalize, torus_stack
 from .alignment import _alignment, canonical_align
 
@@ -97,22 +94,20 @@ def _conjugation_stack(g: np.ndarray, Xm: np.ndarray, times) -> np.ndarray:
     return E[:, :k] @ g[:, None] @ E[:, k:]
 
 
-def conjugation_curve(spec: GroupSpec, g: np.ndarray, X,
-                      steps=DEFAULT_STEPS) -> CurveSample:
-    """Sample c(t) = exp(tX) g exp(-tX) at the given decreasing steps."""
-    steps = _sample_times(steps)
-    g = require_member(spec, g)
-    Xm = algebra_matrix(spec, _coords(spec, X))
-    pts = _conjugation_stack(g[None], Xm[None], [steps])[0]
-    return CurveSample(spec, g, steps, tuple(pts))
-
-
 def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
                      steps=DEFAULT_STEPS):
-    """Outcome of ``tangent_space_check`` for each slice of the stack g of
-    group members and the stack Xm of algebra matrices: the errors of
-    every (slice, step) from one stacked Frobenius norm, and the ratio
-    test of every consecutive pair of steps as array operations."""
+    """First-order check that c'(0) = (X - Ad(g)X) g, for each slice of the
+    stack g of group members and the stack Xm of algebra matrices.
+
+    Compares the difference quotient (c(h) - g)/h against the predicted
+    derivative D for each step.  The defect is O(h), so consecutive error
+    ratios must track the step ratios within ``RATIO_SLACK``; errors under
+    ``RATIO_FLOOR`` count as exact (that happens exactly when Ad(g)X = X,
+    where the curve is constant).  The errors of every (slice, step) come
+    from one stacked Frobenius norm, and the ratio test of every
+    consecutive pair of steps is array operations.  Non-finite or
+    non-decreasing steps are refused before any exponential.
+    """
     if len(steps) < 2:
         raise ValueError("need at least two steps for the ratio test")
     steps = _sample_times(steps)
@@ -139,32 +134,15 @@ def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
                 ratios.tolist(), _frobenius(D).tolist())]
 
 
-def tangent_space_check(spec: GroupSpec, g: np.ndarray, X,
-                        steps=DEFAULT_STEPS) -> VerificationReport:
-    """First-order check that c'(0) = (X - Ad(g)X) g.
-
-    Compares the difference quotient (c(h) - g)/h against the predicted
-    derivative D for each step.  The defect is O(h), so consecutive error
-    ratios must track the step ratios within ``RATIO_SLACK``; errors under
-    ``RATIO_FLOOR`` count as exact (that happens exactly when Ad(g)X = X,
-    where the curve is constant).  This is the one-element case of
-    ``tangent_outcomes``.
-    """
-    t0 = time.perf_counter()
-    g = require_member(spec, g)
-    Xm = algebra_matrix(spec, _coords(spec, X))
-    outcome, = tangent_outcomes(spec, g[None], Xm[None], steps)
-    return _outcome_report(
-        "tangent-space", {"group": spec.label()}, outcome,
-        {"steps": list(steps), "ratio_slack": RATIO_SLACK,
-         "floor": RATIO_FLOOR}, t0)
-
-
 def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                           X: np.ndarray, tol: float = TOL_MEMBERSHIP):
-    """Outcome of ``curve_kernel_check`` for each slice of the stack g of
-    group members of order dividing n, with algebra coordinates X (one row
-    per slice)."""
+    """Exact-identity check: (I + Ad(g) + ... + Ad(g)^(n-1)) alpha'(0) = 0
+    for alpha'(0) = (I - Ad(g))X, for each slice of the stack g of group
+    members of order dividing n, with algebra coordinates X (one row per
+    slice).
+
+    The sum times (I - Ad(g)) telescopes to I - Ad(g)^n = 0, so any residual
+    beyond roundoff is a bug."""
     A = adjoint_stack(spec, g)
     alpha0 = (np.eye(spec.dim) - A) @ X[..., None]
     killed = (_adjoint_power_sum(A, n) @ alpha0)[..., 0]
@@ -175,29 +153,16 @@ def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
             for r, a in zip(residuals, norms)]
 
 
-def curve_kernel_check(spec: GroupSpec, g: np.ndarray, n: int, X,
-                       tol: float = TOL_MEMBERSHIP) -> VerificationReport:
-    """Exact-identity check: (I + Ad(g) + ... + Ad(g)^(n-1)) alpha'(0) = 0
-    for alpha'(0) = (I - Ad(g))X, whenever g^n = e.
-
-    The sum times (I - Ad(g)) telescopes to I - Ad(g)^n = 0, so any residual
-    beyond roundoff is a bug.  This is the one-element case of
-    ``curve_kernel_outcomes``."""
-    t0 = time.perf_counter()
-    stack, n = _one_member(spec, g, n)
-    X = _coords(spec, X)[None]
-    outcome, = _torsion_outcomes(
-        spec, stack, n,
-        lambda keep: curve_kernel_outcomes(spec, stack, n, X, tol))
-    return _outcome_report("curve-kernel", {"group": spec.label(), "n": n},
-                           outcome, {"tol": tol}, t0, "kernel_residual")
-
-
 def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                               Xm: np.ndarray, t: np.ndarray):
-    """Outcome of ``product_identity_check`` for each slice of the stack g
-    of elements of order dividing n, with algebra matrices Xm and
-    parameters t (one per slice)."""
+    """Telescoping product check at finite parameters t, for each slice of
+    the stack g of elements of order dividing n, with algebra matrices Xm
+    and parameters t (one per slice).
+
+    With gamma(t) = exp(tX) g exp(-tX) and alpha(t) = gamma(t) g^-1, the
+    product alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1))
+    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <=
+    n * TOL_MEMBERSHIP."""
     gamma = _conjugation_stack(g, Xm, np.asarray(t, dtype=float)[:, None])
     ginv = group_inverse(spec, g)
     alpha = gamma[:, 0] @ ginv
@@ -209,30 +174,6 @@ def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
     residuals = _frobenius(prod - np.eye(spec.size)).tolist()
     return [_outcome({"product_residual": r}, r <= n * TOL_MEMBERSHIP, {})
             for r in residuals]
-
-
-def product_identity_check(spec: GroupSpec, g: np.ndarray, n: int, X,
-                           t: float) -> VerificationReport:
-    """Telescoping product check at a finite parameter t.
-
-    With gamma(t) = exp(tX) g exp(-tX) and alpha(t) = gamma(t) g^-1, the
-    product alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1))
-    equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <=
-    n * TOL_MEMBERSHIP.
-    This is the one-element case of ``product_identity_outcomes``."""
-    t0 = time.perf_counter()
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    stack, n = _one_member(spec, g, n)
-    Xm = algebra_matrix(spec, _coords(spec, X))[None]
-    inputs = {"group": spec.label(), "n": n, "t": t}
-    outcome, = _torsion_outcomes(
-        spec, stack, n,
-        lambda keep: product_identity_outcomes(spec, stack, n, Xm, [t]))
-    return _outcome_report("product-identity", inputs, outcome,
-                           {"tol_membership": TOL_MEMBERSHIP}, t0,
-                           "product_residual")
 
 
 def _conjugator_stack(spec: GroupSpec, h: np.ndarray,

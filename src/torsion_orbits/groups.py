@@ -269,8 +269,7 @@ def algebra_matrix(spec: GroupSpec, coords) -> np.ndarray:
 
 def _coords(spec: GroupSpec, X, name: str = "X") -> np.ndarray:
     """X as ``spec.dim`` finite algebra coordinates, else ValueError
-    naming ``name``: the one coordinate check of ``exp_element`` and the
-    curves."""
+    naming ``name``: the coordinate check of ``exp_element``."""
     X = np.asarray(X, dtype=float)
     if X.shape != (spec.dim,) or not np.isfinite(X).all():
         raise ValueError(f"{name} must be {spec.dim} finite algebra "

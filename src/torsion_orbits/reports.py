@@ -2,10 +2,10 @@
 
 Every checker in this package returns a :class:`VerificationReport`: a pass
 flag, the worst residual seen, one record per trial, and an echo of the
-configuration that produced it.  Reports serialize to JSON losslessly, and two
-runs with the same configuration produce byte-identical JSON apart from the
-wall-time field.  ``to_json`` prints a report from a fixed skeleton and
-per-trial templates with sorted keys, byte for byte what
+configuration that produced it.  ``to_json`` loses nothing of ``to_dict``,
+and two runs with the same configuration produce byte-identical JSON apart
+from the wall-time field.  ``to_json`` prints a report from a fixed
+skeleton and per-trial templates with sorted keys, byte for byte what
 ``json.dumps(..., sort_keys=True, indent=2)`` prints, which the tests keep
 as its oracle.  A passed trial with finite float residuals prints through
 one ``%``-template per residual key order, with its ``inputs`` dict
@@ -130,12 +130,6 @@ class VerificationReport:
                 "details": copy.deepcopy(self.details),
                 "wall_time_s": self.wall_time_s}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        data = dict(data)
-        data["trials"] = [TrialRecord(**t) for t in data.get("trials", [])]
-        return cls(**data)
-
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), sort_keys=True, indent=2)``, byte
         for byte, printed from ``_REPORT_JSON`` with each trial from
@@ -151,10 +145,6 @@ class VerificationReport:
             trials=("[\n" + ",\n".join(trials) + "\n  ]") if trials else "[]",
             wall_time_s=json.dumps(self.wall_time_s),
             worst_residual=json.dumps(self.worst_residual))
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
 
     def summary_line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -276,7 +266,7 @@ def _trial_template(order: tuple):
 def single_trial_report(check, inputs, residuals, passed, config=None,
                         details=None, status="ok", note="", seed=None,
                         wall_time_s=0.0, worst_residual=None):
-    """Report wrapping one trial; used by the one-shot checkers."""
+    """Report wrapping one trial: the surface checks and ``verify gcd``."""
     trial = TrialRecord(index=0, seed=seed, inputs=dict(inputs),
                         residuals=dict(residuals), passed=passed,
                         status=status, note=note)

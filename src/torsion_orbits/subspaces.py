@@ -1,49 +1,32 @@
-"""SVD-backed subspace computations and the kernel/image verifiers.
+"""SVD-backed subspace computations and the kernel/image checks.
 
-Subspaces of R^d are stored as column-orthonormal matrices.  Rank decisions
-use a relative threshold tol * sigma_max, with the kernel and image of one
-matrix split by the same threshold so rank + nullity = d holds exactly.
+Subspaces of R^d are stored as stacks of column-orthonormal matrices.  Rank
+decisions use a relative threshold tol * sigma_max, with the kernel and
+image of one matrix split by the same threshold so rank + nullity = d holds
+exactly.
 
 Principal angles come from ``principal_angles_stack``, a numpy transcription
 of ``scipy.linalg.subspace_angles`` (Knyazev & Argentati, SIAM J. Sci.
 Comput. 23, 2002) over a whole stack of pairs, which reproduces scipy's
-angles bit for bit; ``principal_angles`` is its one-element case.
+angles bit for bit.
 
 ``kernel_image_outcomes`` and ``zero_intersection_outcomes`` evaluate a
-stack of group members, which they do not check for membership again;
-``verify_kernel_image_identity`` and ``verify_zero_intersection`` are their
-one-element cases, which refuse a non-member first.
+stack of group members, which they do not check for membership again; on
+a one-element stack ``g[None]`` they are the check of one element.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
-from .groups import (TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack,
-                     positive_int, require_member)
-from .reports import fill_kept, single_trial_report
+from .groups import TOL_MEMBERSHIP, GroupSpec, _frobenius, adjoint_stack
+from .reports import fill_kept
 
 #: Relative singular-value threshold for rank decisions.
 TOL_RANK = 1e-9
 
 #: Two subspaces are reported equal when every principal angle is below this.
 TOL_SUBSPACE = 1e-7
-
-
-@dataclass
-class SubspaceBasis:
-    """Column-orthonormal basis of a subspace of R^(ambient_dim)."""
-
-    ambient_dim: int
-    vectors: np.ndarray  # shape (ambient_dim, k); k may be 0
-    tol: float = TOL_RANK
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 def _rank_counts(s: np.ndarray, tol: float) -> np.ndarray:
@@ -56,26 +39,6 @@ def _rank_counts(s: np.ndarray, tol: float) -> np.ndarray:
     top = s[..., 0] if s.shape[-1] else np.zeros(s.shape[:-1])
     cut = tol * np.where(top > 1.0, top, 1.0)
     return np.sum(s > cut[..., None], axis=-1)
-
-
-def image_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
-    """Orthonormal basis of the column span of A.
-
-    Keeps the left singular vectors whose singular values exceed
-    tol * max(1, sigma_max).  A numerically zero matrix yields the empty
-    basis.
-    """
-    U, s, _ = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
-    k = _rank_counts(s, tol)
-    return SubspaceBasis(U.shape[0], U[:, :k].copy(), tol)
-
-
-def kernel_basis(A: np.ndarray, tol: float = TOL_RANK) -> SubspaceBasis:
-    """Orthonormal basis of the null space of A (right singular vectors with
-    singular value <= tol * max(1, sigma_max))."""
-    _, s, Vt = np.linalg.svd(np.atleast_2d(np.asarray(A, dtype=float)))
-    rank = _rank_counts(s, tol)
-    return SubspaceBasis(Vt.shape[1], Vt[rank:].T.copy(), tol)
 
 
 def _dim_groups(a: np.ndarray, b: np.ndarray):
@@ -134,16 +97,11 @@ def principal_angles_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return angles
 
 
-def principal_angles(P: SubspaceBasis, Q: SubspaceBasis) -> np.ndarray:
-    """Principal angles between two nonempty subspaces, ascending; the
-    one-element case of ``principal_angles_stack``."""
-    angles = principal_angles_stack(P.vectors[None], Q.vectors[None])[0]
-    return angles[~np.isnan(angles)]
-
-
 def _equal_stack(P: np.ndarray, Q: np.ndarray, tol: float):
-    """(equal, residual) of ``subspace_equal`` for each pair of the stacks
-    P of shape (G, d, a) and Q of shape (G, d, b) of bases."""
+    """(equal, residual) for each pair of the stacks P of shape (G, d, a)
+    and Q of shape (G, d, b) of bases: dims must match and the largest
+    principal angle must stay below ``tol``.  Dimension mismatch reports
+    residual pi/2."""
     if P.shape[-1] != Q.shape[-1]:
         return np.zeros(len(P), bool), np.full(len(P), np.pi / 2)
     if P.shape[-1] == 0:
@@ -152,36 +110,16 @@ def _equal_stack(P: np.ndarray, Q: np.ndarray, tol: float):
     return residual <= tol, residual
 
 
-def subspace_equal(P: SubspaceBasis, Q: SubspaceBasis,
-                   tol: float = TOL_SUBSPACE) -> tuple[bool, float]:
-    """(equal, residual): dims must match and the largest principal angle
-    must stay below ``tol``.  Dimension mismatch reports residual pi/2."""
-    if P.ambient_dim != Q.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    equal, residual = _equal_stack(P.vectors[None], Q.vectors[None], tol)
-    return bool(equal[0]), float(residual[0])
-
-
 def _intersection_stack(P: np.ndarray, Q: np.ndarray, angle_tol: float):
-    """(estimate, smallest angle) of ``intersection_dimension`` for each
+    """(estimated dim of intersection, smallest principal angle) for each
     pair of the stacks P of shape (G, d, a) and Q of shape (G, d, b) of
-    bases."""
+    bases.  The estimate counts principal angles below ``angle_tol``; the
+    sine-based angle computation resolves angles down to ~1e-12, well under
+    the threshold."""
     if P.shape[-1] == 0 or Q.shape[-1] == 0:
         return np.zeros(len(P), int), np.full(len(P), np.pi / 2)
     angles = principal_angles_stack(P, Q)
     return np.sum(angles < angle_tol, axis=1), angles[:, 0]
-
-
-def intersection_dimension(P: SubspaceBasis, Q: SubspaceBasis,
-                           angle_tol: float = TOL_SUBSPACE) -> tuple[int, float]:
-    """(estimated dim of intersection, smallest principal angle).
-
-    The estimate counts principal angles below ``angle_tol``; the sine-based
-    angle computation resolves angles down to ~1e-12, well under the
-    threshold."""
-    est, angle = _intersection_stack(P.vectors[None], Q.vectors[None],
-                                     angle_tol)
-    return int(est[0]), float(angle[0])
 
 
 def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
@@ -191,13 +129,6 @@ def _adjoint_power_sum(A: np.ndarray, n: int) -> np.ndarray:
         P = P @ A
         S = S + P
     return np.broadcast_to(S, A.shape)
-
-
-def _one_member(spec: GroupSpec, g, n):
-    """(g as a one-element stack, n as an int) for the single-shot
-    checkers, which raise for a non-member or a bad n.  n is any integer
-    (numpy's too, through ``operator.index``) but a bool."""
-    return require_member(spec, g)[None], positive_int(n, "n")
 
 
 def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
@@ -219,14 +150,6 @@ def _torsion_outcomes(spec: GroupSpec, g: np.ndarray, n: int, evaluate,
 def _outcome(residuals, passed, details):
     return {"residuals": residuals, "passed": bool(passed), "status": "ok",
             "note": "", "details": details}
-
-
-def _outcome_report(check, inputs, outcome, config, t0, worst=None):
-    """Single-trial report of one outcome; ``worst`` names the residual
-    that is the report's worst residual (default: every residual)."""
-    return single_trial_report(
-        check, inputs, config=config, wall_time_s=time.perf_counter() - t0,
-        worst_residual=outcome["residuals"].get(worst), **outcome)
 
 
 #: Note suffix of a rejected subspace check.
@@ -257,9 +180,15 @@ def _kernels(Vt: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
 def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                           tol_rank: float = TOL_RANK,
                           tol_subspace: float = TOL_SUBSPACE):
-    """Outcome of ``verify_kernel_image_identity`` for each slice of the
-    stack g of group members, taken once per group of slices with the same
-    image and kernel dimensions."""
+    """Check ker(I + Ad(g) + ... + Ad(g)^(n-1)) = Im(I - Ad(g)) for g^n = e,
+    for each slice of the stack g of group members, taken once per group of
+    slices with the same image and kernel dimensions.
+
+    An outcome carries the subspace dimensions, the largest principal angle
+    between the two subspaces, and the containment residual
+    max_v ||Sum_i Ad(g)^i v|| over image basis vectors v.  A slice whose
+    g^n is far from e is rejected.
+    """
     def check(S, U, s, Vt, s_S, Vt_S):
         im_dim = _rank_counts(s, tol_rank)
         ker_dim = spec.dim - _rank_counts(s_S, tol_rank)
@@ -284,9 +213,14 @@ def kernel_image_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
 def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                                tol_rank: float = TOL_RANK,
                                angle_tol: float = TOL_SUBSPACE):
-    """Outcome of ``verify_zero_intersection`` for each slice of the stack g
-    of group members, taken once per group of slices with the same fixed
-    space and kernel dimensions."""
+    """Check ker(I - Ad(g)) cap ker(Sum_i Ad(g)^i) = {0} for g^n = e, for
+    each slice of the stack g of group members, taken once per group of
+    slices with the same fixed space and kernel dimensions.
+
+    The fixed space of Ad(g) is mapped to n times itself by the power sum,
+    so the two kernels can only share the zero vector; an outcome records
+    the estimated intersection dimension and the smallest principal angle.
+    """
     def check(S, U, s, Vt, s_S, Vt_S):
         fixed_dim = spec.dim - _rank_counts(s, tol_rank)
         ker_dim = spec.dim - _rank_counts(s_S, tol_rank)
@@ -301,43 +235,3 @@ def zero_intersection_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
                                       ker_dim.tolist(), min_angle.tolist())]
 
     return _subspace_outcomes(spec, g, n, check)
-
-
-def verify_kernel_image_identity(spec: GroupSpec, g: np.ndarray, n: int,
-                                 tol_rank: float = TOL_RANK,
-                                 tol_subspace: float = TOL_SUBSPACE):
-    """Check ker(I + Ad(g) + ... + Ad(g)^(n-1)) = Im(I - Ad(g)) for g^n = e.
-
-    Returns a VerificationReport carrying the subspace dimensions, the
-    largest principal angle between the two subspaces, and the containment
-    residual max_v ||Sum_i Ad(g)^i v|| over image basis vectors v.
-    A precondition violation (g^n far from e) yields a rejected report.
-    This is the one-element case of ``kernel_image_outcomes``.
-    """
-    t0 = time.perf_counter()
-    config = {"check": "kernel-image", "tol_rank": tol_rank,
-              "tol_subspace": tol_subspace, "tol_membership": TOL_MEMBERSHIP}
-    stack, n = _one_member(spec, g, n)
-    outcome, = kernel_image_outcomes(spec, stack, n, tol_rank, tol_subspace)
-    return _outcome_report("kernel-image", {"group": spec.label(), "n": n},
-                           outcome, config, t0, "principal_angle")
-
-
-def verify_zero_intersection(spec: GroupSpec, g: np.ndarray, n: int,
-                             tol_rank: float = TOL_RANK,
-                             angle_tol: float = TOL_SUBSPACE):
-    """Check ker(I - Ad(g)) cap ker(Sum_i Ad(g)^i) = {0} for g^n = e.
-
-    The fixed space of Ad(g) is mapped to n times itself by the power sum, so
-    the two kernels can only share the zero vector; the report records the
-    estimated intersection dimension and the smallest principal angle.
-    This is the one-element case of ``zero_intersection_outcomes``.
-    """
-    t0 = time.perf_counter()
-    config = {"check": "zero-intersection", "tol_rank": tol_rank,
-              "angle_tol": angle_tol, "tol_membership": TOL_MEMBERSHIP}
-    stack, n = _one_member(spec, g, n)
-    outcome, = zero_intersection_outcomes(spec, stack, n, tol_rank, angle_tol)
-    return _outcome_report("zero-intersection",
-                           {"group": spec.label(), "n": n}, outcome, config,
-                           t0, "intersection_dim")

@@ -1,5 +1,5 @@
-"""Randomized multi-trial sweeps over the single-shot checkers, and the
-class censuses.
+"""Randomized multi-trial sweeps over the stacked checks, and the class
+censuses.
 
 Every sweep and census is a draw, build and records function for
 :func:`reports.run_stacked_trials`: trial i draws its inputs from a
@@ -9,13 +9,12 @@ seed and any failing trial can be replayed alone from the seed recorded in
 its trial record.  The engine evaluates the draws as stacks of at most
 ``reports.STACK_CAP`` trials, one stack per (group, n), or per group for
 the tangent and density sweeps: one Haar QR, torus build, conjugation and
-membership residual per stack, and the stacked evaluator of which each
-single-shot checker is the one-element case, on the stack's group
-members.  Membership is decided once per trial, by ``members_only`` (a
-non-member fails the run); the evaluators take members and do not decide
-it again.  Records come out in trial order.  The tangent sweep runs at
-``curves.DEFAULT_STEPS`` and ``curves.RATIO_SLACK``, and its config echoes
-both.
+membership residual per stack, and the check's stacked evaluator on the
+stack's group members.  Membership is decided once per trial, by
+``members_only`` (a non-member fails the run); the evaluators take
+members and do not decide it again.  Records come out in trial order.
+The tangent sweep runs at ``curves.DEFAULT_STEPS`` and
+``curves.RATIO_SLACK``, and its config echoes both.
 
 The three torsion sweeps and both censuses run over conjugates of torus
 points: ``_torsion_draw`` draws a torus point index, one ``rng.integers``

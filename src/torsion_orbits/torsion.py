@@ -21,8 +21,7 @@ CSV, JSON) prints blocks from per-catalog text tables: a label part and
 a JSON pair per numerator, a float-list text per distinct representative
 row.  So the CLI holds one block at a time and builds no per-class
 object.  ``catalog_components`` reads the same blocks as
-``ComponentDescriptor``s, and the list writers print a descriptor list
-as blocks of its runs of one group, n, shape and dtype.
+``ComponentDescriptor``s.
 ``count_components`` is a closed form.  A class-by-class walk in the
 tests is the oracle of the table and of the count.  Every rule branches
 on the shapes ``GroupSpec`` derives from its family record (``weyl``,
@@ -444,30 +443,6 @@ def _catalog_blocks(spec: GroupSpec, n: int):
                             orders[rows].tolist(), reps, phases)
 
 
-def _component_blocks(catalog: list[ComponentDescriptor]):
-    """A list of components as ``_CatalogBlock``s, one per run of
-    consecutive components that share group, n, and representative shape
-    and dtype.  A run's ks index a phase table of the run's own
-    Fractions."""
-    def run_key(comp):
-        rep = np.asarray(comp.representative)
-        return comp.spec, comp.n, rep.shape, rep.dtype
-
-    for (spec, n, *_), run in itertools.groupby(catalog, run_key):
-        run, table = list(run), {}
-        ks = [[table.setdefault(p, len(table)) for p in comp.canonical.phases]
-              for comp in run]
-        yield _CatalogBlock(
-            spec, n, ks,
-            [-1 if comp.canonical.parity is None else comp.canonical.parity
-             for comp in run],
-            [comp.orbit_size for comp in run],
-            [comp.dimension for comp in run],
-            [comp.exact_order for comp in run],
-            np.stack([np.asarray(comp.representative) for comp in run]),
-            _PhaseTable([(p.numerator, p.denominator) for p in table]))
-
-
 def count_components(spec: GroupSpec, n: int) -> int:
     """Number of conjugation orbits of {g : g^n = e}, in closed form: the
     number of Weyl orbits on the torus points killed by n, which
@@ -555,13 +530,6 @@ CATALOG_CSV_COLUMNS = ("group", "size", "n", "component_index", "canonical",
                        "dimension", "exact_order")
 
 
-def write_catalog_csv(catalog: list[ComponentDescriptor], fileobj) -> None:
-    """Write the catalog as CSV with the ``CATALOG_CSV_COLUMNS`` header,
-    one row per component, as ``csv.writer`` prints it: a label holding a
-    comma is quoted."""
-    fileobj.writelines(_csv_blocks(_component_blocks(catalog)))
-
-
 def _labels(block: _CatalogBlock) -> list:
     # each entry's CanonicalInvariant.label, from the block's phase table
     parts = block.phases.label_parts
@@ -571,8 +539,10 @@ def _labels(block: _CatalogBlock) -> list:
 
 
 def _csv_blocks(blocks):
-    # the text of write_catalog_csv for a catalog given as blocks, one
-    # piece per block (the header goes with the first)
+    # the catalog given as blocks as CSV with the CATALOG_CSV_COLUMNS
+    # header, one row per component, as csv.writer prints it (a label
+    # holding a comma is quoted); one piece per block, the header with
+    # the first
     head, index = ",".join(CATALOG_CSV_COLUMNS) + "\n", 0
     for block in blocks:
         row = f"{block.spec.family},{block.spec.size},{block.n},%d,%s,%s,%s\n"
@@ -603,7 +573,7 @@ _FLOAT_SEP = ",\n" + _PART_PAD + "  "
 
 
 def _json_entry(block: _CatalogBlock) -> str:
-    """The ``%``-template of one entry of ``write_catalog_json``, at its
+    """The ``%``-template of one entry of ``_json_blocks``, at its
     depth in the document and with its keys in sorted order, with what
     the block's entries share filled in: group, n, size and the shape and
     dtype of the representative.  It takes the label, index, dimension,
@@ -653,24 +623,16 @@ def _float_lists(part: np.ndarray) -> list:
             for entry in texts[inverse].reshape(count, -1).tolist()]
 
 
-def write_catalog_json(catalog: list[ComponentDescriptor], config: dict,
-                       fileobj) -> None:
-    """Write ``{"config": config, "components": [...]}`` exactly as
-    ``json.dumps(..., sort_keys=True, indent=2)`` prints it, plus a newline.
-    A component lists its label, phases as [numerator, denominator] pairs,
+def _json_blocks(blocks, config: dict):
+    """``{"config": config, "components": [...]}`` for a catalog given as
+    blocks, exactly as ``json.dumps(..., sort_keys=True, indent=2)`` prints
+    it, plus a newline: one piece per block, then the closing text.  A
+    component lists its label, phases as [numerator, denominator] pairs,
     parity, dimension, exact order, orbit size and its representative,
     row-major with full double precision, split into real and imaginary
-    parts.  Raises ValueError for a non-finite representative, before
-    anything is written: json.dumps would print NaN or Infinity, which is
-    not JSON."""
-    fileobj.write("".join(_json_blocks(_component_blocks(catalog), config)))
-
-
-def _json_blocks(blocks, config: dict):
-    """The text of ``write_catalog_json`` for a catalog given as blocks:
-    one piece per block, then the closing text.  A block's
-    representatives are checked before its piece is made, and its float
-    lists come from ``_float_lists``."""
+    parts.  A block's representatives are checked before its piece is
+    made, since json.dumps would print NaN or Infinity, which is not
+    JSON, and its float lists come from ``_float_lists``."""
     head, index = '{\n  "components": [\n', 0
     for block in blocks:
         reps = block.reps

@@ -2,27 +2,28 @@
 
 ``groups.membership_residuals``, ``alignment._sl2_align_stack`` and the
 stacked subspace checks take a whole stack at a time, and
-``membership_residual``, ``_sl2_align``, ``orientation_sign`` and the
-single-shot subspace verifiers are their one-element cases.  These are the
-direct per-matrix statements they replaced, with
-``scipy.linalg.subspace_angles`` for the principal angles and an SVD of
-g - mu I for the SL(2,R) eigenvector, which the stack now reads off g's
-entries in closed form.  They share no
-code with the package, so a test that compares the two does not compare
-the code with itself.
+``membership_residual``, ``_sl2_align`` and ``orientation_sign`` are
+their one-element cases.  These are the direct per-matrix statements
+they replaced, with ``scipy.linalg.subspace_angles`` for the principal
+angles and an SVD of g - mu I for the SL(2,R) eigenvector, which the
+stack now reads off g's entries in closed form.  They share no code with
+the package, so a test that compares the two does not compare the code
+with itself.
+
+``component_dimension`` is the numeric adjoint rank that the exact
+``torsion.orbit_dimension`` is checked against: the package's adjoint,
+and its own SVD and rank cut at the package's ``TOL_RANK``.
 
 The rest are per-element forms built on the package's own primitives:
-``component_dimension``, the numeric adjoint rank that the exact
-``torsion.orbit_dimension`` is checked against; ``random_torsion_point``
-and ``random_torsion_element``, one draw at a time in the order the
-stacked ``sweeps._torsion_draw`` takes it; ``circle_point_oracle``, one
-surface point at a time, the scalar body that ``surface.circle_points``
-replaced; and the per-element bodies that ``curves`` replaced with array
-code: ``tangent_outcome_oracle``, one norm per (trial, step) and the
-ratio test as a loop, ``connect_waypoints_oracle``, one expm and one
-conjugation per waypoint of the conjugator path that
-``conjugator_path_oracle`` returns as a closure, and
-``export_path_csv_oracle``, the ``csv.writer`` path export.
+``random_torsion_point`` and ``random_torsion_element``, one draw at a
+time in the order the stacked ``sweeps._torsion_draw`` takes it;
+``circle_point_oracle``, one surface point at a time, the scalar body
+that ``surface.circle_points`` replaced; and the per-element bodies
+that ``curves`` replaced with array code: ``tangent_outcome_oracle``,
+one norm per (trial, step) and the ratio test as a loop,
+``connect_waypoints_oracle``, one expm and one conjugation per waypoint
+of the conjugator path that ``conjugator_path_oracle`` returns as a
+closure, and ``export_path_csv_oracle``, the ``csv.writer`` path export.
 ``sl2_invariant_rows_oracle`` is the SL(2,R) branch that
 ``alignment._invariant_rows`` kept beside its compact path, before every
 family was read off ``_eigen_rows`` with one per-member fallback.
@@ -40,7 +41,7 @@ from torsion_orbits.alignment import (_SL2_REFUSALS, _off_grid, _snap,
 from torsion_orbits.curves import RATIO_FLOOR, RATIO_SLACK
 from torsion_orbits.groups import (SL2R, adjoint_matrix, cartan_decompose,
                                    group_inverse, random_element)
-from torsion_orbits.subspaces import TOL_RANK, image_basis
+from torsion_orbits.subspaces import TOL_RANK
 from torsion_orbits.surface import surface_value
 from torsion_orbits.torsion import (_canonical_rows, _indexable_count,
                                     torsion_point, torus_matrix)
@@ -176,9 +177,10 @@ def zero_intersection_oracle(A, n, tol_rank, angle_tol):
 
 def component_dimension(spec, g, tol_rank=TOL_RANK):
     """Dimension of the conjugation orbit of g: the numeric rank of
-    I - Ad(g)."""
+    I - Ad(g), its singular values above tol_rank * max(1, sigma_max)."""
     A = adjoint_matrix(spec, g)
-    return image_basis(np.eye(len(A)) - A, tol_rank).dim
+    return _rank(np.linalg.svd(np.eye(len(A)) - A, compute_uv=False),
+                 tol_rank)
 
 
 def random_torsion_point(spec, n, rng):

@@ -7,6 +7,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -16,10 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_torsion import catalog_json_payload
+from test_torsion import catalog_csv_oracle, catalog_json_payload
 from torsion_orbits import cli, torsion
 from torsion_orbits.groups import GroupSpec
 from torsion_orbits.reports import strip_wall_time
+
+#: Environment of a CLI run in a subprocess, on the source tree.
+SRC_ENV = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 #: sha256 of the stdout of catalog commands, recorded by the benchmark.
 REFERENCE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -44,6 +51,36 @@ def test_catalog_counts(capsys):
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) == 1 + want
     assert rows[0][0] == "group"
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--group", "U", "--size", "4", "--n", "16", "--format", "json"],
+    ["demo-surface", "--samples", "100000", "--format", "csv"]],
+    ids=["catalog", "demo-surface"])
+def test_a_closed_stdout_exits_1_and_prints_nothing(argv):
+    # the reader takes 100 bytes and closes the pipe, as ``| head`` does;
+    # the write used to raise BrokenPipeError out of main and print its
+    # traceback (exit 1), and the flush at exit an "Exception ignored" line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torsion_orbits.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=SRC_ENV)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_an_output_file_needs_no_stdout(tmp_path):
+    # with stdout closed from the start, --output still writes and exits 0
+    out = tmp_path / "catalog.csv"
+    code = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m torsion_orbits.cli catalog --group SU '
+         '--size 2 --n 4 --format csv --output "$1" >&-', sys.executable,
+         str(out)], env=SRC_ENV, timeout=120).returncode
+    assert code == 0
+    assert out.read_text().startswith("group,size,n,")
 
 
 def test_catalog_bytes_match_reference_digests(capsys):
@@ -134,11 +171,18 @@ def catalog_text(spec, n, catalog):
     return "\n".join(lines) + "\n"
 
 
+def catalog_json(catalog, config):
+    """The JSON catalog as json.dumps prints the oracle payload."""
+    return json.dumps({"config": config,
+                       "components": catalog_json_payload(catalog)},
+                      sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("block", [1, 3, 256])
 def test_catalog_blocks_print_the_list_writers_bytes(capsys, monkeypatch,
                                                      block):
     # catalogs shorter than, equal to and longer than a block, and a few
-    # blocks long, print what the list writers print for the whole list
+    # blocks long, print what the oracles print for the whole list
     monkeypatch.setattr(torsion, "_BLOCK", block)
     for family, size, n in (("SU", 2, 2), ("U", 2, 2), ("U", 1, 4),
                             ("SO", 4, 3), ("SO", 2, 255), ("SO", 2, 256),
@@ -147,14 +191,11 @@ def test_catalog_blocks_print_the_list_writers_bytes(capsys, monkeypatch,
         catalog = torsion.catalog_components(spec, n)
         config = cli.RunConfig(command="catalog", family=family, size=size,
                                n=n, fmt="json").as_dict()
-        csv_buf, json_buf = io.StringIO(), io.StringIO()
-        torsion.write_catalog_csv(catalog, csv_buf)
-        torsion.write_catalog_json(catalog, config, json_buf)
         argv = ["catalog", "--group", family, "--size", str(size),
                 "--n", str(n), "--format"]
         for fmt, want in (("text", catalog_text(spec, n, catalog)),
-                          ("csv", csv_buf.getvalue()),
-                          ("json", json_buf.getvalue())):
+                          ("csv", catalog_csv_oracle(catalog)),
+                          ("json", catalog_json(catalog, config))):
             code, out, _ = run(capsys, argv + [fmt])
             assert (code, out) == (0, want), (spec.label(), n, fmt)
 
@@ -171,26 +212,20 @@ CATALOG_SPECS = ([GroupSpec("U", m) for m in range(1, 5)]
        st.sampled_from([1, 2, 3, 5, 256]))
 def test_catalog_blocks_print_the_list_writers_bytes_everywhere(spec, n,
                                                                 block):
-    # at any block size, the CLI's three formats print what the list
-    # writers print for catalog_components, and the JSON is what json.dumps
-    # prints for the oracle payload; catalogs kept under 200 classes
+    # at any block size, the CLI's three formats print what the oracles
+    # print for catalog_components: the JSON is what json.dumps prints for
+    # the oracle payload; catalogs kept under 200 classes
     if torsion.count_components(spec, n) > 200:
         n = 2
     catalog = torsion.catalog_components(spec, n)
     config = cli.RunConfig(command="catalog", family=spec.family,
                            size=spec.size, n=n, fmt="json").as_dict()
-    csv_buf, json_buf = io.StringIO(), io.StringIO()
-    torsion.write_catalog_csv(catalog, csv_buf)
-    torsion.write_catalog_json(catalog, config, json_buf)
-    assert json_buf.getvalue() == json.dumps(
-        {"config": config, "components": catalog_json_payload(catalog)},
-        sort_keys=True, indent=2) + "\n"
     argv = ["catalog", "--group", spec.family, "--size", str(spec.size),
             "--n", str(n), "--format"]
     with mock.patch.object(torsion, "_BLOCK", block):
         for fmt, want in (("text", catalog_text(spec, n, catalog)),
-                          ("csv", csv_buf.getvalue()),
-                          ("json", json_buf.getvalue())):
+                          ("csv", catalog_csv_oracle(catalog)),
+                          ("json", catalog_json(catalog, config))):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert cli.main(argv + [fmt]) == 0

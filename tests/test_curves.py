@@ -16,15 +16,39 @@ from torsion_orbits.groups import (GroupSpec, algebra_coords, algebra_matrix,
                                    random_element)
 from torsion_orbits.curves import (DEFAULT_STEPS, CurveSample,
                                    DifferentComponentsError,
-                                   conjugation_curve, connect_within_component,
-                                   curve_kernel_check, export_path_csv,
+                                   _conjugation_stack,
+                                   connect_within_component,
+                                   curve_kernel_outcomes, export_path_csv,
                                    path_order_residuals,
-                                   product_identity_check, tangent_outcomes,
-                                   tangent_space_check)
+                                   product_identity_outcomes,
+                                   tangent_outcomes)
+from torsion_orbits.subspaces import _torsion_outcomes
 from torsion_orbits import alignment, curves
 from torsion_orbits.sweeps import ALL_FAMILY_SPECS
 from torsion_orbits.alignment import matrix_invariant
 from torsion_orbits.torsion import canonicalize, class_table, torus_matrix
+
+
+def tangent(spec, g, X, steps=DEFAULT_STEPS):
+    """The tangent outcome of one element and algebra coordinates X."""
+    return tangent_outcomes(spec, g[None], algebra_matrix(spec, X)[None],
+                            steps)[0]
+
+
+def curve_kernel(spec, g, n, X):
+    """The curve-kernel outcome of one element, rejected where g^n = e
+    fails, as the lemma32 sweep takes it."""
+    X = np.asarray(X, dtype=float)[None]
+    return _torsion_outcomes(spec, g[None], n, lambda keep: (
+        curve_kernel_outcomes(spec, g[None], n, X)))[0]
+
+
+def product_identity(spec, g, n, X, t):
+    """The product-identity outcome of one element at parameter t,
+    rejected where g^n = e fails, as the lemma32 sweep takes it."""
+    Xm = algebra_matrix(spec, X)[None]
+    return _torsion_outcomes(spec, g[None], n, lambda keep: (
+        product_identity_outcomes(spec, g[None], n, Xm, [t])))[0]
 
 
 def conj(spec, h, g):
@@ -53,9 +77,10 @@ def test_curve_sample_validation():
 def test_conjugation_curve_stays_in_group():
     spec = GroupSpec("SU", 3)
     g = random_element(spec, 0)
-    X = random_algebra(spec, 1)
-    sample = conjugation_curve(spec, g, X)
-    for p in sample.points:
+    Xm = algebra_matrix(spec, random_algebra(spec, 1))
+    points = _conjugation_stack(g[None], Xm[None], [DEFAULT_STEPS])[0]
+    assert len(points) == len(DEFAULT_STEPS)
+    for p in points:
         assert membership_residual(spec, p) < 1e-12
 
 
@@ -71,9 +96,9 @@ def test_tangent_check_su2_hand_derivative():
     Xm = algebra_matrix(spec, X)
     D_hand = -1j * np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.linalg.norm((Xm @ g - g @ Xm) - D_hand) < 1e-12
-    rep = tangent_space_check(spec, g, X)
-    assert rep.passed, rep.to_json()
-    assert rep.details["derivative_norm"] == pytest.approx(np.sqrt(2.0))
+    outcome = tangent(spec, g, X)
+    assert outcome["passed"], outcome
+    assert outcome["details"]["derivative_norm"] == pytest.approx(np.sqrt(2.0))
 
 
 def test_tangent_check_commuting_direction_is_exact():
@@ -83,17 +108,17 @@ def test_tangent_check_commuting_direction_is_exact():
     g = np.diag([np.exp(0.3j), np.exp(1.1j)])
     X = np.zeros(4)
     X[0] = 1.0  # i E00 commutes with any diagonal g
-    rep = tangent_space_check(spec, g, X)
-    assert rep.passed
-    assert rep.details["error_ratios"] == [None, None]
-    assert rep.worst_residual < 1e-10
+    outcome = tangent(spec, g, X)
+    assert outcome["passed"]
+    assert outcome["details"]["error_ratios"] == [None, None]
+    assert max(outcome["residuals"].values()) < 1e-10
 
 
 def test_tangent_check_identity_base():
     spec = GroupSpec("SO", 3)
-    rep = tangent_space_check(spec, np.eye(3), random_algebra(spec, 5))
-    assert rep.passed
-    assert rep.details["derivative_norm"] < 1e-12
+    outcome = tangent(spec, np.eye(3), random_algebra(spec, 5))
+    assert outcome["passed"]
+    assert outcome["details"]["derivative_norm"] < 1e-12
 
 
 @pytest.mark.parametrize("family,size", [("U", 2), ("SU", 2), ("SU", 3),
@@ -104,14 +129,14 @@ def test_tangent_check_random_draws(family, size):
     for _ in range(10):
         g = random_element(spec, rng)
         X = random_algebra(spec, rng)
-        rep = tangent_space_check(spec, g, X)
-        assert rep.passed, rep.to_json()
+        outcome = tangent(spec, g, X)
+        assert outcome["passed"], outcome
 
 
 def test_tangent_check_needs_two_steps():
     spec = GroupSpec("U", 1)
     with pytest.raises(ValueError):
-        tangent_space_check(spec, np.eye(1, dtype=complex), [1.0], steps=(1e-3,))
+        tangent(spec, np.eye(1, dtype=complex), [1.0], steps=(1e-3,))
 
 
 @pytest.mark.parametrize("spec", ALL_FAMILY_SPECS, ids=GroupSpec.label)
@@ -139,29 +164,13 @@ def test_tangent_outcomes_equal_the_per_trial_oracle(spec):
     assert verdicts == {True, False}
 
 
-@pytest.mark.parametrize("call", [
-    lambda spec, g, X: conjugation_curve(spec, g, X, steps=(1e-2, np.nan)),
-    lambda spec, g, X: conjugation_curve(spec, g, X, steps=(np.inf, 1e-2)),
-    lambda spec, g, X: conjugation_curve(spec, g, [np.nan, *X[1:]]),
-    lambda spec, g, X: conjugation_curve(spec, g, X[1:]),
-    lambda spec, g, X: tangent_space_check(spec, g, X, steps=(1e-2, np.nan)),
-    lambda spec, g, X: tangent_space_check(spec, g, [np.inf, *X[1:]]),
-    lambda spec, g, X: tangent_space_check(spec, g, [*X, 0.0]),
-    lambda spec, g, X: curve_kernel_check(spec, g, 4, [np.nan, *X[1:]]),
-    lambda spec, g, X: curve_kernel_check(spec, g, 4, [-np.inf, *X[1:]]),
-    lambda spec, g, X: curve_kernel_check(spec, g, 4, X[1:]),
-    lambda spec, g, X: product_identity_check(spec, g, 4, X, np.nan),
-    lambda spec, g, X: product_identity_check(spec, g, 4, X, np.inf),
-    lambda spec, g, X: product_identity_check(spec, g, 4, [np.inf, *X[1:]],
-                                              0.5),
-    lambda spec, g, X: product_identity_check(spec, g, 4, [*X, 0.0], 0.5),
-], ids=["curve-nan-step", "curve-inf-step", "curve-nan-X", "curve-short-X",
-        "tangent-nan-step", "tangent-inf-X", "tangent-long-X", "kernel-nan-X",
-        "kernel-inf-X", "kernel-short-X", "product-nan-t", "product-inf-t",
-        "product-inf-X", "product-long-X"])
-def test_curves_refuse_non_finite_inputs_before_any_expm(monkeypatch, call):
-    # a FAIL must mean a false identity: a NaN step, t or coordinate used
-    # to give a FAIL (or a RuntimeWarning for inf) out of expm
+@pytest.mark.parametrize("steps", [(1e-2, np.nan), (np.inf, 1e-2),
+                                   (np.nan, 1e-2)],
+                         ids=["curve-nan-step", "curve-inf-step",
+                              "tangent-nan-step"])
+def test_curves_refuse_non_finite_inputs_before_any_expm(monkeypatch, steps):
+    # a FAIL must mean a false identity: a NaN or infinite step used to
+    # give a FAIL (or a RuntimeWarning for inf) out of expm
     def no_expm(*args):
         raise AssertionError("expm was called")
 
@@ -169,7 +178,7 @@ def test_curves_refuse_non_finite_inputs_before_any_expm(monkeypatch, call):
     spec = GroupSpec("SU", 2)
     X = random_algebra(spec, 2)
     with pytest.raises(ValueError, match="finite"):
-        call(spec, np.diag([1j, -1j]), list(X))
+        tangent(spec, np.diag([1j, -1j]), X, steps)
 
 
 # ----------------------------------------------------------- exact identity
@@ -178,46 +187,46 @@ def test_curve_kernel_check_quarter_turn():
     spec = GroupSpec("SU", 2)
     g = np.diag([1j, -1j])
     X = random_algebra(spec, 2)
-    rep = curve_kernel_check(spec, g, 4, X)
-    assert rep.passed
-    assert rep.worst_residual <= 1e-10
-    assert rep.details["alpha0_norm"] > 0.1
+    outcome = curve_kernel(spec, g, 4, X)
+    assert outcome["passed"]
+    assert outcome["residuals"]["kernel_residual"] <= 1e-10
+    assert outcome["details"]["alpha0_norm"] > 0.1
 
 
 def test_curve_kernel_check_rejects_non_torsion():
     spec = GroupSpec("SU", 2)
     g = np.diag([np.exp(0.3j), np.exp(-0.3j)])
-    rep = curve_kernel_check(spec, g, 4, random_algebra(spec, 3))
-    assert not rep.passed
-    assert rep.trials[0].status == "rejected"
-    assert rep.trials[0].note == "precondition g^4 = e fails"
-    rep = product_identity_check(spec, g, 4, random_algebra(spec, 3), 0.5)
-    assert rep.trials[0].status == "rejected"
-    assert rep.trials[0].note == "precondition g^4 = e fails"
+    outcome = curve_kernel(spec, g, 4, random_algebra(spec, 3))
+    assert not outcome["passed"]
+    assert outcome["status"] == "rejected"
+    assert outcome["note"] == "precondition g^4 = e fails"
+    outcome = product_identity(spec, g, 4, random_algebra(spec, 3), 0.5)
+    assert outcome["status"] == "rejected"
+    assert outcome["note"] == "precondition g^4 = e fails"
 
 
 def test_product_identity_su2():
     spec = GroupSpec("SU", 2)
     g = np.diag([1j, -1j])
-    rep = product_identity_check(spec, g, 4, random_algebra(spec, 4), t=0.3)
-    assert rep.passed
-    assert rep.worst_residual <= 4e-9
+    outcome = product_identity(spec, g, 4, random_algebra(spec, 4), t=0.3)
+    assert outcome["passed"]
+    assert outcome["residuals"]["product_residual"] <= 4e-9
 
 
 def test_product_identity_so3_flip():
     spec = GroupSpec("SO", 3)
     g = np.diag([-1.0, -1.0, 1.0])
-    rep = product_identity_check(spec, g, 2, random_algebra(spec, 5), t=0.5)
-    assert rep.passed
-    assert rep.worst_residual <= 2e-9
+    outcome = product_identity(spec, g, 2, random_algebra(spec, 5), t=0.5)
+    assert outcome["passed"]
+    assert outcome["residuals"]["product_residual"] <= 2e-9
 
 
 def test_product_identity_trivial_group_element():
     spec = GroupSpec("U", 2)
-    rep = product_identity_check(spec, np.eye(2, dtype=complex), 1,
-                                 random_algebra(spec, 6), t=0.7)
-    assert rep.passed
-    assert rep.worst_residual < 1e-12
+    outcome = product_identity(spec, np.eye(2, dtype=complex), 1,
+                               random_algebra(spec, 6), t=0.7)
+    assert outcome["passed"]
+    assert outcome["residuals"]["product_residual"] < 1e-12
 
 
 @pytest.mark.parametrize("family,size", [("U", 2), ("SU", 3), ("SO", 4)])
@@ -230,9 +239,11 @@ def test_exact_identities_random_torsion(family, size):
         h = random_element(spec, rng)
         g = conj(spec, h, point.matrix())
         X = random_algebra(spec, rng)
-        assert curve_kernel_check(spec, g, n, X).worst_residual <= 1e-9
+        assert curve_kernel(spec, g, n, X)["residuals"][
+            "kernel_residual"] <= 1e-9
         t = float(rng.uniform(0, 1))
-        assert product_identity_check(spec, g, n, X, t).worst_residual <= n * 1e-9
+        assert product_identity(spec, g, n, X, t)["residuals"][
+            "product_residual"] <= n * 1e-9
 
 
 # ------------------------------------------------------------------ connect

@@ -14,17 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsion_orbits import reports
-from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
-                                   tangent_space_check)
-from torsion_orbits.groups import (TOL_MEMBERSHIP, GroupSpec,
+from torsion_orbits.curves import (curve_kernel_outcomes,
+                                   product_identity_outcomes,
+                                   tangent_outcomes)
+from torsion_orbits.groups import (TOL_MEMBERSHIP, GroupSpec, algebra_matrix,
                                    membership_error, random_algebra,
                                    random_element, require_residual)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
                                     inputs_digest, members_only,
                                     run_stacked_trials, single_trial_report,
                                     strip_wall_time)
-from torsion_orbits.subspaces import (verify_kernel_image_identity,
-                                      verify_zero_intersection)
+from torsion_orbits.subspaces import (kernel_image_outcomes,
+                                      zero_intersection_outcomes)
 from torsion_orbits.surface import (sample_surface, singular_locus_scan,
                                     tangent_cone_bound_check)
 from torsion_orbits.sweeps import (ALL_FAMILY_SPECS, COMPACT_SWEEP_SPECS,
@@ -64,8 +65,7 @@ def test_report_json_round_trip_lossless():
     rep = single_trial_report("check", {"k": 1}, {"res": 1e-12}, True,
                               config={"seed": 7}, details={"note": "x"},
                               wall_time_s=0.25)
-    back = VerificationReport.from_json(rep.to_json())
-    assert back.to_dict() == rep.to_dict()
+    assert json.loads(rep.to_json()) == rep.to_dict()
 
 
 def test_report_json_is_canonical():
@@ -302,6 +302,15 @@ def _torsion_element(spec, n):
     return h @ rep @ np.linalg.inv(h)
 
 
+def one_trial(check, outcome, worst=None, **inputs):
+    """Report of one element's outcome of a stacked evaluator; ``worst``
+    names the residual that is the report's worst residual (default:
+    every residual)."""
+    return single_trial_report(
+        check, inputs, worst_residual=outcome["residuals"].get(worst),
+        **outcome)
+
+
 #: Every check's report, at small trial counts.
 CHECK_REPORTS = {
     "lemma31": lambda: sweep_tangent(ALL_FAMILY_SPECS, 12, 1),
@@ -314,21 +323,32 @@ CHECK_REPORTS = {
     "sl2-census": lambda: sl2_component_census(5, 12, 1),
     "cluster-census": lambda: cluster_census(GroupSpec("SU", 3), 4, 12, 1),
     "cluster-census-fail": lambda: cluster_census(GroupSpec("U", 3), 12, 9, 3),
-    "kernel-image": lambda: verify_kernel_image_identity(
-        GroupSpec("U", 3), _torsion_element(GroupSpec("U", 3), 4), 4),
-    "kernel-image-rejected": lambda: verify_kernel_image_identity(
-        GroupSpec("U", 3), random_element(GroupSpec("U", 3), 2), 4),
-    "zero-intersection-one": lambda: verify_zero_intersection(
-        GroupSpec("SO", 4), _torsion_element(GroupSpec("SO", 4), 6), 6),
-    "tangent-space": lambda: tangent_space_check(
-        GroupSpec("SU", 2), random_element(GroupSpec("SU", 2), 3),
-        random_algebra(GroupSpec("SU", 2), 3)),
-    "curve-kernel": lambda: curve_kernel_check(
-        GroupSpec("SO", 3), _torsion_element(GroupSpec("SO", 3), 4), 4,
-        random_algebra(GroupSpec("SO", 3), 5)),
-    "product-identity": lambda: product_identity_check(
-        GroupSpec("SO", 3), _torsion_element(GroupSpec("SO", 3), 4), 4,
-        random_algebra(GroupSpec("SO", 3), 5), 0.3),
+    "kernel-image": lambda: one_trial("kernel-image", kernel_image_outcomes(
+        GroupSpec("U", 3), _torsion_element(GroupSpec("U", 3), 4)[None],
+        4)[0], "principal_angle", group="U(3)", n=4),
+    "kernel-image-rejected": lambda: one_trial(
+        "kernel-image", kernel_image_outcomes(
+            GroupSpec("U", 3), random_element(GroupSpec("U", 3), 2)[None],
+            4)[0], "principal_angle", group="U(3)", n=4),
+    "zero-intersection-one": lambda: one_trial(
+        "zero-intersection", zero_intersection_outcomes(
+            GroupSpec("SO", 4), _torsion_element(GroupSpec("SO", 4), 6)[None],
+            6)[0], "intersection_dim", group="SO(4)", n=6),
+    "tangent-space": lambda: one_trial("tangent-space", tangent_outcomes(
+        GroupSpec("SU", 2), random_element(GroupSpec("SU", 2), 3)[None],
+        algebra_matrix(GroupSpec("SU", 2),
+                       random_algebra(GroupSpec("SU", 2), 3))[None])[0],
+        group="SU(2)"),
+    "curve-kernel": lambda: one_trial("curve-kernel", curve_kernel_outcomes(
+        GroupSpec("SO", 3), _torsion_element(GroupSpec("SO", 3), 4)[None], 4,
+        random_algebra(GroupSpec("SO", 3), 5)[None])[0], "kernel_residual",
+        group="SO(3)", n=4),
+    "product-identity": lambda: one_trial(
+        "product-identity", product_identity_outcomes(
+            GroupSpec("SO", 3), _torsion_element(GroupSpec("SO", 3), 4)[None],
+            4, algebra_matrix(GroupSpec("SO", 3),
+                              random_algebra(GroupSpec("SO", 3), 5))[None],
+            [0.3])[0], "product_residual", group="SO(3)", n=4, t=0.3),
     "tangent-cone": lambda: tangent_cone_bound_check(
         sample_surface((0.5, 1.5), 20, 2)),
     "singular-locus": lambda: singular_locus_scan(

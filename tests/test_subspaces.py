@@ -1,12 +1,10 @@
-"""Numerical subspaces and the kernel/image identity checkers.
+"""Numerical subspaces and the stacked kernel/image identity checks.
 
 Ranks of the structured matrices used here are integers with a wide spectral
 margin, so an independent Gaussian-elimination oracle pins them exactly.
 ``scipy.linalg.subspace_angles`` is the oracle of the stacked principal-angle
 kernel, which must reproduce it bit for bit.
 """
-
-import json
 
 import numpy as np
 import pytest
@@ -17,17 +15,13 @@ from scipy.linalg import subspace_angles
 from phase_oracles import enumerate_torsion
 from stack_oracles import (kernel_image_oracle, random_torsion_element,
                            zero_intersection_oracle)
-from torsion_orbits.curves import curve_kernel_check, product_identity_check
 from torsion_orbits.groups import (GroupSpec, adjoint_matrix, adjoint_stack,
-                                   random_algebra, random_element)
-from torsion_orbits.reports import strip_wall_time
-from torsion_orbits.subspaces import (SubspaceBasis, _adjoint_power_sum,
-                                      image_basis, intersection_dimension,
-                                      kernel_basis, kernel_image_outcomes,
-                                      principal_angles,
-                                      principal_angles_stack, subspace_equal,
-                                      verify_kernel_image_identity,
-                                      verify_zero_intersection,
+                                   random_element)
+from torsion_orbits.subspaces import (TOL_RANK, TOL_SUBSPACE,
+                                      _adjoint_power_sum, _equal_stack,
+                                      _intersection_stack, _kernels,
+                                      _rank_counts, kernel_image_outcomes,
+                                      principal_angles_stack,
                                       zero_intersection_outcomes)
 from torsion_orbits.sweeps import COMPACT_SWEEP_SPECS
 
@@ -52,6 +46,28 @@ def gauss_rank(A, tol=1e-6):
     return rank
 
 
+def rank(A, tol=TOL_RANK):
+    """The package's rank decision on one matrix."""
+    return int(_rank_counts(np.linalg.svd(A, compute_uv=False), tol))
+
+
+def kernel(A, tol=TOL_RANK):
+    """Orthonormal basis of the null space of A, as the stacked checks
+    take it: the last right singular vectors, as columns."""
+    _, s, Vt = np.linalg.svd(A[None])
+    return _kernels(Vt, np.array([0]), len(A) - _rank_counts(s, tol)[0])[0]
+
+
+def kernel_image(spec, g, n):
+    """The kernel-image outcome of one element."""
+    return kernel_image_outcomes(spec, g[None], n)[0]
+
+
+def zero_intersection(spec, g, n):
+    """The zero-intersection outcome of one element."""
+    return zero_intersection_outcomes(spec, g[None], n)[0]
+
+
 def conjugated_torsion(spec, phases_index, n, seed):
     point = enumerate_torsion(spec, n)[phases_index]
     h = random_element(spec, seed)
@@ -64,17 +80,16 @@ def conjugated_torsion(spec, phases_index, n, seed):
 
 def test_image_threshold_semantics():
     A = np.diag([1.0, 1e-14, 0.0])
-    B = image_basis(A, tol=1e-9)
-    assert B.dim == 1
-    assert kernel_basis(A, tol=1e-9).dim == 2
+    assert rank(A, tol=1e-9) == 1
+    assert kernel(A, tol=1e-9).shape == (3, 2)
 
 
 def test_zero_matrix_conventions():
     Z = np.zeros((4, 4))
-    assert image_basis(Z).dim == 0
-    assert kernel_basis(Z).dim == 4
+    assert rank(Z) == 0
+    assert kernel(Z).shape == (4, 4)
     # numerically zero behaves like zero: no rescaling down to roundoff
-    assert image_basis(Z + 1e-15).dim == 0
+    assert rank(Z + 1e-15) == 0
 
 
 def test_rank_nullity_always_holds():
@@ -84,16 +99,17 @@ def test_rank_nullity_always_holds():
         r = int(rng.integers(0, d + 1))
         A = (rng.standard_normal((d, r)) @ rng.standard_normal((r, d))
              if r else np.zeros((d, d)))
-        assert image_basis(A).dim + kernel_basis(A).dim == d
-        assert image_basis(A).dim == gauss_rank(A)
+        assert rank(A) + kernel(A).shape[1] == d
+        assert rank(A) == gauss_rank(A)
 
 
 def test_basis_vectors_are_orthonormal():
     rng = np.random.default_rng(8)
     A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
-    for B in (image_basis(A), kernel_basis(A)):
-        V = B.vectors
-        assert np.linalg.norm(V.T @ V - np.eye(B.dim)) < 1e-12
+    V = kernel(A)
+    assert V.shape == (6, 3)
+    assert np.linalg.norm(V.T @ V - np.eye(3)) < 1e-12
+    assert np.linalg.norm(A @ V) < 1e-12
 
 
 # ----------------------------------------------------------- principal angles
@@ -101,10 +117,9 @@ def test_basis_vectors_are_orthonormal():
 def test_principal_angles_resolve_1e9():
     # two lines at an angle of exactly 1e-9 radians
     eps = 1e-9
-    P = SubspaceBasis(2, np.array([[1.0], [0.0]]), 1e-9)
-    v = np.array([[np.cos(eps)], [np.sin(eps)]])
-    Q = SubspaceBasis(2, v, 1e-9)
-    ang = principal_angles(P, Q)
+    P = np.array([[1.0], [0.0]])
+    Q = np.array([[np.cos(eps)], [np.sin(eps)]])
+    ang = principal_angles_stack(P[None], Q[None])[0]
     assert abs(ang[0] - eps) < 1e-11
 
 
@@ -153,8 +168,6 @@ def test_principal_angles_stack_is_scipy_bit_for_bit(kind, M, N, K, count,
         # rows are padded with NaN where the spans have lower rank
         assert np.array_equal(row[:len(want)], want)
         assert np.isnan(row[len(want):]).all()
-        assert np.array_equal(principal_angles(
-            SubspaceBasis(M, A), SubspaceBasis(M, B)), want)
 
 
 def test_principal_angles_refuse_non_finite_input():
@@ -172,8 +185,6 @@ def test_principal_angles_of_a_zero_span_are_empty_as_in_scipy():
     A, B = np.zeros((3, 2)), np.eye(3)[:, :2]
     assert subspace_angles(A, B).shape == (0,)
     assert np.isnan(principal_angles_stack(A[None], B[None])).all()
-    assert principal_angles(SubspaceBasis(3, A), SubspaceBasis(3, B)).shape \
-        == (0,)
 
 
 #: Trials of ``verify zero-intersection --trials 1500 --seed 113215257``
@@ -192,13 +203,13 @@ def test_zero_intersection_angle_near_pi_over_2_is_scipy_bit_for_bit(trial):
     n = 1 + int(rng.integers(6))
     g, _ = random_torsion_element(spec, n, rng)
     A = adjoint_matrix(spec, g)
-    fixed = kernel_basis(np.eye(spec.dim) - A)
-    ker = kernel_basis(_adjoint_power_sum(A, n))
-    assert (fixed.dim, ker.dim) == (1, 2)
-    want = float(np.sort(subspace_angles(fixed.vectors, ker.vectors))[0])
+    fixed = kernel(np.eye(spec.dim) - A)
+    ker = kernel(_adjoint_power_sum(A, n))
+    assert (fixed.shape[1], ker.shape[1]) == (1, 2)
+    want = float(np.sort(subspace_angles(fixed, ker))[0])
     assert abs(want - np.pi / 2) < 1e-15
-    rep = verify_zero_intersection(spec, g, n)
-    assert rep.details["min_principal_angle"] == want
+    outcome = zero_intersection(spec, g, n)
+    assert outcome["details"]["min_principal_angle"] == want
 
 
 @pytest.mark.parametrize("spec,n", [(GroupSpec("U", 3), 6),
@@ -240,33 +251,30 @@ def test_subspace_equal_is_basis_independent():
     rng = np.random.default_rng(4)
     V = np.linalg.qr(rng.standard_normal((5, 2)))[0]
     R = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-    P = SubspaceBasis(5, V, 1e-9)
-    Q = SubspaceBasis(5, V @ R, 1e-9)
-    eq, res = subspace_equal(P, Q)
-    assert eq and res < 1e-10
+    eq, res = _equal_stack(V[None], (V @ R)[None], TOL_SUBSPACE)
+    assert eq[0] and res[0] < 1e-10
 
 
 def test_subspace_equal_dimension_mismatch():
-    P = SubspaceBasis(3, np.eye(3)[:, :1], 1e-9)
-    Q = SubspaceBasis(3, np.eye(3)[:, :2], 1e-9)
-    eq, res = subspace_equal(P, Q)
-    assert not eq and res == pytest.approx(np.pi / 2)
+    P, Q = np.eye(3)[None, :, :1], np.eye(3)[None, :, :2]
+    eq, res = _equal_stack(P, Q, TOL_SUBSPACE)
+    assert not eq[0] and res[0] == pytest.approx(np.pi / 2)
 
 
 def test_empty_subspaces_are_equal():
-    P = SubspaceBasis(3, np.zeros((3, 0)), 1e-9)
-    Q = SubspaceBasis(3, np.zeros((3, 0)), 1e-9)
-    assert subspace_equal(P, Q) == (True, 0.0)
-    assert intersection_dimension(P, Q) == (0, pytest.approx(np.pi / 2))
+    P = Q = np.zeros((1, 3, 0))
+    eq, res = _equal_stack(P, Q, TOL_SUBSPACE)
+    assert (bool(eq[0]), float(res[0])) == (True, 0.0)
+    dim, angle = _intersection_stack(P, Q, TOL_SUBSPACE)
+    assert (int(dim[0]), float(angle[0])) == (0, pytest.approx(np.pi / 2))
 
 
 def test_intersection_dimension_planes_in_3d():
     # two distinct planes in R^3 share a line
-    P = SubspaceBasis(3, np.eye(3)[:, :2], 1e-9)
-    M = np.stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], axis=1)
-    Q = SubspaceBasis(3, M, 1e-9)
-    dim, _ = intersection_dimension(P, Q)
-    assert dim == 1
+    P = np.eye(3)[None, :, :2]
+    Q = np.stack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], axis=1)[None]
+    dim, _ = _intersection_stack(P, Q, TOL_SUBSPACE)
+    assert dim[0] == 1
 
 
 # --------------------------------------------------- kernel/image identity
@@ -280,29 +288,29 @@ def test_kernel_image_identity_hand_checked_u2():
     A = adjoint_matrix(spec, g)
     assert gauss_rank(np.eye(4) - A) == 2
     assert gauss_rank(np.eye(4) + A) == 2
-    rep = verify_kernel_image_identity(spec, g, 2)
-    assert rep.passed
-    assert rep.details["image_dim"] == 2
-    assert rep.details["kernel_dim"] == 2
-    assert rep.worst_residual < 1e-8
+    outcome = kernel_image(spec, g, 2)
+    assert outcome["passed"]
+    assert outcome["details"]["image_dim"] == 2
+    assert outcome["details"]["kernel_dim"] == 2
+    assert outcome["residuals"]["principal_angle"] < 1e-8
 
 
 def test_kernel_image_identity_identity_element():
     # g = e: both sides are the zero subspace
     spec = GroupSpec("SU", 2)
-    rep = verify_kernel_image_identity(spec, np.eye(2, dtype=complex), 1)
-    assert rep.passed
-    assert rep.details["image_dim"] == 0
+    outcome = kernel_image(spec, np.eye(2, dtype=complex), 1)
+    assert outcome["passed"]
+    assert outcome["details"]["image_dim"] == 0
 
 
 def test_kernel_image_identity_rejects_non_torsion():
     spec = GroupSpec("SO", 2)
     th = 1.0  # irrational multiple of pi, g^4 far from I
     g = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    rep = verify_kernel_image_identity(spec, g, 4)
-    assert not rep.passed
-    assert rep.trials[0].status == "rejected"
-    assert rep.trials[0].note == (
+    outcome = kernel_image(spec, g, 4)
+    assert not outcome["passed"]
+    assert outcome["status"] == "rejected"
+    assert outcome["note"] == (
         "precondition g^4 = e fails; not a verdict on the identity")
 
 
@@ -313,9 +321,9 @@ def test_kernel_image_identity_randomized(family, size):
     for n in (2, 3, 4):
         for idx in (0, len(enumerate_torsion(spec, n)) // 2):
             g = conjugated_torsion(spec, idx, n, seed=n * 7 + idx)
-            rep = verify_kernel_image_identity(spec, g, n)
-            assert rep.passed, rep.to_json()
-            assert rep.worst_residual <= 1e-7
+            outcome = kernel_image(spec, g, n)
+            assert outcome["passed"], outcome
+            assert outcome["residuals"]["principal_angle"] <= 1e-7
 
 
 def test_kernel_image_dims_match_gauss_oracle():
@@ -323,9 +331,9 @@ def test_kernel_image_dims_match_gauss_oracle():
     g = conjugated_torsion(spec, 3, 3, seed=0)
     A = adjoint_matrix(spec, g)
     S = sum(np.linalg.matrix_power(A, i) for i in range(3))
-    rep = verify_kernel_image_identity(spec, g, 3)
-    assert rep.details["image_dim"] == gauss_rank(np.eye(8) - A)
-    assert rep.details["kernel_dim"] == 8 - gauss_rank(S)
+    details = kernel_image(spec, g, 3)["details"]
+    assert details["image_dim"] == gauss_rank(np.eye(8) - A)
+    assert details["kernel_dim"] == 8 - gauss_rank(S)
 
 
 # ------------------------------------------------------- zero intersection
@@ -333,14 +341,14 @@ def test_kernel_image_dims_match_gauss_oracle():
 def test_zero_intersection_basic_and_rejected():
     spec = GroupSpec("U", 2)
     g = np.diag([1.0 + 0j, -1.0 + 0j])
-    rep = verify_zero_intersection(spec, g, 2)
-    assert rep.passed
-    assert rep.trials[0].residuals["intersection_dim"] == 0
-    assert rep.details["min_principal_angle"] > 0.1
-    bad = verify_zero_intersection(spec, np.diag([1j, 1j]), 3)
-    assert not bad.passed
-    assert bad.trials[0].status == "rejected"
-    assert bad.trials[0].note == (
+    outcome = zero_intersection(spec, g, 2)
+    assert outcome["passed"]
+    assert outcome["residuals"]["intersection_dim"] == 0
+    assert outcome["details"]["min_principal_angle"] > 0.1
+    bad = zero_intersection(spec, np.diag([1j, 1j]), 3)
+    assert not bad["passed"]
+    assert bad["status"] == "rejected"
+    assert bad["note"] == (
         "precondition g^3 = e fails; not a verdict on the identity")
 
 
@@ -349,36 +357,5 @@ def test_zero_intersection_randomized(family, size):
     spec = GroupSpec(family, size)
     for n in (2, 3, 4, 6):
         g = conjugated_torsion(spec, 1, n, seed=n)
-        rep = verify_zero_intersection(spec, g, n)
-        assert rep.passed, rep.to_json()
-
-
-#: The single-shot checkers that take an order n, as run(spec, g, n).
-ORDER_CHECKERS = {
-    "kernel-image": verify_kernel_image_identity,
-    "zero-intersection": verify_zero_intersection,
-    "curve-kernel": lambda spec, g, n: curve_kernel_check(
-        spec, g, n, random_algebra(spec, 1)),
-    "product-identity": lambda spec, g, n: product_identity_check(
-        spec, g, n, random_algebra(spec, 1), 0.3),
-}
-
-
-@pytest.mark.parametrize("check", sorted(ORDER_CHECKERS))
-def test_single_shot_checkers_take_any_integer_n_but_a_bool(check):
-    # n goes through operator.index, as the catalogs and counts take numpy
-    # integers; a bool is refused, not read as 0 or 1
-    run = ORDER_CHECKERS[check]
-    spec = GroupSpec("SO", 4)
-    g, _ = random_torsion_element(spec, 4, np.random.default_rng(7))
-    want = strip_wall_time(run(spec, g, 4).to_dict())
-    for n in (np.int64(4), np.uint8(4)):
-        report = run(spec, g, n)
-        assert report.passed
-        assert strip_wall_time(report.to_dict()) == want
-        assert type(report.trials[0].inputs["n"]) is int
-        json.loads(report.to_json())
-    for n in (True, False, 0, -4, np.int64(0), 4.0, np.float64(4.0), "4",
-              np.bool_(True)):
-        with pytest.raises(ValueError, match="n must be a positive integer"):
-            run(spec, g, n)
+        outcome = zero_intersection(spec, g, n)
+        assert outcome["passed"], outcome

@@ -13,15 +13,18 @@ from stack_oracles import (membership_residual_oracle,
 from torsion_orbits import alignment, cli, reports, sweeps
 from torsion_orbits.alignment import (_nearest_torsion, approximation_bound,
                                       nearest_torsion_approximant)
-from torsion_orbits.curves import (curve_kernel_check, product_identity_check,
-                                   tangent_space_check)
+from torsion_orbits.curves import (curve_kernel_outcomes,
+                                   product_identity_outcomes,
+                                   tangent_outcomes)
 from torsion_orbits.groups import (GroupSpec, UnsupportedGroupError,
-                                   element_order, random_algebra,
-                                   random_element, require_member)
+                                   algebra_matrix, element_order,
+                                   random_algebra, random_element,
+                                   require_member)
 from torsion_orbits.reports import (TrialRecord, VerificationReport,
                                     inputs_digest, run_stacked_trials)
-from torsion_orbits.subspaces import (verify_kernel_image_identity,
-                                      verify_zero_intersection)
+from torsion_orbits.subspaces import (_torsion_outcomes,
+                                      kernel_image_outcomes,
+                                      zero_intersection_outcomes)
 from torsion_orbits.surface import sample_surface
 from torsion_orbits.sweeps import (COMPACT_SWEEP_SPECS, ALL_FAMILY_SPECS,
                                    cluster_census, sl2_component_census,
@@ -128,7 +131,8 @@ def test_counts_and_orders_are_positive_integers(entry, value):
 #
 # Each stacked sweep and ``census sl2`` must give, record for record, what
 # trial i's own Generator gives when its draws go through the public
-# one-element functions one trial at a time.
+# one-element functions, and its check through the stacked evaluator on a
+# one-element stack, one trial at a time.
 
 N_MAX, GRID, SL2_N = 6, 100, 24
 
@@ -143,42 +147,48 @@ def _torsion_trial(rng, specs=COMPACT_SWEEP_SPECS, n_max=N_MAX, element=None):
         str(p) for p in point.phases]
 
 
-def _adopt(report, **extra_inputs):
-    trial = report.trials[0]
-    return {"inputs": {**trial.inputs, **extra_inputs},
-            "residuals": trial.residuals, "passed": trial.passed,
-            "status": trial.status, "note": trial.note}
+def _adopt(outcome, **inputs):
+    return {"inputs": inputs, "residuals": outcome["residuals"],
+            "passed": outcome["passed"], "status": outcome["status"],
+            "note": outcome["note"]}
 
 
 def kernel_image_trial(rng, **draw):
     spec, n, g, point = _torsion_trial(rng, **draw)
-    return _adopt(verify_kernel_image_identity(spec, g, n), point=point)
+    return _adopt(kernel_image_outcomes(spec, g[None], n)[0],
+                  group=spec.label(), n=n, point=point)
 
 
 def zero_intersection_trial(rng, **draw):
     spec, n, g, point = _torsion_trial(rng, **draw)
-    return _adopt(verify_zero_intersection(spec, g, n), point=point)
+    return _adopt(zero_intersection_outcomes(spec, g[None], n)[0],
+                  group=spec.label(), n=n, point=point)
 
 
 def curve_trial(rng, **draw):
     spec, n, g, point = _torsion_trial(rng, **draw)
     X = random_algebra(spec, rng)
     t = float(rng.uniform(0.0, 1.0))
-    kernel = curve_kernel_check(spec, g, n, X).trials[0]
-    product = product_identity_check(spec, g, n, X, t).trials[0]
-    return {"inputs": {"group": spec.label(), "n": n, "t": t,
-                       "point": point},
-            "residuals": {**kernel.residuals, **product.residuals},
-            "passed": all(r.passed and r.status == "ok"
-                          for r in (kernel, product)),
-            # both checks share the g^n = e precondition
-            "status": kernel.status, "note": kernel.note}
+
+    def both(keep):
+        kernel, = curve_kernel_outcomes(spec, g[None], n, X[None])
+        product, = product_identity_outcomes(
+            spec, g[None], n, algebra_matrix(spec, X)[None], [t])
+        return [{"residuals": {**kernel["residuals"], **product["residuals"]},
+                 "passed": kernel["passed"] and product["passed"],
+                 "status": "ok", "note": ""}]
+
+    # both checks share the g^n = e precondition
+    outcome, = _torsion_outcomes(spec, g[None], n, both)
+    return _adopt(outcome, group=spec.label(), n=n, t=t, point=point)
 
 
 def tangent_trial(rng):
     spec = ALL_FAMILY_SPECS[int(rng.integers(len(ALL_FAMILY_SPECS)))]
     g = random_element(spec, rng)
-    return _adopt(tangent_space_check(spec, g, random_algebra(spec, rng)))
+    Xm = algebra_matrix(spec, random_algebra(spec, rng))
+    return _adopt(tangent_outcomes(spec, g[None], Xm[None])[0],
+                  group=spec.label())
 
 
 def density_trial(rng):

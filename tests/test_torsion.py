@@ -49,8 +49,7 @@ from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
                                     gcd_intersection_check, orbit_dimension,
                                     torsion_point,
                                     torsion_point_count, torus_matrix,
-                                    torus_stack, write_catalog_csv,
-                                    write_catalog_json)
+                                    torus_stack)
 
 
 # ------------------------------------------------------------------ oracles
@@ -141,7 +140,7 @@ def fraction_orbit_dimension(spec, canonical):
 def catalog_json_payload(catalog):
     """JSON form of a catalog, built as a dict for ``json.dumps``:
     representatives row-major with full double precision, split into real
-    and imaginary parts.  The oracle of ``write_catalog_json``."""
+    and imaginary parts.  The oracle of ``torsion._json_blocks``."""
     payload = []
     for idx, comp in enumerate(catalog):
         rep = np.asarray(comp.representative)
@@ -163,6 +162,18 @@ def catalog_json_payload(catalog):
                                                for x in rep.imag.ravel()]
         payload.append(entry)
     return payload
+
+
+def catalog_csv_oracle(catalog):
+    """A catalog's CSV as ``csv.writer`` prints it, one row per component:
+    the oracle of ``torsion._csv_blocks``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(torsion.CATALOG_CSV_COLUMNS)
+    writer.writerows((c.spec.family, c.spec.size, c.n, i, c.canonical.label(),
+                      c.dimension, c.exact_order)
+                     for i, c in enumerate(catalog))
+    return out.getvalue()
 
 
 # ------------------------------------------------------------- enumeration
@@ -1501,16 +1512,38 @@ def test_snap_error_prints_a_plain_float(spec, phases):
 
 # ------------------------------------------------------------ serialization
 
+def catalog_csv_text(spec, n):
+    """The CSV catalog of {g : g^n = e}, printed from its blocks."""
+    return "".join(torsion._csv_blocks(torsion._catalog_blocks(spec, n)))
+
+
+def catalog_json_text(blocks, config):
+    """The JSON catalog of ``blocks``, one document."""
+    return "".join(torsion._json_blocks(blocks, config))
+
+
+def entry_block(comp):
+    """A one-entry catalog block holding the component ``comp``, whose
+    representative may be of any shape and dtype."""
+    phases = comp.canonical.phases
+    return torsion._CatalogBlock(
+        comp.spec, comp.n, [list(range(len(phases)))],
+        [-1 if comp.canonical.parity is None else comp.canonical.parity],
+        [comp.orbit_size], [comp.dimension], [comp.exact_order],
+        np.asarray(comp.representative)[None],
+        torsion._PhaseTable([(p.numerator, p.denominator) for p in phases]))
+
+
 def test_catalog_csv_schema():
     cat = catalog_components(GroupSpec("SO", 4), 4)
-    buf = io.StringIO()
-    write_catalog_csv(cat, buf)
-    lines = buf.getvalue().strip().split("\n")
+    text = catalog_csv_text(GroupSpec("SO", 4), 4)
+    assert text == catalog_csv_oracle(cat)
+    lines = text.strip().split("\n")
     assert lines[0] == "group,size,n,component_index,canonical,dimension,exact_order"
     assert len(lines) == 1 + len(cat)
     assert any(",p1" in line or '"1/4,1/4,p1"' in line for line in lines[1:])
     # read back as csv reads it: labels holding a comma come back whole
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert [r["component_index"] for r in rows] == [
         str(i) for i in range(len(cat))]
     assert {(r["group"], r["size"], r["n"]) for r in rows} == {("SO", "4",
@@ -1522,10 +1555,8 @@ def test_catalog_csv_schema():
 
 
 def test_catalog_rows_and_indices():
-    cat = catalog_components(GroupSpec("U", 2), 2)
-    buf = io.StringIO()
-    write_catalog_csv(cat, buf)
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    rows = list(csv.DictReader(io.StringIO(
+        catalog_csv_text(GroupSpec("U", 2), 2))))
     assert [r["component_index"] for r in rows] == ["0", "1", "2"]
     assert rows[0]["group"] == "U" and rows[0]["size"] == "2"
 
@@ -1563,20 +1594,17 @@ def catalog_config(spec, n):
 def test_catalog_json_writer_prints_the_json_dumps_bytes(spec):
     for n in integer_path_orders(spec):
         cat, config = catalog_components(spec, n), catalog_config(spec, n)
-        buf = io.StringIO()
-        write_catalog_json(cat, config, buf)
         want = json.dumps({"config": config,
                            "components": catalog_json_payload(cat)},
                           sort_keys=True, indent=2) + "\n"
-        assert buf.getvalue() == want, (spec.label(), n)
+        assert catalog_json_text(torsion._catalog_blocks(spec, n),
+                                 config) == want, (spec.label(), n)
 
 
 def test_catalog_json_writer_prints_an_empty_catalog():
     config = catalog_config(GroupSpec("U", 1), 1)
-    buf = io.StringIO()
-    write_catalog_json([], config, buf)
-    assert buf.getvalue() == json.dumps({"config": config, "components": []},
-                                        sort_keys=True, indent=2) + "\n"
+    assert catalog_json_text([], config) == json.dumps(
+        {"config": config, "components": []}, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1585,26 +1613,25 @@ def test_catalog_json_writer_prints_an_empty_catalog():
     (GroupSpec("SO", 3), "real")])
 def test_catalog_json_writer_refuses_non_finite_representatives(spec, part,
                                                                 bad):
-    cat = catalog_components(spec, 3)
-    rep = cat[1].representative.copy()
-    getattr(rep, part)[0, 1] = bad
-    cat[1].representative = rep
-    buf = io.StringIO()
+    blocks = list(torsion._catalog_blocks(spec, 3))
+    getattr(blocks[0].reps[1], part)[0, 1] = bad
+    pieces = []
     with pytest.raises(ValueError, match="not finite"):
-        write_catalog_json(cat, catalog_config(spec, 3), buf)
-    assert buf.getvalue() == ""
+        pieces.extend(torsion._json_blocks(blocks, catalog_config(spec, 3)))
+    assert pieces == []
 
 
 def test_catalog_json_writer_prints_a_mixed_catalog():
-    # entries of different shapes and dtypes (complex 2x2 beside real 3x3,
+    # blocks of different shapes and dtypes (complex 2x2 beside real 3x3,
     # whose 0.0 and -0.0 print apart) still print what json.dumps prints
     cat = (catalog_components(GroupSpec("U", 2), 3)
            + catalog_components(GroupSpec("SO", 3), 4))
     config = catalog_config(GroupSpec("U", 2), 3)
-    buf = io.StringIO()
-    write_catalog_json(cat, config, buf)
-    assert "-0.0" in buf.getvalue()
-    assert buf.getvalue() == json.dumps(
+    text = catalog_json_text(
+        [*torsion._catalog_blocks(GroupSpec("U", 2), 3),
+         *torsion._catalog_blocks(GroupSpec("SO", 3), 4)], config)
+    assert "-0.0" in text
+    assert text == json.dumps(
         {"config": config, "components": catalog_json_payload(cat)},
         sort_keys=True, indent=2) + "\n"
 
@@ -1624,9 +1651,7 @@ def test_catalog_json_writer_prints_empty_lists_as_json_dumps_does():
            ComponentDescriptor(u2, 3, CanonicalInvariant(()),
                                np.array(1.5 - 2j), 0, 1, 1)]
     config = catalog_config(u2, 3)
-    buf = io.StringIO()
-    write_catalog_json(cat, config, buf)
-    text = buf.getvalue()
+    text = catalog_json_text(map(entry_block, cat), config)
     assert text == json.dumps({"config": config,
                                "components": catalog_json_payload(cat)},
                               sort_keys=True, indent=2) + "\n"
