@@ -109,6 +109,19 @@ CATALOG_DIGESTS = {
         "b7e5e40fccd8575d53288de733f42e2b03e097598f2adff5ab17ce0c75a99f9a",
     "catalog --group SO --size 4 --n 12 --format text":
         "35402f8ef242500ba5a1c1dae384df82d3a2e9eb4bac695b95b889bb0b53b768",
+    # JSON catalogs of several blocks each, recorded while every block
+    # built its own torus stack and row texts: U, SU, the parity-split
+    # SO(4), the fixed axis of SO(5) and SL(2,R)
+    "catalog --group U --size 3 --n 20 --format json":
+        "724660730091b7b7765223e31f15be57f8dad08c6e753d7d31fee90e13bf3afa",
+    "catalog --group SU --size 4 --n 20 --format json":
+        "d682ec0971a9e72386b4e4fbd18226b50a85b161067a5620374e106a326c994f",
+    "catalog --group SO --size 4 --n 60 --format json":
+        "3b1724fa108dfaab5353866a7e172682fa04de535ba4c46ab5c9be851cc3e7b9",
+    "catalog --group SO --size 5 --n 60 --format json":
+        "a4b58a5f3a002797426fbcd04ed09d3b57635c8ce691472c69a00e32ac24daf9",
+    "catalog --group SL2R --n 300 --format json":
+        "393e8b9bce62c67a4639159a72ad8327412a99b3f60e65fa2142ec75c1bd066a",
 }
 
 
