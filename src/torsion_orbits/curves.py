@@ -63,6 +63,15 @@ def _sample_times(times) -> tuple:
     return times
 
 
+def _finite(name: str, values) -> np.ndarray:
+    # ``values`` as an array, refused with ValueError when an entry of the
+    # stack is not finite: checked once, before any exponential
+    values = np.asarray(values)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 @dataclass
 class CurveSample:
     """Sampled points of a curve through ``base``.
@@ -106,11 +115,12 @@ def tangent_outcomes(spec: GroupSpec, g: np.ndarray, Xm: np.ndarray,
     where the curve is constant).  The errors of every (slice, step) come
     from one stacked Frobenius norm, and the ratio test of every
     consecutive pair of steps is array operations.  Non-finite or
-    non-decreasing steps are refused before any exponential.
+    non-decreasing steps and a non-finite Xm are refused before any
+    exponential.
     """
     if len(steps) < 2:
         raise ValueError("need at least two steps for the ratio test")
-    steps = _sample_times(steps)
+    steps, Xm = _sample_times(steps), _finite("Xm", Xm)
     times = np.array(steps)
     count, k, m = len(g), len(steps), spec.size
     points = _conjugation_stack(g, Xm, np.broadcast_to(times, (count, k)))
@@ -142,7 +152,8 @@ def curve_kernel_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
     slice).
 
     The sum times (I - Ad(g)) telescopes to I - Ad(g)^n = 0, so any residual
-    beyond roundoff is a bug."""
+    beyond roundoff is a bug.  A non-finite X is refused."""
+    X = _finite("X", X)
     A = adjoint_stack(spec, g)
     alpha0 = (np.eye(spec.dim) - A) @ X[..., None]
     killed = (_adjoint_power_sum(A, n) @ alpha0)[..., 0]
@@ -162,8 +173,10 @@ def product_identity_outcomes(spec: GroupSpec, g: np.ndarray, n: int,
     With gamma(t) = exp(tX) g exp(-tX) and alpha(t) = gamma(t) g^-1, the
     product alpha(t) (g alpha(t) g^-1) ... (g^(n-1) alpha(t) g^-(n-1))
     equals gamma(t)^n g^-n = e.  Passes when ||product - I|| <=
-    n * TOL_MEMBERSHIP."""
-    gamma = _conjugation_stack(g, Xm, np.asarray(t, dtype=float)[:, None])
+    n * TOL_MEMBERSHIP.  A non-finite Xm or t is refused before any
+    exponential."""
+    t = _finite("t", np.asarray(t, dtype=float))
+    gamma = _conjugation_stack(g, _finite("Xm", Xm), t[:, None])
     ginv = group_inverse(spec, g)
     alpha = gamma[:, 0] @ ginv
     prod = left = right = np.eye(spec.size, dtype=alpha.dtype)

@@ -16,12 +16,16 @@ each class's representative.  The ``Fraction`` API (``canonicalize``,
 ``Fraction``s only for what it returns.  A catalog is one class table
 read in blocks (``_catalog_blocks``): each block is a slice of the
 table's columns (phase numerators, parity, orbit size, dimension, order)
-with one torus stack of representatives.  One printer per format (text,
-CSV, JSON) prints blocks from per-catalog text tables: a label part and
-a JSON pair per numerator, a float-list text per distinct representative
-row.  So the CLI holds one block at a time and builds no per-class
-object.  ``catalog_components`` reads the same blocks as
-``ComponentDescriptor``s.
+and the numerators of its representatives' phases; it builds no matrix.
+One printer per format (text, CSV, JSON) prints blocks from one text
+table per catalog (``_CatalogTable``), indexed by numerator: a label
+part, a JSON pair and, since row i of a torus element reads one phase
+(``_row_slots``), the text of each representative row at each phase, m
+x n per part, printed once from a stack of n torus points.  A JSON block
+is one join of the entry template's constant pieces and those texts.  So
+the CLI holds one block at a time and builds no per-class object.
+``catalog_components`` reads the same blocks as
+``ComponentDescriptor``s, with one torus stack per block.
 ``count_components`` is a closed form.  A class-by-class walk in the
 tests is the oracle of the table and of the count.  Every rule branches
 on the shapes ``GroupSpec`` derives from its family record (``weyl``,
@@ -105,6 +109,16 @@ def torus_stack(spec: GroupSpec, phases) -> np.ndarray:
     if m % 2:  # the fixed axis
         out[:, m - 1, m - 1] = 1.0
     return out
+
+
+def _row_slots(spec: GroupSpec) -> np.ndarray:
+    """The slot whose phase row i of a ``torus_stack`` element reads: slot
+    i for U and SU, slot i // 2 for a rotation block (SO, SL(2,R)), and -1
+    for the fixed axis of odd SO(m), whose row reads no phase."""
+    rows = np.arange(spec.size)
+    if spec.is_complex:
+        return rows
+    return np.where(rows < 2 * spec.phase_slots, rows // 2, -1)
 
 def torsion_point_count(spec: GroupSpec, n: int) -> int:
     """Number of torus points killed by n: n^rank (for SU the sum
@@ -367,55 +381,106 @@ def catalog_components(spec: GroupSpec, n: int) -> list[ComponentDescriptor]:
     return list(itertools.chain.from_iterable(_catalog_blocks(spec, n)))
 
 
-class _PhaseTable:
-    """The phases that the ks of catalog blocks index, as (numerator,
-    denominator) pairs in lowest terms.  Their label parts "num/den", JSON
-    [num, den] lists and Fractions are each made once per table, on first
-    use."""
+class _CatalogTable:
+    """What the blocks of one catalog of {g : g^n = e} print from, made
+    once per catalog, on first use.  Indexed by phase numerator k (phase
+    k/n, in lowest terms the (numerator, denominator) pair ``pairs[k]``):
+    label parts "num/den" and Fractions, and the JSON tables (``json``);
+    the ints below ``top`` (every dimension, order and orbit size of the
+    catalog) print from ``json`` too."""
 
-    def __init__(self, pairs: list):
-        self.pairs = pairs
+    def __init__(self, spec: GroupSpec, n: int, top: int):
+        self.spec, self.n, self.top = spec, n, top
+        k = np.arange(n)
+        gcd = np.gcd(k, n)
+        self.pairs = list(zip((k // gcd).tolist(), (n // gcd).tolist()))
 
     @functools.cached_property
     def label_parts(self) -> list:
         return [f"{a}/{b}" for a, b in self.pairs]
 
     @functools.cached_property
-    def json_pairs(self) -> list:
-        return [_json_list([str(a), str(b)], _PART_PAD) for a, b in self.pairs]
-
-    @functools.cached_property
     def fractions(self) -> list:
         return [Fraction(a, b) for a, b in self.pairs]
+
+    @functools.cached_property
+    def json(self) -> tuple:
+        """(template, parts, pairs, numerals, rows) of ``_json_blocks``: the
+        constant pieces of an entry, between which its cells go, and object
+        arrays of texts: the label parts and JSON pairs by k, the ints
+        below ``top``, and per part of the representatives (imaginary, then
+        real, for a complex family) an (m, n) array holding row i at phase
+        k/n.  Row i of a representative reads one phase (``_row_slots``),
+        so the rows are those of the n torus points with every slot at
+        phase k/n, refused when not finite: json.dumps would print NaN or
+        Infinity, which is not JSON."""
+        m, slots = self.spec.size, self.spec.phase_slots
+        stack = torus_stack(self.spec, np.repeat(np.arange(self.n)[:, None]
+                                                 / self.n, slots, axis=1))
+        if not np.isfinite(stack).all():
+            raise ValueError("a catalog representative is not finite; JSON "
+                             "cannot hold it")
+        parts = (stack.imag, stack.real) if stack.dtype.kind == "c" else (
+            stack,)
+        part = _json_list([_CELL] * m, _PART_PAD)
+        imag = f'        "imag": {part},\n' if len(parts) == 2 else ""
+        template = f"""\
+,
+    {{
+      "canonical": "{",".join([_CELL] * slots)}{_CELL}",
+      "component_index": {_CELL},
+      "dimension": {_CELL},
+      "exact_order": {_CELL},
+      "group": {_json_string(self.spec.family)},
+      "n": {self.n},
+      "orbit_size": {_CELL},
+      "parity": {_CELL},
+      "phases": {_json_list([_CELL] * slots, _PHASES_PAD)},
+      "representative": {{
+{imag}        "real": {part},
+        "shape": {_json_list([str(m), str(m)], _PART_PAD)}
+      }},
+      "size": {m}
+    }}""".split(_CELL)
+        texts = [template, self.label_parts,
+                 [_json_list([str(a), str(b)], _PART_PAD)
+                  for a, b in self.pairs], list(map(str, range(self.top)))]
+        return (*(np.array(t, dtype=object) for t in texts), [np.array(
+            [_FLOAT_SEP.join(map(repr, row.tolist())) for row in
+             part.transpose(1, 0, 2).reshape(m * self.n, m)],
+            dtype=object).reshape(m, self.n) for part in parts])
 
 
 @dataclass
 class _CatalogBlock:
     """Consecutive catalog entries of one group and n, as columns: each
-    entry's row of ks (indices into ``phases``, its canonical phases in
+    entry's row of ks (numerators k of its canonical phases k/n, in
     order), parity bit (-1 for none), orbit size, dimension and exact
-    order, and the (entries, *shape) stack of representatives.  Iterating
-    a block gives its ``ComponentDescriptor``s; the printers read the
-    columns and build none."""
+    order, and the numerators of its representative's phases
+    (``_realized_rows``).  The numerators index the catalog's ``table``.
+    Iterating a block gives its ``ComponentDescriptor``s, with their
+    representatives from one ``torus_stack``; the printers read the
+    columns and build no representative."""
 
     spec: GroupSpec
     n: int
-    ks: list
-    parity: list
+    ks: np.ndarray
+    parity: np.ndarray
     orbit: list
     dimension: list
     order: list
-    reps: np.ndarray
-    phases: _PhaseTable
+    realized: np.ndarray
+    table: _CatalogTable
 
     def __len__(self) -> int:
         return len(self.ks)
 
     def __iter__(self):
         return map(functools.partial(ComponentDescriptor, self.spec, self.n),
-                   _table_invariants(self.phases.fractions, self.ks,
-                                     self.parity),
-                   self.reps, self.dimension, self.order, self.orbit)
+                   _table_invariants(self.table.fractions, self.ks.tolist(),
+                                     self.parity.tolist()),
+                   torus_stack(self.spec, self.realized / self.n),
+                   self.dimension, self.order, self.orbit)
 
 
 #: Catalog entries per block of ``_catalog_blocks``.
@@ -425,22 +490,20 @@ _BLOCK = 256
 def _catalog_blocks(spec: GroupSpec, n: int):
     """The catalog of {g : g^n = e} in order, as ``_CatalogBlock``s of at
     most ``_BLOCK`` classes: slices of one ``_class_rows`` table, whose ks
-    are the phase numerators (phases k/n) and index one phase table per
-    catalog, and one torus stack of representatives per block.  Raises
+    are the phase numerators (phases k/n), with the realized numerators of
+    their representatives and one ``_CatalogTable`` per catalog.  Raises
     ValueError where ``_class_keys`` does, at the first block."""
     n = positive_int(n, "n")
     ks, parity, orbit, dimension = _class_rows(spec, n)
     orders = n // np.gcd.reduce(ks, axis=1, initial=n)
-    k = np.arange(n)
-    gcd = np.gcd(k, n)
-    phases = _PhaseTable(list(zip((k // gcd).tolist(), (n // gcd).tolist())))
+    table = _CatalogTable(spec, n, max(n, orbit.max(), dimension.max()) + 1)
     for at in range(0, len(ks), _BLOCK):
         rows = slice(at, at + _BLOCK)
-        reps = torus_stack(spec, _realized_rows(n, ks[rows],
-                                                parity[rows] == 1) / n)
-        yield _CatalogBlock(spec, n, ks[rows].tolist(), parity[rows].tolist(),
+        yield _CatalogBlock(spec, n, ks[rows], parity[rows],
                             orbit[rows].tolist(), dimension[rows].tolist(),
-                            orders[rows].tolist(), reps, phases)
+                            orders[rows].tolist(),
+                            _realized_rows(n, ks[rows], parity[rows] == 1),
+                            table)
 
 
 def count_components(spec: GroupSpec, n: int) -> int:
@@ -531,11 +594,11 @@ CATALOG_CSV_COLUMNS = ("group", "size", "n", "component_index", "canonical",
 
 
 def _labels(block: _CatalogBlock) -> list:
-    # each entry's CanonicalInvariant.label, from the block's phase table
-    parts = block.phases.label_parts
+    # each entry's CanonicalInvariant.label, from the catalog's table
+    parts = block.table.label_parts
     return [",".join([parts[k] for k in row] + ([] if bit < 0 else
                                                 [f"p{bit}"]))
-            for row, bit in zip(block.ks, block.parity)]
+            for row, bit in zip(block.ks.tolist(), block.parity.tolist())]
 
 
 def _csv_blocks(blocks):
@@ -571,56 +634,12 @@ def _text_blocks(spec: GroupSpec, n: int, blocks):
 _PHASES_PAD, _PART_PAD = " " * 6, " " * 8
 _FLOAT_SEP = ",\n" + _PART_PAD + "  "
 
+#: Where an entry's cells go in its template; no printed text holds it.
+_CELL = "\0"
 
-def _json_entry(block: _CatalogBlock) -> str:
-    """The ``%``-template of one entry of ``_json_blocks``, at its
-    depth in the document and with its keys in sorted order, with what
-    the block's entries share filled in: group, n, size and the shape and
-    dtype of the representative.  It takes the label, index, dimension,
-    exact order, orbit size, parity and phases texts, then the imaginary
-    part (complex blocks only) and the real part."""
-    shape = _json_list([str(d) for d in block.reps.shape[1:]], _PART_PAD)
-    imag = '        "imag": %s,\n' if block.reps.dtype.kind == "c" else ""
-    return f"""\
-    {{
-      "canonical": "%s",
-      "component_index": %d,
-      "dimension": %s,
-      "exact_order": %s,
-      "group": {_json_string(block.spec.family)},
-      "n": {block.n},
-      "orbit_size": %s,
-      "parity": %s,
-      "phases": %s,
-      "representative": {{
-{imag}        "real": %s,
-        "shape": {shape}
-      }},
-      "size": {block.spec.size}
-    }}"""
-
-
-def _float_lists(part: np.ndarray) -> list:
-    """The JSON list text of each entry of a (entries, *shape) array, its
-    floats flat in row-major order, at the depth of a representative's
-    lists.  A row of the last axis is printed once per distinct bit
-    pattern (0.0 and -0.0 differ), by ``repr``, and shared: each row of a
-    torus representative holds one phase, so a block has at most slots x n
-    distinct rows."""
-    count = len(part)
-    flat = np.ascontiguousarray(part, dtype=np.float64).reshape(count, -1)
-    if not flat.size:
-        return ["[]"] * count
-    width = part.shape[-1] if part.ndim > 1 else 1
-    rows = flat.reshape(-1, width)
-    _, first, inverse = np.unique(
-        rows.view(np.dtype((np.void, rows.itemsize * width))).ravel(),
-        return_index=True, return_inverse=True)
-    texts = np.array([_FLOAT_SEP.join(map(repr, row))
-                      for row in rows[first].tolist()], dtype=object)
-    head, tail = "[\n" + _PART_PAD + "  ", "\n" + _PART_PAD + "]"
-    return [head + _FLOAT_SEP.join(entry) + tail
-            for entry in texts[inverse].reshape(count, -1).tolist()]
+#: An entry's label suffix and parity text, by parity bit + 1.
+_PARITY_SUFFIXES = np.array(["", ",p0", ",p1"], dtype=object)
+_PARITY_TEXTS = np.array(["null", "0", "1"], dtype=object)
 
 
 def _json_blocks(blocks, config: dict):
@@ -630,24 +649,28 @@ def _json_blocks(blocks, config: dict):
     component lists its label, phases as [numerator, denominator] pairs,
     parity, dimension, exact order, orbit size and its representative,
     row-major with full double precision, split into real and imaginary
-    parts.  A block's representatives are checked before its piece is
-    made, since json.dumps would print NaN or Infinity, which is not
-    JSON, and its float lists come from ``_float_lists``."""
-    head, index = '{\n  "components": [\n', 0
+    parts.  A block's piece is one join: the constant pieces of its
+    catalog's entry template (``_CatalogTable.json``), each entry's cells
+    between them, read off the catalog's tables by the block's columns.
+    The tables are made, and their representatives refused when not
+    finite, before the catalog's first piece."""
+    index = 0
     for block in blocks:
-        reps = block.reps
-        if not np.isfinite(reps).all():
-            raise ValueError("a catalog representative is not finite; JSON "
-                             "cannot hold it")
-        parts = (reps.imag, reps.real) if reps.dtype.kind == "c" else (reps,)
-        pairs = block.phases.json_pairs
-        yield head + ",\n".join(map(_json_entry(block).__mod__, zip(
-            _labels(block), itertools.count(index), block.dimension,
-            block.order, block.orbit,
-            ["null" if bit < 0 else str(bit) for bit in block.parity],
-            [_json_list([pairs[k] for k in row], _PHASES_PAD)
-             for row in block.ks],
-            *map(_float_lists, parts))))
-        head, index = ",\n", index + len(block)
+        template, parts, pairs, numerals, rows = block.table.json
+        count, bit = len(block), block.parity + 1
+        slot = block.realized[:, _row_slots(block.spec)]
+        cells = np.empty((count, 2 * len(template) - 1), dtype=object)
+        cells[:, ::2] = template
+        cells[:, 1::2] = np.hstack([
+            parts[block.ks], _PARITY_SUFFIXES[bit, None],
+            np.array(list(map(str, range(index, index + count))),
+                     dtype=object)[:, None],
+            numerals[np.array([block.dimension, block.order, block.orbit]).T],
+            _PARITY_TEXTS[bit, None], pairs[block.ks],
+            *(texts[np.arange(block.spec.size), slot] for texts in rows)])
+        if not index:  # the document's head, not a separator, comes first
+            cells[0, 0] = '{\n  "components": [\n' + cells[0, 0][2:]
+        yield "".join(cells.ravel().tolist())
+        index += count
     yield (("\n  ]" if index else '{\n  "components": []') + ',\n  "config": '
            + _json_nested(config, "  ") + "\n}\n")

@@ -181,6 +181,32 @@ def test_curves_refuse_non_finite_inputs_before_any_expm(monkeypatch, steps):
         tangent(spec, np.diag([1j, -1j]), X, steps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("check,arg", [("tangent", "Xm"), ("kernel", "X"),
+                                       ("product", "Xm"), ("product", "t")])
+def test_curve_evaluators_refuse_a_non_finite_stack_before_any_expm(
+        monkeypatch, check, arg, bad):
+    # a non-finite coordinate, algebra matrix or parameter in any slice of
+    # the stack is refused at the evaluator's entry, not printed as a FAIL
+    # with a NaN residual
+    def no_expm(*args):
+        raise AssertionError("expm was called")
+
+    monkeypatch.setattr(curves, "expm", no_expm)
+    spec = GroupSpec("SU", 2)
+    g = np.stack([np.diag([1j, -1j])] * 2)
+    X = np.stack([random_algebra(spec, seed) for seed in (2, 3)])
+    inputs = {"X": X, "Xm": np.stack([algebra_matrix(spec, x) for x in X]),
+              "t": np.array([0.3, 0.7])}
+    inputs[arg][(1,) + (0,) * (inputs[arg].ndim - 1)] = bad
+    run = {"tangent": lambda: tangent_outcomes(spec, g, inputs["Xm"]),
+           "kernel": lambda: curve_kernel_outcomes(spec, g, 4, inputs["X"]),
+           "product": lambda: product_identity_outcomes(
+               spec, g, 4, inputs["Xm"], inputs["t"])}[check]
+    with pytest.raises(ValueError, match=f"^{arg} must be finite$"):
+        run()
+
+
 # ----------------------------------------------------------- exact identity
 
 def test_curve_kernel_check_quarter_turn():

@@ -98,7 +98,7 @@ ALLOWED_UNRUN = {
                                  "their invariants through it",
     "torsion._CatalogBlock.__iter__": "catalog_components reads blocks "
                                       "through it",
-    "torsion._PhaseTable.fractions": "catalog_components reads blocks "
+    "torsion._CatalogTable.fractions": "catalog_components reads blocks "
                                      "through it",
     "alignment.matrix_invariant": _VIEW,
     "alignment.nearest_torsion_approximant": _VIEW,

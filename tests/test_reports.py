@@ -414,6 +414,17 @@ def test_to_json_of_an_empty_report():
         VerificationReport("bare", True, 0.0))
 
 
+@pytest.mark.parametrize("items", [[], [1.5], [[1, 2], -0.0, "a"]])
+@pytest.mark.parametrize("depth", [0, 3])
+def test_json_list_prints_what_json_dumps_prints(items, depth):
+    # a list of printed items at its depth, the empty list as []
+    pad = "  " * depth
+    want = json.dumps(items, indent=2).replace("\n", "\n" + pad)
+    texts = [json.dumps(item, indent=2).replace("\n", "\n" + pad + "  ")
+             for item in items]
+    assert reports._json_list(texts, pad) == want
+
+
 def test_to_json_of_nested_inputs_and_residuals():
     trials = [_record(0, {"r": 0.5, "path": [0.1, [0.2, float("nan")]]},
                       inputs={"m": [[1, 2.5], [-0.0, {"deep": []}]],

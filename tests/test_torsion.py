@@ -34,14 +34,14 @@ from torsion_orbits.alignment import (approximation_bound, canonical_align,
                                       matrix_invariant,
                                       nearest_torsion_approximant,
                                       orientation_sign)
-from torsion_orbits.groups import (TOL_MEMBERSHIP, GroupSpec,
+from torsion_orbits.groups import (FAMILY_RECORDS, TOL_MEMBERSHIP, GroupSpec,
                                    UnsupportedGroupError, element_order,
                                    group_inverse, membership_residual,
                                    random_element)
 from torsion_orbits.reports import TrialRecord
 from torsion_orbits.sweeps import cluster_census, sl2_component_census
 from torsion_orbits.torsion import (MAX_CLASSES, CanonicalInvariant,
-                                    ComponentDescriptor, TorusTorsionPoint,
+                                    TorusTorsionPoint,
                                     canonicalize,
                                     catalog_components,
                                     class_count_bound, class_table,
@@ -1522,18 +1522,6 @@ def catalog_json_text(blocks, config):
     return "".join(torsion._json_blocks(blocks, config))
 
 
-def entry_block(comp):
-    """A one-entry catalog block holding the component ``comp``, whose
-    representative may be of any shape and dtype."""
-    phases = comp.canonical.phases
-    return torsion._CatalogBlock(
-        comp.spec, comp.n, [list(range(len(phases)))],
-        [-1 if comp.canonical.parity is None else comp.canonical.parity],
-        [comp.orbit_size], [comp.dimension], [comp.exact_order],
-        np.asarray(comp.representative)[None],
-        torsion._PhaseTable([(p.numerator, p.denominator) for p in phases]))
-
-
 def test_catalog_csv_schema():
     cat = catalog_components(GroupSpec("SO", 4), 4)
     text = catalog_csv_text(GroupSpec("SO", 4), 4)
@@ -1585,6 +1573,40 @@ def test_catalog_components_is_the_join_of_its_blocks(monkeypatch, block):
                 assert np.array_equal(a.representative, b.representative)
 
 
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_catalog_json_blocks_share_one_table_per_catalog(monkeypatch, block):
+    # at any block size, every block of a catalog prints its entries from
+    # the one table of its catalog: the document is what json.dumps prints
+    cases = ((GroupSpec("U", 3), 12), (GroupSpec("SO", 4), 6),
+             (GroupSpec("SO", 5), 40), (GroupSpec("SL2R", 2), 7))
+    wants = [json.dumps({"config": catalog_config(spec, n),
+                         "components": catalog_json_payload(
+                             catalog_components(spec, n))},
+                        sort_keys=True, indent=2) + "\n" for spec, n in cases]
+    monkeypatch.setattr(torsion, "_BLOCK", block)
+    for (spec, n), want in zip(cases, wants):
+        assert catalog_json_text(torsion._catalog_blocks(spec, n),
+                                 catalog_config(spec, n)) == want
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec(family, m) for family, record in FAMILY_RECORDS.items()
+    for m in record.sizes], ids=GroupSpec.label)
+def test_row_slots_name_the_slot_each_torus_row_reads(spec):
+    # moving one slot's phase changes exactly the rows of a torus element
+    # that _row_slots assigns to that slot; the fixed axis (-1) never moves
+    slots = torsion._row_slots(spec)
+    base = np.arange(1, spec.phase_slots + 1) / 7
+    assert slots.shape == (spec.size,)
+    for slot in range(spec.phase_slots):
+        moved = base.copy()
+        moved[slot] += 0.25
+        a, b = torus_stack(spec, [base, moved])
+        changed = (a != b).any(axis=1)
+        assert changed.tolist() == (slots == slot).tolist(), slot
+    assert (slots == -1).sum() == (0 if spec.is_complex else spec.size % 2)
+
+
 def catalog_config(spec, n):
     return cli.RunConfig(command="catalog", family=spec.family,
                          size=spec.size, n=n, fmt="json").as_dict()
@@ -1611,13 +1633,22 @@ def test_catalog_json_writer_prints_an_empty_catalog():
 @pytest.mark.parametrize("spec,part", [
     (GroupSpec("U", 2), "real"), (GroupSpec("U", 2), "imag"),
     (GroupSpec("SO", 3), "real")])
-def test_catalog_json_writer_refuses_non_finite_representatives(spec, part,
-                                                                bad):
-    blocks = list(torsion._catalog_blocks(spec, 3))
-    getattr(blocks[0].reps[1], part)[0, 1] = bad
+def test_catalog_json_writer_refuses_non_finite_representatives(
+        monkeypatch, spec, part, bad):
+    # one non-finite entry in the torus stack that the catalog's row texts
+    # are printed from is refused before the first piece
+    torus_stack = torsion.torus_stack
+
+    def broken(spec, phases):
+        stack = torus_stack(spec, phases)
+        getattr(stack[1], part)[0, 1] = bad
+        return stack
+
+    monkeypatch.setattr(torsion, "torus_stack", broken)
     pieces = []
     with pytest.raises(ValueError, match="not finite"):
-        pieces.extend(torsion._json_blocks(blocks, catalog_config(spec, 3)))
+        pieces.extend(torsion._json_blocks(torsion._catalog_blocks(spec, 3),
+                                           catalog_config(spec, 3)))
     assert pieces == []
 
 
@@ -1634,29 +1665,6 @@ def test_catalog_json_writer_prints_a_mixed_catalog():
     assert text == json.dumps(
         {"config": config, "components": catalog_json_payload(cat)},
         sort_keys=True, indent=2) + "\n"
-
-
-def test_catalog_json_writer_prints_empty_lists_as_json_dumps_does():
-    # hand-built entries no catalog holds: an empty real part, an empty
-    # complex representative, no phases, and a 0-d representative whose
-    # shape list is empty; json.dumps prints each empty list as []
-    u2, so3 = GroupSpec("U", 2), GroupSpec("SO", 3)
-    cat = [ComponentDescriptor(u2, 3, CanonicalInvariant((Fraction(1, 3),)),
-                               np.zeros((0, 0)), 0, 1, 1),
-           ComponentDescriptor(u2, 3, CanonicalInvariant(()),
-                               np.zeros((2, 0), dtype=complex), 0, 1, 1),
-           ComponentDescriptor(so3, 4, CanonicalInvariant((Fraction(1, 4),),
-                                                          1),
-                               np.array(-0.0), 0, 1, 1),
-           ComponentDescriptor(u2, 3, CanonicalInvariant(()),
-                               np.array(1.5 - 2j), 0, 1, 1)]
-    config = catalog_config(u2, 3)
-    text = catalog_json_text(map(entry_block, cat), config)
-    assert text == json.dumps({"config": config,
-                               "components": catalog_json_payload(cat)},
-                              sort_keys=True, indent=2) + "\n"
-    assert '"real": []' in text and '"imag": []' in text
-    assert '"shape": []' in text and '"phases": []' in text
 
 
 def test_catalog_json_payload_round_trips_representative():
