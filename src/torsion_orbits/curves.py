@@ -50,19 +50,6 @@ class DifferentComponentsError(ValueError):
     """The two elements lie in different conjugation orbits."""
 
 
-def _sample_times(times) -> tuple:
-    """``times`` as floats, checked to be finite, positive and strictly
-    decreasing."""
-    times = tuple(float(t) for t in times)
-    if not np.isfinite(times).all():
-        raise ValueError("sample times must be finite")
-    if any(t <= 0 for t in times):
-        raise ValueError("sample times must be positive")
-    if any(a <= b for a, b in zip(times, times[1:])):
-        raise ValueError("sample times must decrease strictly toward 0")
-    return times
-
-
 def _finite(name: str, values) -> np.ndarray:
     # ``values`` as an array, refused with ValueError when an entry of the
     # stack is not finite: checked once, before any exponential
@@ -70,6 +57,18 @@ def _finite(name: str, values) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
     return values
+
+
+def _sample_times(times) -> tuple:
+    """``times`` as floats, checked to be finite, positive and strictly
+    decreasing."""
+    times = tuple(_finite("sample times",
+                          np.asarray(times, dtype=float)).tolist())
+    if any(t <= 0 for t in times):
+        raise ValueError("sample times must be positive")
+    if any(a <= b for a, b in zip(times, times[1:])):
+        raise ValueError("sample times must decrease strictly toward 0")
+    return times
 
 
 @dataclass
