@@ -406,8 +406,9 @@ class _CatalogTable:
     @functools.cached_property
     def json(self) -> tuple:
         """(template, parts, pairs, numerals, rows) of ``_json_blocks``: the
-        constant pieces of an entry, between which its cells go, and object
-        arrays of texts: the label parts and JSON pairs by k, the ints
+        constant pieces of an entry, between which its cells go (the first
+        opens with the separator from the entry before), and object arrays
+        of texts: the label parts and JSON pairs by k, the ints
         below ``top``, and per part of the representatives (imaginary, then
         real, for a complex family) an (m, n) array holding row i at phase
         k/n.  Row i of a representative reads one phase (``_row_slots``),
@@ -422,8 +423,8 @@ class _CatalogTable:
                              "cannot hold it")
         parts = (stack.imag, stack.real) if stack.dtype.kind == "c" else (
             stack,)
-        part = _json_list([_CELL] * m, _PART_PAD)
-        imag = f'        "imag": {part},\n' if len(parts) == 2 else ""
+        floats = _json_list([_CELL] * m, _PART_PAD)
+        imag = f'        "imag": {floats},\n' if len(parts) == 2 else ""
         template = f"""\
 ,
     {{
@@ -437,7 +438,7 @@ class _CatalogTable:
       "parity": {_CELL},
       "phases": {_json_list([_CELL] * slots, _PHASES_PAD)},
       "representative": {{
-{imag}        "real": {part},
+{imag}        "real": {floats},
         "shape": {_json_list([str(m), str(m)], _PART_PAD)}
       }},
       "size": {m}
